@@ -3,9 +3,9 @@
 The evaluator sits in the innermost loop of a three-level search, so its
 throughput bounds every experiment. These benchmarks use pytest-benchmark
 conventionally (many rounds) since each call is microseconds-scale, plus
-one manually-timed batch-vs-scalar comparison (``evaluate_batch`` runs
-the traffic analysis as numpy ops across the whole population, so its
-win only shows at realistic batch sizes).
+one manually-timed batch-vs-scalar comparison at the lane counts the
+lockstep mapping search really costs per call: every mobilenet_v2 shape
+times the shipped mapping populations.
 
 Numbers land in ``benchmarks/results/cost_model_perf.txt`` and
 ``benchmarks/results/cost_batch_scaling.txt``.
@@ -16,8 +16,8 @@ import time
 from pathlib import Path
 
 from repro.accelerator.presets import baseline_preset
+from repro.cost.batch import LaneLayers, LaneMappings
 from repro.cost.model import CostModel
-from repro.errors import InvalidMappingError
 from repro.mapping.builders import dataflow_preserving_mapping
 from repro.models import build_model
 from repro.utils.rng import ensure_rng
@@ -73,20 +73,19 @@ def test_mapping_decode(benchmark):
     _record("mapping decode", benchmark.stats.stats.mean)
 
 
-def _decode_population(layer, accel, count, seed=0):
-    """``count`` decodable mappings, the way the search produces them."""
+def _decode_generation(layers, accel, population, seed=0):
+    """``population`` decoded mappings per layer, lanes grouped by layer
+    the way one lockstep generation stacks them."""
     from repro.encoding.mapping_enc import MappingEncoder
 
-    encoder = MappingEncoder(layer, accel)
     rng = ensure_rng(seed)
-    mappings = []
-    while len(mappings) < count:
-        vector = rng.random(encoder.num_params)
-        try:
-            mappings.append(encoder.decode(vector))
-        except InvalidMappingError:
-            continue
-    return mappings
+    index, mappings = [], []
+    for which, layer in enumerate(layers):
+        encoder = MappingEncoder(layer, accel)
+        for _ in range(population):
+            index.append(which)
+            mappings.append(encoder.decode(rng.random(encoder.num_params)))
+    return index, mappings
 
 
 def _best_of(rounds, fn):
@@ -99,46 +98,54 @@ def _best_of(rounds, fn):
 
 
 def test_batch_vs_scalar_scaling():
-    """``evaluate_batch`` ≡ scalar loop, and it earns its keep.
+    """The batch kernel ≡ the scalar loop, and it earns its keep.
 
-    Writes ``cost_batch_scaling.txt`` with the per-batch-size speedup;
-    the B=64 row also feeds the combined ``cost_model_perf.txt``. The
-    assertion bar is deliberately modest (>= 1.5x at B=64) — measured
-    speedups sit well above it, but CI boxes vary.
+    Each batch mixes all 31 mobilenet_v2 shapes at one shipped mapping
+    population (quick 6, full 10, paper 20: 186/310/620 lanes), which
+    is what one lockstep generation costs in one call. Writes
+    ``cost_batch_scaling.txt`` with the per-size speedup; the 186-lane
+    row also feeds the combined ``cost_model_perf.txt``. The assertion
+    bar is deliberately modest (>= 1.5x at the quick profile's 186
+    lanes) — measured speedups sit well above it, but CI boxes vary.
     """
     model = CostModel()
     accel = baseline_preset("eyeriss")
-    layer = build_model("mobilenet_v2").layers[5]
+    layers = [layer for layer, _ in
+              build_model("mobilenet_v2").unique_shapes()]
 
     lines = [
         "batch-vs-scalar cost evaluation "
-        "(mobilenet_v2 layer 5, eyeriss preset)",
-        f"{'size':>6}  {'scalar':>10}  {'batch':>10}  {'speedup':>8}",
+        "(all 31 mobilenet_v2 shapes x population, eyeriss preset)",
+        f"{'lanes':>6}  {'scalar':>10}  {'batch':>10}  {'speedup':>8}",
     ]
     speedups = {}
-    for size in (16, 64, 256):
-        mappings = _decode_population(layer, accel, size)
+    for population in (6, 10, 20):
+        index, mappings = _decode_generation(layers, accel, population)
+        lanes = LaneLayers(layers, index)
+        lane_mappings = LaneMappings.from_mappings(mappings)
+        size = len(mappings)
         scalar, scalar_time = _best_of(3, lambda: [
-            model.evaluate(layer, accel, m) for m in mappings])
-        batch, batch_time = _best_of(3, lambda: model.evaluate_batch(
-            layer, accel, mappings))
-        # The batch surface's contract: same objects, same floats.
-        assert [c.cycles for c in batch] == [c.cycles for c in scalar]
-        assert [c.energy_nj for c in batch] == [c.energy_nj for c in scalar]
+            model.evaluate(layers[which], accel, m)
+            for which, m in zip(index, mappings)])
+        batch, batch_time = _best_of(3, lambda: model.evaluate_lanes(
+            lanes, accel, lane_mappings))
+        # The kernel's contract: the scalar loop's floats, lane by lane.
+        assert batch.cycles.tolist() == [c.cycles for c in scalar]
+        assert batch.energy_nj.tolist() == [c.energy_nj for c in scalar]
         speedup = scalar_time / batch_time if batch_time else float("inf")
         speedups[size] = speedup
         lines.append(f"{size:>6}  {scalar_time:>9.4f}s  "
                      f"{batch_time:>9.4f}s  {speedup:>7.2f}x")
-        if size == 64:
-            _record("scalar loop (B=64)", scalar_time)
-            _record("evaluate_batch (B=64)", batch_time)
+        if population == 6:
+            _record("scalar loop (B=186)", scalar_time)
+            _record("evaluate_lanes (B=186)", batch_time)
 
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "cost_batch_scaling.txt").write_text(
         "\n".join(lines) + "\n")
     print("\n" + "\n".join(lines))
 
-    assert speedups[64] >= 1.5
+    assert speedups[186] >= 1.5
 
 
 def test_write_results_file():
@@ -148,9 +155,10 @@ def test_write_results_file():
     lines = ["cost-model microbenchmarks (seconds per call, mean)"]
     for name, seconds in _ROWS.items():
         lines.append(f"{name:<{width}} : {seconds:.6e} s")
-    if "scalar loop (B=64)" in _ROWS and "evaluate_batch (B=64)" in _ROWS:
-        ratio = _ROWS["scalar loop (B=64)"] / _ROWS["evaluate_batch (B=64)"]
-        lines.append(f"{'batch-vs-scalar speedup (B=64)':<{width}} : "
+    if "scalar loop (B=186)" in _ROWS and "evaluate_lanes (B=186)" in _ROWS:
+        ratio = (_ROWS["scalar loop (B=186)"]
+                 / _ROWS["evaluate_lanes (B=186)"])
+        lines.append(f"{'batch-vs-scalar speedup (B=186)':<{width}} : "
                      f"{ratio:.2f}x")
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "cost_model_perf.txt").write_text("\n".join(lines) + "\n")

@@ -16,10 +16,11 @@ Eyeriss/Accelergy-style per-access energies; the search only consumes
 *relative* orderings, which is what the analysis preserves.
 
 Two equivalent surfaces exist: scalar ``CostModel.evaluate`` (the
-reference implementation) and ``CostModel.evaluate_batch``, which runs
-the traffic/reuse analysis for a whole candidate generation as stacked
-numpy ops (:mod:`repro.cost.batch`) while producing bit-identical
-``LayerCost`` values.
+reference implementation) and the array kernel of
+:mod:`repro.cost.batch`, reached through ``CostModel.evaluate_lanes``
+(many layers' mappings in one pass, results as arrays) or its
+one-layer wrapper ``CostModel.evaluate_batch``; both produce
+bit-identical ``LayerCost`` values.
 """
 
 from repro.cost.batch import analyze_traffic_batch

@@ -11,7 +11,13 @@ from typing import Callable, Dict, List, Sequence
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.validation import validate_architecture
-from repro.cost.batch import analyze_traffic_batch
+from repro.cost.batch import (
+    LaneCosts,
+    LaneLayers,
+    LaneMappings,
+    analyze_traffic_batch,
+    cost_lanes,
+)
 from repro.cost.config import DEFAULT_PARAMS, CostParams
 from repro.cost.energy import analyze_energy
 from repro.cost.latency import analyze_latency
@@ -65,59 +71,46 @@ class CostModel:
 
         Equivalent to ``[self.evaluate(layer, accel, m) for m in
         mappings]`` to full float equality (the scalar path is the
-        reference implementation), but the traffic/reuse analysis — the
-        hot part — runs as numpy ops across the whole batch.
+        reference implementation). A thin wrapper over
+        :meth:`evaluate_lanes` that builds every lane's ``LayerCost``.
         """
         mappings = list(mappings)
         if not mappings:
             return []
-        if type(self).evaluate is not CostModel.evaluate:
-            # A subclass customized the scalar path (test doubles, cost
-            # shaping); the batch surface must honor its overrides, so
-            # the vectorized kernels only run for the stock evaluate.
+        if self._scalar_override():
             return [self.evaluate(layer, accel, mapping)
                     for mapping in mappings]
+        costs = self.evaluate_lanes(
+            LaneLayers([layer], [0] * len(mappings)), accel,
+            LaneMappings.from_mappings(mappings))
+        return [costs.layer_cost(lane) for lane in range(len(mappings))]
+
+    def evaluate_lanes(self, lanes: LaneLayers, accel: AcceleratorConfig,
+                       mappings: LaneMappings) -> LaneCosts:
+        """Cost of lane ``i``'s mapping on lane ``i``'s layer, all lanes
+        in one array pass (see :mod:`repro.cost.batch`).
+
+        Lanes may belong to different layers. Lanes without a mapping
+        (``mappings.ok`` false) come back invalid with ``edp`` inf and
+        are never evaluated. A subclass that customizes the scalar
+        :meth:`evaluate` (test doubles, cost shaping) gets one
+        ``evaluate`` call per lane instead, so its overrides hold on
+        the batch surface too.
+        """
         problems = validate_architecture(accel)
-        if problems:
-            invalid = LayerCost.invalid(layer.name, tuple(problems))
-            return [invalid for _ in mappings]
+        if self._scalar_override() or problems:
+            # The scalar path, which also reports an invalid
+            # architecture, once per lane that holds a mapping.
+            return LaneCosts.from_objects([
+                self.evaluate(lanes.layer(lane), accel,
+                              mappings.mapping(lane))
+                if mappings.ok[lane] else None
+                for lane in range(len(lanes))])
+        traffic = analyze_traffic_batch(lanes, accel, mappings, self.params)
+        return cost_lanes(lanes, accel, mappings, self.params, traffic)
 
-        results: List[LayerCost] = [None] * len(mappings)  # type: ignore
-        lanes: List[int] = []
-        lane_mappings: List[Mapping] = []
-        for index, mapping in enumerate(mappings):
-            if mapping.legal_for(layer):
-                lanes.append(index)
-                lane_mappings.append(mapping)
-            else:
-                results[index] = LayerCost.invalid(
-                    layer.name, ("mapping tiles exceed layer dimensions",))
-
-        reports = analyze_traffic_batch(layer, accel, lane_mappings,
-                                        self.params)
-        for index, traffic in zip(lanes, reports):
-            if not traffic.feasible:
-                results[index] = LayerCost.invalid(layer.name,
-                                                   traffic.reasons)
-                continue
-            latency = analyze_latency(accel, traffic, self.params)
-            cycles = latency.cycles
-            energy = analyze_energy(layer, accel, traffic, cycles,
-                                    self.params)
-            utilization = layer.macs / max(
-                1.0, latency.compute_cycles * accel.num_pes)
-            results[index] = LayerCost(
-                layer_name=layer.name,
-                valid=True,
-                cycles=cycles,
-                energy_nj=energy.total_nj,
-                utilization=min(1.0, utilization),
-                macs=layer.macs,
-                traffic=traffic,
-                latency=latency,
-                energy=energy,
-            )
-        return results
+    def _scalar_override(self) -> bool:
+        return type(self).evaluate is not CostModel.evaluate
 
     def evaluate_network(self, network: Network, accel: AcceleratorConfig,
                          mapping_for: Callable[[ConvLayer], Mapping],

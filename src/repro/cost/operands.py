@@ -10,15 +10,14 @@ channels too.
 Two API layers coexist here: a Dim-keyed public API, and an
 integer-indexed fast path (``*_idx`` functions over 7-tuples following
 :data:`repro.tensors.dims.DIM_INDEX`) used by the search's inner loops,
-where enum hashing would dominate runtime.
+where enum hashing would dominate runtime. The array forms, one lane per
+(layer, mapping) pair, are methods of :class:`repro.cost.batch.LaneLayers`.
 """
 
 from __future__ import annotations
 
 import enum
 from typing import Dict, FrozenSet, Sequence, Tuple
-
-import numpy as np
 
 from repro.tensors.dims import (
     DIM_INDEX,
@@ -123,45 +122,6 @@ def footprint_elements_idx(layer: ConvLayer, operand: Operand,
     return batch * channels * rows * cols
 
 
-def footprint_elements_idx_batch(layer: ConvLayer, operand: Operand,
-                                 ext: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`footprint_elements_idx` over stacked extents.
-
-    ``ext`` is an integer array whose last axis has length 7 (DIM_INDEX
-    order); the result has ``ext``'s leading shape. Stays in int64 so
-    the caller controls when (and whether) values promote to float,
-    mirroring the scalar path's promotion points.
-    """
-    sizes = layer.sizes7
-    if operand is Operand.WEIGHT:
-        return (np.minimum(ext[..., IDX_K], sizes[IDX_K])
-                * np.minimum(ext[..., IDX_C], sizes[IDX_C])
-                * np.minimum(ext[..., IDX_R], sizes[IDX_R])
-                * np.minimum(ext[..., IDX_S], sizes[IDX_S]))
-    batch = np.minimum(ext[..., 0], sizes[0])
-    if operand is Operand.OUTPUT:
-        return (batch * np.minimum(ext[..., IDX_K], sizes[IDX_K])
-                * np.minimum(ext[..., IDX_Y], sizes[IDX_Y])
-                * np.minimum(ext[..., IDX_X], sizes[IDX_X]))
-    rows = np.minimum(layer.input_y,
-                      (np.minimum(ext[..., IDX_Y], sizes[IDX_Y]) - 1)
-                      * layer.stride
-                      + np.minimum(ext[..., IDX_R], sizes[IDX_R]))
-    cols = np.minimum(layer.input_x,
-                      (np.minimum(ext[..., IDX_X], sizes[IDX_X]) - 1)
-                      * layer.stride
-                      + np.minimum(ext[..., IDX_S], sizes[IDX_S]))
-    k_extent = np.minimum(ext[..., IDX_K], sizes[IDX_K])
-    c_extent = np.minimum(ext[..., IDX_C], sizes[IDX_C])
-    if layer.groups == 1:
-        channels = np.minimum(layer.c, c_extent)
-    else:
-        groups_touched = np.minimum(layer.groups,
-                                    -(-k_extent // layer.k_per_group))
-        channels = np.minimum(layer.c, groups_touched * c_extent)
-    return batch * channels * rows * cols
-
-
 def footprint_elements(layer: ConvLayer, operand: Operand,
                        extents: Dict[Dim, int]) -> int:
     """Dim-keyed wrapper over :func:`footprint_elements_idx`."""
@@ -188,23 +148,6 @@ def tile_set_bytes(layer: ConvLayer, tiles: Dict[Dim, int],
     return sum(footprint_elements(layer, op, tiles)
                * element_bytes(layer, op, psum_bytes)
                for op in Operand)
-
-
-def tile_set_bytes_batch(layer: ConvLayer, tiles: np.ndarray,
-                         psum_bytes: int) -> np.ndarray:
-    """Vectorized :func:`tile_set_bytes` over stacked SEARCHED_DIMS tiles.
-
-    ``tiles`` is ``(..., 6)`` in :data:`repro.tensors.dims.SEARCHED_DIMS`
-    order (batch extent implied 1, as in the dim-keyed API). The operand
-    sum runs in ``Operand`` declaration order, matching the scalar sum.
-    """
-    ext = np.ones(tiles.shape[:-1] + (7,), dtype=np.int64)
-    ext[..., 1:] = tiles
-    total = 0.0
-    for op in Operand:
-        total = total + (footprint_elements_idx_batch(layer, op, ext)
-                         * element_bytes(layer, op, psum_bytes))
-    return total
 
 
 def total_elements(layer: ConvLayer, operand: Operand) -> int:

@@ -42,8 +42,9 @@ def scalar_to_index(value: float, count: int) -> int:
     """Map a scalar in [0, 1] to an integer index in [0, count)."""
     if count <= 0:
         raise EncodingError(f"count must be positive, got {count}")
-    index = int(value * count)
-    return min(count - 1, max(0, index))
+    # Clamping before truncating equals clamping ``int(value * count)``
+    # and stays finite when ``value * count`` overflows.
+    return int(min(max(value * count, 0), count - 1))
 
 
 def decode_order_scalar(value: float) -> Tuple[Dim, ...]:

@@ -18,23 +18,29 @@ Tiling ratios follow §II-B: sizes are expressed relative to the layer's
 dimensions so one distribution generalizes across layers. Decoded tiles
 are legalized against the accelerator's L2 budget by halving (largest
 contributors first) rather than rejected, preserving sample efficiency.
+
+:func:`decode_lanes` decodes a whole lockstep generation — vectors of
+many layers at once — into integer arrays; :meth:`MappingEncoder.decode`
+is its scalar reference and ``decode_batch`` its one-layer wrapper.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import itertools
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.accelerator.arch import AcceleratorConfig
-from repro.cost.operands import tile_set_bytes, tile_set_bytes_batch
+from repro.cost.batch import LaneLayers, LaneMappings
+from repro.cost.operands import tile_set_bytes
 from repro.encoding.importance import ranked_dims
 from repro.encoding.index import decode_order_scalar
 from repro.encoding.spaces import EncodingStyle
-from repro.errors import EncodingError
+from repro.errors import EncodingError, InvalidMappingError
 from repro.mapping.mapping import Mapping
 from repro.mapping.tiling import shrink_to_budget, shrink_to_budget_batch
-from repro.tensors.dims import SEARCHED_DIMS, Dim
+from repro.tensors.dims import DIM_INDEX, SEARCHED_DIMS, Dim
 from repro.tensors.layer import ConvLayer
 
 #: Accumulator width used when legalizing tiles; matches CostParams default.
@@ -42,18 +48,102 @@ PSUM_BYTES = 4
 
 _NUM_DIMS = len(SEARCHED_DIMS)
 
-#: Vectors whose entries exceed this take the scalar decode path: beyond
-#: it ``rint(ratio * size)`` may not fit int64, which the numpy tile
-#: legalization needs (optimizers keep vectors in [0, 1] anyway).
-_BATCH_SAFE_MAGNITUDE = 1e12
+#: Row ``i`` is the index style's ``i``-th loop order
+#: (:func:`repro.encoding.index.nth_permutation` is lexicographic over
+#: dim positions) as DIM_INDEX indices, outermost first.
+_PERMUTATIONS = np.array(
+    list(itertools.permutations([DIM_INDEX[dim] for dim in SEARCHED_DIMS])),
+    dtype=np.int64)
 
 
 def _tile_footprint(layer: ConvLayer, tiles: Dict[Dim, int]) -> float:
     return tile_set_bytes(layer, tiles, PSUM_BYTES)
 
 
-def _tile_footprint_batch(layer: ConvLayer, tiles: np.ndarray) -> np.ndarray:
-    return tile_set_bytes_batch(layer, tiles, PSUM_BYTES)
+def num_params(style: EncodingStyle) -> int:
+    """Length of a mapping vector in ``style``."""
+    if style is EncodingStyle.IMPORTANCE:
+        return 3 * _NUM_DIMS
+    return 1 + _NUM_DIMS + 1
+
+
+def _stack(vectors: Sequence[Sequence[float]],
+           length: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(matrix, ok)``: rows of decodable vectors, zeros elsewhere.
+
+    A vector is decodable when it has ``length`` entries, all finite.
+    """
+    try:
+        matrix = np.array(vectors, dtype=float)
+    except ValueError:  # ragged: stack row by row
+        matrix = None
+    if matrix is None or matrix.shape != (len(vectors), length):
+        matrix = np.zeros((len(vectors), length))
+        shaped = np.zeros(len(vectors), dtype=bool)
+        for row, vector in enumerate(vectors):
+            vec = np.asarray(vector, dtype=float)
+            if vec.shape == (length,):
+                matrix[row] = vec
+                shaped[row] = True
+    else:
+        shaped = np.ones(len(vectors), dtype=bool)
+    ok = shaped & np.isfinite(matrix).all(axis=1)
+    matrix[~ok] = 0.0
+    return matrix, ok
+
+
+def _order_rows(scalars: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`decode_order_scalar` (finite inputs)."""
+    count = len(_PERMUTATIONS)
+    with np.errstate(over="ignore"):
+        index = np.clip(np.trunc(scalars * count), 0, count - 1)
+    return _PERMUTATIONS[index.astype(np.int64)]
+
+
+def decode_lanes(lanes: LaneLayers, accel: AcceleratorConfig,
+                 style: EncodingStyle,
+                 vectors: Sequence[Sequence[float]]) -> LaneMappings:
+    """Decode one vector per lane, each against its lane's layer.
+
+    Lane ``i`` of the result equals ``MappingEncoder(lanes.layer(i),
+    accel, style).decode(vectors[i])`` as arrays; lanes whose decode
+    raises :class:`EncodingError` (wrong length, non-finite entries)
+    come back with ``ok`` false. Loop orders are a stable
+    ``argsort(-importance)`` (importance style) or a row of the 720
+    six-dim permutations (index style); tiles are legalized against the
+    L2 for every lane at once.
+    """
+    matrix, ok = _stack(vectors, num_params(style))
+    if style is EncodingStyle.IMPORTANCE:
+        array_order = np.argsort(-matrix[:, 0:_NUM_DIMS], axis=1,
+                                 kind="stable") + 1
+        ratios = matrix[:, _NUM_DIMS:2 * _NUM_DIMS]
+        pe_order = np.argsort(-matrix[:, 2 * _NUM_DIMS:3 * _NUM_DIMS],
+                              axis=1, kind="stable") + 1
+    else:
+        array_order = _order_rows(matrix[:, 0])
+        ratios = matrix[:, 1:1 + _NUM_DIMS]
+        pe_order = _order_rows(matrix[:, 1 + _NUM_DIMS])
+
+    sizes = lanes.sizes[:, 1:]
+    with np.errstate(over="ignore"):
+        tiles = np.rint(np.clip(ratios * sizes, 1.0, sizes)).astype(np.int64)
+    # Parallel dims should cover the array at least once when the
+    # layer allows it, otherwise PEs are guaranteed idle.
+    for dim, axis in zip(accel.parallel_dims, accel.array_dims):
+        col = SEARCHED_DIMS.index(dim)
+        size = sizes[:, col]
+        tiles[:, col] = np.minimum(
+            size, np.maximum(tiles[:, col], np.minimum(axis, size)))
+    tiles, converged = shrink_to_budget_batch(
+        sizes, tiles, lambda t: lanes.tile_set_bytes(t, PSUM_BYTES),
+        accel.l2_bytes)
+    stuck = np.flatnonzero(ok & ~converged)
+    if len(stuck):
+        raise InvalidMappingError(
+            f"tile shrinking did not converge for layer "
+            f"{lanes.layer(stuck[0]).name!r}")
+    return LaneMappings(tiles, array_order, pe_order, ok)
 
 
 class MappingEncoder:
@@ -67,16 +157,21 @@ class MappingEncoder:
 
     @property
     def num_params(self) -> int:
-        if self.style is EncodingStyle.IMPORTANCE:
-            return 3 * _NUM_DIMS
-        return 1 + _NUM_DIMS + 1
+        return num_params(self.style)
 
     def decode(self, vector: Sequence[float]) -> Mapping:
-        """Turn a [0,1]^n vector into a legal mapping for the layer."""
+        """Turn a [0,1]^n vector into a legal mapping for the layer.
+
+        The scalar reference for :func:`decode_lanes`. Raises
+        :class:`EncodingError` for a vector of the wrong length or with
+        a non-finite entry.
+        """
         vec = np.asarray(vector, dtype=float)
         if vec.shape != (self.num_params,):
             raise EncodingError(
                 f"expected {self.num_params} parameters, got {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise EncodingError(f"non-finite mapping vector entries: {vec}")
 
         if self.style is EncodingStyle.IMPORTANCE:
             array_order = ranked_dims(list(vec[0:_NUM_DIMS]))
@@ -98,77 +193,24 @@ class MappingEncoder:
         :class:`EncodingError` (per-vector failures don't break the
         batch — the search scores them ``inf``).
 
-        Tile legalization — the expensive part of decoding — runs
-        vectorized across all lanes (:func:`shrink_to_budget_batch`);
-        loop orders decode per lane through the scalar helpers, so the
-        produced mappings are identical to the scalar path's.
+        A thin wrapper over :func:`decode_lanes` that builds one
+        ``Mapping`` per lane.
         """
         vectors = list(vectors)
-        results: List[Optional[Mapping]] = [None] * len(vectors)
-        fast_lanes: List[int] = []
-        stacked: List[np.ndarray] = []
-        for index, vector in enumerate(vectors):
-            vec = np.asarray(vector, dtype=float)
-            if (vec.shape == (self.num_params,) and np.isfinite(vec).all()
-                    and (np.abs(vec) < _BATCH_SAFE_MAGNITUDE).all()):
-                fast_lanes.append(index)
-                stacked.append(vec)
-
-        tiles_rows = converged = None
-        if stacked:
-            matrix = np.stack(stacked)
-            if self.style is EncodingStyle.IMPORTANCE:
-                ratio_cols = matrix[:, _NUM_DIMS:2 * _NUM_DIMS]
-            else:
-                ratio_cols = matrix[:, 1:1 + _NUM_DIMS]
-            tiles_rows, converged = self._decode_tiles_batch(ratio_cols)
-
-        fast = set(fast_lanes)
-        for slot, index in enumerate(fast_lanes):
-            if not converged[slot]:
-                # Reproduce the scalar path's InvalidMappingError exactly.
-                results[index] = self.decode(vectors[index])
-                continue
-            vec = stacked[slot]
-            if self.style is EncodingStyle.IMPORTANCE:
-                array_order = ranked_dims(list(vec[0:_NUM_DIMS]))
-                pe_order = ranked_dims(
-                    list(vec[2 * _NUM_DIMS:3 * _NUM_DIMS]))
-            else:
-                array_order = decode_order_scalar(float(vec[0]))
-                pe_order = decode_order_scalar(float(vec[1 + _NUM_DIMS]))
-            tiles = {dim: int(tiles_rows[slot, i])
-                     for i, dim in enumerate(SEARCHED_DIMS)}
-            results[index] = Mapping.create(array_order=array_order,
-                                            pe_order=pe_order, tiles=tiles)
-        for index, vector in enumerate(vectors):
-            if index in fast:
-                continue
-            try:
-                results[index] = self.decode(vector)
-            except EncodingError:
-                results[index] = None
-        return results
-
-    def _decode_tiles_batch(self, ratios: np.ndarray):
-        sizes = np.array([self.layer.dim_size(dim) for dim in SEARCHED_DIMS],
-                         dtype=np.int64)
-        raw = np.rint(ratios * sizes).astype(np.int64)
-        tiles = np.maximum(1, np.minimum(sizes, raw))
-        for dim, axis in zip(self.accel.parallel_dims, self.accel.array_dims):
-            col = SEARCHED_DIMS.index(dim)
-            size = int(sizes[col])
-            tiles[:, col] = np.minimum(
-                size, np.maximum(tiles[:, col], min(axis, size)))
-        return shrink_to_budget_batch(self.layer, tiles,
-                                      _tile_footprint_batch,
-                                      self.accel.l2_bytes)
+        lanes = LaneLayers([self.layer], [0] * len(vectors))
+        decoded = decode_lanes(lanes, self.accel, self.style, vectors)
+        return [decoded.mapping(lane) if decoded.ok[lane] else None
+                for lane in range(len(vectors))]
 
     def _decode_tiles(self, ratios: Sequence[float]) -> Dict[Dim, int]:
         tiles: Dict[Dim, int] = {}
         for dim, ratio in zip(SEARCHED_DIMS, ratios):
             size = self.layer.dim_size(dim)
-            tiles[dim] = max(1, min(size, int(round(float(ratio) * size))))
+            # Clamping before rounding equals clamping the rounded tile
+            # to [1, size], and stays finite if ``ratio * size``
+            # overflows.
+            tiles[dim] = int(round(min(max(float(ratio) * size, 1.0),
+                                       size)))
         # Parallel dims should cover the array at least once when the
         # layer allows it, otherwise PEs are guaranteed idle.
         for dim, axis in zip(self.accel.parallel_dims, self.accel.array_dims):

@@ -93,34 +93,33 @@ def shrink_to_budget(layer: ConvLayer, tiles: TypingMapping[Dim, int],
     return current
 
 
-def shrink_to_budget_batch(layer: ConvLayer, tiles: np.ndarray,
+def shrink_to_budget_batch(sizes: np.ndarray, tiles: np.ndarray,
                            footprint_batch, budget_bytes: int,
                            shrink_order: Sequence[Dim] = (
                                Dim.C, Dim.K, Dim.Y, Dim.X, Dim.S, Dim.R),
                            ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`shrink_to_budget` over stacked tile rows.
 
-    ``tiles`` is ``(B, 6)`` integers in :data:`SEARCHED_DIMS` order;
-    ``footprint_batch`` is ``(layer, tiles_array) -> (B,) bytes``. Each
-    lane follows the scalar halving schedule exactly: the footprint is
-    re-checked before every dim so a lane stops shrinking the moment it
-    fits within the round. Returns ``(tiles, converged)``; lanes that
-    hit the scalar guard are flagged unconverged so callers can re-run
-    them through the scalar path (which raises the matching
-    :class:`InvalidMappingError`).
+    ``tiles`` and ``sizes`` (each lane's layer dimension sizes) are
+    ``(B, 6)`` integers in :data:`SEARCHED_DIMS` order, so lanes may
+    belong to different layers; ``footprint_batch`` is ``tiles_array ->
+    (B,) bytes``. Each lane follows the scalar halving schedule exactly:
+    the footprint is re-checked before every dim so a lane stops
+    shrinking the moment it fits within the round. Returns ``(tiles,
+    converged)``; lanes that hit the scalar guard are flagged
+    unconverged (the scalar path raises :class:`InvalidMappingError`
+    there).
     """
     column = {dim: i for i, dim in enumerate(SEARCHED_DIMS)}
-    sizes = np.array([layer.dim_size(dim) for dim in SEARCHED_DIMS],
-                     dtype=np.int64)
     current = np.maximum(1, np.minimum(sizes,
                                        np.asarray(tiles, dtype=np.int64)))
     converged = np.ones(current.shape[0], dtype=bool)
-    over = footprint_batch(layer, current) > budget_bytes
+    over = footprint_batch(current) > budget_bytes
     guard = 0
     while over.any():
         shrunk_any = np.zeros(current.shape[0], dtype=bool)
         for dim in shrink_order:
-            over = over & (footprint_batch(layer, current) > budget_bytes)
+            over = over & (footprint_batch(current) > budget_bytes)
             if not over.any():
                 break
             col = column[dim]
@@ -128,7 +127,7 @@ def shrink_to_budget_batch(layer: ConvLayer, tiles: np.ndarray,
             current[:, col] = np.where(shrink, -(-current[:, col] // 2),
                                        current[:, col])
             shrunk_any |= shrink
-        over = shrunk_any & (footprint_batch(layer, current) > budget_bytes)
+        over = shrunk_any & (footprint_batch(current) > budget_bytes)
         if not over.any():
             break
         guard += 1

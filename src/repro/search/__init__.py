@@ -5,7 +5,8 @@
   re-center the distribution on the parents and update its covariance.
 - :mod:`repro.search.random_search` — the uniform-sampling baseline of Fig 4.
 - :mod:`repro.search.mapping_search` — the inner loop (§II-B): per-layer
-  loop orders and tilings.
+  loop orders and tilings, every layer shape of a candidate searched
+  in lockstep so each generation costs one batch.
 - :mod:`repro.search.accelerator_search` — the outer loop (§II-A): the
   full NAAS hardware search with nested mapping search.
 - :mod:`repro.search.parallel` — the evaluation engines (the
@@ -25,7 +26,11 @@
 from repro.search.accelerator_search import NAASBudget, search_accelerator
 from repro.search.cache import EvaluationCache
 from repro.search.es import EvolutionEngine
-from repro.search.mapping_search import MappingSearchBudget, search_mapping
+from repro.search.mapping_search import (
+    MappingSearchBudget,
+    search_mapping,
+    search_mappings,
+)
 from repro.search.parallel import (
     SCHEDULES,
     CommitBuffer,
@@ -86,4 +91,5 @@ __all__ = [
     "run_worker",
     "search_accelerator",
     "search_mapping",
+    "search_mappings",
 ]

@@ -33,7 +33,11 @@ from repro.mapping.mapping import Mapping
 from repro.search.cache import EvaluationCache
 from repro.search.diskcache import build_cache, content_digest
 from repro.search.es import EvolutionEngine
-from repro.search.mapping_search import MappingSearchBudget, search_mapping
+from repro.search.mapping_search import (
+    MappingSearchBudget,
+    search_mapping,  # noqa: F401 (perfbench/tracing.py wraps it here)
+    search_mappings,
+)
 from repro.search.objectives import RewardFn, geomean_edp
 from repro.search.parallel import (
     GenerationLoop,
@@ -48,6 +52,7 @@ from repro.search.result import (
     MappingSearchResult,
 )
 from repro.search.transport import Transport
+from repro.tensors.layer import ConvLayer
 from repro.tensors.network import Network, shape_key
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, derive_seed, ensure_rng, seed_entropy
@@ -84,8 +89,11 @@ def evaluate_accelerator(accel: AcceleratorConfig,
     """Score one accelerator: best-mapping EDP per network, geomean reward.
 
     Returns ``(reward, {network -> NetworkCost}, {layer -> Mapping})``.
-    The mapping search runs once per unique layer shape; results are
-    memoized on ``(accel, shape)`` across calls when a cache is supplied.
+    The mapping search runs once per unique layer shape, every shape of
+    every network that misses the cache in one lockstep
+    :func:`~repro.search.mapping_search.search_mappings` call; results
+    are memoized on ``(accel, shape)`` across calls when a cache is
+    supplied.
     Every layer of a shape group gets a ``best_mappings`` entry (not just
     the representative), so the table can be replayed through
     :meth:`repro.cost.model.CostModel.evaluate_with_mappings` directly.
@@ -93,6 +101,8 @@ def evaluate_accelerator(accel: AcceleratorConfig,
     A network with any unmappable layer makes the whole candidate
     infeasible: the reward is ``math.inf`` and the partial network is
     *omitted* from the returned costs (it never reaches ``reward_fn``).
+    Shapes after the first unmappable one are still searched (and
+    cached); they just do not enter the returned tables.
 
     Each per-shape mapping search is seeded with
     ``derive_seed(entropy, key)`` where ``entropy`` collapses ``seed``;
@@ -108,38 +118,57 @@ def evaluate_accelerator(accel: AcceleratorConfig,
     can never hit a stale cross-run entry.
     """
     entropy = seed_entropy(seed)
-    persistent = cache is not None and getattr(cache, "persistent", False)
+    shapes = [[(layer, count, (accel, shape_key(layer), mapping_style))
+               for layer, count in network.unique_shapes()]
+              for network in networks]
+    lookups = [(layer, key) for group in shapes for layer, _, key in group]
+
+    def run_searches(batch: Sequence[Tuple[ConvLayer, tuple]],
+                     ) -> List[MappingSearchResult]:
+        # One lockstep mapping search over every shape in the batch.
+        return search_mappings(
+            [layer for layer, _ in batch], accel, cost_model,
+            budget=mapping_budget,
+            seeds=[derive_seed(entropy, key) for _, key in batch],
+            style=mapping_style)
+
+    if cache is None:
+        results = run_searches(lookups)
+    else:
+        # Deduplicated by key: a shape shared across networks is
+        # searched once, with the first network's layer, and its later
+        # lookups hit — as one-by-one lookups would.
+        first_layer: Dict[tuple, ConvLayer] = {}
+        for layer, key in lookups:
+            first_layer.setdefault(key, layer)
+        disk_keys = None
+        if getattr(cache, "persistent", False):
+            disk_keys = [content_digest(entropy, key, mapping_budget,
+                                        cost_model.params)
+                         for _, key in lookups]
+        results = cache.get_or_compute_many(
+            [key for _, key in lookups],
+            lambda keys: run_searches([(first_layer[key], key)
+                                       for key in keys]),
+            disk_keys=disk_keys)
+
     network_costs: Dict[str, NetworkCost] = {}
     best_mappings: Dict[str, Mapping] = {}
     feasible = True
-    for network in networks:
+    outcomes = iter(results)
+    for network, group in zip(networks, shapes):
+        group_results = [next(outcomes) for _ in group]
         layer_costs = []
         shape_mappings: Dict[tuple, Mapping] = {}
         mappable = True
-        for layer, count in network.unique_shapes():
-            key = (accel, shape_key(layer), mapping_style)
-
-            def run_search(layer=layer, key=key) -> MappingSearchResult:
-                return search_mapping(
-                    layer, accel, cost_model, budget=mapping_budget,
-                    seed=derive_seed(entropy, key), style=mapping_style)
-
-            if cache is None:
-                result = run_search()
-            else:
-                disk_key = content_digest(
-                    entropy, key, mapping_budget,
-                    cost_model.params) if persistent else None
-                result = cache.get_or_compute(key, run_search,
-                                              disk_key=disk_key)
+        for (layer, count, _), result in zip(group, group_results):
             if not result.found:
                 logger.debug("no mapping for %s on %s", layer.name, accel.name)
                 mappable = False
                 feasible = False
                 break
             shape_mappings[shape_key(layer)] = result.best_mapping
-            for _ in range(count):
-                layer_costs.append(result.best_cost)
+            layer_costs.extend([result.best_cost] * count)
         for layer in network:
             mapping = shape_mappings.get(shape_key(layer))
             if mapping is not None:

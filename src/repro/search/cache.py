@@ -8,13 +8,15 @@ class adds hit statistics and a size bound.
 :mod:`repro.search.diskcache` layers a persistent cross-run tier under
 this class; ``get_or_compute`` therefore accepts (and here ignores) the
 ``disk_key`` content digest that tier is keyed by, so producers can pass
-it unconditionally.
+it unconditionally. ``get_or_compute_many`` is the batched form: one
+``compute`` call over every miss of a batch of keys, which is how the
+lockstep mapping search fills a candidate's shapes.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, List, Optional, Sequence
 
 
 class EvaluationCache:
@@ -51,6 +53,40 @@ class EvaluationCache:
         if len(self._store) > self.max_entries:
             self._store.popitem(last=False)
         return value
+
+    def get_or_compute_many(self, keys: Sequence[Hashable],
+                            compute: Callable[[List[Hashable]], List[Any]],
+                            disk_keys: Optional[Sequence[Optional[str]]]
+                            = None) -> List[Any]:
+        """Batched :meth:`get_or_compute`: one ``compute`` over the misses.
+
+        ``compute`` receives the distinct keys that would miss, in
+        first-occurrence order, and returns their values in that order.
+        Every key is then looked up through :meth:`get_or_compute`, so
+        hit/miss counters (a repeated key counts a hit) and storage are
+        exactly those of looking the keys up one by one.
+        """
+        disk_keys = ([None] * len(keys) if disk_keys is None
+                     else list(disk_keys))
+        missing: List[Hashable] = []
+        for key, disk_key in zip(keys, disk_keys):
+            if key not in missing and not self._holds(key, disk_key):
+                missing.append(key)
+        computed = dict(zip(missing, compute(missing))) if missing else {}
+
+        def value_for(key: Hashable) -> Callable[[], Any]:
+            # A peeked entry can vanish before its lookup (LRU eviction,
+            # an unreadable disk record); compute it alone then.
+            return lambda: (computed.pop(key) if key in computed
+                            else compute([key])[0])
+
+        return [self.get_or_compute(key, value_for(key), disk_key=disk_key)
+                for key, disk_key in zip(keys, disk_keys)]
+
+    def _holds(self, key: Hashable, disk_key: Optional[str]) -> bool:
+        """Whether a lookup would hit, without counting or reading it."""
+        del disk_key
+        return key in self._store
 
     def snapshot(self) -> "EvaluationCache":
         """Independent copy of the entries with zeroed counters.

@@ -1,7 +1,7 @@
 """Persistent cross-run disk tier for evaluation results.
 
 The inner mapping search dominates NAAS wall-clock, and its results are
-pure functions of their inputs: every ``search_mapping`` call inside
+pure functions of their inputs: every per-shape mapping search inside
 :func:`repro.search.accelerator_search.evaluate_accelerator` is seeded
 with ``derive_seed(entropy, key)``, so what a (run-entropy, accelerator,
 layer-shape, encoding-style, budget, cost-params) tuple evaluates to
@@ -392,6 +392,10 @@ class TieredEvaluationCache(EvaluationCache):
         if disk_key is not None:
             self.store.put(disk_key, value)
         return value
+
+    def _holds(self, key: Hashable, disk_key: Optional[str]) -> bool:
+        return key in self._store or (disk_key is not None
+                                      and disk_key in self.store)
 
     def _insert(self, key: Hashable, value: Any) -> None:
         self._store[key] = value

@@ -1,9 +1,11 @@
-"""Parity tests: ``CostModel.evaluate_batch`` vs scalar ``evaluate``.
+"""Parity tests: the batch cost kernel vs scalar ``evaluate``.
 
 The batch kernels in :mod:`repro.cost.batch` promise *exact* equality —
 every ``LayerCost`` float matches the scalar reference implementation to
 the last bit. These tests sweep presets x encoding styles x random and
-deliberately-infeasible mappings and compare full field-by-field.
+deliberately-infeasible mappings and compare full field-by-field, both
+through the one-layer ``CostModel.evaluate_batch`` and through
+``CostModel.evaluate_lanes`` on batches that mix layers lane by lane.
 """
 
 import dataclasses
@@ -12,6 +14,7 @@ import random
 import pytest
 
 from repro.accelerator.presets import baseline_preset
+from repro.cost.batch import LaneLayers, LaneMappings
 from repro.cost.model import CostModel
 from repro.encoding.mapping_enc import EncodingStyle, MappingEncoder
 from repro.mapping.builders import dataflow_preserving_mapping
@@ -123,3 +126,68 @@ def test_empty_batch():
     model = CostModel()
     assert model.evaluate_batch(LAYERS[0], baseline_preset("eyeriss"),
                                 []) == []
+
+
+def _mixed_lanes(rng, layers):
+    """Lanes cycling through ``layers``: random mappings, plus whole-
+    layer tiles (L2 overflow) and tiles beyond the layer (illegal)."""
+    index, mappings = [], []
+    for lane in range(12 * len(layers)):
+        which = lane % len(layers)
+        layer = layers[which]
+        full = {dim: layer.dim_size(dim) for dim in SEARCHED_DIMS}
+        if lane % 7 == 3:
+            mapping = Mapping.create(SEARCHED_DIMS, SEARCHED_DIMS, full)
+        elif lane % 11 == 5:
+            mapping = Mapping.create(
+                SEARCHED_DIMS, SEARCHED_DIMS,
+                {dim: size + 1 for dim, size in full.items()})
+        else:
+            mapping = _random_mapping(rng, layer)
+        index.append(which)
+        mappings.append(mapping)
+    return index, mappings
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("tiny_l1", (False, True), ids=("l1", "tiny-l1"))
+def test_mixed_layer_batch_matches_scalar_exactly(preset, tiny_l1):
+    """One batch interleaving all five layers, plus one whose whole-
+    layer tile overflows every preset's L2 (and, on a 6-byte L1, their
+    16-bit twins, whose per-PE base footprint overflows it)."""
+    accel = baseline_preset(preset)
+    layers = list(LAYERS) + [
+        ConvLayer(name="big", k=512, c=512, y=28, x=28, r=3, s=3)]
+    if tiny_l1:
+        accel = dataclasses.replace(accel, l1_bytes=6)
+        layers += [dataclasses.replace(layer, name=layer.name + "16",
+                                       bits=16) for layer in layers]
+    model = CostModel()
+    index, mappings = _mixed_lanes(random.Random(preset), layers)
+    costs = model.evaluate_lanes(LaneLayers(layers, index), accel,
+                                 LaneMappings.from_mappings(mappings))
+
+    reasons = set()
+    for lane, (which, mapping) in enumerate(zip(index, mappings)):
+        scalar = model.evaluate(layers[which], accel, mapping)
+        assert costs.valid[lane] == scalar.valid
+        assert costs.cycles[lane] == scalar.cycles
+        assert costs.energy_nj[lane] == scalar.energy_nj
+        assert costs.edp[lane] == scalar.edp
+        _assert_identical(scalar, costs.layer_cost(lane))
+        reasons.update(reason.split(":")[0] for reason in scalar.reasons)
+    assert {"L2 overflow", "mapping tiles exceed layer dimensions"} <= reasons
+    assert ("L1 overflow" in reasons) == tiny_l1
+    assert costs.valid.any()
+
+
+def test_invalid_architecture_lanes_match_scalar():
+    accel = dataclasses.replace(baseline_preset("eyeriss"), l1_bytes=2)
+    model = CostModel()
+    index, mappings = _mixed_lanes(random.Random(1), list(LAYERS))
+    costs = model.evaluate_lanes(LaneLayers(LAYERS, index), accel,
+                                 LaneMappings.from_mappings(mappings))
+    assert not costs.valid.any()
+    for lane, (which, mapping) in enumerate(zip(index, mappings)):
+        _assert_identical(model.evaluate(LAYERS[which], accel, mapping),
+                          costs.layer_cost(lane))

@@ -39,6 +39,18 @@ class TestDecode:
             mapping = encoder.decode(rng.random(encoder.num_params))
             assert mapping.legal_for(small_layer)
 
+    def test_index_style_batch_covers_every_order(self, small_layer,
+                                                  small_accel):
+        encoder = MappingEncoder(small_layer, small_accel,
+                                 style=EncodingStyle.INDEX)
+        vectors = []
+        for index in range(720):
+            vector = np.full(encoder.num_params, 0.5)
+            vector[0] = vector[-1] = (index + 0.5) / 720
+            vectors.append(vector)
+        for vector, mapping in zip(vectors, encoder.decode_batch(vectors)):
+            assert mapping == encoder.decode(vector)
+
     def test_wrong_shape_raises(self, encoder):
         with pytest.raises(EncodingError):
             encoder.decode(np.zeros(3))
@@ -57,6 +69,62 @@ class TestDecode:
                                  small_accel.array_dims):
                 limit = min(axis, small_layer.dim_size(dim))
                 assert mapping.tile(dim) >= min(limit, mapping.tile(dim))
+
+
+class TestNonFiniteVectors:
+    """A vector that cannot decode raises EncodingError (scalar) or
+    comes back ``None`` (batch); it never aborts the batch."""
+
+    @pytest.mark.parametrize("style", (EncodingStyle.IMPORTANCE,
+                                       EncodingStyle.INDEX))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_scalar_decode_raises_encoding_error(self, small_layer,
+                                                 small_accel, style, bad):
+        encoder = MappingEncoder(small_layer, small_accel, style=style)
+        for position in range(encoder.num_params):
+            vector = np.full(encoder.num_params, 0.5)
+            vector[position] = bad
+            with pytest.raises(EncodingError):
+                encoder.decode(vector)
+        with pytest.raises(EncodingError):
+            encoder.decode(np.full(encoder.num_params, bad))
+
+    @pytest.mark.parametrize("style", (EncodingStyle.IMPORTANCE,
+                                       EncodingStyle.INDEX))
+    def test_batch_returns_none_next_to_valid_vectors(
+            self, small_layer, small_accel, style):
+        encoder = MappingEncoder(small_layer, small_accel, style=style)
+        rng = ensure_rng(5)
+        valid = [rng.random(encoder.num_params) for _ in range(4)]
+        nan = valid[0].copy()
+        nan[1] = np.nan
+        vectors = [
+            valid[0],
+            nan,
+            np.full(encoder.num_params, np.inf),
+            valid[1],
+            np.full(encoder.num_params, -np.inf),
+            np.zeros(encoder.num_params + 1),  # wrong length
+            valid[2],
+            valid[3],
+        ]
+        decoded = encoder.decode_batch(vectors)
+        assert [m is None for m in decoded] == [
+            False, True, True, False, True, True, False, False]
+        for vector, mapping in zip(vectors, decoded):
+            if mapping is not None:
+                assert mapping == encoder.decode(vector)
+
+    def test_huge_finite_entries_decode_alike(self, small_layer,
+                                              small_accel):
+        # ratio * size overflows to inf; both paths clamp to the size.
+        for style in (EncodingStyle.IMPORTANCE, EncodingStyle.INDEX):
+            encoder = MappingEncoder(small_layer, small_accel, style=style)
+            vectors = [np.full(encoder.num_params, 1e308),
+                       np.full(encoder.num_params, -1e308)]
+            for vector, mapping in zip(vectors,
+                                       encoder.decode_batch(vectors)):
+                assert mapping == encoder.decode(vector)
 
 
 class TestEncodeInverse:

@@ -20,6 +20,36 @@ class TestCache:
         assert cache.misses == 1
         assert cache.hit_rate == pytest.approx(2 / 3)
 
+    def test_many_computes_misses_in_one_call(self):
+        cache = EvaluationCache()
+        cache.get_or_compute("a", lambda: "A")
+        batches = []
+
+        def compute(keys):
+            batches.append(list(keys))
+            return [key.upper() for key in keys]
+
+        values = cache.get_or_compute_many(["b", "a", "c", "b"], compute)
+        assert values == ["B", "A", "C", "B"]
+        assert batches == [["b", "c"]]
+        # Counted like four one-by-one lookups: the repeat of b hits.
+        assert (cache.hits, cache.misses) == (2, 3)
+        assert cache.get_or_compute_many(["c"], compute) == ["C"]
+        assert batches == [["b", "c"]]
+
+    def test_many_recomputes_an_entry_evicted_before_its_lookup(self):
+        cache = EvaluationCache(max_entries=1)
+        cache.get_or_compute("a", lambda: 1)
+        calls = []
+
+        def compute(keys):
+            calls.append(list(keys))
+            return [len(key) for key in keys]
+
+        # Storing "bb" evicts "a", which the batch had counted as held.
+        assert cache.get_or_compute_many(["bb", "a"], compute) == [2, 1]
+        assert calls == [["bb"], ["a"]]
+
     def test_eviction_bound(self):
         cache = EvaluationCache(max_entries=2)
         for i in range(5):

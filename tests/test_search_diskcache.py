@@ -378,6 +378,24 @@ class TestTieredEvaluationCache:
         assert fresh.disk_hits == 1
         assert fresh.hits == 1
 
+    def test_many_reads_disk_hits_and_persists_misses(self, tmp_path):
+        build_cache(tmp_path).get_or_compute("k", lambda: 41,
+                                             disk_key="d" * 32)
+        cache = build_cache(tmp_path)
+        batches = []
+
+        def compute(keys):
+            batches.append(list(keys))
+            return [0 for _ in keys]
+
+        values = cache.get_or_compute_many(
+            ["k", "j"], compute, disk_keys=["d" * 32, "e" * 32])
+        assert values == [41, 0]
+        assert batches == [["j"]]
+        assert (cache.hits, cache.disk_hits, cache.misses) == (1, 1, 1)
+        assert build_cache(tmp_path).get_or_compute(
+            "j", lambda: -1, disk_key="e" * 32) == 0
+
     def test_l1_hit_does_not_touch_disk(self, tmp_path):
         cache = build_cache(tmp_path)
         cache.get_or_compute("k", lambda: 1, disk_key="d" * 32)

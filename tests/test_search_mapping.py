@@ -6,8 +6,13 @@ import pytest
 
 from repro.encoding.spaces import EncodingStyle
 from repro.mapping.builders import dataflow_preserving_mapping
-from repro.search.mapping_search import MappingSearchBudget, search_mapping
+from repro.search.mapping_search import (
+    MappingSearchBudget,
+    search_mapping,
+    search_mappings,
+)
 from repro.search.random_search import RandomEngine
+from repro.tensors.layer import ConvLayer
 
 
 class TestBudget:
@@ -82,3 +87,56 @@ class TestSearchMapping:
         result = search_mapping(pointwise_layer, small_accel, cost_model,
                                 budget=MappingSearchBudget(6, 3), seed=7)
         assert result.found
+
+
+class TestLockstep:
+    """``search_mappings`` shares evaluation across layers, never
+    results: each layer's search is exactly its one-layer search."""
+
+    @pytest.fixture
+    def layers(self, small_layer, pointwise_layer, depthwise_layer,
+               strided_layer):
+        return [small_layer, pointwise_layer, depthwise_layer,
+                strided_layer,
+                ConvLayer(name="test_grouped", k=32, c=32, y=14, x=14,
+                          r=3, s=3, groups=4)]
+
+    @pytest.mark.parametrize("engine_cls", (None, RandomEngine),
+                             ids=("es", "random"))
+    @pytest.mark.parametrize("style", (EncodingStyle.IMPORTANCE,
+                                       EncodingStyle.INDEX))
+    def test_equals_one_layer_searches(self, layers, small_accel,
+                                       cost_model, engine_cls, style):
+        kwargs = dict(budget=MappingSearchBudget(5, 3), style=style)
+        if engine_cls is not None:
+            kwargs["engine_cls"] = engine_cls
+        seeds = [100 + i for i in range(len(layers))]
+        lockstep = search_mappings(layers, small_accel, cost_model,
+                                   seeds=seeds, **kwargs)
+        alone = [search_mapping(layer, small_accel, cost_model, seed=seed,
+                                **kwargs)
+                 for layer, seed in zip(layers, seeds)]
+        assert lockstep == alone
+        assert all(result.found for result in lockstep)
+
+    @pytest.mark.parametrize("style", (EncodingStyle.IMPORTANCE,
+                                       EncodingStyle.INDEX))
+    def test_layer_order_is_irrelevant(self, layers, small_accel,
+                                       cost_model, style):
+        seeds = [7 * i + 1 for i in range(len(layers))]
+        budget = MappingSearchBudget(4, 3)
+        forward = search_mappings(layers, small_accel, cost_model,
+                                  budget=budget, seeds=seeds, style=style)
+        order = [3, 0, 4, 2, 1]
+        permuted = search_mappings(
+            [layers[i] for i in order], small_accel, cost_model,
+            budget=budget, seeds=[seeds[i] for i in order], style=style)
+        assert [permuted[order.index(i)] for i in range(len(layers))] \
+            == forward
+
+    def test_seed_count_must_match(self, layers, small_accel, cost_model):
+        with pytest.raises(ValueError):
+            search_mappings(layers, small_accel, cost_model, seeds=[1])
+
+    def test_no_layers(self, small_accel, cost_model):
+        assert search_mappings([], small_accel, cost_model) == []
