@@ -48,7 +48,6 @@ from repro.search.parallel import (
 )
 from repro.search.result import (
     AcceleratorSearchResult,
-    CacheStats,
     MappingSearchResult,
 )
 from repro.search.transport import Transport
@@ -105,10 +104,13 @@ def evaluate_accelerator(accel: AcceleratorConfig,
     cached); they just do not enter the returned tables.
 
     Each per-shape mapping search is seeded with
-    ``derive_seed(entropy, key)`` where ``entropy`` collapses ``seed``;
-    results therefore depend only on what is evaluated, never on cache
-    state or evaluation order — the invariant that keeps serial and
-    parallel search runs bit-identical.
+    ``derive_seed(entropy, key)`` where ``entropy`` collapses ``seed``,
+    and is cached under ``(entropy, key)``: NAAS draws one entropy per
+    candidate, so a candidate that recurs later in a search searches
+    its mappings afresh instead of reusing the first one's. Results
+    therefore depend only on what is evaluated, never on cache state,
+    evaluation order or which worker's cache served a lookup — the
+    invariant that keeps serial and parallel search runs bit-identical.
 
     When the supplied cache has a persistent tier (see
     :mod:`repro.search.diskcache`), each lookup also carries a
@@ -147,9 +149,9 @@ def evaluate_accelerator(accel: AcceleratorConfig,
                                         cost_model.params)
                          for _, key in lookups]
         results = cache.get_or_compute_many(
-            [key for _, key in lookups],
+            [(entropy, key) for _, key in lookups],
             lambda keys: run_searches([(first_layer[key], key)
-                                       for key in keys]),
+                                       for _, key in keys]),
             disk_keys=disk_keys)
 
     network_costs: Dict[str, NetworkCost] = {}
@@ -403,7 +405,5 @@ def search_accelerator(networks: Sequence[Network],
         best_mappings=loop.best_maps,
         history=tuple(history),
         evaluations=loop.evaluations,
-        cache_stats=CacheStats(
-            hits=cache.hits, misses=cache.misses,
-            disk_hits=getattr(cache, "disk_hits", 0), entries=len(cache)),
+        cache_stats=cache.stats(),
     )

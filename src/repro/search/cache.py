@@ -11,12 +11,20 @@ this class; ``get_or_compute`` therefore accepts (and here ignores) the
 it unconditionally. ``get_or_compute_many`` is the batched form: one
 ``compute`` call over every miss of a batch of keys, which is how the
 lockstep mapping search fills a candidate's shapes.
+
+A cache never crosses a process boundary. The coordinator of a run,
+each pool worker process and each ``repro worker`` loop keeps its own
+for the length of the run (see :func:`repro.search.transport.run_chunk`);
+workers send back only the counts a task group added, which
+:meth:`EvaluationCache.add_counts` sums into the coordinator's cache.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, List, Optional, Sequence
+
+from repro.search.result import CacheStats
 
 
 class EvaluationCache:
@@ -33,6 +41,9 @@ class EvaluationCache:
         self._store: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
+        #: Hits served by a disk tier (always 0 without one); they are
+        #: included in ``hits``.
+        self.disk_hits = 0
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any],
                        disk_key: Optional[str] = None) -> Any:
@@ -88,56 +99,22 @@ class EvaluationCache:
         del disk_key
         return key in self._store
 
-    def snapshot(self) -> "EvaluationCache":
-        """Independent copy of the entries with zeroed counters.
+    def stats(self) -> CacheStats:
+        """This cache's counters and size as a :class:`CacheStats`."""
+        return CacheStats(hits=self.hits, misses=self.misses,
+                          disk_hits=self.disk_hits, entries=len(self))
 
-        Workers of the parallel evaluator each receive a snapshot of the
-        generation-start cache; their private hit/miss statistics and new
-        entries are folded back via :meth:`merge` once the generation's
-        batch completes.
+    def add_counts(self, stats: CacheStats) -> None:
+        """Count lookups another process's cache made for this run.
+
+        Pool and TCP workers keep their own caches and return only what
+        a task group added; summing the lookup counts here makes this
+        cache's counters the run's totals, whichever process did the
+        lookups. ``stats.entries`` stays out: the entries do too.
         """
-        clone = EvaluationCache(max_entries=self.max_entries)
-        clone._store = OrderedDict(self._store)
-        return clone
-
-    def keys(self) -> frozenset:
-        """The current key set (used to compute worker deltas)."""
-        return frozenset(self._store)
-
-    def delta_since(self, baseline_keys: frozenset) -> "EvaluationCache":
-        """New cache holding only entries added after ``baseline_keys``.
-
-        Counters are copied, so merging the delta transfers the worker's
-        full hit/miss statistics while shipping only the entries the
-        worker actually computed — the return path of a parallel batch
-        then scales with new work instead of with cumulative cache size.
-        """
-        delta = EvaluationCache(max_entries=self.max_entries)
-        for key, value in self._store.items():
-            if key not in baseline_keys:
-                delta._store[key] = value
-        delta.hits = self.hits
-        delta.misses = self.misses
-        return delta
-
-    def merge(self, other: "EvaluationCache") -> None:
-        """Fold a worker cache back in: adopt new entries, sum counters.
-
-        Entries already present keep their value (first merge wins, which
-        together with content-derived evaluation seeds makes merge order
-        irrelevant to search results) but are refreshed in LRU order.
-        Workers that missed the same key independently each count a miss,
-        so parallel miss totals can exceed serial ones.
-        """
-        for key, value in other._store.items():
-            if key in self._store:
-                self._store.move_to_end(key)
-            else:
-                self._store[key] = value
-        while len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
-        self.hits += other.hits
-        self.misses += other.misses
+        self.hits += stats.hits
+        self.misses += stats.misses
+        self.disk_hits += stats.disk_hits
 
     def __len__(self) -> int:
         return len(self._store)
@@ -151,3 +128,4 @@ class EvaluationCache:
         self._store.clear()
         self.hits = 0
         self.misses = 0
+        self.disk_hits = 0

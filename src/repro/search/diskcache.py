@@ -11,10 +11,11 @@ experiments, and machines — this module provides the storage.
 
 Cache-key contract
 ------------------
-The in-memory L1 keeps the narrow per-run key ``(accel, shape_key,
-mapping_style)``: within one run everything else (entropy, budget, cost
-parameters) is fixed, so the narrow key is unambiguous. The disk tier is
-shared *across* runs, where none of those are fixed, so its keys are
+The in-memory L1 keeps the per-run key ``(entropy, (accel, shape_key,
+mapping_style))``: within one run the budget and cost parameters are
+fixed, but the entropy is not (the hardware search draws one per
+candidate), so it stays in the key. The disk tier is shared *across*
+runs, where none of those are fixed, so its keys are
 :func:`content_digest` hashes over the full evaluation identity::
 
     digest = blake2b(entropy, (accel, shape_key, style),
@@ -48,14 +49,11 @@ it until the writer completes them, never an exception. Appends take an
 
 :class:`TieredEvaluationCache` layers the existing in-memory LRU
 (:class:`repro.search.cache.EvaluationCache`) as L1 over a
-:class:`DiskCacheStore` L2, conforming to the same
-``get_or_compute`` / ``snapshot`` / ``delta_since`` / ``merge``
-protocol, so :class:`repro.search.parallel.ParallelEvaluator` works
-unchanged. Its :meth:`~TieredEvaluationCache.snapshot` ships an *empty*
-L1 plus the store handle: pool workers open the store directly and
-read through to disk, so the outbound per-generation payload no longer
-pickles the full cache to every worker, and each worker appends the
-entries it computes to its own shard.
+:class:`DiskCacheStore` L2 behind the same ``get_or_compute`` surface.
+No store or cache is ever pickled: a task group carries the cache
+directory, each worker process opens its own store on it with
+:func:`build_cache`, reads through to the entries every process has
+written, and appends what it computes to its own shard.
 """
 
 from __future__ import annotations
@@ -89,9 +87,9 @@ _DIGEST_BYTES = 32  # blake2b(digest_size=16) hex-encoded
 _HEADER = struct.Struct(f"<4s{_DIGEST_BYTES}sQI")
 
 #: (pid, token) naming this process's shard file. One shard per writing
-#: process, however many store instances/snapshots it holds: pool
-#: workers reuse their shard across generations instead of littering
-#: the directory with per-batch files. The random token guards against
+#: process, however many store instances it opens: a pool worker that
+#: serves several runs keeps appending to one file instead of littering
+#: the directory with per-run files. The random token guards against
 #: pid collisions between hosts sharing a cache directory; the pid
 #: check re-rolls it after fork.
 _process_shard: Optional[Tuple[int, str]] = None
@@ -305,25 +303,6 @@ class DiskCacheStore:
 
     # ----- plumbing ----------------------------------------------------
 
-    def clone(self) -> "DiskCacheStore":
-        """Handle on the same directory with a copied index and no
-        write state — what :meth:`TieredEvaluationCache.snapshot` ships
-        to workers (each unpickled clone appends to its own shard)."""
-        clone = object.__new__(DiskCacheStore)
-        clone.directory = self.directory
-        clone._index = dict(self._index)
-        clone._scanned = dict(self._scanned)
-        clone._dead = set(self._dead)
-        clone._write_path = None
-        clone._write_handle = None
-        return clone
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        state["_write_path"] = None
-        state["_write_handle"] = None
-        return state
-
     def __len__(self) -> int:
         return len(self._index)
 
@@ -343,21 +322,11 @@ class TieredEvaluationCache(EvaluationCache):
 
     Drop-in for :class:`repro.search.cache.EvaluationCache` wherever the
     caller supplies ``disk_key`` digests (see :func:`content_digest`):
-    an L1 miss falls through to disk, promotes hits into L1, and
-    persists fresh computations to the store. L2 hits count as ``hits``
-    (and separately as ``disk_hits``), so hit-rate reporting covers both
-    tiers.
-
-    Protocol notes for :class:`~repro.search.parallel.ParallelEvaluator`:
-
-    - :meth:`snapshot` returns a tiered cache with an **empty** L1 and a
-      refreshed store handle. Workers read through to disk instead of
-      receiving a pickled copy of every entry, and append what they
-      compute to their own shards.
-    - :meth:`delta_since` / :meth:`merge` are inherited: a worker's
-      delta carries its (small) L1 entries and counters back to the
-      master's L1. ``merge`` never rewrites the disk tier — the worker
-      that computed an entry already persisted it.
+    an L1 miss falls through to disk, and fresh computations go to both
+    tiers. A disk hit is returned as read and not copied into L1, so a
+    warm rerun does not grow the memory of the process serving it. L2
+    hits count as ``hits`` (and separately as ``disk_hits``), so
+    hit-rate reporting covers both tiers.
     """
 
     persistent = True
@@ -366,11 +335,6 @@ class TieredEvaluationCache(EvaluationCache):
                  max_entries: int = 100_000) -> None:
         super().__init__(max_entries=max_entries)
         self.store = store
-        self.disk_hits = 0
-        #: L1 keys promoted from disk rather than computed here;
-        #: delta_since excludes them (the master can read them from the
-        #: store — shipping them back would re-pickle warm-run state).
-        self._promoted: set = set()
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any],
                        disk_key: Optional[str] = None) -> Any:
@@ -383,8 +347,6 @@ class TieredEvaluationCache(EvaluationCache):
             if found:
                 self.hits += 1
                 self.disk_hits += 1
-                self._promoted.add(key)
-                self._insert(key, value)
                 return value
         self.misses += 1
         value = compute()
@@ -401,36 +363,6 @@ class TieredEvaluationCache(EvaluationCache):
         self._store[key] = value
         if len(self._store) > self.max_entries:
             self._store.popitem(last=False)
-
-    def delta_since(self, baseline_keys: frozenset) -> EvaluationCache:
-        """Entries this cache *computed* (disk-promoted ones excluded —
-        the master reads those from the shared store), stamped with
-        ``disk_hits`` so parallel runs report the tier's hit counts."""
-        delta = super().delta_since(
-            frozenset(baseline_keys) | frozenset(self._promoted))
-        delta.disk_hits = self.disk_hits
-        return delta
-
-    def merge(self, other: EvaluationCache) -> None:
-        super().merge(other)
-        self.disk_hits += getattr(other, "disk_hits", 0)
-
-    def clear(self) -> None:
-        super().clear()
-        self.disk_hits = 0
-        self._promoted.clear()
-
-    def snapshot(self) -> "TieredEvaluationCache":
-        """Worker view: empty L1, zeroed counters, fresh store index.
-
-        Unlike the base class this does *not* copy L1 entries — the
-        disk tier already holds everything L1 does (writes go through),
-        so shipping entries would only re-pickle state workers can read
-        from disk.
-        """
-        self.store.refresh()
-        return TieredEvaluationCache(store=self.store.clone(),
-                                     max_entries=self.max_entries)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -667,3 +599,41 @@ def build_cache(cache_dir: Union[str, Path, None] = None,
         return EvaluationCache(max_entries=max_entries)
     return TieredEvaluationCache(DiskCacheStore(cache_dir),
                                  max_entries=max_entries)
+
+
+@dataclasses.dataclass(frozen=True)
+class CacheHandle:
+    """What a task group carries in place of a cache: its run's token
+    (one per evaluator) and cache directory (``None``: in memory)."""
+
+    token: str
+    directory: Optional[str] = None
+
+
+class RunCache:
+    """The one evaluation cache a worker keeps for the run it serves.
+
+    :meth:`get` builds it with :func:`build_cache` for a run's first
+    task group and returns it for the run's later groups, so lookups
+    repeated across a run's groups hit in the worker; a group of
+    another run (a new token) replaces it.
+    """
+
+    def __init__(self) -> None:
+        self.token: Optional[str] = None
+        self.cache: Optional[EvaluationCache] = None
+
+    def get(self, handle: CacheHandle) -> EvaluationCache:
+        if self.cache is None or handle.token != self.token:
+            self.close()
+            self.token = handle.token
+            self.cache = build_cache(handle.directory)
+        elif isinstance(self.cache, TieredEvaluationCache):
+            # Read what the run's other workers have appended since.
+            self.cache.store.refresh()
+        return self.cache
+
+    def close(self) -> None:
+        if isinstance(self.cache, TieredEvaluationCache):
+            self.cache.store.close()
+        self.token = self.cache = None

@@ -32,14 +32,14 @@ those searches run on:
   :class:`SteadyStateEvaluator`, reporting progress in **evaluation
   counts** (windows of ``stats_window`` completions), not generations.
   :func:`drive_search` picks the right driver for an evaluator.
-- Each worker task receives a
-  :meth:`~repro.search.cache.EvaluationCache.snapshot`
-  of the master cache taken at generation start; worker hit/miss
-  counters and new entries are merged back at the commit boundary. With
-  a :class:`~repro.search.diskcache.TieredEvaluationCache` the snapshot
-  is an empty L1 plus a disk-store handle: workers read through to the
-  persistent tier and append what they compute to their own shard
-  files, so neither direction of a batch pickles the full cache.
+- Caches never cross a process boundary. The coordinator's cache
+  serves inline evaluation and salvage; each worker process keeps its
+  own cache for the run, built from the small
+  :class:`~repro.search.diskcache.CacheHandle` (run token and disk
+  directory) every task group carries. A task group returns its
+  results and the cache counts it added, which the coordinator sums
+  into its cache's counters; entries stay where they were computed,
+  and the disk tier is how processes share them.
 - *Where* a dispatched task group runs is a
   :class:`~repro.search.transport.Transport`: the default
   :class:`~repro.search.transport.LocalTransport` keeps the in-process
@@ -47,9 +47,9 @@ those searches run on:
   :class:`~repro.search.transport.TcpTransport` (``--transport tcp``)
   fans the same task groups out to remote ``repro worker`` processes —
   every schedule runs unchanged on either, because both surface the
-  same submit/collect future contract. Remote workers never receive
-  cache snapshots; they read through to their own disk shards and ship
-  back ``(results, delta)`` like any pool worker would.
+  same submit/collect future contract. Remote workers build their
+  run's cache over their own ``--cache-dir`` and ship back
+  ``(results, counts)`` like any pool worker would.
 - *How many* tasks one dispatch carries is cost-aware: a
   :class:`GroupSizer` per evaluator measures per-task seconds from
   completed groups (calibrated from the first completions,
@@ -98,6 +98,7 @@ take ``(payload, cache)``, returning a picklable result.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -123,6 +124,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.search.cache import EvaluationCache
+from repro.search.diskcache import CacheHandle
 from repro.search.result import IterationStats
 from repro.search.transport import (
     LocalTransport,
@@ -145,6 +147,9 @@ _DISPATCH_FAILURES = (OSError, BrokenProcessPool, TransportError)
 #: any worker count); ``steady`` (opt-in) drops generation barriers
 #: entirely and tells results as they land.
 SCHEDULES: Tuple[str, ...] = ("batched", "steady")
+
+#: Run tokens, one per evaluator; with the pid, unique on a host.
+_run_tokens = itertools.count()
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -199,7 +204,7 @@ _CALIBRATION_MIN_TASKS = 8
 class GroupSizer:
     """Measured per-task cost -> how many tasks one dispatch carries.
 
-    Dispatch overhead — submit/collect round trip, snapshot pickling,
+    Dispatch overhead — submit/collect round trip, payload pickling,
     frame encoding over TCP — is paid per *group*, so cheap tasks want
     many per group and expensive tasks want few. The sizer learns
     per-task seconds from completed groups (an EWMA with half the weight
@@ -333,8 +338,8 @@ class _EvaluatorBase:
     """Transport lifecycle shared by the generational and steady schedules.
 
     ``workers=1`` (on the local transport) evaluates inline against the
-    master cache — no subprocess, no snapshot/merge, no pickling — and
-    is the reference behavior every parallel path must reproduce
+    coordinator's cache — no subprocess, no pickling — and is the
+    reference behavior every parallel path must reproduce
     bit-identically.
 
     Dispatched task groups run on a
@@ -371,6 +376,13 @@ class _EvaluatorBase:
         self.worker_fn = worker_fn
         self.workers = resolve_workers(workers)
         self.cache = cache
+        #: What every dispatched task group carries instead of a cache.
+        self._cache_handle: Optional[CacheHandle] = None
+        if cache is not None:
+            store = getattr(cache, "store", None)
+            self._cache_handle = CacheHandle(
+                f"{os.getpid()}-{next(_run_tokens)}",
+                None if store is None else str(store.directory))
         self.eval_timeout = eval_timeout
         scripted = transport is None and executor_factory is not None
         if transport is None:
@@ -436,14 +448,14 @@ class _EvaluatorBase:
             return False
         return True
 
-    def _submit_group(self, payloads: Sequence[Any],
-                      snapshot: Optional[EvaluationCache]) -> Future:
+    def _submit_group(self, payloads: Sequence[Any]) -> Future:
         """Submit one task group, timing it to calibrate the sizer.
 
         Only clean completions feed the estimate: a failed or cancelled
         future measures the failure path, not the task cost.
         """
-        future = self._transport.submit(self.worker_fn, payloads, snapshot)
+        future = self._transport.submit(self.worker_fn, payloads,
+                                        self._cache_handle)
         started = time.monotonic()
         count = len(payloads)
 
@@ -460,6 +472,17 @@ class _EvaluatorBase:
         except Exception:
             pass  # exotic future doubles without callbacks still work
         return future
+
+    def _group_results(self, future: Future) -> List[Any]:
+        """A landed group's results; its cache counts join the run's.
+
+        Called on the coordinator thread only, for futures known to be
+        done (``timeout=0`` turns a broken guarantee into an error).
+        """
+        results, counts = future.result(timeout=0)
+        if counts is not None:
+            self.cache.add_counts(counts)
+        return results
 
     def _wait_any(self, pending: set) -> Tuple[set, set]:
         """Wait until a pending future completes (or ``eval_timeout``).
@@ -509,7 +532,8 @@ class ParallelEvaluator(_EvaluatorBase):
         if not self._dispatch_ready():
             return [self.worker_fn(payload, self.cache)
                     for payload in payloads]
-        return self._commit(self._dispatch(self._task_groups(payloads)))
+        groups = self._dispatch(self._task_groups(payloads))
+        return [result for group in groups for result in group]
 
     def _chunk_target(self) -> int:
         """How many task groups an uncalibrated generation aims for."""
@@ -530,17 +554,13 @@ class ParallelEvaluator(_EvaluatorBase):
         return [payloads[start:start + size]
                 for start in range(0, len(payloads), size)]
 
-    def _dispatch(self, groups: List[List[Any]],
-                  ) -> List[Tuple[List[Any], Optional[EvaluationCache]]]:
-        """Submit task groups and gather their outcomes, salvage-aware."""
-        snapshot = None
-        if self.cache is not None and self._transport.wants_snapshot:
-            snapshot = self.cache.snapshot()
+    def _dispatch(self, groups: List[List[Any]]) -> List[List[Any]]:
+        """Submit task groups and gather their results, salvage-aware."""
         futures: List[Future] = []
         submit_failure: Optional[BaseException] = None
         for group in groups:
             try:
-                futures.append(self._submit_group(group, snapshot))
+                futures.append(self._submit_group(group))
             except _DISPATCH_FAILURES as exc:
                 # Fork/spawn can also fail at submit time (seccomp,
                 # cgroup limits), not just at pool construction — and a
@@ -576,23 +596,21 @@ class ParallelEvaluator(_EvaluatorBase):
                     f"progress within eval_timeout={self.eval_timeout:g}s")
             for future in done:
                 try:
-                    # Members of the done set cannot block; timeout=0
-                    # asserts that instead of trusting it.
                     buffer.land(index_of[future],
-                                future.result(timeout=0))
+                                self._group_results(future))
                 except _DISPATCH_FAILURES as exc:
                     return exc
         return None
 
     def _salvage(self, failure: BaseException, futures: List[Future],
                  groups: List[List[Any]], buffer: CommitBuffer,
-                 ) -> List[Tuple[List[Any], Optional[EvaluationCache]]]:
+                 ) -> List[List[Any]]:
         """Recover from a mid-generation transport failure, keeping work.
 
         Futures that completed cleanly before the transport broke keep
         their results (content-derived evaluation seeds make them
         identical to inline recomputations); only the remainder is
-        re-evaluated inline, against the master cache directly. The
+        re-evaluated inline, against the coordinator's cache. The
         transport is torn down and the evaluator degrades to inline for
         subsequent generations.
         """
@@ -610,9 +628,7 @@ class ParallelEvaluator(_EvaluatorBase):
             future = futures[index]
             if (future.done() and not future.cancelled()
                     and future.exception() is None):
-                # done() above guarantees this cannot block; timeout=0
-                # turns a broken guarantee into an immediate error.
-                buffer.land(index, future.result(timeout=0))
+                buffer.land(index, self._group_results(future))
                 salvaged += 1
         remainder = buffer.missing
         logger.warning(
@@ -621,37 +637,24 @@ class ParallelEvaluator(_EvaluatorBase):
             len(remainder))
         self._degrade_to_inline()
         for index in remainder:
-            buffer.land(index, (
-                [self.worker_fn(payload, self.cache)
-                 for payload in groups[index]],
-                None))
+            buffer.land(index, [self.worker_fn(payload, self.cache)
+                                for payload in groups[index]])
         return buffer.committed()
-
-    def _commit(self, outcomes: Sequence[Tuple[List[Any],
-                                               Optional[EvaluationCache]]],
-                ) -> List[Any]:
-        """Commit boundary: fold outcomes back in submission order."""
-        results: List[Any] = []
-        for group_results, delta in outcomes:
-            results.extend(group_results)
-            if self.cache is not None and delta is not None:
-                self.cache.merge(delta)
-        return results
 
 
 class SteadyStateEvaluator(_EvaluatorBase):
     """Steady-state schedule: no generation barriers at all.
 
     A fixed-size pool of candidates (``workers`` of them, the
-    :attr:`capacity`) stays in flight; :meth:`submit` snapshots the cache
-    and dispatches one candidate (or, with a calibrated group sizer,
-    buffers a few cheap candidates into one dispatched group),
-    :meth:`collect` blocks for whichever in-flight candidate finishes
-    first, merges its cache delta
-    immediately, and hands the result back so the caller can tell it to
-    the search and submit a replacement. A straggler therefore never
-    idles the pool across what would have been a generation boundary —
-    the next "generation's" candidates are already running beside it.
+    :attr:`capacity`) stays in flight; :meth:`submit` dispatches one
+    candidate (or, with a calibrated group sizer, buffers a few cheap
+    candidates into one dispatched group), :meth:`collect` blocks for
+    whichever in-flight candidate finishes first, counts its group's
+    cache lookups immediately, and hands the result back so the caller
+    can tell it to the search and submit a replacement. A straggler
+    therefore never idles the pool across what would have been a
+    generation boundary — the next "generation's" candidates are
+    already running beside it.
 
     The price is the bit-identity contract: the order results come back
     feeds the order candidates are asked, so ``workers=N`` steady runs
@@ -680,15 +683,9 @@ class SteadyStateEvaluator(_EvaluatorBase):
         self._next_group = 0
         self._group_futures: Dict[int, Future] = {}
         self._group_tickets: Dict[int, List[int]] = {}
-        #: Landed but uncollected ``(results, delta)`` outcomes, FIFO.
-        self._ready: Dict[
-            int, Tuple[List[Any], Optional[EvaluationCache]]] = {}
+        #: Landed but uncollected results by ticket, FIFO.
+        self._ready: Dict[int, Any] = {}
         self._inline_queue: List[int] = []
-        #: Snapshot reused across submits until the master cache next
-        #: changes — without this, every single candidate would pay an
-        #: O(cache) copy on the coordinator (the generational schedule
-        #: amortizes one snapshot per generation).
-        self._snapshot: Optional[EvaluationCache] = None
 
     # ----- streaming API ------------------------------------------------
 
@@ -755,7 +752,7 @@ class SteadyStateEvaluator(_EvaluatorBase):
         tickets, self._pending_group = self._pending_group, []
         payloads = [self._payloads[ticket] for ticket in tickets]
         try:
-            future = self._submit_group(payloads, self._current_snapshot())
+            future = self._submit_group(payloads)
         except _DISPATCH_FAILURES as exc:
             self._handle_pool_failure(exc)
             self._inline_queue.extend(tickets)
@@ -765,40 +762,20 @@ class SteadyStateEvaluator(_EvaluatorBase):
         self._group_futures[group] = future
         self._group_tickets[group] = tickets
 
-    def _current_snapshot(self) -> Optional[EvaluationCache]:
-        """The cache view a submission ships; fresh as of the last merge.
-
-        Submitting pickles the snapshot's *current* state, so reusing
-        one object across submits is exactly equivalent to snapshotting
-        per submit — until the master cache changes, at which point
-        :meth:`collect` has dropped it and the next submit re-snapshots.
-        Remote transports ship no snapshot at all: their workers read
-        through to their own caches.
-        """
-        if self.cache is None or not self._transport.wants_snapshot:
-            return None
-        if self._snapshot is None:
-            self._snapshot = self.cache.snapshot()
-        return self._snapshot
-
     def collect(self) -> Tuple[int, Any]:
         """Block until any in-flight candidate lands; ``(ticket, result)``.
 
-        The candidate's cache delta is merged into the master cache
-        before the result is returned — there is no later commit
-        boundary to defer it to. Worker-raised exceptions propagate;
-        pool failures salvage completed futures and fall back to inline
-        evaluation.
+        The cache counts of the candidate's group are summed into the
+        coordinator's cache when the group lands — there is no later
+        commit boundary to defer them to. Worker-raised exceptions
+        propagate; pool failures salvage completed futures and fall back
+        to inline evaluation.
         """
         while True:
             if self._ready:
                 ticket = next(iter(self._ready))
-                results, delta = self._ready.pop(ticket)
-                if self.cache is not None and delta is not None:
-                    self.cache.merge(delta)
-                    self._snapshot = None  # master changed: re-snapshot
                 self._payloads.pop(ticket, None)
-                return ticket, results[0]
+                return ticket, self._ready.pop(ticket)
             if self._group_futures:
                 self._land_any()
                 continue
@@ -811,7 +788,6 @@ class SteadyStateEvaluator(_EvaluatorBase):
             if self._inline_queue:
                 ticket = self._inline_queue.pop(0)
                 payload = self._payloads.pop(ticket)
-                self._snapshot = None  # inline writes to the master cache
                 return ticket, self.worker_fn(payload, self.cache)
             raise SearchError("collect() with no candidate in flight")
 
@@ -835,8 +811,7 @@ class SteadyStateEvaluator(_EvaluatorBase):
             tickets = self._group_tickets.pop(group)
             del self._group_futures[group]
             try:
-                # From the done set of _wait_any: cannot block.
-                results, delta = future.result(timeout=0)
+                results = self._group_results(future)
             except _DISPATCH_FAILURES as exc:
                 # The candidates whose future carried the failure are
                 # lost work too: queue them for inline re-evaluation
@@ -844,12 +819,7 @@ class SteadyStateEvaluator(_EvaluatorBase):
                 self._inline_queue.extend(tickets)
                 self._handle_pool_failure(exc)
                 return
-            # One delta per group: merging it with the first ticket is
-            # equivalent to merging per ticket (entries are content-
-            # keyed, so a second merge would be a no-op).
-            for offset, ticket in enumerate(tickets):
-                self._ready[ticket] = (
-                    [results[offset]], delta if offset == 0 else None)
+            self._ready.update(zip(tickets, results))
 
     def _handle_pool_failure(self, failure: BaseException) -> None:
         """Salvage clean completions, queue the rest inline, degrade."""
@@ -865,11 +835,7 @@ class SteadyStateEvaluator(_EvaluatorBase):
             tickets = tickets_of[group]
             if (future.done() and not future.cancelled()
                     and future.exception() is None):
-                # done() above guarantees this cannot block.
-                results, delta = future.result(timeout=0)
-                for offset, ticket in enumerate(tickets):
-                    self._ready[ticket] = (
-                        [results[offset]], delta if offset == 0 else None)
+                self._ready.update(zip(tickets, self._group_results(future)))
                 salvaged += len(tickets)
             else:
                 self._inline_queue.extend(tickets)

@@ -45,16 +45,25 @@ class CacheStats:
 
     ``disk_hits`` counts lookups served by the persistent tier when a
     ``cache_dir`` was supplied (always 0 otherwise); they are included
-    in ``hits``. Parallel runs can legitimately report more misses than
-    serial ones — workers that miss the same key independently each
-    count one — so these statistics are reporting, not part of the
-    bit-identity contract.
+    in ``hits``. Every lookup counts once, so ``hits + misses`` is the
+    same at any worker count; the split is not. Each worker process
+    keeps its own cache, and workers that miss the same key each count
+    one. ``entries`` is what one cache holds; entries stay in the
+    process that computed them, so a run's figure covers only the
+    coordinator's cache. These statistics are therefore reporting, not
+    part of the bit-identity contract.
     """
 
     hits: int
     misses: int
     disk_hits: int
     entries: int
+
+    def __sub__(self, other: "CacheStats") -> "CacheStats":
+        return CacheStats(hits=self.hits - other.hits,
+                          misses=self.misses - other.misses,
+                          disk_hits=self.disk_hits - other.disk_hits,
+                          entries=self.entries - other.entries)
 
     @property
     def hit_rate(self) -> float:
@@ -93,7 +102,7 @@ class AcceleratorSearchResult:
     evaluations: int
     #: Reporting only — excluded from equality because cache counters
     #: legitimately differ between runs whose search results are
-    #: bit-identical (parallel runs double-count misses; warm runs hit
+    #: bit-identical (each worker misses on its own; warm runs hit
     #: where cold runs miss).
     cache_stats: Optional[CacheStats] = dataclasses.field(
         default=None, compare=False)

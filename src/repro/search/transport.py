@@ -1,7 +1,7 @@
 """Pluggable worker transports: where a dispatched evaluation runs.
 
 The evaluators in :mod:`repro.search.parallel` submit *task groups* —
-``(worker_fn, payloads, cache-snapshot)`` triples — and collect
+``(worker_fn, payloads, cache handle)`` triples — and collect
 :class:`~concurrent.futures.Future` results. This module owns the seam
 between that submit/collect surface and the machinery that actually
 executes a group:
@@ -43,17 +43,16 @@ dataclass ``repr`` no longer matches the coordinator's, which would
 silently break the content-derived cache keys and seeds that keep
 workers=1 and workers=N bit-identical.
 
-Caches over TCP
----------------
-A cache snapshot is never shipped to a remote worker. Each worker
-read-throughs to its *own* disk-cache shards (``repro worker
---cache-dir``): per job it builds a fresh cache — an empty L1 over its
-local persistent store when a cache dir is configured, a blank
-in-memory cache otherwise — and returns the delta of entries it
-computed alongside the results, which the coordinator merges into its
-master cache at the usual commit boundary. Because every evaluation is
-seeded from content digests, cache state (local, remote, cold or warm)
-can change only cost, never results.
+Caches
+------
+A cache never crosses a process boundary. A task group carries a
+:class:`~repro.search.diskcache.CacheHandle`; a pool worker process,
+and each :func:`run_worker` loop, keeps one
+:class:`~repro.search.diskcache.RunCache` for the run it serves (over
+TCP only the run token travels, and the worker caches over its own
+``--cache-dir``). A group returns its results and the cache counts it
+added, which the coordinator sums. Every evaluation is seeded from
+content digests, so cache state can change only cost, never results.
 
 Failure model
 -------------
@@ -87,7 +86,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TransportError
 from repro.search.cache import EvaluationCache
-from repro.search.diskcache import build_cache, content_digest
+from repro.search.diskcache import CacheHandle, RunCache, content_digest
+from repro.search.result import CacheStats
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -98,8 +98,8 @@ WorkerFn = Callable[[Any, Optional[EvaluationCache]], Any]
 #: Transport names ``resolve_transport`` understands.
 TRANSPORTS: Tuple[str, ...] = ("local", "tcp")
 
-#: Bumped on any incompatible change to framing or header semantics.
-PROTOCOL_VERSION = 1
+#: Bumped on any incompatible change to framing, header or body semantics.
+PROTOCOL_VERSION = 2
 
 _MAGIC = b"NTP1"
 #: magic | protocol version | header length | body length
@@ -323,19 +323,15 @@ class Transport:
     """Where dispatched task groups run; futures carry their outcomes.
 
     ``submit`` returns a :class:`~concurrent.futures.Future` resolving
-    to ``(results, cache_delta)`` — the exact contract of
+    to ``(results, cache counts)`` — the exact contract of
     :func:`run_chunk` — so the evaluators' commit buffers, salvage
     logic and scripted-completion test seams work identically over any
     transport. ``remote`` transports are dispatched to even when the
-    evaluator's ``workers`` is 1 (the parallelism lives elsewhere);
-    ``wants_snapshot`` tells the evaluator whether shipping a cache
-    snapshot is worth building (remote workers use their own caches).
+    evaluator's ``workers`` is 1 (the parallelism lives elsewhere).
     """
 
     #: True when task groups leave this process.
     remote = False
-    #: True when ``submit`` expects the coordinator's cache snapshot.
-    wants_snapshot = True
     #: Target seconds of work per dispatched task group. The evaluators'
     #: cost-aware grouping divides this by the measured per-task cost to
     #: size groups; transports with higher per-dispatch overhead (frame
@@ -360,7 +356,7 @@ class Transport:
         raise NotImplementedError
 
     def submit(self, worker_fn: WorkerFn, payloads: Sequence[Any],
-               cache: Optional[EvaluationCache]) -> Future:
+               cache: Optional[CacheHandle]) -> Future:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -370,22 +366,29 @@ class Transport:
         return type(self).__name__
 
 
-def run_chunk(worker_fn: WorkerFn, payloads: Sequence[Any],
-              cache: Optional[EvaluationCache],
-              ) -> Tuple[List[Any], Optional[EvaluationCache]]:
-    """Evaluate one task group against its private cache snapshot.
+#: The run cache of this process when it serves as a pool worker. A
+#: pool worker keeps nothing between tasks but module state; run tokens
+#: keep the runs of one process's callers apart.
+_pool_worker_cache = RunCache()
 
-    Only the *delta* — entries the group added on top of its snapshot —
-    travels back for the merge, so return-path serialization scales with
-    new work rather than with cumulative cache size. The single
-    execution contract every transport (process pool, TCP worker,
-    inline fallback) fulfills.
+
+def run_chunk(worker_fn: WorkerFn, payloads: Sequence[Any],
+              handle: Optional[CacheHandle],
+              run_cache: Optional[RunCache] = None,
+              ) -> Tuple[List[Any], Optional[CacheStats]]:
+    """Evaluate one task group; ``(results, cache counts)``.
+
+    The group runs against ``run_cache``'s cache for the handle's run
+    (this process's pool-worker cache by default) and reports what it
+    added to that cache. The single execution contract every transport
+    (process pool, TCP worker) fulfills.
     """
-    if cache is None:
+    if handle is None:
         return [worker_fn(payload, None) for payload in payloads], None
-    baseline = cache.keys()
+    cache = (run_cache or _pool_worker_cache).get(handle)
+    before = cache.stats()
     results = [worker_fn(payload, cache) for payload in payloads]
-    return results, cache.delta_since(baseline)
+    return results, cache.stats() - before
 
 
 class LocalTransport(Transport):
@@ -417,7 +420,7 @@ class LocalTransport(Transport):
         return max(1, self.workers)
 
     def submit(self, worker_fn: WorkerFn, payloads: Sequence[Any],
-               cache: Optional[EvaluationCache]) -> Future:
+               cache: Optional[CacheHandle]) -> Future:
         executor = self._ensure_executor()
         if executor is None:
             raise TransportUnavailable("process pool unavailable")
@@ -498,7 +501,6 @@ class TcpTransport(Transport):
     """
 
     remote = True
-    wants_snapshot = False
     #: A TCP dispatch pays pickling, framing and a network round trip —
     #: roughly 5x the local pool's per-dispatch overhead — so groups
     #: aim for proportionally more work per job.
@@ -588,8 +590,7 @@ class TcpTransport(Transport):
         return self.connected_workers()
 
     def submit(self, worker_fn: WorkerFn, payloads: Sequence[Any],
-               cache: Optional[EvaluationCache]) -> Future:
-        del cache  # remote workers read through to their own caches
+               cache: Optional[CacheHandle]) -> Future:
         if self._closed:
             raise TransportUnavailable("transport is closed")
         if self._ever_connected.is_set() and self.connected_workers() == 0:
@@ -599,8 +600,10 @@ class TcpTransport(Transport):
         with self._lock:
             job_id = self._next_job_id
             self._next_job_id += 1
+        # Only the run token travels: workers cache over their own dirs.
         header = {"job": job_id, "digest": body_digest(body),
-                  "context": job_context(payloads)}
+                  "context": job_context(payloads),
+                  "cache": None if cache is None else cache.token}
         job = _Job(job_id=job_id, header=header, body=body, future=Future())
         self._queue.put(job)
         # Re-check AFTER the put: the last pump thread may have drained
@@ -928,12 +931,11 @@ def _connect_with_retry(host: str, port: int,
             time.sleep(0.2)
 
 
-def _worker_handshake(sock: socket.socket, cache_dir: Optional[str],
+def _worker_handshake(sock: socket.socket,
                       heartbeat_interval: float) -> None:
     _send_frame(sock, HELLO, {
         "pid": os.getpid(),
         "host": socket.gethostname(),
-        "cache_dir": cache_dir,
         "heartbeat_interval": heartbeat_interval,
     })
     frame = recv_frame(sock)
@@ -993,9 +995,9 @@ def run_worker(connect: str,
     Connects to ``HOST:PORT`` (retrying for ``retry_for`` seconds so
     fleet and coordinator can start in any order), then loops: receive
     a job frame, verify its integrity and context digests, evaluate the
-    task group against a per-job cache — an empty L1 over this host's
-    own persistent store when ``cache_dir`` is set — and return the
-    results plus the cache delta. Exits cleanly when the coordinator
+    task group against this loop's cache for the job's run — over this
+    host's own persistent store when ``cache_dir`` is set — and return
+    the results plus the cache counts. Exits cleanly when the coordinator
     says goodbye or closes, after ``max_jobs`` jobs, or — gracefully,
     finishing the in-flight job first — when ``stop_event`` is set or
     SIGTERM/SIGINT arrives (with ``install_signal_handlers``).
@@ -1008,20 +1010,14 @@ def run_worker(connect: str,
         # embedded workers (tests, notebooks) drain via stop_event.
         for signum in (signal.SIGTERM, signal.SIGINT):
             signal.signal(signum, lambda *_args: stop.set())
-    base_cache = build_cache(cache_dir) if cache_dir is not None else None
-
-    def job_cache() -> EvaluationCache:
-        if base_cache is None:
-            return EvaluationCache()
-        # Tiered snapshot: empty L1 over this worker's refreshed store.
-        return base_cache.snapshot()
-
+    # Owned by this loop, not the process: embedded workers are threads.
+    run_cache = RunCache()
     stats = WorkerStats()
     sock = _connect_with_retry(host, port, retry_for)
     send_lock = threading.Lock()
     try:
         sock.settimeout(10.0)
-        _worker_handshake(sock, cache_dir, heartbeat_interval)
+        _worker_handshake(sock, heartbeat_interval)
         logger.info("connected to coordinator %s:%d", host, port)
         sock.settimeout(0.5)
 
@@ -1045,7 +1041,8 @@ def run_worker(connect: str,
                 if kind != JOB:
                     raise ProtocolError(
                         f"unexpected frame {kind!r} from coordinator")
-                _serve_job(sock, send_lock, header, body, job_cache, stats)
+                _serve_job(sock, send_lock, header, body, run_cache,
+                           cache_dir, stats)
                 if max_jobs is not None and stats.jobs >= max_jobs:
                     break
         stats.drained = True
@@ -1055,6 +1052,7 @@ def run_worker(connect: str,
             pass
         return stats
     finally:
+        run_cache.close()
         try:
             sock.close()
         except OSError:
@@ -1062,9 +1060,8 @@ def run_worker(connect: str,
 
 
 def _serve_job(sock: socket.socket, send_lock: threading.Lock,
-               header: Dict[str, Any], body: bytes,
-               job_cache: Callable[[], EvaluationCache],
-               stats: WorkerStats) -> None:
+               header: Dict[str, Any], body: bytes, run_cache: RunCache,
+               cache_dir: Optional[str], stats: WorkerStats) -> None:
     """Verify, evaluate and answer one job frame."""
     job_id = header.get("job")
     if header.get("digest") != body_digest(body):
@@ -1093,8 +1090,10 @@ def _serve_job(sock: socket.socket, send_lock: threading.Lock,
                     lock=send_lock)
         stats.failures += 1
         return
+    # The run's cache lives under this worker's own directory.
+    handle = header.get("cache") and CacheHandle(header["cache"], cache_dir)
     try:
-        outcome = run_chunk(worker_fn, payloads, job_cache())
+        outcome = run_chunk(worker_fn, payloads, handle, run_cache)
     except Exception as exc:
         try:
             exc_body = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)

@@ -57,9 +57,32 @@ class TestEvaluateAccelerator:
                              MappingSearchBudget(4, 2), seed=0, cache=cache)
         misses = cache.misses
         evaluate_accelerator(preset, [tiny_network], cost_model,
-                             MappingSearchBudget(4, 2), seed=1, cache=cache)
+                             MappingSearchBudget(4, 2), seed=0, cache=cache)
         assert cache.misses == misses  # second call fully cached
         assert cache.hits >= misses
+
+    def test_cache_never_serves_another_seed(self, cost_model):
+        """Regression: the in-memory key used to leave out the seed, so
+        a candidate evaluated under one seed was served the mappings
+        searched under another — and which one a worker held depended
+        on scheduling."""
+        network = Network(name="iso", layers=(
+            ConvLayer(name="iso_conv", k=96, c=48, y=28, x=28, r=3, s=3),
+            ConvLayer(name="iso_pw", k=160, c=96, y=14, x=14, r=1,
+                      s=1)))
+        preset = baseline_preset("eyeriss")
+        budget = MappingSearchBudget(6, 3)
+        cache = EvaluationCache()
+        evaluate_accelerator(preset, [network], cost_model, budget, seed=0,
+                             cache=cache)
+        shared = evaluate_accelerator(preset, [network], cost_model, budget,
+                                      seed=1, cache=cache)
+        fresh = evaluate_accelerator(preset, [network], cost_model, budget,
+                                     seed=1)
+        assert cache.hits == 0
+        assert shared[0] == fresh[0]
+        assert fresh[0] != evaluate_accelerator(
+            preset, [network], cost_model, budget, seed=0)[0]
 
     def test_unmappable_network_scores_inf(self, tiny_network, small_layer):
         """Regression: an accelerator that cannot map a network must be

@@ -66,7 +66,7 @@ class ScriptedExecutor:
     """Runs submits eagerly and inline, emulating process isolation.
 
     Arguments are pickle-roundtripped (as a real pool would) so shared
-    snapshot objects cannot leak mutations between task groups, and the
+    argument objects cannot leak mutations between task groups, and the
     worker function must be picklable. ``fail_results`` marks submission
     indices whose futures fail with :class:`BrokenProcessPool` *instead
     of running* (their work is genuinely lost, as when a worker dies);
@@ -183,14 +183,18 @@ class TestCommitBoundary:
             assert evaluator.evaluate(payloads) == [25, 1, 16, 4, 9]
 
     def test_worker_caches_merge_back(self):
+        """A worker's cache lasts the run; its counts come back."""
         cache = EvaluationCache()
-        with ParallelEvaluator(_square, workers=2,
-                               cache=cache) as evaluator:
+        with ParallelEvaluator(
+                _square, workers=2, cache=cache,
+                executor_factory=lambda _count: ScriptedExecutor(),
+        ) as evaluator:
             evaluator.evaluate([1, 2, 3, 4])
-            assert len(cache) == 4
-            first_hits = cache.hits
+            assert len(cache) == 0
+            assert (cache.hits, cache.misses) == (0, 4)
             evaluator.evaluate([1, 2, 3, 4])
-        assert cache.hits == first_hits + 4
+        # the second generation hits in the resident worker cache
+        assert (cache.hits, cache.misses) == (4, 4)
 
     def test_worker_exception_propagates(self):
         with ParallelEvaluator(_boom, workers=2) as evaluator:
@@ -216,7 +220,7 @@ class TestCommitBoundary:
                 executor_factory=lambda _count: executor)
             assert evaluator.evaluate(payloads) == expected
             assert executor.submitted == groups
-            assert len(cache) == len(payloads)
+            assert cache.misses == len(payloads)
 
 
 def _boom(payload, cache):
@@ -270,9 +274,10 @@ class TestPoolFailureSalvage:
             _square, workers=2, cache=cache,
             executor_factory=lambda workers: executor)
         assert evaluator.evaluate([1, 2, 3, 4]) == [1, 4, 9, 16]
-        # both the salvaged chunk's delta and the inline remainder land
-        # in the master cache
-        assert len(cache) == 4
+        # the salvaged chunk's counts are summed; the inline remainder
+        # looks its payloads up in the coordinator's own cache
+        assert cache.misses == 4
+        assert len(cache) == 2
 
 
 class TestResolveSchedule:

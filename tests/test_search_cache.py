@@ -7,6 +7,7 @@ import pytest
 from repro.cost.report import LayerCost, NetworkCost
 from repro.search.cache import EvaluationCache
 from repro.search.objectives import geomean_edp, total_energy, total_latency
+from repro.search.result import CacheStats
 
 
 class TestCache:
@@ -91,60 +92,19 @@ class TestCache:
         # a, c, d survived up to the "d" insertion; c was evicted by b
         assert cache.get_or_compute("a", lambda: "other") == "A"
 
-    def test_snapshot_is_isolated(self):
+    def test_stats_and_add_counts(self):
         cache = EvaluationCache()
-        cache.get_or_compute("shared", lambda: 1)
-        snap = cache.snapshot()
-        assert snap.hits == snap.misses == 0
-        assert snap.get_or_compute("shared", lambda: 99) == 1  # copied entry
-        snap.get_or_compute("private", lambda: 2)
-        assert len(cache) == 1  # master unaffected until merge
-
-    def test_merge_adopts_entries_and_counters(self):
-        master = EvaluationCache()
-        master.get_or_compute("k0", lambda: 0)
-        worker = master.snapshot()
-        worker.get_or_compute("k0", lambda: 111)  # hit on snapshot entry
-        worker.get_or_compute("k1", lambda: 1)
-        master.merge(worker)
-        assert len(master) == 2
-        assert master.get_or_compute("k1", lambda: 999) == 1
-        assert master.hits == 2    # 1 from worker + the k1 lookup just made
-        assert master.misses == 2  # k0 original + worker's k1
-
-    def test_merge_first_value_wins(self):
-        master = EvaluationCache()
-        master.get_or_compute("k", lambda: "master")
-        worker = EvaluationCache()
-        worker.get_or_compute("k", lambda: "worker")
-        master.merge(worker)
-        assert master.get_or_compute("k", lambda: "x") == "master"
-
-    def test_merge_respects_bound(self):
-        master = EvaluationCache(max_entries=2)
-        worker = EvaluationCache()
-        for i in range(5):
-            worker.get_or_compute(i, lambda i=i: i)
-        master.merge(worker)
-        assert len(master) == 2
-
-    def test_delta_since_ships_only_new_entries(self):
-        master = EvaluationCache()
-        master.get_or_compute("old", lambda: 0)
-        worker = master.snapshot()
-        baseline = worker.keys()
-        worker.get_or_compute("old", lambda: 111)  # hit, not in delta
-        worker.get_or_compute("new", lambda: 1)
-        delta = worker.delta_since(baseline)
-        assert len(delta) == 1
-        # counters travel with the delta so merge() stays one call
-        assert delta.hits == 1
-        assert delta.misses == 1
-        assert delta.get_or_compute("new", lambda: 999) == 1  # hits -> 2
-        master.merge(delta)
-        assert len(master) == 2
-        assert master.hits == 2    # worker's "old" hit + the delta lookup
-        assert master.misses == 2  # "old" original + worker's "new"
+        cache.get_or_compute("k", lambda: 1)
+        cache.get_or_compute("k", lambda: 1)
+        assert cache.stats() == CacheStats(hits=1, misses=1, disk_hits=0,
+                                           entries=1)
+        cache.add_counts(CacheStats(hits=2, misses=3, disk_hits=1,
+                                    entries=3))
+        # lookup counts add up; entries stay where they were computed
+        assert cache.stats() == CacheStats(hits=3, misses=4, disk_hits=1,
+                                           entries=1)
+        assert (cache.stats() - CacheStats(1, 1, 0, 1)
+                == CacheStats(2, 3, 1, 0))
 
 
 def _network_cost(name, cycles, energy):

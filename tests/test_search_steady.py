@@ -5,7 +5,8 @@ the batched schedule upholds, so these tests assert a different set of
 properties:
 
 - mechanics: the evaluator keeps results streaming in completion order,
-  merges cache deltas immediately, and salvages pool failures;
+  counts each group's cache lookups as it lands, and salvages pool
+  failures;
 - engines: ``ask_one``/``tell_one`` apply a full window of results
   exactly like one generational ``update`` (population-replacement
   rule), and the quantization engine's replace-worst archive breeds
@@ -158,26 +159,29 @@ class TestSteadyStateEvaluator:
             assert evaluator.evaluate(payloads) == [p * p for p in payloads]
 
     def test_worker_caches_merge_back(self):
+        """Worker caches stay in the workers; their counts come back."""
         cache = EvaluationCache()
         with SteadyStateEvaluator(_square, workers=2,
                                   cache=cache) as evaluator:
             evaluator.evaluate([1, 2, 3, 4])
-            assert len(cache) == 4
-            first_hits = cache.hits
+            assert len(cache) == 0
+            assert (cache.hits, cache.misses) == (0, 4)
             evaluator.evaluate([1, 2, 3, 4])
-        assert cache.hits == first_hits + 4
+        assert cache.hits + cache.misses == 8
 
     def test_cache_delta_merges_at_collect_not_later(self):
-        """Steady has no commit boundary: deltas land with the result."""
+        """Steady has no commit boundary: a group's counts land with
+        its result."""
         cache = EvaluationCache()
         evaluator = SteadyStateEvaluator(
             _square, workers=2, cache=cache,
             executor_factory=lambda workers: ScriptedExecutor())
         ticket = evaluator.submit(7)
-        assert len(cache) == 0  # snapshot isolation: nothing yet
+        assert cache.misses == 0  # evaluated, but not collected yet
         landed_ticket, result = evaluator.collect()
         assert (landed_ticket, result) == (ticket, 49)
-        assert len(cache) == 1  # merged the moment the result landed
+        assert cache.misses == 1  # counted the moment the result landed
+        assert len(cache) == 0  # the entry stays in the worker
 
     def test_worker_exception_propagates(self):
         with SteadyStateEvaluator(_boom, workers=2) as evaluator:

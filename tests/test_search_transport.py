@@ -14,6 +14,8 @@ the ``distributed`` CI job.
 """
 
 import contextlib
+import io
+import pickle
 import socket
 import threading
 import time
@@ -21,18 +23,19 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.accelerator.presets import baseline_constraint
+from repro.accelerator.presets import baseline_constraint, baseline_preset
 from repro.cost.model import CostModel
 from repro.errors import EvaluationTimeout, TransportError
 from repro.search.accelerator_search import NAASBudget, search_accelerator
 from repro.search.cache import EvaluationCache
-from repro.search.diskcache import build_cache
+from repro.search.diskcache import DiskCacheStore, RunCache, build_cache
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
     ParallelEvaluator,
     SteadyStateEvaluator,
     build_evaluator,
 )
+from repro.search import transport as transport_module
 from repro.search.transport import (
     HEARTBEAT,
     HELLO,
@@ -246,12 +249,14 @@ class TestTcpEvaluate:
                     1, 4, 9, 16, 25]
 
     def test_worker_deltas_merge_into_master_cache(self):
+        """The counts each worker's groups add are summed into the
+        coordinator's cache; the entries stay in the workers."""
         cache = EvaluationCache()
         with tcp_fleet(count=2) as transport:
             with ParallelEvaluator(_square, workers=2, cache=cache,
                                    transport=transport) as evaluator:
                 evaluator.evaluate([1, 2, 3, 4])
-        assert len(cache) == 4
+        assert len(cache) == 0  # entries stay in the workers
         assert cache.misses == 4
 
     def test_worker_reads_through_its_own_disk_cache(self, tmp_path):
@@ -260,10 +265,14 @@ class TestTcpEvaluate:
         warm = build_cache(cache_dir)
         warm.get_or_compute(3, lambda: 9, disk_key="digest-of-3")
         warm.store.close()
+        # The coordinator's cache is in-memory (its handle names no
+        # directory); the worker still caches over its own --cache-dir.
+        cache = EvaluationCache()
         with tcp_fleet(count=1, cache_dirs=[cache_dir]) as transport:
-            with ParallelEvaluator(_disk_square, workers=2,
+            with ParallelEvaluator(_disk_square, workers=2, cache=cache,
                                    transport=transport) as evaluator:
                 assert evaluator.evaluate([2, 3]) == [4, 9]
+        assert (cache.hits, cache.disk_hits, cache.misses) == (1, 1, 1)
         stats = build_cache(cache_dir)
         assert stats.store.get("digest-of-2")[0]  # worker appended it
 
@@ -535,7 +544,6 @@ class StallTransport(Transport):
     """Futures that never complete — a perfectly hung remote fleet."""
 
     remote = True
-    wants_snapshot = False
     closed = False
 
     def __init__(self):
@@ -748,3 +756,146 @@ class TestSharedTransportOwnership:
             pass  # submit itself may already refuse: equally safe
         finally:
             transport.close()
+
+
+# ---------------------------------------------------------------------------
+# Worker caches: one per process and run, never shipped.
+# ---------------------------------------------------------------------------
+
+_ISOLATION_NETWORK = Network(name="iso", layers=(
+    ConvLayer(name="iso_conv", k=96, c=48, y=28, x=28, r=3, s=3),
+    ConvLayer(name="iso_pw", k=160, c=96, y=14, x=14, r=1, s=1)))
+
+
+#: Back-to-back runs: two seeds, then the second seed again at another
+#: mapping budget. Its first generation repeats the previous run's
+#: in-memory keys (the key holds the seed, not the budget), so only the
+#: run token keeps a worker from serving it the previous run's results.
+_BACK_TO_BACK = ((1, MappingSearchBudget(6, 3)),
+                 (2, MappingSearchBudget(6, 3)),
+                 (2, MappingSearchBudget(5, 3)))
+
+
+def _isolation_search(seed, workers, transport="local", cache_dir=None,
+                      mapping=MappingSearchBudget(6, 3)):
+    """A small search whose first generation holds the eyeriss preset."""
+    return search_accelerator(
+        [_ISOLATION_NETWORK], baseline_constraint("eyeriss"), CostModel(),
+        budget=NAASBudget(3, 2, mapping), seed=seed,
+        seed_configs=[baseline_preset("eyeriss")], workers=workers,
+        transport=transport, cache_dir=cache_dir)
+
+
+class PickledInlineExecutor:
+    """Runs each submit at once in this process, after a pickle round
+    trip of its arguments (as a process pool would)."""
+
+    def submit(self, fn, *args):
+        fn, *args = pickle.loads(pickle.dumps((fn, *args)))
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+
+@contextlib.contextmanager
+def _shared_transport(kind, monkeypatch):
+    """One transport instance that outlives the searches it serves."""
+    if kind == "tcp":
+        with tcp_fleet(count=1) as transport:  # one loop serves every run
+            yield transport
+        return
+    # These pool "workers" run in this process. Start its pool-worker
+    # cache empty: a worker ignoring tokens would keep an earlier test's
+    # run.
+    monkeypatch.setattr(transport_module, "_pool_worker_cache",
+                        RunCache())
+    yield LocalTransport(
+        2, executor_factory=lambda _count: PickledInlineExecutor())
+
+
+def _back_to_back(kind, monkeypatch):
+    with _shared_transport(kind, monkeypatch) as transport:
+        return [_isolation_search(seed, workers=2, transport=transport,
+                                  mapping=mapping)
+                for seed, mapping in _BACK_TO_BACK]
+
+
+def _ignore_tokens(monkeypatch):
+    """A worker that keeps its first run's cache for every later run."""
+    build = RunCache.get
+
+    def get_any_run(self, handle):
+        return self.cache if self.cache is not None else build(self,
+                                                                handle)
+
+    monkeypatch.setattr(RunCache, "get", get_any_run)
+
+
+class TestRunCacheIsolation:
+    @pytest.mark.parametrize("kind", ["pool", "tcp"])
+    def test_back_to_back_runs_match_fresh_runs(self, kind, monkeypatch):
+        """Regression: one transport serves searches back to back; each
+        must return what a fresh inline run returns."""
+        fresh = [_isolation_search(seed, workers=1, mapping=mapping)
+                 for seed, mapping in _BACK_TO_BACK]
+        assert _back_to_back(kind, monkeypatch) == fresh
+
+    @pytest.mark.parametrize("kind", ["pool", "tcp"])
+    def test_a_cache_that_outlives_its_run_is_caught(self, kind,
+                                                     monkeypatch):
+        """The check above has teeth: a worker ignoring the run token
+        serves the last run mappings searched at the previous budget."""
+        seed, mapping = _BACK_TO_BACK[-1]
+        fresh = _isolation_search(seed, workers=1, mapping=mapping)
+        _ignore_tokens(monkeypatch)
+        last = _back_to_back(kind, monkeypatch)[-1]
+        assert last.cache_stats.hits > 0
+        assert last != fresh
+
+
+class _CacheSniffer(pickle.Pickler):
+    """Fails on any cache or store anywhere inside what it pickles."""
+
+    def persistent_id(self, obj):
+        assert not isinstance(obj, (EvaluationCache, DiskCacheStore)), (
+            f"{type(obj).__name__} shipped to a worker")
+        return None
+
+
+class RecordingLocalTransport(LocalTransport):
+    """The process pool, checking and recording every submit."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.handles = []
+
+    def submit(self, worker_fn, payloads, cache):
+        _CacheSniffer(io.BytesIO()).dump((worker_fn, payloads, cache))
+        self.handles.append(cache)
+        return super().submit(worker_fn, payloads, cache)
+
+
+class TestNothingCacheShapedIsShipped:
+    def test_pool_runs_ship_handles_and_sum_counts(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        serial = _isolation_search(0, workers=1)
+        lookups = serial.cache_stats.hits + serial.cache_stats.misses
+        transport = RecordingLocalTransport(2)
+        try:
+            cold = _isolation_search(0, workers=2, transport=transport,
+                                     cache_dir=cache_dir)
+            warm = _isolation_search(0, workers=2, transport=transport,
+                                     cache_dir=cache_dir)
+        finally:
+            transport.close()
+        assert cold == warm == serial
+        assert transport.handles
+        assert {handle.directory for handle in transport.handles} == {
+            cache_dir}
+        assert len({handle.token for handle in transport.handles}) == 2
+        assert cold.cache_stats.hits + cold.cache_stats.misses == lookups
+        stats = warm.cache_stats
+        assert stats.disk_hits == stats.hits + stats.misses == lookups
