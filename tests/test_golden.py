@@ -26,6 +26,9 @@ from repro.cost.model import CostModel
 from repro.encoding.spaces import EncodingStyle
 from repro.experiments.common import tuned_baseline_costs
 from repro.models import build_model, mobile_benchmark_set
+from repro.nas.joint import JointBudget, search_joint
+from repro.nas.quantization import search_quantized
+from repro.nas.search import NASBudget, search_architecture
 from repro.search.accelerator_search import NAASBudget, search_accelerator
 from repro.search.mapping_search import MappingSearchBudget, search_mapping
 from repro.tensors.layer import ConvLayer, conv1x1, depthwise
@@ -44,6 +47,9 @@ LAYERS = (
 )
 
 MAPPING_BUDGET = MappingSearchBudget(population=6, iterations=4)
+
+#: The mapping budget of the NAS, quantization and joint cases.
+TINY_MAPPING = MappingSearchBudget(population=4, iterations=2)
 
 
 def _digest(value) -> str:
@@ -82,6 +88,28 @@ def _accelerator_search():
         seed=3, seed_configs=[baseline_preset("shidiannao")])
 
 
+def _architecture_search():
+    return search_architecture(
+        baseline_preset("nvdla_256"), CostModel(), 0.70,
+        budget=NASBudget(population=4, iterations=2),
+        mapping_budget=TINY_MAPPING, seed=23)
+
+
+def _quantized_search():
+    return search_quantized(
+        baseline_preset("nvdla_256"), CostModel(), 0.66, population=4,
+        iterations=2, mapping_budget=TINY_MAPPING, seed=31)
+
+
+def _joint_search():
+    return search_joint(
+        baseline_constraint("nvdla_256"), CostModel(), 0.70,
+        budget=JointBudget(accel_population=3, accel_iterations=2,
+                           nas=NASBudget(population=4, iterations=2),
+                           mapping=TINY_MAPPING),
+        seed=29)
+
+
 def cases() -> Dict[str, Callable[[], object]]:
     """Name -> zero-argument callable producing the digested result."""
     table: Dict[str, Callable[[], object]] = {}
@@ -92,6 +120,9 @@ def cases() -> Dict[str, Callable[[], object]]:
                     _mapping_search(layer, preset, style, seeded))
     table["tuned_baseline_costs/eyeriss/mobile"] = _tuned_baselines
     table["search_accelerator/squeezenet/shidiannao"] = _accelerator_search
+    table["search_architecture/nvdla_256"] = _architecture_search
+    table["search_quantized/nvdla_256"] = _quantized_search
+    table["search_joint/nvdla_256"] = _joint_search
     return table
 
 
