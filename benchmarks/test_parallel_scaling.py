@@ -1,29 +1,17 @@
-"""Bench: the parallel evaluation engines vs. the serial search path.
+"""Bench: the parallel evaluation engine vs. the serial search path.
 
-Two comparisons:
-
-- ``test_parallel_scaling`` runs the same NAAS hardware search with
-  ``workers=1`` and ``workers=2`` and verifies the determinism contract
-  (bit-identical best reward and config) while recording both
-  wall-clocks. On multi-core machines the parallel path approaches
-  generation-level linear speedup; constrained CI boxes (this suite
-  tolerates a single core) only get the correctness check plus a
-  bounded-overhead assertion, since there is no parallel hardware for
-  the fan-out to exploit.
-- ``test_steady_beats_batched_across_generation_boundaries`` compares
-  the generational (batched) and steady schedules on a
-  *multi-generation* workload where each generation carries one
-  straggler — sleep-based simulated evaluations, so the scheduling
-  difference shows even on a single core. The batched schedule
-  barriers at every commit boundary, so each straggler idles the whole
-  pool once per generation; steady starts the next generation's
-  candidates beside the straggler, so the only lower bound left is
-  total work divided by workers.
+``test_parallel_scaling`` runs the same NAAS hardware search with
+``workers=1`` and ``workers=2`` and verifies the determinism contract
+(bit-identical best reward and config) while recording both
+wall-clocks. On multi-core machines the parallel path approaches
+generation-level linear speedup; constrained CI boxes (this suite
+tolerates a single core) only get the correctness check plus a
+bounded-overhead assertion, since there is no parallel hardware for the
+fan-out to exploit.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from pathlib import Path
@@ -32,12 +20,6 @@ from repro.accelerator.presets import baseline_constraint
 from repro.cost.model import CostModel
 from repro.search.accelerator_search import NAASBudget, search_accelerator
 from repro.search.mapping_search import MappingSearchBudget
-from repro.search.parallel import (
-    ParallelEvaluator,
-    SteadyLoop,
-    SteadyStateEvaluator,
-    run_steady_loop,
-)
 from repro.search.transport import LocalTransport
 from repro.tensors.layer import ConvLayer
 from repro.tensors.network import Network
@@ -65,9 +47,8 @@ def _noop(payload, cache):
 def _warmed_transport(workers: int) -> LocalTransport:
     """A LocalTransport whose worker processes already exist.
 
-    Process spawn is a fixed cost both schedule benchmarks below already
-    exclude; excluding it here too makes the serial/parallel comparison
-    measure the execution layer, not fork latency.
+    Excluding process spawn, a fixed cost, makes the serial/parallel
+    comparison measure the execution layer, not fork latency.
     """
     transport = LocalTransport(workers)
     assert transport.available()
@@ -88,8 +69,7 @@ def _run(workers: int, transport=None):
 
 def test_parallel_scaling(benchmark):
     # Best-of-2 on both sides: a single measurement at this ~1 s scale
-    # is at the mercy of whatever else the CI box is doing (the same
-    # tolerance the schedule benchmarks below apply).
+    # is at the mercy of whatever else the CI box is doing.
     serial, serial_time = _run(workers=1)
     serial_time = min(serial_time, _run(workers=1)[1])
 
@@ -142,117 +122,3 @@ def test_parallel_scaling(benchmark):
         # speedup, i.e. 72% overhead; grouping + the warmed pool remove
         # it — quiet boxes measure ~1.0x).
         assert parallel_time < serial_time * 1.25
-
-
-def _simulated_evaluation(payload, cache):
-    """Module-level worker: sleep for the payload's simulated cost.
-
-    Sleeping (rather than spinning) keeps the benchmark meaningful on
-    single-core CI boxes: four worker processes can overlap their sleeps
-    on one core, so the measured difference is pure scheduling, not
-    hardware parallelism.
-    """
-    time.sleep(payload)
-    return payload
-
-
-#: The cross-boundary workload: each "generation" carries one straggler
-#: whose cost exceeds the whole rest of the generation, so the batched
-#: schedule's commit barrier idles every worker once per generation
-#: while steady keeps them busy on the next generation's candidates.
-_STEADY_GENERATIONS = [[0.3] + [0.02] * 7 for _ in range(3)]
-
-_STEADY_WORKERS = 4
-
-
-class _ScriptedSteadyLoop(SteadyLoop):
-    """Asks a flat list of simulated costs; fitness = cost."""
-
-    def __init__(self, costs):
-        self.costs = costs
-        self.max_evaluations = len(costs)
-        self.stats_window = len(costs)
-        self.results = []
-
-    def ask_one(self, index):
-        return self.costs[index]
-
-    def tell_one(self, index, outcome):
-        self.results.append(outcome)
-        return float(outcome)
-
-
-def _timed_batched_generations(rounds: int = 2):
-    """Best-of-``rounds`` wall-clock for batched, with per-gen barriers.
-
-    A single measurement through a real process pool is at the mercy of
-    whatever else the CI box is doing; taking the minimum of a couple of
-    rounds measures the schedule, not the machine's worst moment.
-    """
-    # group_target_seconds=0 pins both schedules to their ungrouped
-    # partitioning: the measured gap is the barrier policy, which
-    # cost-aware grouping would re-blend.
-    with ParallelEvaluator(_simulated_evaluation, workers=_STEADY_WORKERS,
-                           group_target_seconds=0.0) as evaluator:
-        evaluator.evaluate([0.0] * _STEADY_WORKERS)  # warm the pool
-        elapsed = math.inf
-        for _ in range(rounds):
-            start = time.perf_counter()
-            results = [evaluator.evaluate(generation)
-                       for generation in _STEADY_GENERATIONS]
-            elapsed = min(elapsed, time.perf_counter() - start)
-    return [cost for generation in results for cost in generation], elapsed
-
-
-def _timed_steady_stream(rounds: int = 2):
-    """Best-of-``rounds`` wall-clock for the barrier-free steady driver."""
-    flat = [cost for generation in _STEADY_GENERATIONS
-            for cost in generation]
-    # Grouping pinned off for the same reason as the batched side.
-    with SteadyStateEvaluator(_simulated_evaluation,
-                              workers=_STEADY_WORKERS,
-                              group_target_seconds=0.0) as evaluator:
-        evaluator.evaluate([0.0] * _STEADY_WORKERS)  # warm the pool
-        elapsed = math.inf
-        for _ in range(rounds):
-            loop = _ScriptedSteadyLoop(flat)
-            start = time.perf_counter()
-            run_steady_loop(loop, evaluator)
-            elapsed = min(elapsed, time.perf_counter() - start)
-    return sorted(loop.results), elapsed
-
-
-def test_steady_beats_batched_across_generation_boundaries():
-    batched_results, batched_time = _timed_batched_generations()
-    steady_results, steady_time = _timed_steady_stream()
-
-    flat = [cost for generation in _STEADY_GENERATIONS
-            for cost in generation]
-    # Same evaluations either way (steady collects in completion order).
-    assert batched_results == flat
-    assert steady_results == sorted(flat)
-
-    speedup = batched_time / steady_time if steady_time else float("inf")
-    straggler_bound = sum(gen[0] for gen in _STEADY_GENERATIONS)
-    ideal = sum(flat) / _STEADY_WORKERS
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "steady_scaling.txt").write_text(
-        f"workload              : {len(_STEADY_GENERATIONS)} generations x "
-        f"{len(_STEADY_GENERATIONS[0])} candidates "
-        f"(1 straggler @ 0.3s + 7 light @ 0.02s each)\n"
-        f"workers               : {_STEADY_WORKERS}\n"
-        f"batched (per-gen barrier): {batched_time:8.3f} s\n"
-        f"steady (no barriers)  : {steady_time:8.3f} s\n"
-        f"steady speedup        : {speedup:8.2f}x\n"
-        f"batched lower bound   : {straggler_bound:8.3f} s "
-        f"(sum of stragglers, one per barrier)\n"
-        f"ideal (work/workers)  : {ideal:8.3f} s\n")
-    print(f"\nbatched {batched_time:.3f}s  steady {steady_time:.3f}s  "
-          f"speedup {speedup:.2f}x (batched floor {straggler_bound:.3f}s, "
-          f"ideal {ideal:.3f}s)")
-
-    # The acceptance bar: with stragglers spanning generation
-    # boundaries, barrier-free utilization must buy >= 1.3x over batched
-    # at workers=4 (the analytic gap is ~2.5x; 1.3x leaves headroom for
-    # pool overhead on loaded CI machines).
-    assert speedup >= 1.3

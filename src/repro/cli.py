@@ -56,7 +56,6 @@ from repro.search.diskcache import (
     prune_directory,
 )
 from repro.errors import TransportError
-from repro.search.parallel import SCHEDULES
 from repro.search.transport import TRANSPORTS, run_worker
 from repro.utils.serialization import to_jsonable
 from repro.utils.tables import render_table
@@ -107,27 +106,14 @@ _older_than_days = _positive_float("--older-than")
 def _add_execution_args(parser: argparse.ArgumentParser) -> None:
     """The execution-model flags shared by ``search`` and ``experiment``.
 
-    Under the default ``batched`` schedule every combination of them
-    returns bit-identical search results; they only trade wall-clock and
-    cache traffic. The ``steady`` schedule is the explicit opt-out: it
-    trades bit-identity for barrier-free utilization (see
+    Every combination of them returns bit-identical search results;
+    they only trade wall-clock and cache traffic (see
     :mod:`repro.search.parallel`).
     """
     parser.add_argument("--workers", type=_workers_count, default=1,
                         help="parallel evaluation processes; 0 means "
                              "one per CPU core (results are identical "
                              "for any worker count)")
-    parser.add_argument("--schedule", choices=SCHEDULES, default="batched",
-                        help="evaluation schedule: 'batched' (default) "
-                             "fans each generation out in cost-sized "
-                             "task groups and commits results in "
-                             "submission order, so results are "
-                             "identical for any worker count; 'steady' "
-                             "(opt-in) drops generation barriers "
-                             "entirely and tells results as they land "
-                             "— highest utilization, but results are "
-                             "no longer bit-identical across worker "
-                             "counts")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent evaluation-cache directory, "
                              "shared across runs and concurrent "
@@ -139,7 +125,7 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
                              "(in-process worker pool, default) or "
                              "'tcp' (bind --workers-addr and fan out "
                              "to connected 'repro worker' processes; "
-                             "batched results stay bit-identical "
+                             "results stay bit-identical "
                              "whichever host completes what)")
     parser.add_argument("--workers-addr", default=None, metavar="HOST:PORT",
                         help="with --transport tcp: the address this "
@@ -237,7 +223,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         [network], baseline_constraint(args.preset), cost_model,
         budget=profile.naas, seed=args.seed, seed_configs=[preset],
         workers=args.workers, cache_dir=args.cache_dir,
-        schedule=args.schedule,
         transport=args.transport, workers_addr=args.workers_addr,
         eval_timeout=args.eval_timeout)
     if not result.found:
@@ -274,7 +259,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     result = run_experiment(args.name, profile=args.profile, seed=args.seed,
                             workers=args.workers, cache_dir=args.cache_dir,
-                            schedule=args.schedule,
                             transport=args.transport,
                             workers_addr=args.workers_addr,
                             eval_timeout=args.eval_timeout)

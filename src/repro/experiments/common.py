@@ -67,7 +67,6 @@ def tuned_baseline_costs(preset_name: str,
                          seed: SeedLike = None,
                          workers: int = 1,
                          cache_dir: Optional[str] = None,
-                         schedule: str = "batched",
                          transport: Union[str, Transport, None] = "local",
                          workers_addr: Optional[str] = None,
                          eval_timeout: Optional[float] = None,
@@ -77,8 +76,8 @@ def tuned_baseline_costs(preset_name: str,
     A stronger (conservative) baseline than :func:`baseline_costs`: the
     preset gets the same mapping-search budget as NAAS candidates.
     Networks are independent, so ``workers`` fans them out in parallel
-    (any ``schedule`` returns the same costs);
-    unmappable networks are omitted from the result. ``cache_dir``
+    (any worker count returns the same costs); unmappable networks are
+    omitted from the result. ``cache_dir``
     persists the tuned mappings across runs via the disk tier.
     """
     preset = baseline_preset(preset_name)
@@ -88,7 +87,7 @@ def tuned_baseline_costs(preset_name: str,
                           mapping_budget=mapping_budget, entropy=entropy)
              for network in networks]
     with build_evaluator(_tune_network, workers=workers,
-                         cache=build_cache(cache_dir), schedule=schedule,
+                         cache=build_cache(cache_dir),
                          transport=transport, workers_addr=workers_addr,
                          eval_timeout=eval_timeout) as evaluator:
         outcomes = evaluator.evaluate(tasks)

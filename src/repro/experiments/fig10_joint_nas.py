@@ -48,7 +48,6 @@ PAPER = {
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        schedule: str = "batched",
         transport: Any = "local",
         workers_addr: Optional[str] = None,
         eval_timeout: Optional[float] = None,
@@ -84,7 +83,6 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
         accel_only = search_accelerator(
             [resnet], constraint, cost_model, budget=budgets.naas, seed=rng,
             seed_configs=[preset], workers=workers, cache_dir=cache_dir,
-            schedule=schedule,
             transport=transport, workers_addr=workers_addr,
             eval_timeout=eval_timeout)
 
@@ -97,7 +95,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
                 accel_iterations=max(2, budgets.naas.accel_iterations - 1),
                 nas=budgets.nas, mapping=budgets.naas.mapping),
             seed=rng, predictor=predictor, workers=workers,
-            cache_dir=cache_dir, schedule=schedule,
+            cache_dir=cache_dir,
             transport=transport, workers_addr=workers_addr,
             eval_timeout=eval_timeout)
 

@@ -34,7 +34,6 @@ PAIRED_RUNS = 3
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        schedule: str = "batched",
         transport: Any = "local",
         workers_addr: Optional[str] = None,
         eval_timeout: Optional[float] = None,
@@ -59,14 +58,12 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
             naas_runs.append(search_accelerator(
                 [network], constraint, cost_model, budget=budget,
                 seed=run_seed, workers=workers, cache_dir=cache_dir,
-                schedule=schedule,
                 transport=transport, workers_addr=workers_addr,
                 eval_timeout=eval_timeout))
             random_runs.append(search_accelerator(
                 [network], constraint, cost_model, budget=budget,
                 seed=run_seed, engine_cls=RandomEngine, workers=workers,
                 cache_dir=cache_dir,
-                schedule=schedule,
                 transport=transport, workers_addr=workers_addr,
                 eval_timeout=eval_timeout))
 

@@ -55,7 +55,6 @@ def run(profile: str = "", seed: int = 0,
         scenarios: Sequence[Tuple[str, str]] = SCENARIOS,
         workers: int = 1,
         cache_dir: Optional[str] = None,
-        schedule: str = "batched",
         transport: Any = "local",
         workers_addr: Optional[str] = None,
         eval_timeout: Optional[float] = None,
@@ -77,7 +76,6 @@ def run(profile: str = "", seed: int = 0,
                 budget=budgets.naas, seed=rng,
                 seed_configs=[baseline_preset(preset_name)],
                 workers=workers, cache_dir=cache_dir,
-                schedule=schedule,
                 transport=transport, workers_addr=workers_addr,
                 eval_timeout=eval_timeout)
             per_net, geo_speed, geo_energy, geo_edp = gain_rows(

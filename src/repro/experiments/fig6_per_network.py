@@ -53,7 +53,6 @@ def run(profile: str = "", seed: int = 0,
         pairs: Sequence[Tuple[str, str]] = (),
         workers: int = 1,
         cache_dir: Optional[str] = None,
-        schedule: str = "batched",
         transport: Any = "local",
         workers_addr: Optional[str] = None,
         eval_timeout: Optional[float] = None,
@@ -76,7 +75,6 @@ def run(profile: str = "", seed: int = 0,
                 budget=budgets.naas, seed=rng,
                 seed_configs=[baseline_preset(preset_name)],
                 workers=workers, cache_dir=cache_dir,
-                schedule=schedule,
                 transport=transport, workers_addr=workers_addr,
                 eval_timeout=eval_timeout)
             per_net, geo_speed, geo_energy, geo_edp = gain_rows(

@@ -34,7 +34,6 @@ CASES: Tuple[Tuple[str, str, str, str], ...] = (
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        schedule: str = "batched",
         transport: Any = "local",
         workers_addr: Optional[str] = None,
         eval_timeout: Optional[float] = None,
@@ -56,7 +55,6 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
                 [network], constraint, cost_model, budget=budgets.naas,
                 seed=rng, seed_configs=[baseline_preset(preset_name)],
                 workers=workers, cache_dir=cache_dir,
-                schedule=schedule,
                 transport=transport, workers_addr=workers_addr,
                 eval_timeout=eval_timeout)
             config = searched.best_config

@@ -46,7 +46,6 @@ PAPER_SIZING: Dict[Tuple[str, str], float] = {
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        schedule: str = "batched",
         transport: Any = "local",
         workers_addr: Optional[str] = None,
         eval_timeout: Optional[float] = None,
@@ -82,7 +81,6 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
                 [network], constraint, cost_model, budget=budgets.naas,
                 seed=rng, seed_configs=seeds, workers=workers,
                 cache_dir=cache_dir,
-                schedule=schedule,
                 transport=transport, workers_addr=workers_addr,
                 eval_timeout=eval_timeout)
 

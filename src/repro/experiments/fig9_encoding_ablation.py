@@ -67,7 +67,6 @@ def _ablation_budget(naas: NAASBudget) -> NAASBudget:
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        schedule: str = "batched",
         transport: Any = "local",
         workers_addr: Optional[str] = None,
         eval_timeout: Optional[float] = None,
@@ -99,7 +98,6 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
                     mapping_style=mapping_style,
                     seed_configs=[baseline_preset(SCENARIO_PRESET)],
                     workers=workers, cache_dir=cache_dir,
-                    schedule=schedule,
                     transport=transport, workers_addr=workers_addr,
                     eval_timeout=eval_timeout)
                 samples[(hardware_style, mapping_style)].append(

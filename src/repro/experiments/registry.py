@@ -35,17 +35,14 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 def run_experiment(name: str, profile: str = "",
                    seed: int = 0, workers: int = 1,
                    cache_dir: Optional[str] = None,
-                   schedule: str = "batched",
                    transport: Any = "local",
                    workers_addr: Optional[str] = None,
                    eval_timeout: Optional[float] = None) -> ExperimentResult:
     """Run one experiment by id (``fig4`` ... ``table4``).
 
-    ``workers`` fans candidate evaluations out per generation;
-    ``schedule`` picks the batched (generational) or steady
-    (barrier-free) evaluation engine — batched results are bit-identical
-    at any worker count. ``cache_dir``
-    persists mapping-search results across runs (see
+    ``workers`` fans candidate evaluations out per generation; results
+    are bit-identical at any worker count. ``cache_dir`` persists
+    mapping-search results across runs (see
     :mod:`repro.search.diskcache`), so re-running an experiment with the
     same seed and profile reuses its evaluations. ``transport="tcp"``
     binds ``workers_addr`` and runs the evaluations on connected
@@ -70,7 +67,7 @@ def run_experiment(name: str, profile: str = "",
     transport_obj = resolve_transport(transport, workers_addr=workers_addr)
     try:
         return runner(profile=profile, seed=seed, workers=workers,
-                      cache_dir=cache_dir, schedule=schedule,
+                      cache_dir=cache_dir,
                       transport=(transport_obj if transport_obj is not None
                                  else transport),
                       workers_addr=None,

@@ -42,7 +42,6 @@ PAPER_ROWS = (
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        schedule: str = "batched",
         transport: Any = "local",
         workers_addr: Optional[str] = None,
         eval_timeout: Optional[float] = None,
@@ -58,7 +57,6 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
         naas = search_accelerator(
             [network], TABLE3_CONSTRAINT, cost_model, budget=budgets.naas,
             seed=rng, workers=workers, cache_dir=cache_dir,
-            schedule=schedule,
             transport=transport, workers_addr=workers_addr,
             eval_timeout=eval_timeout)
 

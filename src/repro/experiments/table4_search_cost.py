@@ -32,7 +32,6 @@ NUM_SCENARIOS = 5
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        schedule: str = "batched",
         transport: Any = "local",
         workers_addr: Optional[str] = None,
         eval_timeout: Optional[float] = None,
@@ -48,7 +47,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
         search_accelerator(
             [build_model("mobilenet_v2")], scenario_constraint("eyeriss"),
             cost_model, budget=budgets.naas, seed=rng, workers=workers,
-            cache_dir=cache_dir, schedule=schedule,
+            cache_dir=cache_dir,
             transport=transport, workers_addr=workers_addr,
             eval_timeout=eval_timeout)
         measured_seconds = time.perf_counter() - start

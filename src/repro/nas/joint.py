@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import List, Optional, Tuple, Union
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.constraints import ResourceConstraint
@@ -31,12 +29,11 @@ from repro.search.parallel import (
     GenerationLoop,
     ask_generation,
     build_evaluator,
-    decode_with_resample,
-    drive_search,
+    run_search_loop,
 )
 from repro.search.result import IterationStats
 from repro.search.transport import Transport
-from repro.utils.rng import SeedLike, ensure_rng, seed_entropy
+from repro.utils.rng import SeedLike, ensure_rng
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,49 +120,6 @@ class _JointLoop(GenerationLoop):
         self._vectors: List = []
         self._configs: List[Optional[AcceleratorConfig]] = []
 
-        # Steady surface (run_steady_loop): equal total budget, windows
-        # sized to the population for comparable histories.
-        self.max_evaluations = (budget.accel_population
-                                * budget.accel_iterations)
-        self.stats_window = budget.accel_population
-        self._steady_members: Dict[int, Tuple[np.ndarray,
-                                              Optional[
-                                                  AcceleratorConfig]]] = {}
-
-    def configure_steady(self) -> None:
-        self.engine.configure_steady(self.population)
-
-    def ask_one(self, index: int) -> Optional[_JointTask]:
-        if index < len(self.injected):
-            vector = np.asarray(self.injected[index], dtype=float)
-        else:
-            vector = self.engine.ask_one()
-        vector, config = decode_with_resample(
-            self.engine, self.encoder, vector, name=f"joint-e{index}")
-        self._steady_members[index] = (vector, config)
-        if config is None:
-            return None
-        return _JointTask(
-            config=config, cost_model=self.cost_model,
-            accuracy_floor=self.accuracy_floor,
-            nas_budget=self.budget.nas,
-            mapping_budget=self.budget.mapping,
-            entropy=seed_entropy(self.rng),
-            predictor=self.predictor)
-
-    def tell_one(self, index: int, outcome: Optional[NASResult]) -> float:
-        vector, config = self._steady_members.pop(index)
-        fitness = math.inf
-        if outcome is not None:
-            self.hw_evals += 1
-            self.net_evals += outcome.evaluations
-            fitness = outcome.best_edp
-            if math.isfinite(fitness) and fitness < self.best_edp:
-                self.best_edp = fitness
-                self.best = (config, outcome)
-        self.engine.tell_one(vector, fitness)
-        return fitness
-
     def ask(self, iteration: int) -> List[Optional[_JointTask]]:
         self._vectors, self._configs, entropies = ask_generation(
             self.engine, self.encoder, self.population, iteration,
@@ -197,8 +151,7 @@ class _JointLoop(GenerationLoop):
                     and nas_result.best_edp < self.best_edp):
                 self.best_edp = nas_result.best_edp
                 self.best = (self._configs[member], nas_result)
-        self.engine.tell_partial(self._vectors, fitnesses)
-        self.engine.commit()
+        self.engine.tell(self._vectors, fitnesses)
         return fitnesses
 
 
@@ -211,7 +164,6 @@ def search_joint(constraint: ResourceConstraint,
                  seed_configs: Tuple[AcceleratorConfig, ...] = (),
                  workers: int = 1,
                  cache_dir: Optional[str] = None,
-                 schedule: str = "batched",
                  transport: Union[str, Transport, None] = "local",
                  workers_addr: Optional[str] = None,
                  eval_timeout: Optional[float] = None,
@@ -220,12 +172,8 @@ def search_joint(constraint: ResourceConstraint,
 
     ``workers`` parallelizes across hardware candidates: each candidate's
     whole inner NAS run is one work item, the coarsest (and therefore
-    best-amortized) unit of the three-level search — and the one whose
-    per-candidate cost is most skewed, which is where
-    ``schedule="steady"`` helps once stragglers span generation
-    boundaries (at the cost of bit-reproducibility). ``cache_dir``
-    backs every inner
-    NAS run with the shared persistent disk tier of
+    best-amortized) unit of the three-level search. ``cache_dir`` backs
+    every inner NAS run with the shared persistent disk tier of
     :mod:`repro.search.diskcache` (workers read through to disk and
     append what they compute). ``transport="tcp"`` dispatches each
     candidate's whole inner NAS run to a remote ``repro worker``
@@ -246,10 +194,10 @@ def search_joint(constraint: ResourceConstraint,
         accuracy_floor=accuracy_floor, predictor=predictor)
 
     with build_evaluator(_evaluate_joint_candidate, workers=workers,
-                         cache=cache, schedule=schedule,
+                         cache=cache,
                          transport=transport, workers_addr=workers_addr,
                          eval_timeout=eval_timeout) as evaluator:
-        history = drive_search(loop, evaluator)
+        history = run_search_loop(loop, evaluator)
 
     best = loop.best
     best_edp = loop.best_edp

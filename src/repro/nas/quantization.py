@@ -30,12 +30,11 @@ from repro.nas.subnet import build_subnet
 from repro.search.accelerator_search import evaluate_accelerator
 from repro.search.cache import EvaluationCache
 from repro.search.diskcache import build_cache
-from repro.search.es import PartialTellMixin
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
     GenerationLoop,
     build_evaluator,
-    drive_search,
+    run_search_loop,
 )
 from repro.search.result import IterationStats
 from repro.search.transport import Transport
@@ -168,18 +167,16 @@ _REFILL_ATTEMPTS_PER_SLOT = 16
 QuantPair = Tuple[ResNetArch, QuantPolicy]
 
 
-class QuantPairEngine(PartialTellMixin):
-    """Incremental ask/tell engine over (subnet, bitwidth-policy) pairs.
+class QuantPairEngine:
+    """Ask/tell engine over (subnet, bitwidth-policy) pairs.
 
     The quantization analogue of :class:`repro.search.es.EvolutionEngine`:
-    ``ask`` hands out the current population, partial fitnesses buffer
-    through :meth:`~repro.search.es.PartialTellMixin.tell_partial` in
-    whatever order worker slots complete, and
-    :meth:`~repro.search.es.PartialTellMixin.commit` applies them as one
-    generation. :meth:`evolve` then breeds the next population (parent
-    selection + bounded admissible refill) — it is a separate step so a
-    driver can skip the final generation's breeding, keeping the parent
-    RNG stream identical to the historical loop.
+    ``ask`` hands out the current population and :meth:`tell` records
+    the generation's fitnesses in submission order. :meth:`evolve` then
+    breeds the next population (parent selection + bounded admissible
+    refill) — it is a separate step so a driver can skip the final
+    generation's breeding, keeping the parent RNG stream identical to
+    the historical loop.
     """
 
     def __init__(self, space: OFAResNetSpace,
@@ -191,7 +188,6 @@ class QuantPairEngine(PartialTellMixin):
         self.population = population
         self.rng = rng
         self.generation = 0
-        self._pending_tells: List[Tuple[int, QuantPair, float]] = []
         self._fitnesses: List[float] = []
         self._pairs: List[QuantPair] = []
         while len(self._pairs) < population:
@@ -227,15 +223,6 @@ class QuantPairEngine(PartialTellMixin):
                      else b for b in policy.stage_bits)
         return arch, QuantPolicy(stage_bits=bits)
 
-    def _parent_count(self) -> int:
-        """Elite quartile size, shared by both breeding paths."""
-        return max(2, self.population // 4)
-
-    def _mutant_of(self, parents: List[QuantPair]) -> QuantPair:
-        """A mutation of one uniformly drawn parent (shared RNG order)."""
-        return self.mutate_pair(
-            parents[int(self.rng.integers(len(parents)))])
-
     # ----- ask/tell -----------------------------------------------------
 
     def ask(self, count: Optional[int] = None) -> List[QuantPair]:
@@ -258,72 +245,10 @@ class QuantPairEngine(PartialTellMixin):
         self.generation += 1
         self._fitnesses = list(fitnesses)
 
-    # ----- steady-state surface (ask_one / tell_one) -------------------
-
-    def configure_steady(self, window: Optional[int] = None) -> None:
-        """Arm the steady surface: sliding elite archive, no barriers.
-
-        Overrides the mixin's window-buffer rule with the
-        replace-worst archive a pair GA wants: :meth:`tell_one` inserts
-        each landed ``(pair, fitness)`` into an archive capped at the
-        population size (worst evicted), and :meth:`ask_one` breeds
-        replacements from the archive's current elite quartile — so
-        every new candidate reflects every result that has landed so
-        far, whatever order they landed in. ``window`` only paces the
-        ``generation`` counter (defaults to the population).
-        """
-        window = self.population if window is None else window
-        if window < 1:
-            raise ReproError(f"steady window must be >= 1, got {window}")
-        self._steady_window = window
-        # Results apply to the archive immediately, so nothing is ever
-        # buffered — but the mixin's pending_steady_tells property reads
-        # the buffer, so keep it present (and empty).
-        self._steady_buffer = []
-        self._steady_handed = 0
-        self._steady_tells = 0
-        #: Landed ``(fitness, pair)`` entries, best first, capped at
-        #: ``population`` (replace-worst).
-        self._steady_archive: List[Tuple[float, QuantPair]] = []
-
-    def ask_one(self) -> Optional[QuantPair]:
-        """One pair to evaluate: initial population first, then children.
-
-        Returns ``None`` only when the accuracy floor admits nothing at
-        all (the same condition that empties :meth:`ask`).
-        """
-        if self._steady_window is None:
-            raise ReproError(
-                "configure_steady() must be called before ask_one()")
-        if self._steady_handed < len(self._pairs):
-            pair = self._pairs[self._steady_handed]
-            self._steady_handed += 1
-            return pair
-        return self._breed_one()
-
-    def _breed_one(self) -> Optional[QuantPair]:
-        finite = [entry for entry in self._steady_archive
-                  if math.isfinite(entry[0])]
-        if not finite:
-            return self.sample_pair()
-        parents = [pair for _, pair in finite[:self._parent_count()]]
-        for _ in range(_REFILL_ATTEMPTS_PER_SLOT):
-            child = self._mutant_of(parents)
-            if self.predictor(child[0], child[1]) >= self.accuracy_floor:
-                return child
-        return self.sample_pair()
-
-    def tell_one(self, pair: QuantPair, fitness: float) -> None:
-        """Absorb one landed result into the replace-worst archive."""
-        if self._steady_window is None:
-            raise ReproError(
-                "configure_steady() must be called before tell_one()")
-        self._steady_archive.append((fitness, pair))
-        self._steady_archive.sort(key=lambda entry: entry[0])
-        del self._steady_archive[self.population:]
-        self._steady_tells += 1
-        if self._steady_tells % self._steady_window == 0:
-            self.generation += 1
+    def tell(self, candidates: List[QuantPair],
+             fitnesses: List[float]) -> None:
+        """Report one full generation (tell half of ask/tell)."""
+        self.update(candidates, fitnesses)
 
     def evolve(self) -> None:
         """Breed the next population from the last committed generation.
@@ -335,12 +260,13 @@ class QuantPairEngine(PartialTellMixin):
         ranked = sorted(zip(self._fitnesses, range(len(self._pairs))),
                         key=lambda p: p[0])
         parents = [self._pairs[i]
-                   for _, i in ranked[:self._parent_count()]]
+                   for _, i in ranked[:max(2, self.population // 4)]]
         next_pairs = list(parents)
         attempts = _REFILL_ATTEMPTS_PER_SLOT * self.population
         while len(next_pairs) < self.population and attempts > 0:
             attempts -= 1
-            child = self._mutant_of(parents)
+            child = self.mutate_pair(
+                parents[int(self.rng.integers(len(parents)))])
             if self.predictor(child[0], child[1]) >= self.accuracy_floor:
                 next_pairs.append(child)
             else:
@@ -368,38 +294,6 @@ class _QuantLoop(GenerationLoop):
         self.evaluations = 0
         self._current: List[QuantPair] = []
 
-        # Steady surface (run_steady_loop): equal total budget, windows
-        # sized to the population for comparable histories.
-        self.max_evaluations = engine.population * iterations
-        self.stats_window = engine.population
-        self._steady_members: Dict[int, QuantPair] = {}
-
-    def configure_steady(self) -> None:
-        self.engine.configure_steady()
-
-    def ask_one(self, index: int) -> Optional[_QuantTask]:
-        pair = self.engine.ask_one()
-        if pair is None:
-            return None
-        self._steady_members[index] = pair
-        arch, policy = pair
-        return _QuantTask(arch=arch, policy=policy, accel=self.accel,
-                          cost_model=self.cost_model,
-                          mapping_budget=self.mapping_budget,
-                          entropy=self.entropy)
-
-    def tell_one(self, index: int, outcome: Optional[float]) -> float:
-        pair = self._steady_members.pop(index, None)
-        if pair is None:
-            return math.inf  # never dispatched: not an evaluation
-        fitness = math.inf if outcome is None else outcome
-        self.evaluations += 1
-        if fitness < self.best_edp:
-            self.best_edp = fitness
-            self.best_pair = pair
-        self.engine.tell_one(pair, fitness)
-        return fitness
-
     def ask(self, iteration: int) -> List[Optional[_QuantTask]]:
         self._current = self.engine.ask()
         return [_QuantTask(arch=arch, policy=policy, accel=self.accel,
@@ -416,8 +310,7 @@ class _QuantLoop(GenerationLoop):
             if edp < self.best_edp:
                 self.best_edp = edp
                 self.best_pair = pair
-        self.engine.tell_partial(self._current, fitnesses)
-        self.engine.commit()
+        self.engine.tell(self._current, fitnesses)
         if iteration < self.iterations - 1:
             self.engine.evolve()
         return fitnesses
@@ -434,7 +327,6 @@ def search_quantized(accel: AcceleratorConfig,
                      predictor: Optional[QuantizedAccuracyPredictor] = None,
                      workers: int = 1,
                      cache_dir: Optional[str] = None,
-                     schedule: str = "batched",
                      transport: Union[str, Transport, None] = "local",
                      workers_addr: Optional[str] = None,
                      eval_timeout: Optional[float] = None,
@@ -446,14 +338,11 @@ def search_quantized(accel: AcceleratorConfig,
     mutation/crossover, mapping-searched EDP reward) is unchanged.
 
     ``workers`` fans each generation's pair evaluations out over that
-    many processes; under the default ``schedule="batched"`` any worker
-    count returns a bit-identical result because evaluation seeds derive
-    from one run-level entropy via the cache key (the former
-    per-evaluation draws from the parent stream made rewards depend on
-    evaluation order). ``schedule="steady"``
-    instead runs barrier-free with a replace-worst archive (convergent,
-    not bit-identical; see :mod:`repro.search.parallel`). ``cache_dir``
-    backs the run with the persistent disk tier of
+    many processes; any worker count returns a bit-identical result
+    because evaluation seeds derive from one run-level entropy via the
+    cache key (the former per-evaluation draws from the parent stream
+    made rewards depend on evaluation order). ``cache_dir`` backs the
+    run with the persistent disk tier of
     :mod:`repro.search.diskcache`.
     """
     rng = ensure_rng(seed)
@@ -474,10 +363,9 @@ def search_quantized(accel: AcceleratorConfig,
                       cost_model=cost_model, mapping_budget=mapping_budget,
                       entropy=eval_entropy)
     with build_evaluator(_evaluate_quant_pair, workers=workers, cache=cache,
-                         schedule=schedule,
                          transport=transport, workers_addr=workers_addr,
                          eval_timeout=eval_timeout) as evaluator:
-        history = drive_search(loop, evaluator)
+        history = run_search_loop(loop, evaluator)
 
     if loop.best_pair is None:
         return QuantSearchResult(None, None, 0.0, math.inf, loop.evaluations,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.cost.model import CostModel
@@ -25,7 +25,7 @@ from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
     GenerationLoop,
     build_evaluator,
-    drive_search,
+    run_search_loop,
 )
 from repro.search.result import IterationStats
 from repro.search.transport import Transport
@@ -121,49 +121,8 @@ class _ArchLoop(GenerationLoop):
         self.evaluations = 0
         self._current: List[ResNetArch] = []
 
-        # Steady surface (run_steady_loop): the genome pool becomes a
-        # replace-worst archive; equal total budget in evaluations.
-        self.max_evaluations = budget.population * budget.iterations
-        self.stats_window = budget.population
-        self._steady_members: Dict[int, ResNetArch] = {}
-        self._steady_pool: List[Tuple[float, ResNetArch]] = []
-
-    def configure_steady(self) -> None:
-        self._steady_pool = []
-        self._steady_members = {}
-
-    def ask_one(self, index: int) -> Optional[_ArchTask]:
-        if index < len(self.population):
-            arch: Optional[ResNetArch] = self.population[index]
-        else:
-            arch = self._breed_one()
-        if arch is None:
-            return None
-        self._steady_members[index] = arch
-        return _ArchTask(arch=arch, accel=self.accel,
-                         cost_model=self.cost_model,
-                         mapping_budget=self.mapping_budget,
-                         entropy=self.entropy)
-
-    def _breed_one(self) -> Optional[ResNetArch]:
-        """One replacement child from the current archive's parents."""
-        finite = [entry for entry in self._steady_pool
-                  if math.isfinite(entry[0])]
-        if not finite:
-            return self.sample_admissible(max_attempts=16)
-        parent_count = max(
-            2, int(round(self.budget.population
-                         * self.budget.parent_fraction)))
-        parents = [arch for _, arch in finite[:parent_count]]
-        for _ in range(16):
-            child = self._spawn_child(parents)
-            if self.predictor(child) >= self.accuracy_floor:
-                return child
-        return self.sample_admissible(max_attempts=16)
-
     def _spawn_child(self, parents: List[ResNetArch]) -> ResNetArch:
-        """One mutation-or-crossover child — the breeding rule both the
-        generational and steady paths share (same RNG draw order)."""
+        """One mutation-or-crossover child of ``parents``."""
         budget = self.budget
         rng = self.rng
         if rng.random() < budget.mutation_fraction:
@@ -172,21 +131,6 @@ class _ArchLoop(GenerationLoop):
         a, b = rng.integers(len(parents)), rng.integers(len(parents))
         return self.space.crossover(parents[int(a)], parents[int(b)],
                                     seed=rng)
-
-    def tell_one(self, index: int, outcome: Optional[Tuple]) -> float:
-        arch = self._steady_members.pop(index, None)
-        if arch is None or outcome is None:
-            return math.inf
-        edp, cost = outcome
-        self.evaluations += 1
-        if edp < self.best_edp:
-            self.best_edp = edp
-            self.best_arch = arch
-            self.best_cost = cost
-        self._steady_pool.append((edp, arch))
-        self._steady_pool.sort(key=lambda entry: entry[0])
-        del self._steady_pool[self.budget.population:]
-        return edp
 
     def ask(self, iteration: int) -> List[Optional[_ArchTask]]:
         self._current = list(self.population)
@@ -240,7 +184,6 @@ def search_architecture(accel: AcceleratorConfig,
                         cache: Optional[EvaluationCache] = None,
                         workers: int = 1,
                         cache_dir: Optional[str] = None,
-                        schedule: str = "batched",
                         transport: Union[str, Transport, None] = "local",
                         workers_addr: Optional[str] = None,
                         eval_timeout: Optional[float] = None,
@@ -248,8 +191,8 @@ def search_architecture(accel: AcceleratorConfig,
     """Find the lowest-EDP subnet meeting ``accuracy_floor`` on ``accel``.
 
     ``workers`` fans each generation's subnet evaluations out over that
-    many processes; under the default ``schedule`` the result is
-    identical for any worker count because all mapping searches are
+    many processes; the result is identical for any worker count
+    because all mapping searches are
     seeded from one run-level entropy via their cache key (see
     :mod:`repro.search.parallel`). ``cache_dir`` (used
     only when no explicit ``cache`` is supplied) backs the run with the
@@ -295,10 +238,9 @@ def search_architecture(accel: AcceleratorConfig,
                      accuracy_floor=accuracy_floor, population=population,
                      sample_admissible=sample_admissible)
     with build_evaluator(_evaluate_arch, workers=workers, cache=cache,
-                         schedule=schedule,
                          transport=transport, workers_addr=workers_addr,
                          eval_timeout=eval_timeout) as evaluator:
-        history = drive_search(loop, evaluator)
+        history = run_search_loop(loop, evaluator)
 
     best_accuracy = predictor(loop.best_arch) if loop.best_arch else 0.0
     return NASResult(best_arch=loop.best_arch, best_cost=loop.best_cost,

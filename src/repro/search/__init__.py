@@ -9,13 +9,10 @@
   in lockstep so each generation costs one batch.
 - :mod:`repro.search.accelerator_search` — the outer loop (§II-A): the
   full NAAS hardware search with nested mapping search.
-- :mod:`repro.search.parallel` — the evaluation engines (the
-  generational batched schedule and the opt-in barrier-free
-  steady-state one), the shared
-  :func:`~repro.search.parallel.run_search_loop` /
-  :func:`~repro.search.parallel.run_steady_loop` drivers, and
-  :func:`~repro.search.parallel.drive_search`, which every outer search
-  dispatches through.
+- :mod:`repro.search.parallel` — the generational evaluator
+  (:class:`~repro.search.parallel.ParallelEvaluator`) and
+  :func:`~repro.search.parallel.run_search_loop`, the one generation
+  driver every outer search runs on.
 - :mod:`repro.search.transport` — where dispatched evaluations run:
   the in-process pool (:class:`~repro.search.transport.LocalTransport`)
   or remote ``repro worker`` processes over length-prefixed, versioned
@@ -32,18 +29,12 @@ from repro.search.mapping_search import (
     search_mappings,
 )
 from repro.search.parallel import (
-    SCHEDULES,
     CommitBuffer,
     GenerationLoop,
     ParallelEvaluator,
-    SteadyLoop,
-    SteadyStateEvaluator,
     build_evaluator,
-    drive_search,
-    resolve_schedule,
     resolve_workers,
     run_search_loop,
-    run_steady_loop,
 )
 from repro.search.random_search import RandomEngine
 from repro.search.result import (
@@ -75,19 +66,13 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ParallelEvaluator",
     "RandomEngine",
-    "SCHEDULES",
-    "SteadyLoop",
-    "SteadyStateEvaluator",
     "TRANSPORTS",
     "TcpTransport",
     "Transport",
     "build_evaluator",
-    "drive_search",
-    "resolve_schedule",
     "resolve_transport",
     "resolve_workers",
     "run_search_loop",
-    "run_steady_loop",
     "run_worker",
     "search_accelerator",
     "search_mapping",

@@ -9,10 +9,9 @@ paper describes.
 The generation loop follows the ask/tell protocol: the whole population
 is sampled and decoded up front, per-candidate seeds are derived in one
 batch, and the candidate evaluations are fanned out through the shared
-:func:`repro.search.parallel.run_search_loop` driver on whichever
-evaluation schedule the caller picked (``workers=1`` reproduces the
-serial path bit-identically; see :mod:`repro.search.parallel` for the
-``schedule`` execution model).
+:func:`repro.search.parallel.run_search_loop` driver (``workers=N``
+reproduces the serial path bit-identically; see
+:mod:`repro.search.parallel` for the execution model).
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
-
-import numpy as np
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.constraints import ResourceConstraint
@@ -43,8 +40,7 @@ from repro.search.parallel import (
     GenerationLoop,
     ask_generation,
     build_evaluator,
-    decode_with_resample,
-    drive_search,
+    run_search_loop,
 )
 from repro.search.result import (
     AcceleratorSearchResult,
@@ -209,20 +205,13 @@ def _evaluate_candidate(task: _CandidateTask,
 
 
 class _AcceleratorLoop(GenerationLoop):
-    """Hardware-search loop: generational and steady surfaces.
+    """Hardware-search loop for :func:`run_search_loop`.
 
-    Generational (``run_search_loop``): ``ask`` samples/decodes one
-    generation (warm-start vectors override the head of generation 0)
-    and returns one :class:`_CandidateTask` per decodable member;
-    ``tell`` folds rewards back in submission order — ties keep the
-    earliest candidate, matching the serial loop — and commits the
-    generation to the engine at the commit boundary.
-
-    Steady (``run_steady_loop``): ``ask_one`` samples/decodes a single
-    candidate (warm-start vectors occupy the first slots) with a
-    per-slot entropy drawn at ask time, and ``tell_one`` feeds each
-    reward to the engine the moment it lands via
-    :meth:`~repro.search.es.PartialTellMixin.tell_one`.
+    ``ask`` samples/decodes one generation (warm-start vectors override
+    the head of generation 0) and returns one :class:`_CandidateTask`
+    per decodable member; ``tell`` folds rewards back in submission
+    order — ties keep the earliest candidate, matching the serial loop
+    — and tells the generation to the engine at the commit boundary.
     """
 
     def __init__(self, engine: Any, encoder: HardwareEncoder,
@@ -250,53 +239,6 @@ class _AcceleratorLoop(GenerationLoop):
         self.evaluations = 0
         self._vectors: List = []
         self._configs: List[Optional[AcceleratorConfig]] = []
-
-        # Steady surface (run_steady_loop): same total budget, counted
-        # in evaluations; stats windows stay population-sized so
-        # histories remain comparable with generational runs.
-        self.max_evaluations = (budget.accel_population
-                                * budget.accel_iterations)
-        self.stats_window = budget.accel_population
-        self._steady_members: Dict[int, Tuple[np.ndarray,
-                                              Optional[
-                                                  AcceleratorConfig]]] = {}
-
-    def configure_steady(self) -> None:
-        self.engine.configure_steady(self.population)
-
-    def ask_one(self, index: int) -> Optional[_CandidateTask]:
-        if index < len(self.injected):
-            vector = np.asarray(self.injected[index], dtype=float)
-        else:
-            vector = self.engine.ask_one()
-        vector, config = decode_with_resample(
-            self.engine, self.encoder, vector, name=f"naas-e{index}",
-            max_attempts=self.max_decode_attempts)
-        self._steady_members[index] = (vector, config)
-        if config is None:
-            return None
-        self.evaluations += 1
-        return _CandidateTask(
-            accel=config, networks=self.networks,
-            cost_model=self.cost_model,
-            mapping_budget=self.budget.mapping,
-            entropy=seed_entropy(self.rng),
-            mapping_style=self.mapping_style,
-            reward_fn=self.reward_fn)
-
-    def tell_one(self, index: int, outcome: Optional[Any]) -> float:
-        vector, config = self._steady_members.pop(index)
-        fitness = math.inf
-        if outcome is not None:
-            reward, costs, maps = outcome
-            fitness = reward
-            if math.isfinite(reward) and reward < self.best_reward:
-                self.best_reward = reward
-                self.best_config = config
-                self.best_costs = costs
-                self.best_maps = maps
-        self.engine.tell_one(vector, fitness)
-        return fitness
 
     def ask(self, iteration: int) -> List[Optional[_CandidateTask]]:
         self._vectors, self._configs, entropies = ask_generation(
@@ -332,8 +274,7 @@ class _AcceleratorLoop(GenerationLoop):
                 self.best_config = self._configs[member]
                 self.best_costs = costs
                 self.best_maps = maps
-        self.engine.tell_partial(self._vectors, fitnesses)
-        self.engine.commit()
+        self.engine.tell(self._vectors, fitnesses)
         return fitnesses
 
 
@@ -351,7 +292,6 @@ def search_accelerator(networks: Sequence[Network],
                        reward_fn: RewardFn = geomean_edp,
                        workers: int = 1,
                        cache_dir: Optional[str] = None,
-                       schedule: str = "batched",
                        transport: Union[str, Transport, None] = "local",
                        workers_addr: Optional[str] = None,
                        eval_timeout: Optional[float] = None,
@@ -361,11 +301,8 @@ def search_accelerator(networks: Sequence[Network],
     ``seed_configs`` are encoded and injected into the first generation,
     letting the search warm-start from (e.g.) the baseline preset.
     ``workers`` fans each generation's candidate evaluations out over
-    that many processes (0 = all cores); ``schedule`` picks the batched
-    (generational, commit-in-order) or steady (barrier-free,
-    tell-as-results-land) execution engine — batched returns the same
-    result for the same seed at any worker count, while ``"steady"``
-    opts out of bit-identity for cross-generation utilization.
+    that many processes (0 = all cores) and returns the same result for
+    the same seed at any worker count.
     ``cache_dir`` adds a persistent disk tier under the evaluation cache
     (shared across runs and concurrent processes; see
     :mod:`repro.search.diskcache`): a repeated run with the same seed
@@ -374,8 +311,8 @@ def search_accelerator(networks: Sequence[Network],
 
     ``transport="tcp"`` binds ``workers_addr`` and dispatches candidate
     evaluations to connected ``repro worker`` processes instead of the
-    in-process pool — each schedule keeps exactly the guarantees it has
-    locally, whichever host completes what (see
+    in-process pool — the result is the same as the local run's,
+    whichever host completes what (see
     :mod:`repro.search.transport`). ``eval_timeout`` bounds how long
     any dispatched evaluation may stall before it is re-evaluated
     inline.
@@ -393,10 +330,9 @@ def search_accelerator(networks: Sequence[Network],
         max_decode_attempts=max_decode_attempts)
 
     with build_evaluator(_evaluate_candidate, workers=workers, cache=cache,
-                         schedule=schedule,
                          transport=transport, workers_addr=workers_addr,
                          eval_timeout=eval_timeout) as evaluator:
-        history = drive_search(loop, evaluator)
+        history = run_search_loop(loop, evaluator)
 
     return AcceleratorSearchResult(
         best_config=loop.best_config,

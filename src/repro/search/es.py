@@ -11,7 +11,7 @@ samples concentrate near them. A variance floor keeps exploration alive.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -19,118 +19,7 @@ from repro.errors import SearchError
 from repro.utils.rng import SeedLike, ensure_rng
 
 
-class PartialTellMixin:
-    """Incremental tell surface for ask/tell engines.
-
-    The generational evaluator lands candidate fitnesses as task groups
-    complete, not as whole generations. This mixin buffers those partial
-    tells and applies them as *one* distribution update at a commit
-    boundary, which is what keeps completion order out of the engine's
-    state:
-
-    - :meth:`tell_partial` buffers ``(index, candidate, fitness)``
-      triples without touching the distribution. ``indices`` are the
-      candidates' submission positions within the generation; when
-      omitted, arrival order is used.
-    - :meth:`commit` sorts the buffer by submission index (a stable
-      sort, so index-less entries keep arrival order) and applies a
-      single :meth:`update` — bit-identical to one batched ``tell`` of
-      the full generation, whatever order the results landed in.
-
-    ``tell(candidates, fitnesses)`` remains the batched shorthand for
-    ``tell_partial`` + ``commit``.
-    """
-
-    def tell_partial(self, candidates: Sequence[np.ndarray],
-                     fitnesses: Sequence[float],
-                     indices: Optional[Sequence[int]] = None) -> None:
-        """Buffer part of a generation's results without updating."""
-        if len(candidates) != len(fitnesses):
-            raise SearchError("candidates and fitnesses length mismatch")
-        if indices is not None and len(indices) != len(candidates):
-            raise SearchError("candidates and indices length mismatch")
-        buffer = self._pending_tells
-        for offset, (candidate, fitness) in enumerate(
-                zip(candidates, fitnesses)):
-            index = len(buffer) if indices is None else indices[offset]
-            buffer.append((index, candidate, fitness))
-
-    def commit(self) -> None:
-        """Apply the buffered partial tells as one generation.
-
-        A no-op when nothing is buffered (no phantom generations); an
-        all-infeasible buffer still counts as exactly one generation.
-        """
-        if not self._pending_tells:
-            return
-        pending = sorted(self._pending_tells, key=lambda entry: entry[0])
-        self._pending_tells = []
-        self.update([entry[1] for entry in pending],
-                    [entry[2] for entry in pending])
-
-    def tell(self, candidates: Sequence[np.ndarray],
-             fitnesses: Sequence[float]) -> None:
-        """Report one full generation (tell half of ask/tell)."""
-        self.tell_partial(candidates, fitnesses)
-        self.commit()
-
-    @property
-    def pending_tells(self) -> int:
-        """How many partial results are buffered awaiting commit."""
-        return len(self._pending_tells)
-
-    # ----- steady-state surface (ask_one / tell_one) -------------------
-
-    #: Steady-state update window; ``None`` until :meth:`configure_steady`.
-    _steady_window: Optional[int] = None
-
-    def configure_steady(self, window: int) -> None:
-        """Arm the steady-state surface with an update window.
-
-        ``window`` plays the role the population plays in generational
-        mode: every ``window`` results told through :meth:`tell_one`
-        form one pseudo-generation and are applied as a single
-        :meth:`update` (population-replacement rule). Candidates asked
-        while a window is filling still sample the *previous*
-        distribution — that is the steady-state trade: no barrier, so
-        the distribution a candidate came from depends on which results
-        had landed when it was asked.
-        """
-        if window < 1:
-            raise SearchError(f"steady window must be >= 1, got {window}")
-        self._steady_window = window
-        self._steady_buffer: List[Tuple[Any, float]] = []
-
-    def ask_one(self) -> Any:
-        """One candidate from the current distribution (steady ask)."""
-        return self.sample()
-
-    def tell_one(self, candidate: Any, fitness: float) -> None:
-        """Absorb one landed result (steady tell).
-
-        Buffers until the configured window fills, then applies the
-        window as one :meth:`update` and starts the next window. Results
-        are applied in the order they land — there is no submission-order
-        commit here, by design.
-        """
-        if self._steady_window is None:
-            raise SearchError(
-                "configure_steady() must be called before tell_one()")
-        self._steady_buffer.append((candidate, fitness))
-        if len(self._steady_buffer) >= self._steady_window:
-            buffered, self._steady_buffer = self._steady_buffer, []
-            self.update([candidate for candidate, _ in buffered],
-                        [fitness for _, fitness in buffered])
-
-    @property
-    def pending_steady_tells(self) -> int:
-        """Results buffered toward the current steady window."""
-        if self._steady_window is None:
-            return 0
-        return len(self._steady_buffer)
-
-
-class EvolutionEngine(PartialTellMixin):
+class EvolutionEngine:
     """Ask/tell evolution strategy on the unit hypercube (minimization)."""
 
     def __init__(self, num_params: int,
@@ -161,7 +50,6 @@ class EvolutionEngine(PartialTellMixin):
         self.cov = np.eye(num_params) * sigma_init**2
         self._chol = np.linalg.cholesky(self.cov)
         self.generation = 0
-        self._pending_tells: List[Tuple[int, np.ndarray, float]] = []
 
     def sample(self) -> np.ndarray:
         """Draw one candidate vector, clipped to the unit cube."""
@@ -178,6 +66,11 @@ class EvolutionEngine(PartialTellMixin):
         if count < 0:
             raise SearchError(f"ask count must be >= 0, got {count}")
         return [self.sample() for _ in range(count)]
+
+    def tell(self, candidates: Sequence[np.ndarray],
+             fitnesses: Sequence[float]) -> None:
+        """Report one full generation (tell half of ask/tell)."""
+        self.update(candidates, fitnesses)
 
     def update(self, candidates: Sequence[np.ndarray],
                fitnesses: Sequence[float]) -> None:

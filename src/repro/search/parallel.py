@@ -5,33 +5,19 @@ candidate accelerator (and, in the joint search, each per-candidate NAS
 run) is scored independently. This module provides the execution layer
 those searches run on:
 
-- :class:`ParallelEvaluator` (``--schedule batched``, the default) is
-  the generational schedule: it partitions a generation into task
-  groups, submits them all, lands completions in whatever order they
-  finish into a :class:`CommitBuffer`, and commits them in
-  **submission order** at the generation's commit boundary — which is
-  what keeps the ``workers=1`` ↔ ``workers=N`` bit-identity contract
-  intact (see below).
-- :class:`SteadyStateEvaluator` (``--schedule steady``) drops the
-  generation barrier entirely: a fixed-size pool of candidates stays in
-  flight, and the moment any result lands it is told to the search and a
-  replacement candidate is asked — DeepHyper-style steady-state
-  evaluation. This is the one schedule that **opts out of the
-  bit-identity contract** (see below): which candidate is asked next
-  depends on which result landed first, so utilization crosses
-  generation boundaries at the price of completion-order-dependent
-  trajectories. Convergence (same final reward to within tolerance at
-  equal evaluation budgets) is what its tests assert instead.
+- :class:`ParallelEvaluator` is the one evaluation schedule, the
+  generational one NAAS describes (sample a population, rank it, update
+  the distribution): it partitions a generation into task groups,
+  submits them all, lands completions in whatever order they finish
+  into a :class:`CommitBuffer`, and commits them in **submission
+  order** at the generation's commit boundary — which is what keeps
+  the ``workers=1`` ↔ ``workers=N`` bit-identity contract intact (see
+  below).
 - :func:`run_search_loop` is the one generation driver all four outer
   searches (accelerator, joint, NAS, quantization) share: ask a
   generation from a :class:`GenerationLoop`, dispatch the decodable
   members through an evaluator, stitch outcomes back to member slots in
   submission order, tell, record :class:`~repro.search.result.IterationStats`.
-- :func:`run_steady_loop` is the steady counterpart: it drives a
-  :class:`SteadyLoop` (``ask_one``/``tell_one``) through a
-  :class:`SteadyStateEvaluator`, reporting progress in **evaluation
-  counts** (windows of ``stats_window`` completions), not generations.
-  :func:`drive_search` picks the right driver for an evaluator.
 - Caches never cross a process boundary. The coordinator's cache
   serves inline evaluation and salvage; each worker process keeps its
   own cache for the run, built from the small
@@ -46,7 +32,7 @@ those searches run on:
   ProcessPoolExecutor behavior, while
   :class:`~repro.search.transport.TcpTransport` (``--transport tcp``)
   fans the same task groups out to remote ``repro worker`` processes —
-  every schedule runs unchanged on either, because both surface the
+  the evaluator runs unchanged on either, because both surface the
   same submit/collect future contract. Remote workers build their
   run's cache over their own ``--cache-dir`` and ship back
   ``(results, counts)`` like any pool worker would.
@@ -58,17 +44,16 @@ those searches run on:
   tasks are batched many-per-group to amortize round-trip overhead,
   expensive ones split fine so the pool can rebalance. Until the sizer
   is calibrated a generation goes out as one contiguous chunk per
-  worker slot (and a steady submit as one candidate). Grouping only
-  repartitions payloads across transport submissions; commit order and
-  content-derived seeds are partition-independent, so every bit-identity
-  contract below is unaffected.
+  worker slot. Grouping only repartitions payloads across transport
+  submissions; commit order and content-derived seeds are
+  partition-independent, so the bit-identity contract below is
+  unaffected.
 
 Determinism contract
 --------------------
-``workers=1`` and ``workers=N`` of the generational schedule — on any
-transport, and whatever order task groups complete in — produce
-bit-identical search results because the search loops uphold three
-invariants:
+``workers=1`` and ``workers=N`` — on any transport, and whatever order
+task groups complete in — produce bit-identical search results because
+the search loops uphold three invariants:
 
 1. per-candidate seeds are derived *in batch* (``spawn_rngs``) before any
    evaluation is dispatched, so the parent stream never observes
@@ -81,16 +66,8 @@ invariants:
 3. tells are applied at *commit boundaries*: results are buffered as
    they complete and committed in submission order once the full
    generation has landed, so the engines
-   (:class:`~repro.search.es.EvolutionEngine` via ``tell_partial`` /
-   ``commit``) never observe completion order.
-
-The steady schedule keeps invariant 2 (content-derived sub-search
-seeds, so each individual evaluation is still a pure function of its
-payload) but deliberately gives up 1 and 3: candidates are asked one at
-a time from a distribution that has already absorbed whichever results
-happened to land first. ``workers=1`` steady runs are deterministic for
-a fixed seed; ``workers=N`` steady runs are not bit-reproducible, which
-is why the mode is opt-in.
+   (:class:`~repro.search.es.EvolutionEngine` via ``tell``) never
+   observe completion order.
 
 Worker functions must be module-level (picklable by qualified name) and
 take ``(payload, cache)``, returning a picklable result.
@@ -142,12 +119,6 @@ logger = get_logger(__name__)
 #: raised" (which propagates to the caller unchanged).
 _DISPATCH_FAILURES = (OSError, BrokenProcessPool, TransportError)
 
-#: The evaluation schedules ``build_evaluator`` understands. ``batched``
-#: is the generational reference (commit boundaries, bit-identical at
-#: any worker count); ``steady`` (opt-in) drops generation barriers
-#: entirely and tells results as they land.
-SCHEDULES: Tuple[str, ...] = ("batched", "steady")
-
 #: Run tokens, one per evaluator; with the pid, unique on a host.
 _run_tokens = itertools.count()
 
@@ -155,22 +126,18 @@ _run_tokens = itertools.count()
 def resolve_workers(workers: Optional[int]) -> int:
     """Normalize a ``--workers`` value.
 
-    ``None`` and ``0`` both mean "use every core" (``os.cpu_count()``);
-    positive values are taken literally; negative values are rejected.
+    ``None`` and ``0`` both mean "use every core this process may run
+    on": the CPU-affinity set where the platform has one, else
+    ``os.cpu_count()``. Positive values are taken literally; negative
+    values are rejected.
     """
     if workers is None or workers == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     if workers < 0:
         raise SearchError(f"workers must be >= 0, got {workers}")
     return workers
-
-
-def resolve_schedule(schedule: str) -> str:
-    """Validate a ``--schedule`` value against :data:`SCHEDULES`."""
-    if schedule not in SCHEDULES:
-        raise SearchError(
-            f"unknown schedule {schedule!r}; expected one of {SCHEDULES}")
-    return schedule
 
 
 def split_chunks(items: Sequence[Any], parts: int) -> List[List[Any]]:
@@ -196,8 +163,8 @@ def split_chunks(items: Sequence[Any], parts: int) -> List[List[Any]]:
 _MAX_GROUP_TASKS = 256
 
 #: Completed tasks a sizer must observe before its estimate drives
-#: grouping; the first dispatches of a run always use the schedule's
-#: historical ungrouped partitioning.
+#: grouping; the first dispatches of a run always use the ungrouped
+#: one-chunk-per-worker partitioning.
 _CALIBRATION_MIN_TASKS = 8
 
 
@@ -213,8 +180,8 @@ class GroupSizer:
 
     Until calibrated (at least ``min_tasks`` tasks observed) — or with a
     non-positive ``target_seconds``, which disables grouping outright —
-    :meth:`size` returns the caller's fallback, which each schedule
-    defines as its ungrouped partitioning. Observations are
+    :meth:`size` returns the caller's fallback, the evaluator's
+    ungrouped partitioning. Observations are
     recorded from future completion callbacks, hence the lock.
     """
 
@@ -334,8 +301,16 @@ class CommitBuffer:
             return list(self._outcomes)
 
 
-class _EvaluatorBase:
-    """Transport lifecycle shared by the generational and steady schedules.
+class ParallelEvaluator:
+    """Generational schedule: fan a generation out, commit it in order.
+
+    :meth:`evaluate` partitions the generation into task groups
+    (:meth:`_task_groups`), submits them all, lands completions in
+    whatever order they finish into a :class:`CommitBuffer`, and
+    returns the results in submission order once every group has
+    landed — the commit boundary. Results, and everything the search
+    loops derive from them, are therefore bit-identical to the inline
+    ``workers=1`` path for any completion order and any partition.
 
     ``workers=1`` (on the local transport) evaluates inline against the
     coordinator's cache — no subprocess, no pickling — and is the
@@ -386,7 +361,7 @@ class _EvaluatorBase:
         self.eval_timeout = eval_timeout
         scripted = transport is None and executor_factory is not None
         if transport is None:
-            # repro: owner(_EvaluatorBase.close)
+            # repro: owner(ParallelEvaluator.close)
             transport = LocalTransport(
                 self.workers, executor_factory=executor_factory)
             if owns_transport is None:
@@ -419,7 +394,7 @@ class _EvaluatorBase:
         if self._transport is not None and self._owns_transport:
             self._transport.close()
 
-    def __enter__(self) -> "_EvaluatorBase":
+    def __enter__(self) -> "ParallelEvaluator":
         return self
 
     def __exit__(self, *_exc_info: Any) -> None:
@@ -511,18 +486,6 @@ class _EvaluatorBase:
         except Exception:  # a dying transport may refuse even close
             pass
 
-
-class ParallelEvaluator(_EvaluatorBase):
-    """Generational schedule: fan a generation out, commit it in order.
-
-    :meth:`evaluate` partitions the generation into task groups
-    (:meth:`_task_groups`), submits them all, lands completions in
-    whatever order they finish into a :class:`CommitBuffer`, and
-    returns the results in submission order once every group has
-    landed — the commit boundary. Results, and everything the search
-    loops derive from them, are therefore bit-identical to the inline
-    ``workers=1`` path for any completion order and any partition.
-    """
 
     def evaluate(self, payloads: Sequence[Any]) -> List[Any]:
         """Evaluate a generation, returning results in submission order."""
@@ -642,262 +605,27 @@ class ParallelEvaluator(_EvaluatorBase):
         return buffer.committed()
 
 
-class SteadyStateEvaluator(_EvaluatorBase):
-    """Steady-state schedule: no generation barriers at all.
-
-    A fixed-size pool of candidates (``workers`` of them, the
-    :attr:`capacity`) stays in flight; :meth:`submit` dispatches one
-    candidate (or, with a calibrated group sizer, buffers a few cheap
-    candidates into one dispatched group), :meth:`collect` blocks for
-    whichever in-flight candidate finishes first, counts its group's
-    cache lookups immediately, and hands the result back so the caller
-    can tell it to the search and submit a replacement. A straggler
-    therefore never idles the pool across what would have been a
-    generation boundary — the next "generation's" candidates are
-    already running beside it.
-
-    The price is the bit-identity contract: the order results come back
-    feeds the order candidates are asked, so ``workers=N`` steady runs
-    are not reproducible across pool timings (``workers=1`` runs, which
-    evaluate inline in submission order, are).
-
-    :meth:`evaluate` remains for callers with a single flat batch of
-    independent payloads (frontier sweeps, baseline tuning): submit all,
-    stream completions, return results in submission order — equivalent
-    to :class:`ParallelEvaluator` for that shape of work.
-
-    Pool failures degrade exactly like the generational schedule: futures
-    that completed cleanly keep their results, lost candidates
-    re-evaluate inline, and the evaluator continues serially.
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._next_ticket = 0
-        self._payloads: Dict[int, Any] = {}
-        #: Tickets buffered toward the next dispatched group. With an
-        #: uncalibrated sizer the group size is 1, so every submit
-        #: flushes immediately — the historical one-task-per-future
-        #: behavior.
-        self._pending_group: List[int] = []
-        self._next_group = 0
-        self._group_futures: Dict[int, Future] = {}
-        self._group_tickets: Dict[int, List[int]] = {}
-        #: Landed but uncollected results by ticket, FIFO.
-        self._ready: Dict[int, Any] = {}
-        self._inline_queue: List[int] = []
-
-    # ----- streaming API ------------------------------------------------
-
-    @property
-    def capacity(self) -> int:
-        """How many candidates to keep in flight.
-
-        Sized to the local worker count — or, over a remote transport,
-        to the *fleet* (whichever is larger), so an N-worker TCP fleet
-        is kept saturated even when the coordinator's own ``--workers``
-        is 1. Recomputed per read: workers joining mid-run raise it.
-        With cost-aware grouping calibrated, each dispatch slot carries
-        a whole group of candidates, so the in-flight target scales by
-        the group size.
-        """
-        transport = self._transport
-        if transport is not None and transport.remote and not transport.closed:
-            slots = max(1, self.workers, transport.capacity())
-        else:
-            slots = max(1, self.workers)
-        if transport is not None and not transport.closed and (
-                transport.remote or self.workers > 1):
-            return slots * self._group_size()
-        return slots
-
-    @property
-    def pending(self) -> int:
-        """Candidates submitted but not yet collected."""
-        return (sum(len(tickets) for tickets in self._group_tickets.values())
-                + len(self._pending_group) + len(self._ready)
-                + len(self._inline_queue))
-
-    def submit(self, payload: Any) -> int:
-        """Dispatch one candidate; returns its ticket for :meth:`collect`.
-
-        With a calibrated group sizer the candidate may be buffered
-        until enough tickets accumulate to fill a task group; a buffered
-        ticket dispatches at the latest when :meth:`collect` runs out of
-        in-flight futures, so no candidate is ever stranded.
-        """
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self._payloads[ticket] = payload
-        if self._dispatch_ready():
-            self._pending_group.append(ticket)
-            if len(self._pending_group) >= self._group_size():
-                self._flush_pending_group()
-            return ticket
-        self._inline_queue.append(ticket)
-        return ticket
-
-    def _group_size(self) -> int:
-        return self._sizer.size(fallback=1)
-
-    def _flush_pending_group(self) -> None:
-        """Dispatch the buffered tickets as one task group."""
-        if not self._pending_group:
-            return
-        if not self._dispatch_ready():
-            # The transport degraded since the tickets were buffered.
-            self._inline_queue.extend(self._pending_group)
-            self._pending_group = []
-            return
-        tickets, self._pending_group = self._pending_group, []
-        payloads = [self._payloads[ticket] for ticket in tickets]
-        try:
-            future = self._submit_group(payloads)
-        except _DISPATCH_FAILURES as exc:
-            self._handle_pool_failure(exc)
-            self._inline_queue.extend(tickets)
-            return
-        group = self._next_group
-        self._next_group += 1
-        self._group_futures[group] = future
-        self._group_tickets[group] = tickets
-
-    def collect(self) -> Tuple[int, Any]:
-        """Block until any in-flight candidate lands; ``(ticket, result)``.
-
-        The cache counts of the candidate's group are summed into the
-        coordinator's cache when the group lands — there is no later
-        commit boundary to defer them to. Worker-raised exceptions
-        propagate; pool failures salvage completed futures and fall back
-        to inline evaluation.
-        """
-        while True:
-            if self._ready:
-                ticket = next(iter(self._ready))
-                self._payloads.pop(ticket, None)
-                return ticket, self._ready.pop(ticket)
-            if self._group_futures:
-                self._land_any()
-                continue
-            if self._pending_group:
-                # Nothing in flight but tickets buffered toward a group:
-                # flush the partial group rather than wait for more
-                # submits that may never come.
-                self._flush_pending_group()
-                continue
-            if self._inline_queue:
-                ticket = self._inline_queue.pop(0)
-                payload = self._payloads.pop(ticket)
-                return ticket, self.worker_fn(payload, self.cache)
-            raise SearchError("collect() with no candidate in flight")
-
-    def _land_any(self) -> None:
-        """Wait for >= 1 in-flight group and move it to the ready set."""
-        group_of = {future: group
-                    for group, future in self._group_futures.items()}
-        in_flight = sum(len(tickets)
-                        for tickets in self._group_tickets.values())
-        done, _ = self._wait_any(set(group_of))
-        if not done:
-            # eval_timeout expired with nothing landing: treat the
-            # stall like a transport failure so the stuck tickets run
-            # inline instead of blocking the search forever.
-            self._handle_pool_failure(EvaluationTimeout(
-                f"{in_flight} in-flight evaluations made no "
-                f"progress within eval_timeout={self.eval_timeout:g}s"))
-            return
-        for future in done:
-            group = group_of[future]
-            tickets = self._group_tickets.pop(group)
-            del self._group_futures[group]
-            try:
-                results = self._group_results(future)
-            except _DISPATCH_FAILURES as exc:
-                # The candidates whose future carried the failure are
-                # lost work too: queue them for inline re-evaluation
-                # alongside whatever _handle_pool_failure cannot salvage.
-                self._inline_queue.extend(tickets)
-                self._handle_pool_failure(exc)
-                return
-            self._ready.update(zip(tickets, results))
-
-    def _handle_pool_failure(self, failure: BaseException) -> None:
-        """Salvage clean completions, queue the rest inline, degrade."""
-        outstanding = dict(self._group_futures)
-        tickets_of = dict(self._group_tickets)
-        self._group_futures = {}
-        self._group_tickets = {}
-        if outstanding:
-            wait(list(outstanding.values()), timeout=self.salvage_grace)
-        salvaged = 0
-        lost = 0
-        for group, future in sorted(outstanding.items()):
-            tickets = tickets_of[group]
-            if (future.done() and not future.cancelled()
-                    and future.exception() is None):
-                self._ready.update(zip(tickets, self._group_results(future)))
-                salvaged += len(tickets)
-            else:
-                self._inline_queue.extend(tickets)
-                lost += len(tickets)
-        # Tickets still buffered toward the next group were never
-        # dispatched; they run inline after the lost in-flight ones.
-        self._inline_queue.extend(self._pending_group)
-        self._pending_group = []
-        logger.warning(
-            "evaluation transport failed (%s); salvaged %d in-flight "
-            "steady evaluations, re-evaluating %d inline", failure,
-            salvaged, lost)
-        self._degrade_to_inline()
-
-    # ----- batch compatibility -----------------------------------------
-
-    def evaluate(self, payloads: Sequence[Any]) -> List[Any]:
-        """Evaluate a flat batch, streaming; results in submission order."""
-        slots = {self.submit(payload): index
-                 for index, payload in enumerate(list(payloads))}
-        results: List[Any] = [None] * len(slots)
-        while slots:
-            ticket, result = self.collect()
-            results[slots.pop(ticket)] = result
-        return results
-
-
-_SCHEDULE_CLASSES = {
-    "batched": ParallelEvaluator,
-    "steady": SteadyStateEvaluator,
-}
-
-
 def build_evaluator(worker_fn: WorkerFn, workers: int = 1,
                     cache: Optional[EvaluationCache] = None,
-                    schedule: str = "batched",
                     transport: Union[str, Transport, None] = "local",
                     workers_addr: Optional[str] = None,
                     eval_timeout: Optional[float] = None,
                     group_target_seconds: Optional[float] = None,
-                    ) -> _EvaluatorBase:
+                    ) -> ParallelEvaluator:
     """The evaluator a search run should use for its execution config.
-
-    ``schedule`` picks :class:`ParallelEvaluator` (``batched``) or
-    :class:`SteadyStateEvaluator` (``steady``). The batched schedule
-    returns bit-identical search results at any worker count;
-    ``steady`` trades that contract for cross-boundary utilization and
-    promises convergence instead.
 
     ``transport`` picks where dispatched evaluations run: ``"local"``
     (the in-process pool), ``"tcp"`` (bind ``workers_addr`` and fan out
-    to connected ``repro worker`` processes — every schedule keeps the
-    exact guarantees it has locally, because commit boundaries and
-    content-derived seeds are transport-independent), or a ready-made
+    to connected ``repro worker`` processes — results stay bit-identical
+    to the local run, because commit boundaries and content-derived
+    seeds are transport-independent), or a ready-made
     :class:`~repro.search.transport.Transport` instance. ``eval_timeout``
     bounds how long collection waits on any dispatched task group
     before the stuck work is salvaged and re-evaluated inline.
     ``group_target_seconds`` overrides the transport's cost-aware
-    grouping target (``0`` pins each schedule to its ungrouped
+    grouping target (``0`` pins the evaluator to its ungrouped
     partitioning; ``None`` uses the transport's ``min_group_seconds``).
     """
-    cls = _SCHEDULE_CLASSES[resolve_schedule(schedule)]
     # repro: owner(the returned evaluator, via owns_transport below)
     transport_obj = resolve_transport(transport, workers_addr=workers_addr)
     # A transport built from a spec string — including the implicit
@@ -907,10 +635,11 @@ def build_evaluator(worker_fn: WorkerFn, workers: int = 1,
     # (e.g. an experiment sharing one fleet across sequential searches).
     owns = (None if transport_obj is None
             else not isinstance(transport, Transport))
-    return cls(worker_fn, workers=workers, cache=cache,
-               transport=transport_obj, eval_timeout=eval_timeout,
-               owns_transport=owns,
-               group_target_seconds=group_target_seconds)
+    return ParallelEvaluator(worker_fn, workers=workers, cache=cache,
+                             transport=transport_obj,
+                             eval_timeout=eval_timeout,
+                             owns_transport=owns,
+                             group_target_seconds=group_target_seconds)
 
 
 class GenerationLoop:
@@ -925,13 +654,13 @@ class GenerationLoop:
       decode); ``None`` slots score ``math.inf`` without dispatching.
     - ``tell(iteration, outcomes)`` receives the outcomes aligned with
       ``ask``'s members (``None`` for skipped slots), folds them into the
-      loop's state — engine ``tell_partial`` + ``commit``, best-so-far,
+      loop's state — engine ``tell``, best-so-far,
       next population — and returns the per-member fitness list the
       generation's :class:`~repro.search.result.IterationStats` are
       computed from.
 
     ``iterations`` bounds the loop. The driver guarantees ``tell`` sees
-    outcomes in submission order regardless of evaluator schedule.
+    outcomes in submission order whatever order they completed in.
     """
 
     iterations: int
@@ -945,7 +674,7 @@ class GenerationLoop:
 
 
 def run_search_loop(loop: GenerationLoop,
-                    evaluator: _EvaluatorBase) -> List[IterationStats]:
+                    evaluator: ParallelEvaluator) -> List[IterationStats]:
     """Drive a :class:`GenerationLoop` to completion on an evaluator.
 
     The one generation loop all outer searches share: ask, dispatch the
@@ -975,109 +704,6 @@ def run_search_loop(loop: GenerationLoop,
     return history
 
 
-class SteadyLoop:
-    """Protocol for :func:`run_steady_loop`: the barrier-free surface.
-
-    A steady loop hands out and absorbs candidates one at a time:
-
-    - ``ask_one(index)`` returns the payload for evaluation slot
-      ``index`` (a monotonically increasing evaluation counter), or
-      ``None`` for a slot that cannot be evaluated (no valid decode);
-      ``None`` slots are told back immediately without dispatching.
-    - ``tell_one(index, outcome)`` folds one landed outcome into the
-      loop's state — incremental engine ``tell_one``, best-so-far,
-      replacement breeding — and returns the slot's fitness. Outcomes
-      arrive in **completion order**, not submission order; that is the
-      point of the schedule.
-
-    ``max_evaluations`` bounds the run (the equal-budget analogue of
-    ``population x iterations``); ``stats_window`` sizes the
-    evaluation-count windows :class:`~repro.search.result.IterationStats`
-    are reported over (usually the population, so histories stay
-    comparable with the generational drivers).
-
-    The generational loops in this package implement both protocols on
-    one object; ``configure_steady()``, when present, arms the steady
-    surface before the first ``ask_one``.
-    """
-
-    max_evaluations: int
-    stats_window: int
-
-    def ask_one(self, index: int) -> Optional[Any]:
-        raise NotImplementedError
-
-    def tell_one(self, index: int, outcome: Optional[Any]) -> float:
-        raise NotImplementedError
-
-
-def run_steady_loop(loop: SteadyLoop,
-                    evaluator: SteadyStateEvaluator) -> List[IterationStats]:
-    """Drive a :class:`SteadyLoop` on a :class:`SteadyStateEvaluator`.
-
-    Keeps ``evaluator.capacity`` candidates in flight; the moment one
-    lands it is told to the loop and the freed slot is refilled — no
-    generation barriers. Progress is recorded as one
-    :class:`~repro.search.result.IterationStats` per ``stats_window``
-    completed evaluations (plus a final partial window), so histories
-    count evaluations, not generations.
-    """
-    history: List[IterationStats] = []
-    window: List[float] = []
-    window_size = max(1, int(loop.stats_window))
-    in_flight: Dict[int, int] = {}
-    next_index = 0
-
-    def record(fitness: float) -> None:
-        window.append(fitness)
-        if len(window) >= window_size:
-            flush()
-
-    def flush() -> None:
-        if window:
-            history.append(IterationStats.from_fitnesses(
-                len(history), tuple(window), len(window)))
-            window.clear()
-
-    def fill() -> None:
-        nonlocal next_index
-        while (next_index < loop.max_evaluations
-               and len(in_flight) < evaluator.capacity):
-            index = next_index
-            next_index += 1
-            payload = loop.ask_one(index)
-            if payload is None:
-                record(loop.tell_one(index, None))
-                continue
-            in_flight[evaluator.submit(payload)] = index
-
-    fill()
-    while in_flight:
-        ticket, outcome = evaluator.collect()
-        record(loop.tell_one(in_flight.pop(ticket), outcome))
-        fill()
-    flush()
-    return history
-
-
-def drive_search(loop: Any, evaluator: _EvaluatorBase) -> List[IterationStats]:
-    """Run a search loop on whichever driver matches the evaluator.
-
-    A :class:`ParallelEvaluator` drives the :class:`GenerationLoop`
-    surface through :func:`run_search_loop`; a
-    :class:`SteadyStateEvaluator` arms the loop's steady surface (via
-    ``configure_steady()`` when the loop defines one) and drives
-    :func:`run_steady_loop`. The four search entry points call this so
-    ``--schedule`` is a pure configuration choice.
-    """
-    if isinstance(evaluator, SteadyStateEvaluator):
-        configure = getattr(loop, "configure_steady", None)
-        if configure is not None:
-            configure()
-        return run_steady_loop(loop, evaluator)
-    return run_search_loop(loop, evaluator)
-
-
 #: Default re-sampling budget when a sampled vector fails to decode.
 DEFAULT_DECODE_ATTEMPTS = 32
 
@@ -1088,8 +714,8 @@ def decode_with_resample(engine: Any, encoder: Any, vector: np.ndarray,
                          ) -> Tuple[np.ndarray, Optional[Any]]:
     """Decode ``vector``, re-sampling from ``engine`` on failure.
 
-    The one decode-retry policy every outer loop shares (generational
-    ask and steady ``ask_one`` alike): up to ``max_attempts`` tries,
+    The one decode-retry policy every outer loop shares: up to
+    ``max_attempts`` tries,
     each :class:`~repro.errors.EncodingError` replaced by a fresh
     ``engine.sample()``. Returns ``(vector, config)`` — the vector that
     finally decoded (or the last attempt), with ``config=None`` when no

@@ -115,7 +115,6 @@ def sweep_accuracy_frontier(accel: AcceleratorConfig,
                             predictor: Optional[AccuracyPredictor] = None,
                             workers: int = 1,
                             cache_dir: Optional[str] = None,
-                            schedule: str = "batched",
                             transport: Union[str, Transport, None] = "local",
                             workers_addr: Optional[str] = None,
                             eval_timeout: Optional[float] = None,
@@ -126,13 +125,10 @@ def sweep_accuracy_frontier(accel: AcceleratorConfig,
     best point. The returned list is the non-dominated subset.
     ``workers`` fans the (independent) per-floor runs out in parallel;
     per-floor seeds are batch-derived before any run starts, so every
-    worker/schedule combination returns the same frontier (each floor's
-    result is a pure function of its pre-derived entropy, so even the
-    steady schedule, which gives up bit-identity for the generational
-    searches, is exact here). Per-floor wall-clock varies wildly with
-    how tight the floor is; once the group sizer has calibrated, the
-    batched schedule splits expensive floors into fine task groups the
-    pool can rebalance.
+    worker count returns the same frontier. Per-floor wall-clock varies
+    wildly with how tight the floor is; once the group sizer has
+    calibrated, the evaluator splits expensive floors into fine task
+    groups the pool can rebalance.
     ``cache_dir`` backs every floor's run with the shared persistent
     disk tier.
     """
@@ -146,7 +142,7 @@ def sweep_accuracy_frontier(accel: AcceleratorConfig,
                         mapping_budget=mapping_budget, entropy=entropy,
                         predictor=predictor, cache_dir=cache_dir)
              for floor, entropy in zip(floors, entropies)]
-    with build_evaluator(_search_floor, workers=workers, schedule=schedule,
+    with build_evaluator(_search_floor, workers=workers,
                          transport=transport, workers_addr=workers_addr,
                          eval_timeout=eval_timeout) as evaluator:
         results = evaluator.evaluate(tasks)

@@ -7,16 +7,15 @@ the evolution strategy's improves.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.errors import SearchError
-from repro.search.es import PartialTellMixin
 from repro.utils.rng import SeedLike, ensure_rng
 
 
-class RandomEngine(PartialTellMixin):
+class RandomEngine:
     """Drop-in, non-adaptive replacement for
     :class:`repro.search.es.EvolutionEngine`."""
 
@@ -27,7 +26,6 @@ class RandomEngine(PartialTellMixin):
         self.num_params = num_params
         self.rng = ensure_rng(seed)
         self.generation = 0
-        self._pending_tells: List[Tuple[int, np.ndarray, float]] = []
 
     def sample(self) -> np.ndarray:
         return self.rng.random(self.num_params)
@@ -37,6 +35,11 @@ class RandomEngine(PartialTellMixin):
         if count < 0:
             raise SearchError(f"ask count must be >= 0, got {count}")
         return [self.sample() for _ in range(count)]
+
+    def tell(self, candidates: Sequence[np.ndarray],
+             fitnesses: Sequence[float]) -> None:
+        """Report one full generation (tell half of ask/tell)."""
+        self.update(candidates, fitnesses)
 
     def update(self, candidates: Sequence[np.ndarray],
                fitnesses: Sequence[float]) -> None:

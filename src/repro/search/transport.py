@@ -1,6 +1,6 @@
 """Pluggable worker transports: where a dispatched evaluation runs.
 
-The evaluators in :mod:`repro.search.parallel` submit *task groups* —
+The evaluator in :mod:`repro.search.parallel` submits *task groups* —
 ``(worker_fn, payloads, cache handle)`` triples — and collect
 :class:`~concurrent.futures.Future` results. This module owns the seam
 between that submit/collect surface and the machinery that actually
@@ -8,7 +8,7 @@ executes a group:
 
 - :class:`LocalTransport` (``--transport local``, the default) wraps the
   in-process :class:`~concurrent.futures.ProcessPoolExecutor` exactly as
-  the evaluators used it before the seam existed: lazy pool creation,
+  the evaluator used it before the seam existed: lazy pool creation,
   graceful degradation to inline evaluation when the sandbox cannot
   fork, and the ``executor_factory`` test hook.
 - :class:`TcpTransport` (``--transport tcp``) dispatches task groups to
@@ -58,11 +58,11 @@ Failure model
 -------------
 A worker disconnect mid-job requeues the job to the remaining workers
 (bounded attempts); when no worker is left, the job's future fails with
-:class:`WorkerDisconnect` and the evaluators salvage completed work and
+:class:`WorkerDisconnect` and the evaluator salvages completed work and
 re-evaluate the remainder inline — the same path a broken process pool
 takes, so a search finishes (more slowly, never wrongly) whatever the
 fleet does. A hung worker is caught twice: the coordinator drops
-connections silent past the heartbeat grace, and the evaluators'
+connections silent past the heartbeat grace, and the evaluator's
 ``eval_timeout`` routes any still-stuck ticket through the same salvage
 path.
 """
@@ -324,7 +324,7 @@ class Transport:
 
     ``submit`` returns a :class:`~concurrent.futures.Future` resolving
     to ``(results, cache counts)`` — the exact contract of
-    :func:`run_chunk` — so the evaluators' commit buffers, salvage
+    :func:`run_chunk` — so the evaluator's commit buffer, salvage
     logic and scripted-completion test seams work identically over any
     transport. ``remote`` transports are dispatched to even when the
     evaluator's ``workers`` is 1 (the parallelism lives elsewhere).
@@ -332,7 +332,7 @@ class Transport:
 
     #: True when task groups leave this process.
     remote = False
-    #: Target seconds of work per dispatched task group. The evaluators'
+    #: Target seconds of work per dispatched task group. The evaluator's
     #: cost-aware grouping divides this by the measured per-task cost to
     #: size groups; transports with higher per-dispatch overhead (frame
     #: encoding, network round trips) declare a larger target so cheap
@@ -494,10 +494,10 @@ class TcpTransport(Transport):
     feeds submitted task groups to whichever worker is free — a single
     shared queue, so a slow worker never holds jobs hostage while a
     fast one idles. Which host evaluates which group is immaterial to
-    results: the evaluators commit in submission order and every
+    results: the evaluator commits in submission order and every
     evaluation is content-seeded, so the workers=1 ↔ workers=N
-    bit-identity of the batched schedule holds across machines
-    exactly as it does across processes.
+    bit-identity holds across machines exactly as it does across
+    processes.
     """
 
     remote = True
@@ -507,7 +507,7 @@ class TcpTransport(Transport):
     min_group_seconds = 0.25
 
     #: How many times a job is re-dispatched after worker failures
-    #: before its future fails over to the evaluators' inline path.
+    #: before its future fails over to the evaluator's inline path.
     max_attempts = 3
 
     # The worker table and job-id counter are touched from the accept
@@ -817,7 +817,7 @@ class TcpTransport(Transport):
         Worker-raised evaluation errors propagate to the caller exactly
         as they would from a process pool; protocol-level refusals
         (digest mismatch) surface as :class:`ProtocolError`, which the
-        evaluators treat as a transport failure and salvage from.
+        evaluator treats as a transport failure and salvages from.
         """
         if header.get("protocol"):
             return ProtocolError(header.get("message", "worker refused job"))
@@ -856,7 +856,7 @@ class TcpTransport(Transport):
                     worker.worker_id, worker.jobs_done, remaining)
         if remaining == 0 and not self._closed:
             # Nobody left to serve the queue: fail queued jobs so the
-            # evaluators fall back inline instead of waiting forever.
+            # evaluator falls back inline instead of waiting forever.
             self._fail_queued(WorkerDisconnect(
                 "all workers disconnected"))
 

@@ -36,26 +36,12 @@ class TestParser:
         _add_execution_args(scratch)
         help_text = " ".join(scratch.format_help().split())
         assert "0 means one per CPU core" in help_text
-        assert "--schedule" in help_text
-
-    def test_rejects_unknown_schedule(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["experiment", "fig4", "--schedule", "steady-state"])
-
-    def test_schedule_accepted(self):
-        args = build_parser().parse_args(
-            ["search", "squeezenet", "shidiannao",
-             "--schedule", "batched", "--workers", "2"])
-        assert (args.schedule, args.workers) == ("batched", 2)
-
-    def test_steady_schedule_accepted(self):
-        args = build_parser().parse_args(
-            ["search", "squeezenet", "shidiannao", "--schedule", "steady"])
-        assert args.schedule == "steady"
+        assert "--schedule" not in help_text
 
     @pytest.mark.parametrize("flags", [
         ["--schedule", "async"],
+        ["--schedule", "steady"],
+        ["--schedule", "batched"],
         ["--shards", "2"],
     ])
     @pytest.mark.parametrize("command", [
@@ -63,27 +49,24 @@ class TestParser:
         ["experiment", "fig4"],
     ])
     def test_removed_execution_flags_rejected(self, command, flags):
-        """Neither the async schedule nor logical shards exist: both die
-        in argparse, before any search runs, on every entry point."""
+        """There is one evaluation schedule and no logical shards: any
+        ``--schedule`` and ``--shards`` die in argparse, before any
+        search runs, on every entry point."""
         with pytest.raises(SystemExit) as excinfo:
             main(command + flags)
         assert excinfo.value.code == 2  # argparse usage error
 
-    @pytest.mark.parametrize("schedule", ["batched", "steady"])
     @pytest.mark.parametrize("command", [
         ["search", "squeezenet", "shidiannao"],
         ["experiment", "fig4"],
     ])
-    def test_workers_validation_covers_all_schedules(self, schedule,
-                                                     command, capsys):
+    def test_workers_validation_covers_all_commands(self, command, capsys):
         # 0 = one process per core: accepted everywhere
-        args = build_parser().parse_args(
-            command + ["--schedule", schedule, "--workers", "0"])
-        assert args.workers == 0 and args.schedule == schedule
+        args = build_parser().parse_args(command + ["--workers", "0"])
+        assert args.workers == 0
         # negatives: rejected at the argparse layer everywhere
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                command + ["--schedule", schedule, "--workers", "-1"])
+            build_parser().parse_args(command + ["--workers", "-1"])
         assert "--workers must be >= 0" in capsys.readouterr().err
 
 
@@ -141,12 +124,6 @@ class TestCommands:
         serial = capsys.readouterr().out
         assert main(base + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
-
-    def test_search_steady_schedule_finds_a_design(self, capsys):
-        assert main(["search", "squeezenet", "shidiannao", "--seed", "0",
-                     "--schedule", "steady"]) == 0
-        out = capsys.readouterr().out
-        assert "EDP reduction" in out
 
     def test_cache_stats_reports_store_contents(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")

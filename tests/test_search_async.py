@@ -34,9 +34,7 @@ from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
     CommitBuffer,
     ParallelEvaluator,
-    SteadyStateEvaluator,
     build_evaluator,
-    resolve_schedule,
 )
 from repro.search.random_search import RandomEngine
 from repro.tensors.layer import ConvLayer
@@ -280,51 +278,31 @@ class TestPoolFailureSalvage:
         assert len(cache) == 2
 
 
-class TestResolveSchedule:
-    def test_known_schedules(self):
-        assert resolve_schedule("batched") == "batched"
-        assert resolve_schedule("steady") == "steady"
-
-    @pytest.mark.parametrize("schedule", ("steady-state", "async"))
-    def test_unknown_schedule_raises(self, schedule):
-        with pytest.raises(SearchError):
-            resolve_schedule(schedule)
-        with pytest.raises(SearchError):
-            build_evaluator(_square, schedule=schedule)
-
-    def test_build_evaluator_classes(self):
+class TestBuildEvaluator:
+    def test_build_evaluator_class(self):
         assert isinstance(build_evaluator(_square), ParallelEvaluator)
-        assert isinstance(build_evaluator(_square, schedule="steady"),
-                          SteadyStateEvaluator)
 
 
 # ---------------------------------------------------------------------------
-# Engine commit boundaries: partial tells in any order == one batched tell.
+# Engine tells: one tell is one generation's update.
 # ---------------------------------------------------------------------------
 
 
-class TestPartialTell:
+class TestTell:
     @pytest.mark.parametrize("engine_cls", [EvolutionEngine, RandomEngine])
-    def test_permuted_partial_tells_match_batched(self, engine_cls):
+    def test_tell_is_one_update(self, engine_cls):
         reference = engine_cls(4, seed=3)
         candidates = reference.ask(6)
         fitnesses = [3.0, 1.0, math.inf, 1.0, 2.0, 0.5]
-        reference.tell(candidates, fitnesses)
+        reference.update(candidates, fitnesses)
 
-        rng = ensure_rng(42)
-        for _ in range(10):
-            order = list(rng.permutation(len(candidates)))
-            engine = engine_cls(4, seed=3)
-            same = engine.ask(6)
-            for index in order:
-                engine.tell_partial([same[index]], [fitnesses[index]],
-                                    indices=[index])
-            assert engine.pending_tells == len(candidates)
-            engine.commit()
-            assert engine.generation == reference.generation == 1
-            if engine_cls is EvolutionEngine:
-                np.testing.assert_array_equal(engine.mean, reference.mean)
-                np.testing.assert_array_equal(engine.cov, reference.cov)
+        engine = engine_cls(4, seed=3)
+        engine.tell(engine.ask(6), fitnesses)
+        assert engine.generation == reference.generation == 1
+        np.testing.assert_array_equal(engine.ask(3), reference.ask(3))
+        if engine_cls is EvolutionEngine:
+            np.testing.assert_array_equal(engine.mean, reference.mean)
+            np.testing.assert_array_equal(engine.cov, reference.cov)
 
     def test_all_infeasible_generation_advances_counter_once(self):
         engine = EvolutionEngine(3, seed=0)
@@ -336,26 +314,10 @@ class TestPartialTell:
         engine.tell(candidates, [math.inf] * 4)
         assert engine.generation == 2
 
-    def test_commit_without_tells_is_a_noop(self):
-        engine = EvolutionEngine(3, seed=0)
-        engine.commit()
-        assert engine.generation == 0
-
-    def test_partial_then_commit_is_one_generation(self):
-        engine = EvolutionEngine(3, seed=0)
-        candidates = engine.ask(4)
-        for index, candidate in enumerate(candidates):
-            engine.tell_partial([candidate], [float(index)], indices=[index])
-        engine.commit()
-        assert engine.generation == 1
-        assert engine.pending_tells == 0
-
     def test_length_mismatches_raise(self):
-        engine = EvolutionEngine(2, seed=0)
-        with pytest.raises(SearchError):
-            engine.tell_partial([np.zeros(2)], [1.0, 2.0])
-        with pytest.raises(SearchError):
-            engine.tell_partial([np.zeros(2)], [1.0], indices=[0, 1])
+        for engine in (EvolutionEngine(2, seed=0), RandomEngine(2, seed=0)):
+            with pytest.raises(SearchError):
+                engine.tell([np.zeros(2)], [1.0, 2.0])
 
 
 class TestQuantPairEngine:
@@ -366,8 +328,7 @@ class TestQuantPairEngine:
         pairs = engine.ask()
         assert len(pairs) == 4
         assert engine.ask(2) == pairs[:2]
-        engine.tell_partial(pairs, [4.0, 3.0, 2.0, 1.0])
-        engine.commit()
+        engine.tell(pairs, [4.0, 3.0, 2.0, 1.0])
         assert engine.generation == 1
         engine.evolve()
         assert 2 <= len(engine.ask()) <= 4

@@ -1,11 +1,11 @@
 """Cost-aware task grouping: sizing, dispatch shapes, determinism.
 
-The contract under test: the :class:`GroupSizer` only changes how a
-schedule *partitions* payloads across transport submissions — never the
-results, their order, or the cache semantics. Uncalibrated sizers must
-reproduce each schedule's ungrouped partitioning exactly (contiguous
-chunks / one-dispatch-per-submit), because that is what the
-rest of the suite's scripted tests pin down.
+The contract under test: the :class:`GroupSizer` only changes how the
+evaluator *partitions* payloads across transport submissions — never
+the results, their order, or the cache semantics. Uncalibrated sizers
+must reproduce the ungrouped partitioning exactly (one contiguous chunk
+per worker slot), because that is what the rest of the suite's
+scripted tests pin down.
 """
 
 from concurrent.futures import Future
@@ -17,7 +17,6 @@ from repro.search.cache import EvaluationCache
 from repro.search.parallel import (
     GroupSizer,
     ParallelEvaluator,
-    SteadyStateEvaluator,
     split_chunks,
 )
 from repro.search.transport import Transport, run_chunk
@@ -185,78 +184,22 @@ class TestGroupedBatched:
         payloads = [5, 1, 4, 2, 3, 9, 8, 7]
         assert evaluator.evaluate(payloads) == [p * p for p in payloads]
 
-
-class TestGroupedSteady:
-    def test_uncalibrated_dispatches_per_submit(self):
-        transport = RecordingTransport()
-        evaluator = SteadyStateEvaluator(_square, workers=2,
-                                         transport=transport)
-        for payload in (3, 1, 2):
-            evaluator.submit(payload)
-        assert transport.groups == [[3], [1], [2]]
-        assert evaluator.pending == 3
-
-    def test_grouped_submits_buffer_until_full(self):
-        transport = RecordingTransport()
-        evaluator = SteadyStateEvaluator(_square, workers=2,
-                                         transport=transport)
-        evaluator._sizer = FixedSizer(3)
-        tickets = [evaluator.submit(p) for p in (3, 1, 2, 5)]
-        # First three filled a group; the fourth is still buffered.
-        assert transport.groups == [[3, 1, 2]]
-        assert evaluator.pending == 4
-        collected = {}
-        while evaluator.pending:
-            ticket, result = evaluator.collect()
-            collected[ticket] = result
-        assert collected == {tickets[0]: 9, tickets[1]: 1,
-                             tickets[2]: 4, tickets[3]: 25}
-        # The buffered partial group was flushed by collect, not lost.
-        assert transport.groups == [[3, 1, 2], [5]]
-
-    def test_capacity_scales_with_group_size(self):
-        evaluator = SteadyStateEvaluator(_square, workers=2,
-                                         transport=RecordingTransport())
-        base = evaluator.capacity
-        evaluator._sizer = FixedSizer(3)
-        assert evaluator.capacity == base * 3
-
-    def test_grouped_cache_delta_merges_once(self):
-        transport = RecordingTransport()
+    def test_grouped_cache_counts_added_once(self):
         cache = EvaluationCache()
-        evaluator = SteadyStateEvaluator(_square, workers=2, cache=cache,
-                                         transport=transport)
+        evaluator = ParallelEvaluator(_square, workers=2, cache=cache,
+                                      transport=RecordingTransport())
         evaluator._sizer = FixedSizer(2)
-        for payload in (1, 2, 3, 4):
-            evaluator.submit(payload)
-        results = sorted(evaluator.collect()[1]
-                         for _ in range(4))
-        assert results == [1, 4, 9, 16]
-        # two groups of two: each group's counts are added once, not
-        # once per ticket
+        assert evaluator.evaluate([1, 2, 3, 4]) == [1, 4, 9, 16]
+        # two groups of two: each group's counts are added once
         assert (cache.hits, cache.misses) == (0, 4)
 
-    def test_submit_failure_falls_back_inline(self):
-        transport = RecordingTransport(fail_submits=True)
-        evaluator = SteadyStateEvaluator(_square, workers=2,
-                                         transport=transport)
-        evaluator._sizer = FixedSizer(2)
-        tickets = [evaluator.submit(p) for p in (2, 3)]
-        collected = {}
-        while evaluator.pending:
-            ticket, result = evaluator.collect()
-            collected[ticket] = result
-        assert collected == {tickets[0]: 4, tickets[1]: 9}
-
-    def test_worker_exception_propagates_from_group(self):
-        transport = RecordingTransport()
-        evaluator = SteadyStateEvaluator(_boom, workers=2,
-                                         transport=transport)
-        evaluator._sizer = FixedSizer(2)
-        evaluator.submit(1)
-        evaluator.submit(2)
-        with pytest.raises(RuntimeError, match="boom"):
-            evaluator.collect()
+    def test_grouped_submit_failure_falls_back_inline(self):
+        evaluator = ParallelEvaluator(
+            _square, workers=2,
+            transport=RecordingTransport(fail_submits=True))
+        evaluator._sizer = FixedSizer(1)
+        assert evaluator.evaluate([2, 3]) == [4, 9]
+        assert evaluator._transport is None  # degraded to inline
 
 
 class TestGroupingDeterminism:
@@ -264,22 +207,19 @@ class TestGroupingDeterminism:
 
     PAYLOADS = [7, 3, 9, 1, 5, 8, 2, 6, 4, 0, 11, 10]
 
-    def _ungrouped(self, evaluator_cls):
-        evaluator = evaluator_cls(_square, workers=4,
-                                  transport=RecordingTransport(),
-                                  group_target_seconds=0.0)
+    def _ungrouped(self):
+        evaluator = ParallelEvaluator(_square, workers=4,
+                                      transport=RecordingTransport(),
+                                      group_target_seconds=0.0)
         return evaluator.evaluate(self.PAYLOADS)
 
     @pytest.mark.parametrize("size", (2, 3, 5, 100))
-    @pytest.mark.parametrize("evaluator_cls", (
-        ParallelEvaluator, SteadyStateEvaluator),
-        ids=("batched", "steady"))
-    def test_every_schedule(self, evaluator_cls, size):
-        evaluator = evaluator_cls(_square, workers=4,
-                                  transport=RecordingTransport())
+    def test_every_group_size(self, size):
+        evaluator = ParallelEvaluator(_square, workers=4,
+                                      transport=RecordingTransport())
         evaluator._sizer = FixedSizer(size)
         grouped = evaluator.evaluate(self.PAYLOADS)
-        assert grouped == self._ungrouped(evaluator_cls)
+        assert grouped == self._ungrouped()
         assert grouped == [p * p for p in self.PAYLOADS]
 
 

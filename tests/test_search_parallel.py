@@ -1,5 +1,7 @@
 """Tests for the batched parallel evaluation engine."""
 
+import os
+
 import pytest
 
 from repro.errors import SearchError
@@ -30,6 +32,19 @@ class TestResolveWorkers:
     def test_zero_and_none_mean_all_cores(self):
         assert resolve_workers(0) >= 1
         assert resolve_workers(None) >= 1
+
+    def test_all_cores_means_the_affinity_set(self, monkeypatch):
+        # A host with 8 cores that lets this process run on one of them.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert resolve_workers(0) == 1
+        assert resolve_workers(None) == 1
+
+    def test_all_cores_without_affinity_counts_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert resolve_workers(0) == 3
 
     def test_negative_raises(self):
         with pytest.raises(SearchError):

@@ -1,9 +1,9 @@
 """Failure-mode and determinism suite for the worker transports.
 
-The contract under test: any schedule dispatched over the TCP transport
-returns exactly what the in-process path returns — bit-identically for
-the generational schedule — and every way the fleet can misbehave (disconnect
-mid-job, version skew, torn frames, duplicate results, silent hangs)
+The contract under test: evaluation dispatched over the TCP transport
+returns bit-identically what the in-process path returns, and every way
+the fleet can misbehave (disconnect mid-job, version skew, torn frames,
+duplicate results, silent hangs)
 degrades to the salvage/inline path instead of wrong results or a hung
 search.
 
@@ -32,7 +32,6 @@ from repro.search.diskcache import DiskCacheStore, RunCache, build_cache
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
     ParallelEvaluator,
-    SteadyStateEvaluator,
     build_evaluator,
 )
 from repro.search import transport as transport_module
@@ -240,13 +239,6 @@ class TestTcpEvaluate:
             with ParallelEvaluator(_square, workers=1,
                                    transport=transport) as evaluator:
                 assert evaluator.evaluate([3, 4, 5]) == [9, 16, 25]
-
-    def test_steady_streams_over_tcp(self):
-        with tcp_fleet(count=2) as transport:
-            with SteadyStateEvaluator(_square, workers=2,
-                                      transport=transport) as evaluator:
-                assert evaluator.evaluate([1, 2, 3, 4, 5]) == [
-                    1, 4, 9, 16, 25]
 
     def test_worker_deltas_merge_into_master_cache(self):
         """The counts each worker's groups add are summed into the
@@ -591,15 +583,6 @@ class TestEvaluationTimeout:
             "eval_timeout=0.2s")
         assert evaluator.workers == 1  # degraded: hung fleet abandoned
 
-    def test_steady_timeout_routes_through_inline_salvage(self):
-        evaluator = SteadyStateEvaluator(_square, workers=2,
-                                         transport=StallTransport(),
-                                         eval_timeout=0.2)
-        evaluator.salvage_grace = 0.1
-        ticket = evaluator.submit(6)
-        got_ticket, result = evaluator.collect()
-        assert (got_ticket, result) == (ticket, 36)
-
     def test_timeout_with_live_pool_changes_nothing(self):
         with ParallelEvaluator(_square, workers=2,
                                eval_timeout=30.0) as evaluator:
@@ -636,15 +619,15 @@ class TestBuildEvaluator:
         evaluator.close()
         assert transport._executor is None
 
-    def test_steady_capacity_tracks_remote_fleet(self):
+    def test_chunks_track_remote_fleet(self):
         with tcp_fleet(count=2) as transport:
-            evaluator = SteadyStateEvaluator(_square, workers=1,
-                                             transport=transport)
-            # One coordinator-side worker, but a two-worker fleet: keep
-            # (at least) two candidates in flight.
-            assert evaluator.capacity == 2
-            assert evaluator.evaluate([1, 2, 3, 4]) == [1, 4, 9, 16]
-        assert evaluator.capacity == 1  # fleet gone: back to local sizing
+            with ParallelEvaluator(_square, workers=1, transport=transport,
+                                   group_target_seconds=0.0) as evaluator:
+                # One coordinator-side worker, but a two-worker fleet:
+                # one chunk per connected worker.
+                assert evaluator._task_groups([1, 2, 3, 4]) == [
+                    [1, 2], [3, 4]]
+                assert evaluator.evaluate([1, 2, 3, 4]) == [1, 4, 9, 16]
 
 
 class TestSharedTransportOwnership:
@@ -692,7 +675,7 @@ class TestSharedTransportOwnership:
         seen = {}
 
         def fake_runner(profile="", seed=0, workers=1, cache_dir=None,
-                        schedule="batched", transport="local",
+                        transport="local",
                         workers_addr=None, eval_timeout=None):
             seen["transport"] = transport
             seen["workers_addr"] = workers_addr
