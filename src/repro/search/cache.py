@@ -100,9 +100,9 @@ class EvaluationCache:
         return key in self._store
 
     def stats(self) -> CacheStats:
-        """This cache's counters and size as a :class:`CacheStats`."""
+        """This cache's lookup counters as a :class:`CacheStats`."""
         return CacheStats(hits=self.hits, misses=self.misses,
-                          disk_hits=self.disk_hits, entries=len(self))
+                          disk_hits=self.disk_hits)
 
     def add_counts(self, stats: CacheStats) -> None:
         """Count lookups another process's cache made for this run.
@@ -110,7 +110,7 @@ class EvaluationCache:
         Pool and TCP workers keep their own caches and return only what
         a task group added; summing the lookup counts here makes this
         cache's counters the run's totals, whichever process did the
-        lookups. ``stats.entries`` stays out: the entries do too.
+        lookups. The entries themselves stay where they were computed.
         """
         self.hits += stats.hits
         self.misses += stats.misses

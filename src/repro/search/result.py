@@ -48,22 +48,18 @@ class CacheStats:
     in ``hits``. Every lookup counts once, so ``hits + misses`` is the
     same at any worker count; the split is not. Each worker process
     keeps its own cache, and workers that miss the same key each count
-    one. ``entries`` is what one cache holds; entries stay in the
-    process that computed them, so a run's figure covers only the
-    coordinator's cache. These statistics are therefore reporting, not
-    part of the bit-identity contract.
+    one. These statistics are therefore reporting, not part of the
+    bit-identity contract.
     """
 
     hits: int
     misses: int
     disk_hits: int
-    entries: int
 
     def __sub__(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(hits=self.hits - other.hits,
                           misses=self.misses - other.misses,
-                          disk_hits=self.disk_hits - other.disk_hits,
-                          entries=self.entries - other.entries)
+                          disk_hits=self.disk_hits - other.disk_hits)
 
     @property
     def hit_rate(self) -> float:
