@@ -192,11 +192,11 @@ def search_architecture(accel: AcceleratorConfig,
 
     ``workers`` fans each generation's subnet evaluations out over that
     many processes; the result is identical for any worker count
-    because all mapping searches are
-    seeded from one run-level entropy via their cache key (see
-    :mod:`repro.search.parallel`). ``cache_dir`` (used
-    only when no explicit ``cache`` is supplied) backs the run with the
-    persistent disk tier of :mod:`repro.search.diskcache`.
+    because all mapping searches are seeded from one run-level entropy
+    via their cache key (see :mod:`repro.search.parallel`).
+    ``cache_dir`` (used only when no explicit ``cache`` is supplied)
+    backs the run with the persistent disk tier of
+    :mod:`repro.search.diskcache`.
     """
     rng = ensure_rng(seed)
     space = OFAResNetSpace()

@@ -708,29 +708,6 @@ def run_search_loop(loop: GenerationLoop,
 DEFAULT_DECODE_ATTEMPTS = 32
 
 
-def decode_with_resample(engine: Any, encoder: Any, vector: np.ndarray,
-                         name: str,
-                         max_attempts: int = DEFAULT_DECODE_ATTEMPTS,
-                         ) -> Tuple[np.ndarray, Optional[Any]]:
-    """Decode ``vector``, re-sampling from ``engine`` on failure.
-
-    The one decode-retry policy every outer loop shares: up to
-    ``max_attempts`` tries,
-    each :class:`~repro.errors.EncodingError` replaced by a fresh
-    ``engine.sample()``. Returns ``(vector, config)`` — the vector that
-    finally decoded (or the last attempt), with ``config=None`` when no
-    attempt decoded.
-    """
-    config = None
-    for _ in range(max_attempts):
-        try:
-            config = encoder.decode(vector, name=name)
-            break
-        except EncodingError:
-            vector = engine.sample()
-    return vector, config
-
-
 def ask_generation(engine: Any, encoder: Any, population: int,
                    iteration: int, injected: Sequence[np.ndarray],
                    rng: np.random.Generator,
@@ -758,11 +735,15 @@ def ask_generation(engine: Any, encoder: Any, population: int,
         vectors = engine.ask(population)
     configs: List[Optional[Any]] = []
     for member in range(population):
-        vector, config = decode_with_resample(
-            engine, encoder, vectors[member],
-            name=f"{name_prefix}-g{iteration}m{member}",
-            max_attempts=max_decode_attempts)
-        vectors[member] = vector
+        config = None
+        for _ in range(max_decode_attempts):
+            try:
+                config = encoder.decode(
+                    vectors[member],
+                    name=f"{name_prefix}-g{iteration}m{member}")
+                break
+            except EncodingError:
+                vectors[member] = engine.sample()
         configs.append(config)
     entropies = [seed_entropy(member_rng)
                  for member_rng in spawn_rngs(rng, population)]

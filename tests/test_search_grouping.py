@@ -12,8 +12,6 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.errors import TransportError
-from repro.search.cache import EvaluationCache
 from repro.search.parallel import (
     GroupSizer,
     ParallelEvaluator,
@@ -33,9 +31,8 @@ class RecordingTransport(Transport):
 
     remote = False
 
-    def __init__(self, fail_submits=False):
+    def __init__(self):
         self.groups = []
-        self.fail_submits = fail_submits
         self._closed = False
 
     @property
@@ -49,8 +46,6 @@ class RecordingTransport(Transport):
         return 4
 
     def submit(self, worker_fn, payloads, cache):
-        if self.fail_submits:
-            raise TransportError("scripted submit failure")
         self.groups.append(list(payloads))
         future = Future()
         try:
@@ -183,23 +178,6 @@ class TestGroupedBatched:
         evaluator._sizer = FixedSizer(3)
         payloads = [5, 1, 4, 2, 3, 9, 8, 7]
         assert evaluator.evaluate(payloads) == [p * p for p in payloads]
-
-    def test_grouped_cache_counts_added_once(self):
-        cache = EvaluationCache()
-        evaluator = ParallelEvaluator(_square, workers=2, cache=cache,
-                                      transport=RecordingTransport())
-        evaluator._sizer = FixedSizer(2)
-        assert evaluator.evaluate([1, 2, 3, 4]) == [1, 4, 9, 16]
-        # two groups of two: each group's counts are added once
-        assert (cache.hits, cache.misses) == (0, 4)
-
-    def test_grouped_submit_failure_falls_back_inline(self):
-        evaluator = ParallelEvaluator(
-            _square, workers=2,
-            transport=RecordingTransport(fail_submits=True))
-        evaluator._sizer = FixedSizer(1)
-        assert evaluator.evaluate([2, 3]) == [4, 9]
-        assert evaluator._transport is None  # degraded to inline
 
 
 class TestGroupingDeterminism:
