@@ -1,9 +1,12 @@
 """Golden digests: search results must stay bit-identical across refactors.
 
-``tests/golden/lockstep.json`` holds a sha256 of ``repr`` for each
-search below. ``repr`` of the result dataclasses spells every float in
-full (shortest round-trip form), so equal digests mean equal results to
-the last bit: best mappings, costs, rewards and whole histories.
+``tests/golden/lockstep.json`` holds a sha256 of the ``repr`` of each
+search result below, restricted to its compared fields: a dataclass
+field declared ``compare=False`` (reporting such as ``cache_stats``) is
+left out at any depth, so the digest pins exactly what ``==`` compares.
+``repr`` spells every float in full (shortest round-trip form), so equal
+digests mean equal results to the last bit: best mappings, costs,
+rewards and whole histories.
 
 Regenerate deliberately (only when a change is *meant* to move search
 results) with::
@@ -13,6 +16,7 @@ results) with::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -52,8 +56,32 @@ MAPPING_BUDGET = MappingSearchBudget(population=6, iterations=4)
 TINY_MAPPING = MappingSearchBudget(population=4, iterations=2)
 
 
+def compared_repr(value) -> str:
+    """``repr(value)`` without the dataclass fields ``==`` ignores.
+
+    Dataclasses, and plain tuples, lists and dicts holding them, are
+    spelled as their default ``repr`` would be; everything else is
+    its own ``repr``.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = ", ".join(
+            f"{field.name}={compared_repr(getattr(value, field.name))}"
+            for field in dataclasses.fields(value)
+            if field.repr and field.compare)
+        return f"{type(value).__qualname__}({fields})"
+    if type(value) is tuple:
+        items = [compared_repr(item) for item in value]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    if type(value) is list:
+        return "[" + ", ".join(compared_repr(item) for item in value) + "]"
+    if type(value) is dict:
+        return "{" + ", ".join(f"{compared_repr(key)}: {compared_repr(item)}"
+                               for key, item in value.items()) + "}"
+    return repr(value)
+
+
 def _digest(value) -> str:
-    return hashlib.sha256(repr(value).encode()).hexdigest()
+    return hashlib.sha256(compared_repr(value).encode()).hexdigest()
 
 
 #: (name, encoding style, seed_with_heuristic) of the mapping searches.
@@ -154,7 +182,7 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --update")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({
-        "about": "sha256 of repr() of each search result; "
-                 "see tests/test_golden.py",
+        "about": "sha256 of repr() of each search result's compared "
+                 "fields; see tests/test_golden.py",
         "digests": compute(),
     }, indent=1, sort_keys=True) + "\n")
