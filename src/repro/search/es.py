@@ -6,11 +6,25 @@ describes (§II-A(c)): candidates are drawn from a multivariate normal,
 the top fraction become "parents", the new mean is the parents' center
 and the covariance is updated toward the parents' spread so subsequent
 samples concentrate near them. A variance floor keeps exploration alive.
+
+The math lives once, in :class:`EvolutionStack`: ``S`` independent
+strategies held as arrays (means ``(S, n)``, covariances and Cholesky
+factors ``(S, n, n)``, one ``Generator`` per row), each step one array
+pass over every row. The mapping search keeps one row per layer shape;
+:class:`EvolutionEngine`, the hardware-level engine, is a stack of one.
+Every row evolves exactly as it would alone, to the last bit:
+
+- a row's ``standard_normal((count, n))`` draw is the stream ``count``
+  draws of ``standard_normal(n)`` would take;
+- the step is ``np.matmul`` of each row's factor against each draw as a
+  column, a matrix-vector product per draw (the matrix-matrix form
+  ``Z @ L.T`` rounds differently and is not used);
+- the elite sort is a stable per-row ``argsort``, so ties keep their
+  order, and the stacked ``cholesky`` equals one call per row.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -19,16 +33,22 @@ from repro.errors import SearchError
 from repro.utils.rng import SeedLike, ensure_rng
 
 
-class EvolutionEngine:
-    """Ask/tell evolution strategy on the unit hypercube (minimization)."""
+class EvolutionStack:
+    """``len(seeds)`` independent ask/tell evolution strategies on the
+    unit hypercube (minimization), one row each, sharing ``num_params``
+    and the hyperparameters.
 
-    def __init__(self, num_params: int,
+    Row ``s`` draws from ``ensure_rng(seeds[s])``. :meth:`ask` returns
+    ``(S, count, n)`` candidates and :meth:`tell` takes them back with
+    ``(S, P)`` fitnesses; every call is one step of every row.
+    """
+
+    def __init__(self, num_params: int, seeds: Sequence[SeedLike],
                  elite_fraction: float = 0.25,
                  sigma_init: float = 0.25,
                  sigma_floor: float = 0.03,
                  learning_rate: float = 0.6,
-                 seed: SeedLike = None,
-                 initial_mean: Optional[Sequence[float]] = None) -> None:
+                 initial_means: Optional[np.ndarray] = None) -> None:
         if num_params < 1:
             raise SearchError(f"num_params must be >= 1, got {num_params}")
         if not 0 < elite_fraction <= 1:
@@ -38,34 +58,135 @@ class EvolutionEngine:
         self.elite_fraction = elite_fraction
         self.sigma_floor = sigma_floor
         self.learning_rate = learning_rate
-        self.rng = ensure_rng(seed)
-        if initial_mean is None:
-            self.mean = np.full(num_params, 0.5)
+        self.rngs = [ensure_rng(seed) for seed in seeds]
+        rows = len(self.rngs)
+        if initial_means is None:
+            self.mean = np.full((rows, num_params), 0.5)
         else:
-            self.mean = np.clip(np.asarray(initial_mean, dtype=float),
+            self.mean = np.clip(np.asarray(initial_means, dtype=float),
                                 0.0, 1.0)
-            if self.mean.shape != (num_params,):
+            if self.mean.shape != (rows, num_params):
                 raise SearchError(
-                    f"initial_mean must have {num_params} entries")
-        self.cov = np.eye(num_params) * sigma_init**2
-        self._chol = np.linalg.cholesky(self.cov)
+                    f"initial means must have {num_params} entries")
+        self.cov = np.repeat((np.eye(num_params) * sigma_init**2)[None],
+                             rows, axis=0)
+        self.chol = np.linalg.cholesky(self.cov)
         self.generation = 0
 
-    def sample(self) -> np.ndarray:
-        """Draw one candidate vector, clipped to the unit cube."""
-        z = self.rng.standard_normal(self.num_params)
-        return np.clip(self.mean + self._chol @ z, 0.0, 1.0)
+    def __len__(self) -> int:
+        return len(self.rngs)
 
-    def ask(self, count: int) -> List[np.ndarray]:
-        """Batch-sample ``count`` candidates (ask half of ask/tell).
+    def ask(self, count: int) -> np.ndarray:
+        """Draw ``count`` candidates per row, clipped to the unit cube.
 
-        Drawing the whole generation before any evaluation decouples the
-        engine's random stream from evaluation order, which is what lets
+        Drawing the whole generation before any evaluation decouples
+        the random streams from evaluation order, which is what lets
         the evaluator fan the batch out over worker processes.
         """
         if count < 0:
             raise SearchError(f"ask count must be >= 0, got {count}")
-        return [self.sample() for _ in range(count)]
+        draws = np.stack([rng.standard_normal((count, self.num_params))
+                          for rng in self.rngs])
+        steps = np.matmul(self.chol[:, None], draws[..., None])[..., 0]
+        return np.clip(self.mean[:, None] + steps, 0.0, 1.0)
+
+    def tell(self, candidates: np.ndarray, fitnesses: np.ndarray) -> None:
+        """Re-center each row on its fittest candidates (one generation).
+
+        ``candidates`` is ``(S, P, n)`` and ``fitnesses`` ``(S, P)``.
+        Lower fitness is better; non-finite fitnesses are ignored. A row
+        none of whose candidates evaluated is left as-is (its next
+        generation re-explores). The generation counter advances once
+        per call either way.
+        """
+        candidates = np.asarray(candidates, dtype=float)
+        fitnesses = np.asarray(fitnesses, dtype=float)
+        rows = len(self)
+        if (fitnesses.ndim != 2 or len(fitnesses) != rows
+                or candidates.shape != fitnesses.shape + (self.num_params,)):
+            raise SearchError(
+                f"expected ({rows}, P, {self.num_params}) candidates and "
+                f"({rows}, P) fitnesses, got {candidates.shape} and "
+                f"{fitnesses.shape}")
+        self.generation += 1
+        finite = np.isfinite(fitnesses)
+        order = np.argsort(np.where(finite, fitnesses, np.inf), axis=1,
+                           kind="stable")
+        counts = [max(1, int(round(scored * self.elite_fraction))) if scored
+                  else 0 for scored in finite.sum(axis=1).tolist()]
+        elite_counts = np.array(counts, dtype=np.int64)
+        live = np.flatnonzero(elite_counts)
+        if not len(live):
+            return
+        rate = self.learning_rate
+        for count in sorted(set(counts) - {0}):
+            group = np.flatnonzero(elite_counts == count)
+            elites = np.take_along_axis(candidates[group],
+                                        order[group, :count, None], axis=1)
+            new_mean = elites.mean(axis=1)
+            self.mean[group] = ((1 - rate) * self.mean[group]
+                                + rate * new_mean)
+            if count >= 2:
+                # Centering on the elites' own (un-blended) mean
+                # estimates the spread of the selected parents — the
+                # quantity the next generation should concentrate
+                # around — with the unbiased 1/(k-1) normalizer.
+                centered = elites - new_mean[:, None]
+                elite_cov = (centered.transpose(0, 2, 1) @ centered
+                             / (count - 1))
+            else:
+                elite_cov = self.cov[group] * 0.5  # single parent: contract
+            self.cov[group] = ((1 - rate) * self.cov[group]
+                               + rate * elite_cov
+                               + np.eye(self.num_params) * self.sigma_floor**2)
+        self.chol[live] = np.linalg.cholesky(self.cov[live])
+
+
+class EvolutionEngine:
+    """Ask/tell evolution strategy on the unit hypercube (minimization):
+    an :class:`EvolutionStack` of one row, with candidates as vectors."""
+
+    def __init__(self, num_params: int,
+                 elite_fraction: float = 0.25,
+                 sigma_init: float = 0.25,
+                 sigma_floor: float = 0.03,
+                 learning_rate: float = 0.6,
+                 seed: SeedLike = None,
+                 initial_mean: Optional[Sequence[float]] = None) -> None:
+        self._stack = EvolutionStack(
+            num_params, [seed], elite_fraction=elite_fraction,
+            sigma_init=sigma_init, sigma_floor=sigma_floor,
+            learning_rate=learning_rate,
+            initial_means=(None if initial_mean is None
+                           else np.asarray(initial_mean, dtype=float)[None]))
+
+    @property
+    def num_params(self) -> int:
+        return self._stack.num_params
+
+    @property
+    def rng(self) -> np.random.Generator:
+        return self._stack.rngs[0]
+
+    @property
+    def generation(self) -> int:
+        return self._stack.generation
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self._stack.mean[0]
+
+    @property
+    def cov(self) -> np.ndarray:
+        return self._stack.cov[0]
+
+    def sample(self) -> np.ndarray:
+        """Draw one candidate vector, clipped to the unit cube."""
+        return self._stack.ask(1)[0, 0]
+
+    def ask(self, count: int) -> List[np.ndarray]:
+        """Batch-sample ``count`` candidates (ask half of ask/tell)."""
+        return list(self._stack.ask(count)[0])
 
     def tell(self, candidates: Sequence[np.ndarray],
              fitnesses: Sequence[float]) -> None:
@@ -74,47 +195,14 @@ class EvolutionEngine:
 
     def update(self, candidates: Sequence[np.ndarray],
                fitnesses: Sequence[float]) -> None:
-        """Re-center the distribution on the fittest candidates.
-
-        Lower fitness is better; non-finite fitnesses are ignored. If no
-        candidate evaluated successfully the distribution is left as-is
-        (the next generation re-explores).
-        """
+        """Re-center the distribution on the fittest candidates (see
+        :meth:`EvolutionStack.tell`)."""
         if len(candidates) != len(fitnesses):
             raise SearchError("candidates and fitnesses length mismatch")
-        # One well-defined point for the generation counter: every update
-        # call is exactly one generation, whether or not any candidate
-        # was feasible. (It used to sit between the validation and the
-        # early return below, which made the all-infeasible semantics
-        # easy to break when editing either.)
-        self.generation += 1
-        scored = [(fit, np.asarray(vec, dtype=float))
-                  for vec, fit in zip(candidates, fitnesses)
-                  if math.isfinite(fit)]
-        if not scored:
-            return
-        scored.sort(key=lambda pair: pair[0])
-        elite_count = max(1, int(round(len(scored) * self.elite_fraction)))
-        elites = np.stack([vec for _, vec in scored[:elite_count]])
-
-        new_mean = elites.mean(axis=0)
-        self.mean = ((1 - self.learning_rate) * self.mean
-                     + self.learning_rate * new_mean)
-        if elite_count >= 2:
-            # Centering on the elites' own (un-blended) mean estimates the
-            # spread of the selected parents themselves — the quantity the
-            # next generation should concentrate around — rather than the
-            # dispersion about the smoothed search mean. The 1/(n-1)
-            # normalizer is the unbiased sample covariance; the previous
-            # 1/n systematically shrank the step size for small elite sets.
-            centered = elites - new_mean
-            elite_cov = centered.T @ centered / (elite_count - 1)
-        else:
-            elite_cov = self.cov * 0.5  # single parent: contract
-        self.cov = ((1 - self.learning_rate) * self.cov
-                    + self.learning_rate * elite_cov)
-        self.cov += np.eye(self.num_params) * self.sigma_floor**2
-        self._chol = np.linalg.cholesky(self.cov)
+        self._stack.tell(
+            np.asarray(candidates, dtype=float).reshape(
+                1, len(candidates), self.num_params),
+            np.asarray(fitnesses, dtype=float).reshape(1, len(fitnesses)))
 
     @property
     def stddev(self) -> np.ndarray:

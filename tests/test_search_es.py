@@ -1,10 +1,12 @@
 """Tests for the evolution strategy and the random-search baseline."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import SearchError
-from repro.search.es import EvolutionEngine
+from repro.search.es import EvolutionEngine, EvolutionStack
 from repro.search.random_search import RandomEngine
 
 
@@ -154,3 +156,144 @@ class TestRandomEngine:
         engine = RandomEngine(2, seed=2)
         with pytest.raises(SearchError):
             engine.update([engine.sample()], [])
+
+
+class ScalarReference:
+    """The one-vector-at-a-time ES the array form replaced: one
+    ``standard_normal(n)`` draw and one ``L @ z`` per candidate, and a
+    Python sort of the finite candidates per update. Kept here as the
+    reference the stacked math must reproduce to the last bit."""
+
+    def __init__(self, num_params, seed, elite_fraction=0.25,
+                 sigma_init=0.25, sigma_floor=0.03, learning_rate=0.6):
+        self.num_params = num_params
+        self.elite_fraction = elite_fraction
+        self.sigma_floor = sigma_floor
+        self.learning_rate = learning_rate
+        self.rng = np.random.default_rng(seed)
+        self.mean = np.full(num_params, 0.5)
+        self.cov = np.eye(num_params) * sigma_init**2
+        self.chol = np.linalg.cholesky(self.cov)
+        self.generation = 0
+
+    def ask(self, count):
+        return [np.clip(self.mean + self.chol
+                        @ self.rng.standard_normal(self.num_params), 0.0, 1.0)
+                for _ in range(count)]
+
+    def update(self, candidates, fitnesses):
+        self.generation += 1
+        scored = [(fit, np.asarray(vec, dtype=float))
+                  for vec, fit in zip(candidates, fitnesses)
+                  if math.isfinite(fit)]
+        if not scored:
+            return
+        scored.sort(key=lambda pair: pair[0])
+        count = max(1, int(round(len(scored) * self.elite_fraction)))
+        elites = np.stack([vec for _, vec in scored[:count]])
+        new_mean = elites.mean(axis=0)
+        rate = self.learning_rate
+        self.mean = (1 - rate) * self.mean + rate * new_mean
+        if count >= 2:
+            centered = elites - new_mean
+            elite_cov = centered.T @ centered / (count - 1)
+        else:
+            elite_cov = self.cov * 0.5
+        self.cov = (1 - rate) * self.cov + rate * elite_cov
+        self.cov += np.eye(self.num_params) * self.sigma_floor**2
+        self.chol = np.linalg.cholesky(self.cov)
+
+
+def _fitnesses(rng, rows, population, generation):
+    """A generation's ``(rows, population)`` fitnesses that exercise
+    every path of the update: infeasible (inf and nan) entries, tied
+    values, a row with one finite entry (one elite: the contraction)
+    and, from generation 1 on, an all-infeasible row."""
+    fit = rng.random((rows, population))
+    fit[rng.random((rows, population)) < 0.2] = np.inf
+    fit[0, -1] = np.nan
+    fit[1] = np.round(fit[1] * 2)  # ties
+    if rows > 2:
+        fit[2] = np.inf
+        fit[2, generation % population] = 0.5
+    if rows > 3 and generation:
+        fit[3] = np.inf
+    return fit
+
+
+def _assert_same_state(stack, row, reference):
+    np.testing.assert_array_equal(stack.mean[row], reference.mean)
+    np.testing.assert_array_equal(stack.cov[row], reference.cov)
+    np.testing.assert_array_equal(stack.chol[row], reference.chol)
+    assert stack.generation == reference.generation
+
+
+class TestStackParity:
+    """The stacked ES is the per-vector ES, bit for bit."""
+
+    @pytest.mark.parametrize("num_params,population",
+                             [(18, 20), (8, 6), (3, 40)])
+    def test_one_row_equals_reference(self, num_params, population):
+        for seed in range(50):
+            stack = EvolutionStack(num_params, [seed])
+            engine = EvolutionEngine(num_params, seed=seed)
+            reference = ScalarReference(num_params, seed)
+            rng = np.random.default_rng(1000 + seed)
+            for generation in range(4):
+                drawn = stack.ask(population)
+                asked = engine.ask(population)
+                expected = reference.ask(population)
+                np.testing.assert_array_equal(drawn[0], expected)
+                np.testing.assert_array_equal(asked, expected)
+                fit = _fitnesses(rng, 2, population, generation)[1]
+                stack.tell(drawn, fit[None])
+                engine.tell(asked, fit.tolist())
+                reference.update(expected, fit.tolist())
+                _assert_same_state(stack, 0, reference)
+                _assert_same_state(engine._stack, 0, reference)
+            np.testing.assert_array_equal(engine.sample(),
+                                          reference.ask(1)[0])
+
+    @pytest.mark.parametrize("population", [2, 6, 20])
+    def test_rows_equal_independent_engines(self, population):
+        rows, num_params = 6, 18
+        for seed in range(50):
+            seeds = [seed * rows + row for row in range(rows)]
+            stack = EvolutionStack(num_params, seeds)
+            references = [ScalarReference(num_params, s) for s in seeds]
+            rng = np.random.default_rng(seed)
+            # A warm-start head fills the first row of generation 0.
+            head = rng.random((rows, 1, num_params))
+            for generation in range(4):
+                if generation == 0:
+                    vectors = np.concatenate(
+                        [head, stack.ask(population - 1)], axis=1)
+                    expected = [[head[row, 0]] + ref.ask(population - 1)
+                                for row, ref in enumerate(references)]
+                else:
+                    vectors = stack.ask(population)
+                    expected = [ref.ask(population) for ref in references]
+                np.testing.assert_array_equal(vectors, np.array(expected))
+                fit = _fitnesses(rng, rows, population, generation)
+                stack.tell(vectors, fit)
+                for row, ref in enumerate(references):
+                    ref.update(expected[row], fit[row].tolist())
+                    _assert_same_state(stack, row, ref)
+
+    def test_all_infeasible_row_is_unchanged(self):
+        stack = EvolutionStack(3, [0, 1])
+        vectors = stack.ask(4)
+        mean, cov = stack.mean.copy(), stack.cov.copy()
+        stack.tell(vectors, [[1.0, 2.0, 3.0, 4.0], [np.inf] * 4])
+        np.testing.assert_array_equal(stack.mean[1], mean[1])
+        np.testing.assert_array_equal(stack.cov[1], cov[1])
+        assert not np.array_equal(stack.mean[0], mean[0])
+        assert stack.generation == 1
+
+    def test_shape_mismatch_raises(self):
+        stack = EvolutionStack(3, [0, 1])
+        vectors = stack.ask(4)
+        with pytest.raises(SearchError):
+            stack.tell(vectors, np.zeros((2, 3)))
+        with pytest.raises(SearchError):
+            stack.tell(vectors[:1], np.zeros((1, 4)))
