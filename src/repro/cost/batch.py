@@ -31,13 +31,14 @@ association order and int-vs-float promotion points:
   prefix-product gather.
 
 Results stay arrays (:class:`LaneCosts`); ``LayerCost`` and ``Mapping``
-objects are built only for the lanes a caller asks for, which in the
-search means only a generation's new best.
+objects are built only for the lanes a caller asks for. The search keeps
+each shape's best lane as rows (:meth:`LaneCosts.take`,
+:meth:`LaneMappings.take`) and builds its objects once, at the end.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,6 +189,11 @@ class LaneMappings:
         self.pe_order = pe_order
         self.ok = np.ones(len(tiles), dtype=bool) if ok is None else ok
 
+    def take(self, lanes: np.ndarray) -> "LaneMappings":
+        """The mappings of ``lanes`` only: row ``i`` is lane ``lanes[i]``."""
+        return LaneMappings(self.tiles[lanes], self.array_order[lanes],
+                            self.pe_order[lanes], self.ok[lanes])
+
     @classmethod
     def from_mappings(cls, mappings: Sequence[Mapping]) -> "LaneMappings":
         return cls(
@@ -282,12 +288,28 @@ def _reuse_windows_batch(lanes: LaneLayers,
     return footprints, deliveries, base_feasible, base_total
 
 
-class TrafficArrays:
+class _LaneFields:
+    """Named per-lane arrays, plus values every lane shares."""
+
+    def __init__(self, **fields: Any) -> None:
+        self.__dict__.update(fields)
+
+    def take(self, lanes: np.ndarray):
+        """The same fields for ``lanes`` only: row ``i`` is lane
+        ``lanes[i]``; shared values stay as they are."""
+        taken = {}
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                value = value[lanes]
+            elif isinstance(value, _LaneFields):
+                value = value.take(lanes)
+            taken[name] = value
+        return type(self)(**taken)
+
+
+class TrafficArrays(_LaneFields):
     """Per-lane :class:`TrafficReport` fields, plus the two
     reuse-feasibility checks and the footprints their reasons quote."""
-
-    def __init__(self, **fields: np.ndarray) -> None:
-        self.__dict__.update(fields)
 
     def report(self, lane: int) -> TrafficReport:
         return TrafficReport(
@@ -450,14 +472,13 @@ class LaneCosts:
     """
 
     def __init__(self, valid: np.ndarray, cycles: np.ndarray,
-                 energy_nj: np.ndarray,
-                 build: Callable[[int], LayerCost]) -> None:
+                 energy_nj: np.ndarray, rows: "_CostRows") -> None:
         self.valid = valid
         self.cycles = np.where(valid, cycles, np.inf)
         self.energy_nj = np.where(valid, energy_nj, np.inf)
         with np.errstate(invalid="ignore", over="ignore"):
             self.edp = self.cycles * self.energy_nj
-        self._build = build
+        self._rows = rows
 
     @classmethod
     def from_objects(cls, costs: Sequence[Optional[LayerCost]],
@@ -465,15 +486,69 @@ class LaneCosts:
         """Wrap per-lane ``LayerCost`` objects (``None`` = no mapping)."""
         valid = np.array([cost is not None and cost.valid
                           for cost in costs], dtype=bool)
+        objects = np.empty(len(costs), dtype=object)
+        objects[:] = costs
         return cls(valid,
                    np.array([cost.cycles if cost is not None else np.inf
                              for cost in costs], dtype=np.float64),
                    np.array([cost.energy_nj if cost is not None else np.inf
                              for cost in costs], dtype=np.float64),
-                   costs.__getitem__)
+                   _CostObjects(costs=objects))
 
     def layer_cost(self, lane: int) -> LayerCost:
-        return self._build(lane)
+        return self._rows.build(lane)
+
+    def take(self, lanes: np.ndarray) -> "LaneCosts":
+        """The costs of ``lanes`` only: row ``i`` is lane ``lanes[i]``.
+
+        Keeps just what those lanes' ``LayerCost`` objects are built
+        from, so the rest of the batch can be freed.
+        """
+        return LaneCosts(self.valid[lanes], self.cycles[lanes],
+                         self.energy_nj[lanes], self._rows.take(lanes))
+
+
+class _CostObjects(_LaneFields):
+    """Ready-made per-lane ``LayerCost`` objects (``costs``)."""
+
+    def build(self, lane: int) -> LayerCost:
+        return self.costs[lane]
+
+
+class _CostRows(_LaneFields):
+    """What :func:`cost_lanes` builds one lane's ``LayerCost`` from."""
+
+    def build(self, lane: int) -> LayerCost:
+        layer = self.layers[self.layer_index[lane]]
+        if not self.legal[lane]:
+            return LayerCost.invalid(
+                layer.name, ("mapping tiles exceed layer dimensions",))
+        reason = self.traffic.infeasibility(lane)
+        if reason is not None:
+            return LayerCost.invalid(layer.name, (reason,))
+        latency = LatencyReport(compute_cycles=float(self.compute[lane]),
+                                dram_cycles=float(self.dram[lane]),
+                                l2_cycles=float(self.l2[lane]),
+                                fill_cycles=float(self.fill[lane]))
+        energy = EnergyReport(mac_pj=float(self.mac[lane]),
+                              l1_pj=float(self.l1_energy[lane]),
+                              l2_pj=float(self.l2_energy[lane]),
+                              dram_pj=float(self.dram_energy[lane]),
+                              noc_pj=float(self.noc_energy[lane]),
+                              static_pj=float(self.static[lane]))
+        utilization = layer.macs / max(
+            1.0, latency.compute_cycles * self.num_pes)
+        return LayerCost(
+            layer_name=layer.name,
+            valid=True,
+            cycles=latency.cycles,
+            energy_nj=energy.total_nj,
+            utilization=min(1.0, utilization),
+            macs=layer.macs,
+            traffic=self.traffic.report(lane),
+            latency=latency,
+            energy=energy,
+        )
 
 
 def cost_lanes(lanes: LaneLayers, accel: AcceleratorConfig,
@@ -513,37 +588,9 @@ def cost_lanes(lanes: LaneLayers, accel: AcceleratorConfig,
     energy_nj = (mac + l1_energy + l2_energy + dram_energy + noc_energy
                  + static) / 1000.0
 
-    def build(lane: int) -> LayerCost:
-        layer = lanes.layer(lane)
-        if not legal[lane]:
-            return LayerCost.invalid(
-                layer.name, ("mapping tiles exceed layer dimensions",))
-        reason = traffic.infeasibility(lane)
-        if reason is not None:
-            return LayerCost.invalid(layer.name, (reason,))
-        latency = LatencyReport(compute_cycles=float(compute[lane]),
-                                dram_cycles=float(dram[lane]),
-                                l2_cycles=float(l2[lane]),
-                                fill_cycles=float(fill[lane]))
-        energy = EnergyReport(mac_pj=float(mac[lane]),
-                              l1_pj=float(l1_energy[lane]),
-                              l2_pj=float(l2_energy[lane]),
-                              dram_pj=float(dram_energy[lane]),
-                              noc_pj=float(noc_energy[lane]),
-                              static_pj=float(static[lane]))
-        utilization = layer.macs / max(
-            1.0, latency.compute_cycles * accel.num_pes)
-        return LayerCost(
-            layer_name=layer.name,
-            valid=True,
-            cycles=latency.cycles,
-            energy_nj=energy.total_nj,
-            utilization=min(1.0, utilization),
-            macs=layer.macs,
-            traffic=traffic.report(lane),
-            latency=latency,
-            energy=energy,
-        )
-
-    return LaneCosts(valid, cycles, energy_nj, build)
+    return LaneCosts(valid, cycles, energy_nj, _CostRows(
+        layers=lanes.layers, layer_index=lanes.index, num_pes=accel.num_pes,
+        legal=legal, traffic=traffic, compute=compute, dram=dram, l2=l2,
+        fill=fill, mac=mac, l1_energy=l1_energy, l2_energy=l2_energy,
+        dram_energy=dram_energy, noc_energy=noc_energy, static=static))
 

@@ -1,17 +1,22 @@
 """Inner loop: evolutionary compiler-mapping search per layer (§II-B).
 
 Each layer shape is optimized independently (different conv shapes want
-different mappings): it has its own evolution engine, seed, heuristic
-warm start and ask/tell order. What is shared is the evaluation.
-:func:`search_mappings` runs the searches of many layers in *lockstep*:
-every generation it stacks all layers' vectors into one batch of
-layers x population lanes, decodes it with one array pass
-(:func:`repro.encoding.mapping_enc.decode_lanes`) and costs it with
-another (:meth:`repro.cost.model.CostModel.evaluate_lanes`). That is
-what makes the vectorized cost path pay: a candidate's 31 mobilenet_v2
-shapes at the ``quick`` population of 6 are one 186-lane call per
-generation instead of 31 six-lane calls. ``Mapping`` and ``LayerCost``
-objects are built only for a generation's new best per layer.
+different mappings), from its own seed, heuristic warm start and ES
+state. :func:`search_mappings` runs the searches of many layers in
+*lockstep*, as arrays:
+
+- the ES state of every shape is one :class:`repro.search.es.EvolutionStack`
+  row (mean, covariance and Cholesky factor, plus the shape's own random
+  stream), so a generation's ask is one draw per shape and one stacked
+  product, and its tell one stacked update;
+- the generation's vectors, layers x population lanes, are decoded in
+  one array pass (:func:`repro.encoding.mapping_enc.decode_lanes`) and
+  costed in another (:meth:`repro.cost.model.CostModel.evaluate_lanes`).
+  A candidate's 31 mobilenet_v2 shapes at the ``quick`` population of 6
+  are one 186-lane call per generation instead of 31 six-lane calls;
+- each shape's best so far is kept as rows of the generation it came
+  from (:meth:`~repro.cost.batch.LaneCosts.take`); its ``Mapping`` and
+  ``LayerCost`` objects are built once, after the last generation.
 
 Lockstep changes no result: each layer's search is exactly what it
 would be alone (:func:`search_mapping` is the one-layer call). The
@@ -24,21 +29,21 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence, Type
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.cost.batch import LaneLayers
 from repro.cost.model import CostModel
-from repro.encoding.mapping_enc import MappingEncoder, decode_lanes
+from repro.encoding.mapping_enc import MappingEncoder, decode_lanes, num_params
 from repro.encoding.spaces import EncodingStyle
 from repro.mapping.builders import dataflow_preserving_mapping
-from repro.search.es import EvolutionEngine
+from repro.search.es import EvolutionStack
 from repro.search.result import IterationStats, MappingSearchResult
 from repro.tensors.layer import ConvLayer
 from repro.utils.logging import get_logger
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike
 
 logger = get_logger(__name__)
 
@@ -67,7 +72,6 @@ def search_mapping(layer: ConvLayer,
                    budget: MappingSearchBudget = MappingSearchBudget(),
                    seed: SeedLike = None,
                    style: EncodingStyle = EncodingStyle.IMPORTANCE,
-                   engine_cls: Type = EvolutionEngine,
                    seed_with_heuristic: bool = True,
                    ) -> MappingSearchResult:
     """Find the lowest-EDP mapping for ``layer`` on ``accel``.
@@ -80,8 +84,7 @@ def search_mapping(layer: ConvLayer,
     """
     [result] = search_mappings(
         [layer], accel, cost_model, budget=budget, seeds=[seed],
-        style=style, engine_cls=engine_cls,
-        seed_with_heuristic=seed_with_heuristic)
+        style=style, seed_with_heuristic=seed_with_heuristic)
     return result
 
 
@@ -91,12 +94,11 @@ def search_mappings(layers: Sequence[ConvLayer],
                     budget: MappingSearchBudget = MappingSearchBudget(),
                     seeds: Optional[Sequence[SeedLike]] = None,
                     style: EncodingStyle = EncodingStyle.IMPORTANCE,
-                    engine_cls: Type = EvolutionEngine,
                     seed_with_heuristic: bool = True,
                     ) -> List[MappingSearchResult]:
     """Run one mapping search per layer, all in lockstep.
 
-    ``seeds[i]`` seeds layer ``i``'s engine (``None`` for all-fresh
+    ``seeds[i]`` seeds layer ``i``'s ES (``None`` for all-fresh
     streams). Result ``i`` equals ``search_mapping(layers[i], ...,
     seed=seeds[i])`` whatever the other layers are, provided no two
     layers share one ``numpy`` generator object as their seed.
@@ -107,56 +109,55 @@ def search_mappings(layers: Sequence[ConvLayer],
         raise ValueError(f"{len(seeds)} seeds for {len(layers)} layers")
     if not layers:
         return []
-    population = budget.population
-    encoders = [MappingEncoder(layer, accel, style=style) for layer in layers]
-    engines = [engine_cls(encoder.num_params, seed=ensure_rng(seed))
-               for encoder, seed in zip(encoders, seeds)]
-    injected = [[] for _ in layers]
+    count, population = len(layers), budget.population
+    params = num_params(style)
+    stack = EvolutionStack(params, seeds)
+    # Warm starts take the head of generation 0.
+    head = np.empty((count, 0, params))
     if seed_with_heuristic and style is EncodingStyle.IMPORTANCE:
-        injected = [[encoder.encode_mapping(
+        head = np.array([[MappingEncoder(layer, accel, style).encode_mapping(
             dataflow_preserving_mapping(layer, accel))]
-            for layer, encoder in zip(layers, encoders)]
-    lanes = LaneLayers(layers, np.repeat(np.arange(len(layers)), population))
+            for layer in layers], dtype=float)[:, :population]
+    lanes = LaneLayers(layers, np.repeat(np.arange(count), population))
+    rows = np.arange(count)
 
-    best_mappings = [None] * len(layers)
-    best_costs = [None] * len(layers)
-    best_edps = [math.inf] * len(layers)
+    best_edps = np.full(count, math.inf)
+    # Shape i's best so far: row best_rows[i] of kept[best_from[i]].
+    kept = []
+    best_from = np.full(count, -1)
+    best_rows = np.zeros(count, dtype=np.int64)
     histories: List[List[IterationStats]] = [[] for _ in layers]
-    evaluations = [0] * len(layers)
+    evaluations = np.zeros(count, dtype=np.int64)
 
     for iteration in range(budget.iterations):
-        # Ask: each layer's whole generation up front (warm starts take
-        # the head of generation 0), in one stacked batch.
-        vectors = []
-        for engine, head in zip(engines, injected):
-            if iteration == 0 and head:
-                head = head[:population]
-                vectors.append(head + engine.ask(population - len(head)))
-            else:
-                vectors.append(engine.ask(population))
+        # Ask: every layer's whole generation up front, in one batch.
+        if iteration == 0:
+            vectors = np.concatenate(
+                [head, stack.ask(population - head.shape[1])], axis=1)
+        else:
+            vectors = stack.ask(population)
         mappings = decode_lanes(lanes, accel, style,
-                                [v for layer in vectors for v in layer])
+                                vectors.reshape(-1, params))
         costs = cost_model.evaluate_lanes(lanes, accel, mappings)
         # The fitness is the EDP; decode failures and invalid costs
-        # read inf there.
-        edp = costs.edp.reshape(len(layers), population)
-        winners = edp.argmin(axis=1)
-        decoded = mappings.ok.reshape(len(layers), population).sum(axis=1)
-        valid = costs.valid.reshape(len(layers), population).sum(axis=1)
+        # read inf there. Tell: the lane-order fitnesses, as evaluated.
+        edp = costs.edp.reshape(count, population)
+        stack.tell(vectors, edp)
+        evaluations += mappings.ok.reshape(count, population).sum(axis=1)
 
-        for index, layer in enumerate(layers):
-            fitnesses = edp[index].tolist()
-            # Tell: the lane-order fitnesses, exactly as evaluated.
-            engines[index].tell(vectors[index], fitnesses)
-            evaluations[index] += int(decoded[index])
-            # First-occurrence argmin, strict improvement: the lane a
-            # lane-by-lane ``edp < best`` scan would keep.
-            winner = int(winners[index])
-            if edp[index, winner] < best_edps[index]:
-                lane = index * population + winner
-                best_edps[index] = fitnesses[winner]
-                best_mappings[index] = mappings.mapping(lane)
-                best_costs[index] = costs.layer_cost(lane)
+        # First-occurrence argmin, strict improvement: the lane a
+        # lane-by-lane ``edp < best`` scan would keep.
+        winners = edp.argmin(axis=1)
+        improved = np.flatnonzero(edp[rows, winners] < best_edps)
+        if len(improved):
+            chosen = improved * population + winners[improved]
+            kept.append((mappings.take(chosen), costs.take(chosen)))
+            best_edps[improved] = costs.edp[chosen]
+            best_from[improved] = len(kept) - 1
+            best_rows[improved] = np.arange(len(improved))
+
+        valid = costs.valid.reshape(count, population).sum(axis=1)
+        for index, fitnesses in enumerate(edp.tolist()):
             finite = [f for f in fitnesses if math.isfinite(f)]
             histories[index].append(IterationStats(
                 iteration=iteration,
@@ -166,13 +167,21 @@ def search_mappings(layers: Sequence[ConvLayer],
                 valid_count=int(valid[index]),
                 population=population,
             ))
-            logger.debug("mapping search %s iter %d best=%.3e",
-                         layer.name, iteration, best_edps[index])
+        logger.debug("mapping search of %d layers iter %d: %d improved",
+                     count, iteration, len(improved))
 
-    return [MappingSearchResult(
-        layer_name=layer.name,
-        best_mapping=best_mappings[index],
-        best_cost=best_costs[index],
-        history=tuple(histories[index]),
-        evaluations=evaluations[index],
-    ) for index, layer in enumerate(layers)]
+    results = []
+    for index, layer in enumerate(layers):
+        best_mapping = best_cost = None
+        if best_from[index] >= 0:
+            best_mappings, best_costs = kept[best_from[index]]
+            best_mapping = best_mappings.mapping(best_rows[index])
+            best_cost = best_costs.layer_cost(best_rows[index])
+        results.append(MappingSearchResult(
+            layer_name=layer.name,
+            best_mapping=best_mapping,
+            best_cost=best_cost,
+            history=tuple(histories[index]),
+            evaluations=int(evaluations[index]),
+        ))
+    return results

@@ -11,7 +11,6 @@ from repro.search.mapping_search import (
     search_mapping,
     search_mappings,
 )
-from repro.search.random_search import RandomEngine
 from repro.tensors.layer import ConvLayer
 
 
@@ -72,12 +71,6 @@ class TestSearchMapping:
                                 style=EncodingStyle.INDEX)
         assert result.found
 
-    def test_random_engine_works(self, small_layer, small_accel, cost_model):
-        result = search_mapping(small_layer, small_accel, cost_model,
-                                budget=MappingSearchBudget(6, 4), seed=5,
-                                engine_cls=RandomEngine)
-        assert result.found
-
     def test_depthwise_layer(self, depthwise_layer, small_accel, cost_model):
         result = search_mapping(depthwise_layer, small_accel, cost_model,
                                 budget=MappingSearchBudget(6, 3), seed=6)
@@ -101,15 +94,11 @@ class TestLockstep:
                 ConvLayer(name="test_grouped", k=32, c=32, y=14, x=14,
                           r=3, s=3, groups=4)]
 
-    @pytest.mark.parametrize("engine_cls", (None, RandomEngine),
-                             ids=("es", "random"))
     @pytest.mark.parametrize("style", (EncodingStyle.IMPORTANCE,
                                        EncodingStyle.INDEX))
     def test_equals_one_layer_searches(self, layers, small_accel,
-                                       cost_model, engine_cls, style):
+                                       cost_model, style):
         kwargs = dict(budget=MappingSearchBudget(5, 3), style=style)
-        if engine_cls is not None:
-            kwargs["engine_cls"] = engine_cls
         seeds = [100 + i for i in range(len(layers))]
         lockstep = search_mappings(layers, small_accel, cost_model,
                                    seeds=seeds, **kwargs)
