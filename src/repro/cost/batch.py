@@ -472,7 +472,8 @@ class LaneCosts:
     """
 
     def __init__(self, valid: np.ndarray, cycles: np.ndarray,
-                 energy_nj: np.ndarray, rows: "_CostRows") -> None:
+                 energy_nj: np.ndarray,
+                 rows: "_CostRows | _CostObjects") -> None:
         self.valid = valid
         self.cycles = np.where(valid, cycles, np.inf)
         self.energy_nj = np.where(valid, energy_nj, np.inf)

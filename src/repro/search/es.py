@@ -165,10 +165,6 @@ class EvolutionEngine:
         return self._stack.num_params
 
     @property
-    def rng(self) -> np.random.Generator:
-        return self._stack.rngs[0]
-
-    @property
     def generation(self) -> int:
         return self._stack.generation
 

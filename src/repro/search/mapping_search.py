@@ -119,13 +119,12 @@ def search_mappings(layers: Sequence[ConvLayer],
             dataflow_preserving_mapping(layer, accel))]
             for layer in layers], dtype=float)[:, :population]
     lanes = LaneLayers(layers, np.repeat(np.arange(count), population))
-    rows = np.arange(count)
+    shapes = np.arange(count)
 
     best_edps = np.full(count, math.inf)
-    # Shape i's best so far: row best_rows[i] of kept[best_from[i]].
-    kept = []
-    best_from = np.full(count, -1)
-    best_rows = np.zeros(count, dtype=np.int64)
+    # Shape i's best so far: (mappings, costs, row) of the rows taken
+    # from the generation that found it.
+    best: List[Optional[tuple]] = [None] * count
     histories: List[List[IterationStats]] = [[] for _ in layers]
     evaluations = np.zeros(count, dtype=np.int64)
 
@@ -148,13 +147,13 @@ def search_mappings(layers: Sequence[ConvLayer],
         # First-occurrence argmin, strict improvement: the lane a
         # lane-by-lane ``edp < best`` scan would keep.
         winners = edp.argmin(axis=1)
-        improved = np.flatnonzero(edp[rows, winners] < best_edps)
+        improved = np.flatnonzero(edp[shapes, winners] < best_edps)
         if len(improved):
             chosen = improved * population + winners[improved]
-            kept.append((mappings.take(chosen), costs.take(chosen)))
             best_edps[improved] = costs.edp[chosen]
-            best_from[improved] = len(kept) - 1
-            best_rows[improved] = np.arange(len(improved))
+            taken = mappings.take(chosen), costs.take(chosen)
+            for row, index in enumerate(improved.tolist()):
+                best[index] = (*taken, row)
 
         valid = costs.valid.reshape(count, population).sum(axis=1)
         for index, fitnesses in enumerate(edp.tolist()):
@@ -173,10 +172,10 @@ def search_mappings(layers: Sequence[ConvLayer],
     results = []
     for index, layer in enumerate(layers):
         best_mapping = best_cost = None
-        if best_from[index] >= 0:
-            best_mappings, best_costs = kept[best_from[index]]
-            best_mapping = best_mappings.mapping(best_rows[index])
-            best_cost = best_costs.layer_cost(best_rows[index])
+        if best[index] is not None:
+            best_mappings, best_costs, row = best[index]
+            best_mapping = best_mappings.mapping(row)
+            best_cost = best_costs.layer_cost(row)
         results.append(MappingSearchResult(
             layer_name=layer.name,
             best_mapping=best_mapping,

@@ -41,6 +41,18 @@ def _assert_identical(scalar, batched):
         scalar.edp != scalar.edp and batched.edp != batched.edp)
 
 
+def _assert_take(costs, lanes, mappings):
+    """``take`` keeps exactly the picked lanes' costs and mappings."""
+    picked = list(range(len(mappings)))[::-3]
+    taken = costs.take(picked)
+    taken_mappings = lanes.take(picked)
+    for row, lane in enumerate(picked):
+        assert taken.valid[row] == costs.valid[lane]
+        assert taken.edp[row] == costs.edp[lane]
+        _assert_identical(costs.layer_cost(lane), taken.layer_cost(row))
+        assert taken_mappings.mapping(row) == mappings[lane]
+
+
 def _random_mapping(rng, layer):
     array_order = list(SEARCHED_DIMS)
     pe_order = list(SEARCHED_DIMS)
@@ -164,8 +176,8 @@ def test_mixed_layer_batch_matches_scalar_exactly(preset, tiny_l1):
                                        bits=16) for layer in layers]
     model = CostModel()
     index, mappings = _mixed_lanes(random.Random(preset), layers)
-    costs = model.evaluate_lanes(LaneLayers(layers, index), accel,
-                                 LaneMappings.from_mappings(mappings))
+    lanes = LaneMappings.from_mappings(mappings)
+    costs = model.evaluate_lanes(LaneLayers(layers, index), accel, lanes)
 
     reasons = set()
     for lane, (which, mapping) in enumerate(zip(index, mappings)):
@@ -179,15 +191,17 @@ def test_mixed_layer_batch_matches_scalar_exactly(preset, tiny_l1):
     assert {"L2 overflow", "mapping tiles exceed layer dimensions"} <= reasons
     assert ("L1 overflow" in reasons) == tiny_l1
     assert costs.valid.any()
+    _assert_take(costs, lanes, mappings)
 
 
 def test_invalid_architecture_lanes_match_scalar():
     accel = dataclasses.replace(baseline_preset("eyeriss"), l1_bytes=2)
     model = CostModel()
     index, mappings = _mixed_lanes(random.Random(1), list(LAYERS))
-    costs = model.evaluate_lanes(LaneLayers(LAYERS, index), accel,
-                                 LaneMappings.from_mappings(mappings))
+    lanes = LaneMappings.from_mappings(mappings)
+    costs = model.evaluate_lanes(LaneLayers(LAYERS, index), accel, lanes)
     assert not costs.valid.any()
     for lane, (which, mapping) in enumerate(zip(index, mappings)):
         _assert_identical(model.evaluate(LAYERS[which], accel, mapping),
                           costs.layer_cost(lane))
+    _assert_take(costs, lanes, mappings)
