@@ -280,16 +280,6 @@ class TestStackParity:
                     ref.update(expected[row], fit[row].tolist())
                     _assert_same_state(stack, row, ref)
 
-    def test_all_infeasible_row_is_unchanged(self):
-        stack = EvolutionStack(3, [0, 1])
-        vectors = stack.ask(4)
-        mean, cov = stack.mean.copy(), stack.cov.copy()
-        stack.tell(vectors, [[1.0, 2.0, 3.0, 4.0], [np.inf] * 4])
-        np.testing.assert_array_equal(stack.mean[1], mean[1])
-        np.testing.assert_array_equal(stack.cov[1], cov[1])
-        assert not np.array_equal(stack.mean[0], mean[0])
-        assert stack.generation == 1
-
     def test_shape_mismatch_raises(self):
         stack = EvolutionStack(3, [0, 1])
         vectors = stack.ask(4)
