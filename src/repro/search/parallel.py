@@ -35,19 +35,19 @@ those searches run on:
   the evaluator runs unchanged on either, because both surface the
   same submit/collect future contract. Remote workers build their
   run's cache over their own ``--cache-dir`` and ship back
-  ``(results, counts)`` like any pool worker would.
+  ``(results, counts, busy seconds)`` like any pool worker would.
 - *How many* tasks one dispatch carries is cost-aware: a
-  :class:`GroupSizer` per evaluator measures per-task seconds from
-  completed groups (calibrated from the first completions,
-  EWMA-re-estimated as every later group lands) and sizes groups to hit
-  the transport's ``min_group_seconds`` of work per dispatch — cheap
-  tasks are batched many-per-group to amortize round-trip overhead,
-  expensive ones split fine so the pool can rebalance. Until the sizer
-  is calibrated a generation goes out as one contiguous chunk per
-  worker slot. Grouping only repartitions payloads across transport
-  submissions; commit order and content-derived seeds are
-  partition-independent, so the bit-identity contract below is
-  unaffected.
+  :class:`GroupSizer` per evaluator learns per-task seconds from the
+  busy time each completed group reports (calibrated from the first
+  completions, EWMA-re-estimated as every later group lands) and sizes
+  groups to hit the transport's ``min_group_seconds`` of work per
+  dispatch — cheap tasks are batched many-per-group to amortize
+  round-trip overhead, expensive ones split fine so the pool can
+  rebalance. Until the sizer is calibrated a generation goes out as
+  one contiguous chunk per worker slot. Grouping only repartitions
+  payloads across transport submissions; commit order and
+  content-derived seeds are partition-independent, so the bit-identity
+  contract below is unaffected.
 
 Determinism contract
 --------------------
@@ -78,7 +78,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import (
@@ -174,9 +173,13 @@ class GroupSizer:
     Dispatch overhead — submit/collect round trip, payload pickling,
     frame encoding over TCP — is paid per *group*, so cheap tasks want
     many per group and expensive tasks want few. The sizer learns
-    per-task seconds from completed groups (an EWMA with half the weight
-    on the newest sample, so the estimate re-tracks within a generation
-    as costs drift) and targets ``target_seconds`` of work per group.
+    per-task seconds from the busy time completed groups report, an
+    EWMA with half the weight on the newest sample, so the estimate
+    re-tracks within a generation as costs drift, and targets
+    ``target_seconds`` of work per group. Busy time is the group's
+    service time: its wall time from submit would also hold its wait
+    behind the groups queued ahead of it, inflate the estimate by the
+    queue depth and split each later generation finer.
 
     Until calibrated (at least ``min_tasks`` tasks observed) — or with a
     non-positive ``target_seconds``, which disables grouping outright —
@@ -424,23 +427,23 @@ class ParallelEvaluator:
         return True
 
     def _submit_group(self, payloads: Sequence[Any]) -> Future:
-        """Submit one task group, timing it to calibrate the sizer.
+        """Submit one task group; its reported busy time calibrates the sizer.
 
         Only clean completions feed the estimate: a failed or cancelled
         future measures the failure path, not the task cost.
         """
         future = self._transport.submit(self.worker_fn, payloads,
                                         self._cache_handle)
-        started = time.monotonic()
         count = len(payloads)
 
         def observe(done: Future) -> None:
             try:
-                clean = not done.cancelled() and done.exception() is None
+                if done.cancelled() or done.exception() is not None:
+                    return
+                busy = done.result(timeout=0)[2]
             except Exception:
                 return
-            if clean:
-                self._sizer.observe(count, time.monotonic() - started)
+            self._sizer.observe(count, busy)
 
         try:
             future.add_done_callback(observe)
@@ -454,7 +457,7 @@ class ParallelEvaluator:
         Called on the coordinator thread only, for futures known to be
         done (``timeout=0`` turns a broken guarantee into an error).
         """
-        results, counts = future.result(timeout=0)
+        results, counts, _busy = future.result(timeout=0)
         if counts is not None:
             self.cache.add_counts(counts)
         return results

@@ -50,8 +50,9 @@ A cache never crosses a process boundary. A task group carries a
 and each :func:`run_worker` loop, keeps one
 :class:`~repro.search.diskcache.RunCache` for the run it serves (over
 TCP only the run token travels, and the worker caches over its own
-``--cache-dir``). A group returns its results and the cache counts it
-added, which the coordinator sums. Every evaluation is seeded from
+``--cache-dir``). A group returns its results, the cache counts it
+added, which the coordinator sums, and the seconds it spent evaluating,
+which size later groups. Every evaluation is seeded from
 content digests, so cache state can change only cost, never results.
 
 Failure model
@@ -323,7 +324,7 @@ class Transport:
     """Where dispatched task groups run; futures carry their outcomes.
 
     ``submit`` returns a :class:`~concurrent.futures.Future` resolving
-    to ``(results, cache counts)`` — the exact contract of
+    to ``(results, cache counts, busy seconds)`` — the exact contract of
     :func:`run_chunk` — so the evaluator's commit buffer, salvage
     logic and scripted-completion test seams work identically over any
     transport. ``remote`` transports are dispatched to even when the
@@ -375,20 +376,24 @@ _pool_worker_cache = RunCache()
 def run_chunk(worker_fn: WorkerFn, payloads: Sequence[Any],
               handle: Optional[CacheHandle],
               run_cache: Optional[RunCache] = None,
-              ) -> Tuple[List[Any], Optional[CacheStats]]:
-    """Evaluate one task group; ``(results, cache counts)``.
+              ) -> Tuple[List[Any], Optional[CacheStats], float]:
+    """Evaluate one task group; ``(results, cache counts, busy seconds)``.
 
     The group runs against ``run_cache``'s cache for the handle's run
     (this process's pool-worker cache by default) and reports what it
-    added to that cache. The single execution contract every transport
-    (process pool, TCP worker) fulfills.
+    added to that cache, and how long evaluating it took here: the
+    group's service time, without the queue wait and transfer its
+    future's wall time also holds. The single execution contract every
+    transport (process pool, TCP worker) fulfills.
     """
+    started = time.perf_counter()
     if handle is None:
-        return [worker_fn(payload, None) for payload in payloads], None
+        results = [worker_fn(payload, None) for payload in payloads]
+        return results, None, time.perf_counter() - started
     cache = (run_cache or _pool_worker_cache).get(handle)
     before = cache.stats()
     results = [worker_fn(payload, cache) for payload in payloads]
-    return results, cache.stats() - before
+    return results, cache.stats() - before, time.perf_counter() - started
 
 
 class LocalTransport(Transport):
@@ -997,7 +1002,7 @@ def run_worker(connect: str,
     a job frame, verify its integrity and context digests, evaluate the
     task group against this loop's cache for the job's run — over this
     host's own persistent store when ``cache_dir`` is set — and return
-    the results plus the cache counts. Exits cleanly when the coordinator
+    the :func:`run_chunk` outcome. Exits cleanly when the coordinator
     says goodbye or closes, after ``max_jobs`` jobs, or — gracefully,
     finishing the in-flight job first — when ``stop_event`` is set or
     SIGTERM/SIGINT arrives (with ``install_signal_handlers``).

@@ -212,6 +212,30 @@ class TestCalibrationPipeline:
         # Both chunks completed cleanly: all ten tasks observed.
         assert evaluator._sizer._observed == 10
 
+    def test_sizer_learns_reported_busy_time(self):
+        # A group's future can land long after its worker finished it
+        # (queued behind other groups, or in transit); only the busy
+        # seconds the worker reports measure what its tasks cost.
+        class ReportingTransport(RecordingTransport):
+            def submit(self, worker_fn, payloads, cache):
+                future = super().submit(worker_fn, payloads, cache)
+                results, counts, _busy = future.result(timeout=0)
+                reported = Future()
+                reported.set_result((results, counts, 0.01 * len(payloads)))
+                return reported
+
+        evaluator = ParallelEvaluator(_square, workers=2,
+                                      transport=ReportingTransport(),
+                                      group_target_seconds=0.05)
+        evaluator.evaluate(list(range(8)))
+        assert evaluator._sizer._per_task == pytest.approx(0.01)
+        assert evaluator._sizer.size(fallback=4) == 5
+
+    def test_run_chunk_reports_busy_seconds(self):
+        results, counts, busy = run_chunk(_square, [2, 3], None)
+        assert results == [4, 9] and counts is None
+        assert busy >= 0.0
+
     def test_scripted_executor_seam_disables_grouping(self):
         # Evaluators built over the executor_factory test seam must not
         # calibrate: scripted futures resolve synchronously, which would

@@ -456,7 +456,7 @@ class TestDuplicateResults:
                     import pickle
                     job_id = frame[1]["job"]
                     _fn, payloads = pickle.loads(frame[2])
-                    outcome = ([p * p for p in payloads], None)
+                    outcome = ([p * p for p in payloads], None, 0.0)
                     body = pickle.dumps(outcome)
                     # An answer for a job nobody asked about, the real
                     # answer, then the real answer again.
