@@ -35,19 +35,12 @@ those searches run on:
   the evaluator runs unchanged on either, because both surface the
   same submit/collect future contract. Remote workers build their
   run's cache over their own ``--cache-dir`` and ship back
-  ``(results, counts, busy seconds)`` like any pool worker would.
-- *How many* tasks one dispatch carries is cost-aware: a
-  :class:`GroupSizer` per evaluator learns per-task seconds from the
-  busy time each completed group reports (calibrated from the first
-  completions, EWMA-re-estimated as every later group lands) and sizes
-  groups to hit the transport's ``min_group_seconds`` of work per
-  dispatch — cheap tasks are batched many-per-group to amortize
-  round-trip overhead, expensive ones split fine so the pool can
-  rebalance. Until the sizer is calibrated a generation goes out as
-  one contiguous chunk per worker slot. Grouping only repartitions
-  payloads across transport submissions; commit order and
-  content-derived seeds are partition-independent, so the bit-identity
-  contract below is unaffected.
+  ``(results, counts)`` like any pool worker would.
+- A generation goes out as one contiguous chunk per worker slot (per
+  connected worker over TCP). The partition only decides which process
+  evaluates which payloads; commit order and content-derived seeds do
+  not depend on it, so the bit-identity contract below holds for any
+  partition.
 
 Determinism contract
 --------------------
@@ -104,6 +97,7 @@ from repro.search.diskcache import CacheHandle
 from repro.search.result import IterationStats
 from repro.search.transport import (
     LocalTransport,
+    ProtocolError,
     Transport,
     WorkerFn,
     resolve_transport,
@@ -155,87 +149,6 @@ def split_chunks(items: Sequence[Any], parts: int) -> List[List[Any]]:
         chunks.append(items[start:start + size])
         start += size
     return chunks
-
-
-#: Upper bound on cost-aware group size: past this, one lost task group
-#: forfeits too much salvageable work on a transport failure.
-_MAX_GROUP_TASKS = 256
-
-#: Completed tasks a sizer must observe before its estimate drives
-#: grouping; the first dispatches of a run always use the ungrouped
-#: one-chunk-per-worker partitioning.
-_CALIBRATION_MIN_TASKS = 8
-
-
-class GroupSizer:
-    """Measured per-task cost -> how many tasks one dispatch carries.
-
-    Dispatch overhead — submit/collect round trip, payload pickling,
-    frame encoding over TCP — is paid per *group*, so cheap tasks want
-    many per group and expensive tasks want few. The sizer learns
-    per-task seconds from the busy time completed groups report, an
-    EWMA with half the weight on the newest sample, so the estimate
-    re-tracks within a generation as costs drift, and targets
-    ``target_seconds`` of work per group. Busy time is the group's
-    service time: its wall time from submit would also hold its wait
-    behind the groups queued ahead of it, inflate the estimate by the
-    queue depth and split each later generation finer.
-
-    Until calibrated (at least ``min_tasks`` tasks observed) — or with a
-    non-positive ``target_seconds``, which disables grouping outright —
-    :meth:`size` returns the caller's fallback, the evaluator's
-    ungrouped partitioning. Observations are
-    recorded from future completion callbacks, hence the lock.
-    """
-
-    _GUARDED_BY = {"_per_task": "_lock", "_observed": "_lock"}
-
-    def __init__(self, target_seconds: float,
-                 max_group: int = _MAX_GROUP_TASKS,
-                 min_tasks: int = _CALIBRATION_MIN_TASKS) -> None:
-        self.target_seconds = float(target_seconds)
-        self.max_group = max_group
-        self.min_tasks = min_tasks
-        self._lock = threading.Lock()
-        self._per_task: Optional[float] = None
-        self._observed = 0
-
-    @property
-    def enabled(self) -> bool:
-        """False when grouping was disabled via ``target_seconds <= 0``."""
-        return self.target_seconds > 0.0
-
-    @property
-    def calibrated(self) -> bool:
-        """True once enough completions back the per-task estimate."""
-        with self._lock:
-            return (self.enabled and self._per_task is not None
-                    and self._observed >= self.min_tasks)
-
-    def observe(self, tasks: int, seconds: float) -> None:
-        """Fold one completed group of ``tasks`` taking ``seconds``."""
-        if not self.enabled or tasks <= 0 or seconds < 0.0:
-            return
-        sample = seconds / tasks
-        with self._lock:
-            self._observed += tasks
-            if self._per_task is None:
-                self._per_task = sample
-            else:
-                self._per_task = 0.5 * self._per_task + 0.5 * sample
-
-    def size(self, fallback: int) -> int:
-        """Tasks per group; ``fallback`` until calibrated."""
-        with self._lock:
-            ready = (self.enabled and self._per_task is not None
-                     and self._observed >= self.min_tasks)
-            per_task = self._per_task
-        if not ready:
-            return max(1, fallback)
-        if per_task <= 0.0:
-            return self.max_group
-        return max(1, min(self.max_group,
-                          int(round(self.target_seconds / per_task))))
 
 
 class CommitBuffer:
@@ -346,7 +259,6 @@ class ParallelEvaluator:
                  transport: Optional[Transport] = None,
                  eval_timeout: Optional[float] = None,
                  owns_transport: Optional[bool] = None,
-                 group_target_seconds: Optional[float] = None,
                  ) -> None:
         if eval_timeout is not None and eval_timeout <= 0:
             raise SearchError(
@@ -362,7 +274,6 @@ class ParallelEvaluator:
                 f"{os.getpid()}-{next(_run_tokens)}",
                 None if store is None else str(store.directory))
         self.eval_timeout = eval_timeout
-        scripted = transport is None and executor_factory is not None
         if transport is None:
             # repro: owner(ParallelEvaluator.close)
             transport = LocalTransport(
@@ -375,16 +286,6 @@ class ParallelEvaluator:
         #: worker fleet across many sequential searches) outlives this
         #: evaluator; one it built itself does not.
         self._owns_transport = bool(owns_transport)
-        if group_target_seconds is None:
-            # A scripted executor pins completion order at task
-            # granularity and resolves futures synchronously, so
-            # wall-clock calibration is meaningless there: the seam
-            # keeps the ungrouped fallback unless a test opts in.
-            group_target_seconds = (
-                0.0 if scripted
-                else getattr(transport, "min_group_seconds", 0.05))
-        #: Cost-aware group sizing, calibrated from completed groups.
-        self._sizer = GroupSizer(group_target_seconds)
 
     def close(self) -> None:
         """Release the transport's resources (idempotent).
@@ -426,38 +327,23 @@ class ParallelEvaluator:
             return False
         return True
 
-    def _submit_group(self, payloads: Sequence[Any]) -> Future:
-        """Submit one task group; its reported busy time calibrates the sizer.
-
-        Only clean completions feed the estimate: a failed or cancelled
-        future measures the failure path, not the task cost.
-        """
-        future = self._transport.submit(self.worker_fn, payloads,
-                                        self._cache_handle)
-        count = len(payloads)
-
-        def observe(done: Future) -> None:
-            try:
-                if done.cancelled() or done.exception() is not None:
-                    return
-                busy = done.result(timeout=0)[2]
-            except Exception:
-                return
-            self._sizer.observe(count, busy)
-
-        try:
-            future.add_done_callback(observe)
-        except Exception:
-            pass  # exotic future doubles without callbacks still work
-        return future
-
-    def _group_results(self, future: Future) -> List[Any]:
+    def _group_results(self, future: Future, size: int) -> List[Any]:
         """A landed group's results; its cache counts join the run's.
 
         Called on the coordinator thread only, for futures known to be
-        done (``timeout=0`` turns a broken guarantee into an error).
+        done (``timeout=0`` turns a broken guarantee into an error). An
+        outcome that is not ``(results, counts)`` with one result per
+        payload came from a broken or foreign peer: it would shift every
+        later result onto the wrong candidate, so it is a transport
+        failure, salvaged like a lost group.
         """
-        results, counts, _busy = future.result(timeout=0)
+        outcome = future.result(timeout=0)
+        if not (isinstance(outcome, tuple) and len(outcome) == 2
+                and isinstance(outcome[0], list)
+                and len(outcome[0]) == size):
+            raise ProtocolError(
+                f"malformed outcome for a task group of {size} payloads")
+        results, counts = outcome
         if counts is not None:
             self.cache.add_counts(counts)
         return results
@@ -501,24 +387,12 @@ class ParallelEvaluator:
         groups = self._dispatch(self._task_groups(payloads))
         return [result for group in groups for result in group]
 
-    def _chunk_target(self) -> int:
-        """How many task groups an uncalibrated generation aims for."""
-        if self._transport is not None and self._transport.remote:
-            return self._transport.capacity()
-        return self.workers
-
     def _task_groups(self, payloads: List[Any]) -> List[List[Any]]:
-        """One contiguous chunk per worker slot, or finer once calibrated."""
-        parts = max(1, self._chunk_target())
-        chunk = -(-len(payloads) // parts)
-        size = self._sizer.size(fallback=chunk)
-        if size >= chunk:
-            return split_chunks(payloads, parts)
-        # Calibration says one chunk of these tasks overshoots the group
-        # target: split finer so the transport's queue can rebalance a
-        # chunk that drew the expensive candidates.
-        return [payloads[start:start + size]
-                for start in range(0, len(payloads), size)]
+        """One contiguous chunk per worker slot (per connected worker)."""
+        parts = self.workers
+        if self._transport is not None and self._transport.remote:
+            parts = self._transport.capacity()
+        return split_chunks(payloads, max(1, parts))
 
     def _dispatch(self, groups: List[List[Any]]) -> List[List[Any]]:
         """Submit task groups and gather their results, salvage-aware."""
@@ -526,7 +400,8 @@ class ParallelEvaluator:
         submit_failure: Optional[BaseException] = None
         for group in groups:
             try:
-                futures.append(self._submit_group(group))
+                futures.append(self._transport.submit(
+                    self.worker_fn, group, self._cache_handle))
             except _DISPATCH_FAILURES as exc:
                 # Fork/spawn can also fail at submit time (seccomp,
                 # cgroup limits), not just at pool construction — and a
@@ -536,12 +411,13 @@ class ParallelEvaluator:
         buffer = CommitBuffer(len(groups))
         failure = submit_failure
         if failure is None:
-            failure = self._land_completions(futures, buffer)
+            failure = self._land_completions(futures, groups, buffer)
         if failure is None:
             return buffer.committed()
         return self._salvage(failure, futures, groups, buffer)
 
     def _land_completions(self, futures: List[Future],
+                          groups: List[List[Any]],
                           buffer: CommitBuffer) -> Optional[BaseException]:
         """Land future results into the buffer as they complete.
 
@@ -562,8 +438,9 @@ class ParallelEvaluator:
                     f"progress within eval_timeout={self.eval_timeout:g}s")
             for future in done:
                 try:
-                    buffer.land(index_of[future],
-                                self._group_results(future))
+                    index = index_of[future]
+                    buffer.land(index, self._group_results(
+                        future, len(groups[index])))
                 except _DISPATCH_FAILURES as exc:
                     return exc
         return None
@@ -594,7 +471,11 @@ class ParallelEvaluator:
             future = futures[index]
             if (future.done() and not future.cancelled()
                     and future.exception() is None):
-                buffer.land(index, self._group_results(future))
+                try:
+                    results = self._group_results(future, len(groups[index]))
+                except ProtocolError:
+                    continue  # malformed: recomputed inline below
+                buffer.land(index, results)
                 salvaged += 1
         remainder = buffer.missing
         logger.warning(
@@ -613,7 +494,6 @@ def build_evaluator(worker_fn: WorkerFn, workers: int = 1,
                     transport: Union[str, Transport, None] = "local",
                     workers_addr: Optional[str] = None,
                     eval_timeout: Optional[float] = None,
-                    group_target_seconds: Optional[float] = None,
                     ) -> ParallelEvaluator:
     """The evaluator a search run should use for its execution config.
 
@@ -625,9 +505,6 @@ def build_evaluator(worker_fn: WorkerFn, workers: int = 1,
     :class:`~repro.search.transport.Transport` instance. ``eval_timeout``
     bounds how long collection waits on any dispatched task group
     before the stuck work is salvaged and re-evaluated inline.
-    ``group_target_seconds`` overrides the transport's cost-aware
-    grouping target (``0`` pins the evaluator to its ungrouped
-    partitioning; ``None`` uses the transport's ``min_group_seconds``).
     """
     # repro: owner(the returned evaluator, via owns_transport below)
     transport_obj = resolve_transport(transport, workers_addr=workers_addr)
@@ -641,8 +518,7 @@ def build_evaluator(worker_fn: WorkerFn, workers: int = 1,
     return ParallelEvaluator(worker_fn, workers=workers, cache=cache,
                              transport=transport_obj,
                              eval_timeout=eval_timeout,
-                             owns_transport=owns,
-                             group_target_seconds=group_target_seconds)
+                             owns_transport=owns)
 
 
 class GenerationLoop:

@@ -125,10 +125,7 @@ def sweep_accuracy_frontier(accel: AcceleratorConfig,
     best point. The returned list is the non-dominated subset.
     ``workers`` fans the (independent) per-floor runs out in parallel;
     per-floor seeds are batch-derived before any run starts, so every
-    worker count returns the same frontier. Per-floor wall-clock varies
-    wildly with how tight the floor is; once the group sizer has
-    calibrated, the evaluator splits expensive floors into fine task
-    groups the pool can rebalance.
+    worker count returns the same frontier.
     ``cache_dir`` backs every floor's run with the shared persistent
     disk tier.
     """

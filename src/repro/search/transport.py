@@ -50,9 +50,8 @@ A cache never crosses a process boundary. A task group carries a
 and each :func:`run_worker` loop, keeps one
 :class:`~repro.search.diskcache.RunCache` for the run it serves (over
 TCP only the run token travels, and the worker caches over its own
-``--cache-dir``). A group returns its results, the cache counts it
-added, which the coordinator sums, and the seconds it spent evaluating,
-which size later groups. Every evaluation is seeded from
+``--cache-dir``). A group returns its results and the cache counts it
+added, which the coordinator sums. Every evaluation is seeded from
 content digests, so cache state can change only cost, never results.
 
 Failure model
@@ -100,7 +99,7 @@ WorkerFn = Callable[[Any, Optional[EvaluationCache]], Any]
 TRANSPORTS: Tuple[str, ...] = ("local", "tcp")
 
 #: Bumped on any incompatible change to framing, header or body semantics.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _MAGIC = b"NTP1"
 #: magic | protocol version | header length | body length
@@ -324,7 +323,7 @@ class Transport:
     """Where dispatched task groups run; futures carry their outcomes.
 
     ``submit`` returns a :class:`~concurrent.futures.Future` resolving
-    to ``(results, cache counts, busy seconds)`` — the exact contract of
+    to ``(results, cache counts)`` — the exact contract of
     :func:`run_chunk` — so the evaluator's commit buffer, salvage
     logic and scripted-completion test seams work identically over any
     transport. ``remote`` transports are dispatched to even when the
@@ -333,12 +332,6 @@ class Transport:
 
     #: True when task groups leave this process.
     remote = False
-    #: Target seconds of work per dispatched task group. The evaluator's
-    #: cost-aware grouping divides this by the measured per-task cost to
-    #: size groups; transports with higher per-dispatch overhead (frame
-    #: encoding, network round trips) declare a larger target so cheap
-    #: tasks are amortized more aggressively.
-    min_group_seconds = 0.05
 
     @property
     def closed(self) -> bool:
@@ -376,24 +369,20 @@ _pool_worker_cache = RunCache()
 def run_chunk(worker_fn: WorkerFn, payloads: Sequence[Any],
               handle: Optional[CacheHandle],
               run_cache: Optional[RunCache] = None,
-              ) -> Tuple[List[Any], Optional[CacheStats], float]:
-    """Evaluate one task group; ``(results, cache counts, busy seconds)``.
+              ) -> Tuple[List[Any], Optional[CacheStats]]:
+    """Evaluate one task group; ``(results, cache counts)``.
 
     The group runs against ``run_cache``'s cache for the handle's run
     (this process's pool-worker cache by default) and reports what it
-    added to that cache, and how long evaluating it took here: the
-    group's service time, without the queue wait and transfer its
-    future's wall time also holds. The single execution contract every
-    transport (process pool, TCP worker) fulfills.
+    added to that cache. The single execution contract every transport
+    (process pool, TCP worker) fulfills.
     """
-    started = time.perf_counter()
     if handle is None:
-        results = [worker_fn(payload, None) for payload in payloads]
-        return results, None, time.perf_counter() - started
+        return [worker_fn(payload, None) for payload in payloads], None
     cache = (run_cache or _pool_worker_cache).get(handle)
     before = cache.stats()
     results = [worker_fn(payload, cache) for payload in payloads]
-    return results, cache.stats() - before, time.perf_counter() - started
+    return results, cache.stats() - before
 
 
 class LocalTransport(Transport):
@@ -506,10 +495,6 @@ class TcpTransport(Transport):
     """
 
     remote = True
-    #: A TCP dispatch pays pickling, framing and a network round trip —
-    #: roughly 5x the local pool's per-dispatch overhead — so groups
-    #: aim for proportionally more work per job.
-    min_group_seconds = 0.25
 
     #: How many times a job is re-dispatched after worker failures
     #: before its future fails over to the evaluator's inline path.

@@ -453,10 +453,9 @@ class TestDuplicateResults:
                     frame = recv_frame(chatty)
                     if frame is None or frame[0] != JOB:
                         return
-                    import pickle
                     job_id = frame[1]["job"]
                     _fn, payloads = pickle.loads(frame[2])
-                    outcome = ([p * p for p in payloads], None, 0.0)
+                    outcome = ([p * p for p in payloads], None)
                     body = pickle.dumps(outcome)
                     # An answer for a job nobody asked about, the real
                     # answer, then the real answer again.
@@ -477,6 +476,44 @@ class TestDuplicateResults:
                 assert evaluator.evaluate([3]) == [9]
                 assert evaluator.evaluate([5]) == [25]
             thread.join(timeout=5.0)
+        finally:
+            transport.close()
+
+
+class TestMalformedOutcomes:
+    """A RESULT body that is not ``(results, counts)`` with one result
+    per payload is a transport failure: salvaged and re-evaluated
+    inline, never returned as a misaligned generation."""
+
+    @pytest.mark.parametrize("answer", [
+        lambda squares: (squares[:-1], None),
+        lambda squares: (squares + [-1], None),
+        lambda squares: squares,
+    ], ids=["short", "long", "non_tuple"])
+    def test_malformed_result_is_recomputed_inline(self, answer):
+        transport = TcpTransport(bind="127.0.0.1:0", connect_timeout=10.0,
+                                 heartbeat_grace=10.0)
+        try:
+            liar = _raw_worker_socket(transport)
+
+            def answer_one_job():
+                frame = recv_frame(liar)
+                assert frame is not None and frame[0] == JOB
+                _fn, payloads = pickle.loads(frame[2])
+                squares = [p * p for p in payloads]
+                liar.sendall(encode_frame(RESULT, {"job": frame[1]["job"]},
+                                          pickle.dumps(answer(squares))))
+                liar.close()
+
+            thread = threading.Thread(target=answer_one_job, daemon=True)
+            thread.start()
+            with ParallelEvaluator(_square, workers=2,
+                                   transport=transport) as evaluator:
+                evaluator.salvage_grace = 0.5
+                assert evaluator.evaluate([2, 3]) == [4, 9]
+                assert evaluator.workers == 1  # degraded to inline
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
         finally:
             transport.close()
 
@@ -621,8 +658,8 @@ class TestBuildEvaluator:
 
     def test_chunks_track_remote_fleet(self):
         with tcp_fleet(count=2) as transport:
-            with ParallelEvaluator(_square, workers=1, transport=transport,
-                                   group_target_seconds=0.0) as evaluator:
+            with ParallelEvaluator(_square, workers=1,
+                                   transport=transport) as evaluator:
                 # One coordinator-side worker, but a two-worker fleet:
                 # one chunk per connected worker.
                 assert evaluator._task_groups([1, 2, 3, 4]) == [
