@@ -46,7 +46,7 @@ from repro.accelerator.arch import AcceleratorConfig
 from repro.cost.config import CostParams
 from repro.cost.energy import EnergyReport
 from repro.cost.latency import LatencyReport, l2_bandwidth_bytes_per_cycle
-from repro.cost.operands import OPERANDS, Operand, relevance_masks
+from repro.cost.operands import Operand, relevance_masks, total_elements
 from repro.cost.reuse import GROW_ORDER
 from repro.cost.report import LayerCost
 from repro.cost.traffic import TrafficReport
@@ -79,12 +79,19 @@ def _order_indices(order: Tuple[Dim, ...]) -> Tuple[int, ...]:
     return cached
 
 
+#: Row of each operand in the kernel's per-operand arrays: row ``i``
+#: is ``GROW_ORDER[i]``, the order the reuse windows grow in.
+SLOT: Dict[Operand, int] = {op: row for row, op in enumerate(GROW_ORDER)}
+_O, _W, _I = SLOT[Operand.OUTPUT], SLOT[Operand.WEIGHT], SLOT[Operand.INPUT]
+
+
 class LaneLayers:
     """Per-lane layer constants: lane ``i`` carries ``layers[index[i]]``.
 
     Integer quantities are ``int64`` and ``bpe`` (bytes per element) is
     ``float64``, each shaped ``(B,)`` except ``sizes`` (``(B, 7)`` in
-    :data:`DIM_INDEX` order). ``per_layer`` gathers any other per-layer
+    :data:`DIM_INDEX` order) and ``masks`` (``(3, B, 7)``, one row per
+    operand in :data:`SLOT` order). ``per_layer`` gathers any other per-layer
     value a caller computes with the scalar expressions.
     """
 
@@ -103,20 +110,12 @@ class LaneLayers:
         self.input_x = self.per_layer([layer.input_x for layer in layers])
         self.bpe = self.per_layer([layer.bytes_per_element
                                    for layer in layers], np.float64)
-        self.elements = {
-            Operand.WEIGHT: self.per_layer([layer.weight_elements
-                                            for layer in layers]),
-            Operand.INPUT: self.per_layer([layer.input_elements
-                                           for layer in layers]),
-            Operand.OUTPUT: self.per_layer([layer.output_elements
-                                            for layer in layers]),
-        }
-        # Relevance per (lane, dim index): only the input's K entry
-        # varies (grouped convolutions select input channels by K).
-        self.masks = {op: np.array([relevance_masks(layer)[op]
-                                    for layer in self.layers],
-                                   dtype=bool).reshape(-1, 7)[self.index]
-                      for op in OPERANDS}
+        # Relevance per (operand, lane, dim index): only the input's K
+        # entry varies (grouped convolutions select input channels by K).
+        self.masks = np.ascontiguousarray(np.array(
+            [[relevance_masks(layer)[op] for op in GROW_ORDER]
+             for layer in self.layers],
+            dtype=bool).reshape(-1, 3, 7)[self.index].transpose(1, 0, 2))
 
     def __len__(self) -> int:
         return len(self.index)
@@ -128,27 +127,35 @@ class LaneLayers:
     def layer(self, lane: int) -> ConvLayer:
         return self.layers[self.index[lane]]
 
-    def footprint(self, operand: Operand, ext: np.ndarray) -> np.ndarray:
-        """Per-lane :func:`repro.cost.operands.footprint_elements_idx`.
+    def elements(self, slot: int) -> np.ndarray:
+        """Per-lane :func:`repro.cost.operands.total_elements` of the
+        operand in row ``slot`` of :data:`SLOT`."""
+        operand = GROW_ORDER[slot]
+        return self.per_layer([total_elements(layer, operand)
+                               for layer in self.layers])
 
-        ``ext`` is ``(B, 7)``; extents clamp against each lane's sizes
-        and the result stays ``int64``. For ungrouped layers the group
-        term is 1, so one expression covers both cases exactly.
+    def window_elements(self, slot: int, ext: Sequence) -> np.ndarray:
+        """Per-lane :func:`repro.cost.operands.footprint_elements_idx`
+        of the operand in row ``slot`` of :data:`SLOT`.
+
+        ``ext[d]`` is the covered extent of dim index ``d``: a ``(B,)``
+        array, or a scalar every lane shares. Extents must already lie
+        within each lane's sizes (the scalar function's clamp is then a
+        no-op). The result stays ``int64``; for ungrouped layers the
+        group term is 1, so one expression covers both cases exactly.
         """
-        ext = np.minimum(ext, self.sizes)
-        if operand is Operand.WEIGHT:
-            return (ext[:, IDX_K] * ext[:, IDX_C] * ext[:, IDX_R]
-                    * ext[:, IDX_S])
-        if operand is Operand.OUTPUT:
-            return ext[:, 0] * ext[:, IDX_K] * ext[:, IDX_Y] * ext[:, IDX_X]
+        if slot == _W:
+            return ext[IDX_K] * ext[IDX_C] * ext[IDX_R] * ext[IDX_S]
+        if slot == _O:
+            return ext[0] * ext[IDX_K] * ext[IDX_Y] * ext[IDX_X]
         rows = np.minimum(self.input_y,
-                          (ext[:, IDX_Y] - 1) * self.stride + ext[:, IDX_R])
+                          (ext[IDX_Y] - 1) * self.stride + ext[IDX_R])
         cols = np.minimum(self.input_x,
-                          (ext[:, IDX_X] - 1) * self.stride + ext[:, IDX_S])
+                          (ext[IDX_X] - 1) * self.stride + ext[IDX_S])
         groups_touched = np.minimum(self.groups,
-                                    -(-ext[:, IDX_K] // self.k_per_group))
-        channels = np.minimum(self.channels, groups_touched * ext[:, IDX_C])
-        return ext[:, 0] * channels * rows * cols
+                                    -(-ext[IDX_K] // self.k_per_group))
+        channels = np.minimum(self.channels, groups_touched * ext[IDX_C])
+        return ext[0] * channels * rows * cols
 
     def tile_set_bytes(self, tiles: np.ndarray, psum_bytes: int) -> np.ndarray:
         """Per-lane :func:`repro.cost.operands.tile_set_bytes`.
@@ -157,17 +164,18 @@ class LaneLayers:
         extent 1). The operand sum runs in ``Operand`` declaration
         order, matching the scalar sum.
         """
-        ext = np.ones((len(tiles), 7), dtype=np.int64)
-        ext[:, 1:] = tiles
+        ext = (1, *np.minimum(tiles, self.sizes[:, 1:]).T)
         total = 0.0
         for op in Operand:
-            total = total + (self.footprint(op, ext)
-                             * self.element_bytes(op, psum_bytes))
+            slot = SLOT[op]
+            total = total + (self.window_elements(slot, ext)
+                             * self.element_bytes(slot, psum_bytes))
         return total
 
-    def element_bytes(self, operand: Operand, psum_bytes: int):
-        """Per-lane :func:`repro.cost.operands.element_bytes`."""
-        if operand is Operand.OUTPUT:
+    def element_bytes(self, slot: int, psum_bytes: int):
+        """Per-lane :func:`repro.cost.operands.element_bytes` of operand
+        row ``slot`` of :data:`SLOT`."""
+        if slot == _O:
             return float(psum_bytes)
         return self.bpe
 
@@ -176,9 +184,10 @@ class LaneMappings:
     """Mappings as integer rows, one per lane.
 
     ``tiles`` is ``(B, 6)`` in :data:`SEARCHED_DIMS` order;
-    ``array_order``/``pe_order`` are ``(B, 6)`` :data:`DIM_INDEX`
-    indices, outermost first. ``ok`` marks lanes that hold a mapping at
-    all (a vector that failed to decode leaves its lane ``False``).
+    ``array_order``/``pe_order`` are ``(B, 6)`` ``int8``
+    :data:`DIM_INDEX` indices, outermost first. ``ok`` marks lanes that
+    hold a mapping at all (a vector that failed to decode leaves its
+    lane ``False``).
     """
 
     def __init__(self, tiles: np.ndarray, array_order: np.ndarray,
@@ -194,6 +203,12 @@ class LaneMappings:
         return LaneMappings(self.tiles[lanes], self.array_order[lanes],
                             self.pe_order[lanes], self.ok[lanes])
 
+    def put(self, rows: np.ndarray, source: "LaneMappings",
+            lanes: np.ndarray) -> None:
+        """Overwrite rows ``rows`` with ``source``'s lanes ``lanes``."""
+        for name in ("tiles", "array_order", "pe_order", "ok"):
+            getattr(self, name)[rows] = getattr(source, name)[lanes]
+
     @classmethod
     def from_mappings(cls, mappings: Sequence[Mapping]) -> "LaneMappings":
         return cls(
@@ -201,10 +216,10 @@ class LaneMappings:
                            dtype=np.int64).reshape(-1, 6),
             array_order=np.array([_order_indices(m.array_order)
                                   for m in mappings],
-                                 dtype=np.int64).reshape(-1, 6),
+                                 dtype=np.int8).reshape(-1, 6),
             pe_order=np.array([_order_indices(m.pe_order)
                                for m in mappings],
-                              dtype=np.int64).reshape(-1, 6))
+                              dtype=np.int8).reshape(-1, 6))
 
     def mapping(self, lane: int) -> Mapping:
         """The lane's :class:`Mapping` object."""
@@ -217,75 +232,79 @@ class LaneMappings:
 
 def _reuse_windows_batch(lanes: LaneLayers,
                          loop_dims: np.ndarray,
-                         loop_trips: np.ndarray,
-                         base_extents: np.ndarray,
+                         ext: np.ndarray,
                          caps: np.ndarray,
                          budget_bytes: float,
                          psum_bytes: int,
-                         ) -> Tuple[Dict[Operand, np.ndarray],
-                                    Dict[Operand, np.ndarray],
+                         ) -> Tuple[np.ndarray, np.ndarray,
                                     np.ndarray, np.ndarray]:
     """Vectorized :func:`repro.cost.reuse.analyze_reuse` over B lanes.
 
-    ``loop_dims``/``loop_trips`` are ``(B, L)`` outermost-first;
-    ``base_extents``/``caps`` are ``(B, 7)``. Returns ``(footprint
-    bytes, deliveries, base_feasible, base_total)``, the first two per
-    operand; window values for lanes with ``base_feasible == False``
-    are unspecified (the scalar path returns early there and callers
-    must ignore them).
+    ``loop_dims`` is ``(B, L)`` dim indices, outermost first, each dim
+    at most once per lane. ``ext`` (``(B, 7)``) holds the resident
+    extents, which the windows grow from and overwrite; ``caps``
+    (``(B, 7)``, within the lanes' sizes) bounds them, and a dim's loop
+    runs ``ceil(cap / resident extent)`` trips (both levels of
+    :func:`analyze_traffic_batch` are built that way). Returns
+    ``(footprint bytes, deliveries, base_feasible, base_total)``, the
+    first two ``(3, B)`` with one row per operand in :data:`SLOT`
+    order; window values for lanes with ``base_feasible == False`` are
+    unspecified (the scalar path returns early there and callers must
+    ignore them).
+
+    One extent array serves all three operands: a dim's loop occurs
+    once, so every window that takes it in reaches the same ``min(cap,
+    start * trips)`` there, and the dims an operand ignores never
+    change its footprint. What differs per operand — footprint elements
+    and bytes, and whether its window still grows — are ``(3, B)``
+    rows, updated in place where a lane's window takes in the loop.
+    Once a window stops, each loop outside it multiplies its elements
+    into deliveries.
     """
     count, length = loop_dims.shape
-    rows = np.arange(count)
-    start = np.minimum(base_extents, caps)
-
-    extents: Dict[Operand, np.ndarray] = {}
-    footprints: Dict[Operand, np.ndarray] = {}
+    cols = ext.T
+    elements = np.stack([lanes.window_elements(slot, cols)
+                         for slot in range(3)])
+    unit = [lanes.element_bytes(slot, psum_bytes) for slot in range(3)]
+    footprints = np.empty((3, count))
     total = np.zeros(count)
-    for op in OPERANDS:
-        ext = start.copy()
-        extents[op] = ext
-        fp = lanes.footprint(op, ext) * lanes.element_bytes(op, psum_bytes)
-        footprints[op] = fp
-        total = total + fp
+    for slot in range(3):
+        np.multiply(elements[slot], unit[slot], out=footprints[slot])
+        total = total + footprints[slot]
     base_total = total.copy()
     base_feasible = total <= budget_bytes
 
-    active = {op: np.ones(count, dtype=bool) for op in OPERANDS}
-    window_start = {op: np.zeros(count, dtype=np.int64) for op in OPERANDS}
+    active = np.ones((3, count), dtype=bool)
+    lane_offsets = np.arange(count) * 7
+    masks = lanes.masks.reshape(3, -1)
 
     for position in range(length - 1, -1, -1):
-        dim_idx = loop_dims[:, position]
-        trips = loop_trips[:, position]
+        # Flat (lane, dim) index of this loop into every (B, 7) array.
+        flat = lane_offsets + loop_dims[:, position]
+        cap_here = np.take(caps, flat)
+        resident = np.take(ext, flat)
+        trips = -(-cap_here // resident)
         multi = trips > 1
         if not multi.any():
             continue
-        cap_here = caps[rows, dim_idx]
-        for op in GROW_ORDER:
-            grow = multi & active[op] & lanes.masks[op][rows, dim_idx]
+        np.put(ext, flat, np.minimum(cap_here, resident * trips))
+        relevant = np.take(masks, flat, axis=1)
+        for slot in range(3):
+            grow = multi & active[slot] & relevant[slot]
             if not grow.any():
                 continue
-            ext = extents[op]
-            old = ext[rows, dim_idx]
-            grown = np.minimum(cap_here, old * trips)
-            ext[rows, dim_idx] = np.where(grow, grown, old)
-            new_fp = (lanes.footprint(op, ext)
-                      * lanes.element_bytes(op, psum_bytes))
-            accept = grow & (total - footprints[op] + new_fp <= budget_bytes)
-            reject = grow & ~accept
-            total = np.where(accept, total + (new_fp - footprints[op]), total)
-            footprints[op] = np.where(accept, new_fp, footprints[op])
-            ext[rows, dim_idx] = np.where(accept, grown, old)
-            active[op] &= ~reject
-            window_start[op] = np.where(reject, position + 1,
-                                        window_start[op])
-
-    # outside_trips = product of trips of loops outside the window; the
-    # scalar loop becomes a prefix-product gather at window_start.
-    prefix = np.ones((count, length + 1), dtype=np.int64)
-    np.cumprod(loop_trips, axis=1, out=prefix[:, 1:])
-    deliveries = {op: lanes.footprint(op, extents[op])
-                  * prefix[rows, window_start[op]] for op in OPERANDS}
-    return footprints, deliveries, base_feasible, base_total
+            new_elements = lanes.window_elements(slot, cols)
+            new_fp = new_elements * unit[slot]
+            accept = grow & (total - footprints[slot] + new_fp
+                             <= budget_bytes)
+            np.add(total, new_fp - footprints[slot], out=total,
+                   where=accept)
+            np.copyto(footprints[slot], new_fp, where=accept)
+            np.copyto(elements[slot], new_elements, where=accept)
+            active[slot] &= ~(grow & ~accept)
+        # This loop is outside every window that has stopped.
+        np.multiply(elements, trips, out=elements, where=~active)
+    return footprints, elements, base_feasible, base_total
 
 
 class _LaneFields:
@@ -305,6 +324,16 @@ class _LaneFields:
                 value = value.take(lanes)
             taken[name] = value
         return type(self)(**taken)
+
+    def put(self, rows: np.ndarray, source: "_LaneFields",
+            lanes: np.ndarray) -> None:
+        """Overwrite rows ``rows`` with ``source``'s lanes ``lanes``;
+        shared values stay as they are."""
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                value[rows] = getattr(source, name)[lanes]
+            elif isinstance(value, _LaneFields):
+                value.put(rows, getattr(source, name), lanes)
 
 
 class TrafficArrays(_LaneFields):
@@ -350,44 +379,53 @@ def analyze_traffic_batch(lanes: LaneLayers, accel: AcceleratorConfig,
     bpe = lanes.bpe
     psum = params.psum_bytes
 
-    tiles7 = np.ones((count, 7), dtype=np.int64)
-    tiles7[:, 1:] = np.minimum(mappings.tiles, sizes[:, 1:])
-
-    # ---- Array level: DRAM <-> L2, tile-granular --------------------------
-    outer_trips = -(-sizes // tiles7)
-    loop_dims = np.zeros((count, 7), dtype=np.int64)
-    loop_dims[:, 1:] = mappings.array_order
-    loop_trips = np.take_along_axis(outer_trips, loop_dims, axis=1)
-    loop_trips[:, 0] = sizes[:, 0]
-    l2_budget = accel.l2_bytes * (1.0 - params.double_buffer_fraction)
-    array_fp, array_del, l2_ok, l2_base = _reuse_windows_batch(
-        lanes, loop_dims, loop_trips, tiles7, sizes, l2_budget, psum)
+    def tiles7() -> np.ndarray:
+        tiles = np.ones((count, 7), dtype=np.int64)
+        tiles[:, 1:] = np.minimum(mappings.tiles, sizes[:, 1:])
+        return tiles
 
     # ---- PE level: L2 <-> PE, element-granular -----------------------------
-    axes = [(dim, DIM_INDEX[dim], np.minimum(size, tiles7[:, DIM_INDEX[dim]]))
+    # The tiles become the PE level's trips per dim in place, and are
+    # made again for the array level, which grows its windows over
+    # them: two (B, 7) arrays live per level instead of four.
+    mid_trips = tiles7()
+    axes = [(dim, DIM_INDEX[dim],
+             np.minimum(size, mid_trips[:, DIM_INDEX[dim]]))
             for dim, size in zip(accel.parallel_dims, accel.array_dims)]
-    mid_trips = tiles7.copy()
-    mid_trips[:, 0] = 1
+    tile_outputs = (mid_trips[:, IDX_K] * mid_trips[:, IDX_Y]
+                    * mid_trips[:, IDX_X])
     for _, idx, eff in axes:
-        mid_trips[:, idx] = -(-tiles7[:, idx] // eff)
-    pe_dims = mappings.pe_order
-    pe_trips = np.take_along_axis(mid_trips, pe_dims, axis=1)
+        mid_trips[:, idx] = -(-mid_trips[:, idx] // eff)
     _, pe_del, l1_ok, l1_base = _reuse_windows_batch(
-        lanes, pe_dims, pe_trips, np.ones((count, 7), dtype=np.int64),
+        lanes, mappings.pe_order, np.ones((count, 7), dtype=np.int64),
         mid_trips, float(accel.l1_bytes), psum)
+    steps_per_tile = np.prod(mid_trips[:, 1:], axis=1)
+    del mid_trips
 
+    # ---- Array level: DRAM <-> L2, tile-granular --------------------------
+    tiles = tiles7()
+    tiles_count = sizes[:, 0].copy()
+    for idx in range(1, 7):
+        tiles_count *= -(-sizes[:, idx] // tiles[:, idx])
+    # The batch loop is outermost, then the mapping's array order.
+    loop_dims = np.zeros((count, 7), dtype=np.int8)
+    loop_dims[:, 1:] = mappings.array_order
+    l2_budget = accel.l2_bytes * (1.0 - params.double_buffer_fraction)
+    array_fp, array_del, l2_ok, l2_base = _reuse_windows_batch(
+        lanes, loop_dims, tiles, sizes, l2_budget, psum)
+    del tiles, loop_dims
+    first_fill = array_fp[_W] + array_fp[_I]
     dram_read = np.zeros(count)
-    for op in (Operand.WEIGHT, Operand.INPUT):
-        deliveries = np.maximum(array_del[op], lanes.elements[op])
+    for slot in (_W, _I):
+        deliveries = np.maximum(array_del[slot], lanes.elements(slot))
         dram_read = dram_read + deliveries * bpe
-    out_distinct = lanes.elements[Operand.OUTPUT]
-    out_deliveries = np.maximum(array_del[Operand.OUTPUT], out_distinct)
+    out_distinct = lanes.elements(_O)
+    out_deliveries = np.maximum(array_del[_O], out_distinct)
     out_revisits = np.maximum(0, out_deliveries - out_distinct)
     dram_write = out_distinct * bpe + out_revisits * psum
     dram_read = dram_read + out_revisits * psum
+    del array_fp, array_del
 
-    tiles_count = sizes[:, 0] * np.prod(outer_trips[:, 1:], axis=1)
-    steps_per_tile = np.prod(mid_trips[:, 1:], axis=1)
     active_pes = np.ones(count, dtype=np.int64)
     for _, _, eff in axes:
         active_pes = active_pes * eff
@@ -395,14 +433,14 @@ def analyze_traffic_batch(lanes: LaneLayers, accel: AcceleratorConfig,
     l2_read = np.zeros(count)
     noc = np.zeros(count)
     forwarded = np.zeros(count)
-    for op in (Operand.WEIGHT, Operand.INPUT):
+    for slot in (_W, _I):
         unique_factor = np.ones(count)
         forward_discount = np.ones(count)
         for dim, idx, eff in axes:
-            relevant = lanes.masks[op][:, idx]
+            relevant = lanes.masks[slot, :, idx]
             unique_factor = np.where(relevant, unique_factor * eff,
                                      unique_factor)
-            if op is Operand.INPUT and dim in (Dim.Y, Dim.X):
+            if slot == _I and dim in (Dim.Y, Dim.X):
                 kernel = sizes[:, IDX_R if dim is Dim.Y else IDX_S]
                 # Neighbouring PEs share (kernel - stride) of each halo;
                 # forwarded elements cost NoC hops instead of L2 reads.
@@ -410,7 +448,7 @@ def analyze_traffic_batch(lanes: LaneLayers, accel: AcceleratorConfig,
                     relevant, forward_discount * np.minimum(
                         eff, np.maximum(1, kernel // lanes.stride)),
                     forward_discount)
-        unique = pe_del[op] * unique_factor * tiles_count * bpe
+        unique = pe_del[slot] * unique_factor * tiles_count * bpe
         kept = unique / forward_discount
         l2_read = l2_read + kept
         forwarded = forwarded + (unique - kept)
@@ -424,8 +462,7 @@ def analyze_traffic_batch(lanes: LaneLayers, accel: AcceleratorConfig,
             out_factor = out_factor * eff
         if dim in REDUCTION_DIMS:
             reduction_span = reduction_span * eff
-    unique_out = pe_del[Operand.OUTPUT] * out_factor * tiles_count
-    tile_outputs = tiles7[:, IDX_K] * tiles7[:, IDX_Y] * tiles7[:, IDX_X]
+    unique_out = pe_del[_O] * out_factor * tiles_count
     # Scalar code takes max(0.0, int); keeping the int64 product here and
     # promoting at the addition below reproduces its rounding exactly.
     l2_psum_read = np.maximum(0, unique_out - tile_outputs * tiles_count) \
@@ -435,7 +472,7 @@ def analyze_traffic_batch(lanes: LaneLayers, accel: AcceleratorConfig,
     merges_per_step = active_pes - active_pes / np.maximum(1, reduction_span)
     reduction = merges_per_step * steps_per_tile * tiles_count * psum
 
-    per_pe_fills = (pe_del[Operand.WEIGHT] + pe_del[Operand.INPUT]) * bpe
+    per_pe_fills = (pe_del[_W] + pe_del[_I]) * bpe
     l1_compute = lanes.per_layer(
         [layer.macs * (2 * layer.bytes_per_element + 2 * psum)
          for layer in lanes.layers], np.float64)
@@ -454,7 +491,7 @@ def analyze_traffic_batch(lanes: LaneLayers, accel: AcceleratorConfig,
         tiles_count=tiles_count,
         steps_per_tile=steps_per_tile,
         active_pes=active_pes,
-        first_fill=array_fp[Operand.WEIGHT] + array_fp[Operand.INPUT],
+        first_fill=first_fill,
         l2_ok=l2_ok, l2_base=l2_base, l2_budget=l2_budget,
         l1_ok=l1_ok, l1_base=l1_base, l1_budget=float(accel.l1_bytes),
     )
@@ -507,6 +544,13 @@ class LaneCosts:
         """
         return LaneCosts(self.valid[lanes], self.cycles[lanes],
                          self.energy_nj[lanes], self._rows.take(lanes))
+
+    def put(self, rows: np.ndarray, source: "LaneCosts",
+            lanes: np.ndarray) -> None:
+        """Overwrite rows ``rows`` with ``source``'s lanes ``lanes``."""
+        for name in ("valid", "cycles", "energy_nj", "edp"):
+            getattr(self, name)[rows] = getattr(source, name)[lanes]
+        self._rows.put(rows, source._rows, lanes)
 
 
 class _CostObjects(_LaneFields):

@@ -34,10 +34,16 @@ import numpy as np
 from repro.accelerator.arch import AcceleratorConfig
 from repro.cost.batch import LaneLayers, LaneMappings
 from repro.cost.operands import tile_set_bytes
-from repro.encoding.importance import ranked_dims
+from repro.encoding.importance import importance_for_order, ranked_dims
 from repro.encoding.index import decode_order_scalar
 from repro.encoding.spaces import EncodingStyle
 from repro.errors import EncodingError, InvalidMappingError
+from repro.mapping.builders import (
+    DEFAULT_PSUM_BYTES,
+    HEURISTIC_ARRAY_ORDER,
+    HEURISTIC_PE_ORDER,
+    heuristic_tile_caps,
+)
 from repro.mapping.mapping import Mapping
 from repro.mapping.tiling import shrink_to_budget, shrink_to_budget_batch
 from repro.tensors.dims import DIM_INDEX, SEARCHED_DIMS, Dim
@@ -53,7 +59,7 @@ _NUM_DIMS = len(SEARCHED_DIMS)
 #: dim positions) as DIM_INDEX indices, outermost first.
 _PERMUTATIONS = np.array(
     list(itertools.permutations([DIM_INDEX[dim] for dim in SEARCHED_DIMS])),
-    dtype=np.int64)
+    dtype=np.int8)
 
 
 def _tile_footprint(layer: ConvLayer, tiles: Dict[Dim, int]) -> float:
@@ -74,7 +80,7 @@ def _stack(vectors: Sequence[Sequence[float]],
     A vector is decodable when it has ``length`` entries, all finite.
     """
     try:
-        matrix = np.array(vectors, dtype=float)
+        matrix = np.asarray(vectors, dtype=float)
     except ValueError:  # ragged: stack row by row
         matrix = None
     if matrix is None or matrix.shape != (len(vectors), length):
@@ -88,8 +94,16 @@ def _stack(vectors: Sequence[Sequence[float]],
     else:
         shaped = np.ones(len(vectors), dtype=bool)
     ok = shaped & np.isfinite(matrix).all(axis=1)
-    matrix[~ok] = 0.0
+    if not ok.all():
+        matrix = np.where(ok[:, None], matrix, 0.0)
     return matrix, ok
+
+
+def _ranked_rows(importance: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`ranked_dims` as ``int8`` DIM_INDEX rows."""
+    order = np.argsort(-importance, axis=1, kind="stable").astype(np.int8)
+    order += 1
+    return order
 
 
 def _order_rows(scalars: np.ndarray) -> np.ndarray:
@@ -115,11 +129,9 @@ def decode_lanes(lanes: LaneLayers, accel: AcceleratorConfig,
     """
     matrix, ok = _stack(vectors, num_params(style))
     if style is EncodingStyle.IMPORTANCE:
-        array_order = np.argsort(-matrix[:, 0:_NUM_DIMS], axis=1,
-                                 kind="stable") + 1
+        array_order = _ranked_rows(matrix[:, 0:_NUM_DIMS])
         ratios = matrix[:, _NUM_DIMS:2 * _NUM_DIMS]
-        pe_order = np.argsort(-matrix[:, 2 * _NUM_DIMS:3 * _NUM_DIMS],
-                              axis=1, kind="stable") + 1
+        pe_order = _ranked_rows(matrix[:, 2 * _NUM_DIMS:3 * _NUM_DIMS])
     else:
         array_order = _order_rows(matrix[:, 0])
         ratios = matrix[:, 1:1 + _NUM_DIMS]
@@ -144,6 +156,39 @@ def decode_lanes(lanes: LaneLayers, accel: AcceleratorConfig,
             f"tile shrinking did not converge for layer "
             f"{lanes.layer(stuck[0]).name!r}")
     return LaneMappings(tiles, array_order, pe_order, ok)
+
+
+def heuristic_vectors(lanes: LaneLayers,
+                      accel: AcceleratorConfig) -> np.ndarray:
+    """The importance-style vector of the dataflow-preserving heuristic
+    mapping of every lane's layer, ``(B, 18)``.
+
+    Row ``i`` equals ``MappingEncoder(lanes.layer(i), accel)
+    .encode_mapping(dataflow_preserving_mapping(lanes.layer(i),
+    accel))``: the heuristic's tiles come from
+    :func:`repro.mapping.builders.heuristic_tile_caps` and shrink to
+    the L2 budget for every lane at once; its two loop orders are the
+    same importance rows for every lane. This is the mapping search's
+    warm start.
+    """
+    sizes = lanes.sizes[:, 1:]
+    tiles = sizes.copy()
+    for col, cap in enumerate(heuristic_tile_caps(accel).values()):
+        if cap is not None:
+            tiles[:, col] = np.minimum(sizes[:, col], cap)
+    tiles, converged = shrink_to_budget_batch(
+        sizes, tiles, lambda t: lanes.tile_set_bytes(t, DEFAULT_PSUM_BYTES),
+        accel.l2_bytes)
+    stuck = np.flatnonzero(~converged)
+    if len(stuck):
+        raise InvalidMappingError(
+            f"tile shrinking did not converge for layer "
+            f"{lanes.layer(stuck[0]).name!r}")
+    vectors = np.empty((len(lanes), 3 * _NUM_DIMS))
+    vectors[:, 0:_NUM_DIMS] = importance_for_order(HEURISTIC_ARRAY_ORDER)
+    vectors[:, _NUM_DIMS:2 * _NUM_DIMS] = tiles / sizes
+    vectors[:, 2 * _NUM_DIMS:] = importance_for_order(HEURISTIC_PE_ORDER)
+    return np.clip(vectors, 0.0, 1.0)
 
 
 class MappingEncoder:
@@ -223,7 +268,6 @@ class MappingEncoder:
         """Approximate inverse for seeding (importance style only)."""
         if self.style is not EncodingStyle.IMPORTANCE:
             raise EncodingError("seeding supported for importance style only")
-        from repro.encoding.importance import importance_for_order
         vec = np.zeros(self.num_params)
         vec[0:_NUM_DIMS] = importance_for_order(mapping.array_order)
         for i, dim in enumerate(SEARCHED_DIMS):

@@ -14,7 +14,11 @@ from repro.search.accelerator_search import evaluate_accelerator
 from repro.search.cache import EvaluationCache
 from repro.search.diskcache import build_cache
 from repro.search.mapping_search import MappingSearchBudget
-from repro.search.parallel import build_evaluator
+from repro.search.parallel import (
+    build_evaluator,
+    resolve_workers,
+    split_chunks,
+)
 from repro.search.transport import Transport
 from repro.tensors.network import Network
 from repro.utils.mathutils import geomean
@@ -42,22 +46,22 @@ def baseline_costs(preset_name: str,
 
 
 @dataclasses.dataclass(frozen=True)
-class _NetworkTask:
-    """Picklable payload: tune one network's mappings on a preset."""
+class _ChunkTask:
+    """Picklable payload: tune a chunk of networks' mappings on a preset."""
 
     preset: AcceleratorConfig
-    network: Network
+    networks: Tuple[Network, ...]
     cost_model: CostModel
     mapping_budget: MappingSearchBudget
     entropy: int
 
 
-def _tune_network(task: _NetworkTask,
-                  cache: Optional[EvaluationCache]) -> Optional[NetworkCost]:
+def _tune_chunk(task: _ChunkTask,
+                cache: Optional[EvaluationCache]) -> Dict[str, NetworkCost]:
     _, costs, _ = evaluate_accelerator(
-        task.preset, [task.network], task.cost_model, task.mapping_budget,
+        task.preset, task.networks, task.cost_model, task.mapping_budget,
         seed=task.entropy, cache=cache)
-    return costs.get(task.network.name)
+    return costs
 
 
 def tuned_baseline_costs(preset_name: str,
@@ -75,24 +79,28 @@ def tuned_baseline_costs(preset_name: str,
 
     A stronger (conservative) baseline than :func:`baseline_costs`: the
     preset gets the same mapping-search budget as NAAS candidates.
-    Networks are independent, so ``workers`` fans them out in parallel
-    (any worker count returns the same costs); unmappable networks are
-    omitted from the result. ``cache_dir``
-    persists the tuned mappings across runs via the disk tier.
+    The networks are split into one contiguous chunk per worker slot,
+    and each chunk is one :func:`evaluate_accelerator` call: one
+    lockstep mapping search over every shape of the chunk's networks.
+    Each shape's search depends only on the seed and the shape, so any
+    worker count returns the same costs. Unmappable networks are
+    omitted from the result. ``cache_dir`` persists the tuned mappings
+    across runs via the disk tier.
     """
     preset = baseline_preset(preset_name)
     entropy = seed_entropy(seed)
-    tasks = [_NetworkTask(preset=preset, network=network,
-                          cost_model=cost_model,
-                          mapping_budget=mapping_budget, entropy=entropy)
-             for network in networks]
-    with build_evaluator(_tune_network, workers=workers,
+    tasks = [_ChunkTask(preset=preset, networks=tuple(chunk),
+                        cost_model=cost_model,
+                        mapping_budget=mapping_budget, entropy=entropy)
+             for chunk in split_chunks(networks, resolve_workers(workers))]
+    with build_evaluator(_tune_chunk, workers=workers,
                          cache=build_cache(cache_dir),
                          transport=transport, workers_addr=workers_addr,
                          eval_timeout=eval_timeout) as evaluator:
         outcomes = evaluator.evaluate(tasks)
-    return {network.name: cost
-            for network, cost in zip(networks, outcomes) if cost is not None}
+    tuned = {name: cost for costs in outcomes for name, cost in costs.items()}
+    return {network.name: tuned[network.name]
+            for network in networks if network.name in tuned}
 
 
 def gain_rows(baseline: Dict[str, NetworkCost],

@@ -18,7 +18,8 @@ Every row evolves exactly as it would alone, to the last bit:
   draws of ``standard_normal(n)`` would take;
 - the step is ``np.matmul`` of each row's factor against each draw as a
   column, a matrix-vector product per draw (the matrix-matrix form
-  ``Z @ L.T`` rounds differently and is not used);
+  ``Z @ L.T`` rounds differently and is not used), written over the
+  draws row by row so an ask holds one generation-sized array;
 - the elite sort is a stable per-row ``argsort``, so ties keep their
   order, and the stacked ``cholesky`` equals one call per row.
 """
@@ -85,10 +86,12 @@ class EvolutionStack:
         """
         if count < 0:
             raise SearchError(f"ask count must be >= 0, got {count}")
-        draws = np.stack([rng.standard_normal((count, self.num_params))
-                          for rng in self.rngs])
-        steps = np.matmul(self.chol[:, None], draws[..., None])[..., 0]
-        return np.clip(self.mean[:, None] + steps, 0.0, 1.0)
+        steps = np.empty((len(self), count, self.num_params))
+        for row, rng, chol in zip(steps, self.rngs, self.chol):
+            rng.standard_normal(out=row)
+            row[:] = np.matmul(chol, row[..., None])[..., 0]
+        steps += self.mean[:, None]
+        return np.clip(steps, 0.0, 1.0, out=steps)
 
     def tell(self, candidates: np.ndarray, fitnesses: np.ndarray) -> None:
         """Re-center each row on its fittest candidates (one generation).
@@ -115,31 +118,42 @@ class EvolutionStack:
         counts = [max(1, int(round(scored * self.elite_fraction))) if scored
                   else 0 for scored in finite.sum(axis=1).tolist()]
         elite_counts = np.array(counts, dtype=np.int64)
-        live = np.flatnonzero(elite_counts)
-        if not len(live):
-            return
-        rate = self.learning_rate
         for count in sorted(set(counts) - {0}):
             group = np.flatnonzero(elite_counts == count)
-            elites = np.take_along_axis(candidates[group],
-                                        order[group, :count, None], axis=1)
-            new_mean = elites.mean(axis=1)
-            self.mean[group] = ((1 - rate) * self.mean[group]
-                                + rate * new_mean)
-            if count >= 2:
-                # Centering on the elites' own (un-blended) mean
-                # estimates the spread of the selected parents — the
-                # quantity the next generation should concentrate
-                # around — with the unbiased 1/(k-1) normalizer.
-                centered = elites - new_mean[:, None]
-                elite_cov = (centered.transpose(0, 2, 1) @ centered
-                             / (count - 1))
-            else:
-                elite_cov = self.cov[group] * 0.5  # single parent: contract
-            self.cov[group] = ((1 - rate) * self.cov[group]
-                               + rate * elite_cov
-                               + np.eye(self.num_params) * self.sigma_floor**2)
-        self.chol[live] = np.linalg.cholesky(self.cov[live])
+            self._recenter(group,
+                           candidates[group[:, None], order[group, :count]])
+        live = np.flatnonzero(elite_counts)
+        if len(live) == len(self):
+            self.chol = np.linalg.cholesky(self.cov)
+        elif len(live):
+            self.chol[live] = np.linalg.cholesky(self.cov[live])
+
+    def _recenter(self, group: np.ndarray, elites: np.ndarray) -> None:
+        """Blend rows ``group`` toward their ``(G, k, n)`` elites."""
+        rate = self.learning_rate
+        count = elites.shape[1]
+        new_mean = elites.mean(axis=1)
+        self.mean[group] = (1 - rate) * self.mean[group] + rate * new_mean
+        if count >= 2:
+            # Centering on the elites' own (un-blended) mean estimates
+            # the spread of the selected parents — the quantity the
+            # next generation should concentrate around — with the
+            # unbiased 1/(k-1) normalizer.
+            centered = elites - new_mean[:, None]
+            elite_cov = centered.transpose(0, 2, 1) @ centered
+            elite_cov /= count - 1
+        else:
+            elite_cov = self.cov[group] * 0.5  # single parent: contract
+        # (1 - rate) * cov + rate * elite_cov + floor, in place (on
+        # the covariances themselves when the group is every row).
+        whole = len(group) == len(self)
+        blended = self.cov if whole else self.cov[group]
+        blended *= 1 - rate
+        elite_cov *= rate
+        blended += elite_cov
+        blended += np.eye(self.num_params) * self.sigma_floor**2
+        if not whole:
+            self.cov[group] = blended
 
 
 class EvolutionEngine:

@@ -34,11 +34,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.accelerator.arch import AcceleratorConfig
-from repro.cost.batch import LaneLayers
+from repro.cost.batch import LaneCosts, LaneLayers, LaneMappings
 from repro.cost.model import CostModel
-from repro.encoding.mapping_enc import MappingEncoder, decode_lanes, num_params
+from repro.encoding.mapping_enc import (
+    decode_lanes,
+    heuristic_vectors,
+    num_params,
+)
 from repro.encoding.spaces import EncodingStyle
-from repro.mapping.builders import dataflow_preserving_mapping
 from repro.search.es import EvolutionStack
 from repro.search.result import IterationStats, MappingSearchResult
 from repro.tensors.layer import ConvLayer
@@ -115,18 +118,23 @@ def search_mappings(layers: Sequence[ConvLayer],
     # Warm starts take the head of generation 0.
     head = np.empty((count, 0, params))
     if seed_with_heuristic and style is EncodingStyle.IMPORTANCE:
-        head = np.array([[MappingEncoder(layer, accel, style).encode_mapping(
-            dataflow_preserving_mapping(layer, accel))]
-            for layer in layers], dtype=float)[:, :population]
+        head = heuristic_vectors(LaneLayers(layers, np.arange(count)),
+                                 accel)[:, None]
     lanes = LaneLayers(layers, np.repeat(np.arange(count), population))
     shapes = np.arange(count)
 
     best_edps = np.full(count, math.inf)
-    # Shape i's best so far: (mappings, costs, row) of the rows taken
-    # from the generation that found it.
-    best: List[Optional[tuple]] = [None] * count
-    histories: List[List[IterationStats]] = [[] for _ in layers]
+    # Row i: shape i's best mapping and cost so far, read only where
+    # best_edps[i] is finite. The Mapping and LayerCost objects are
+    # built after the search.
+    best_mappings: Optional[LaneMappings] = None
+    best_costs: Optional[LaneCosts] = None
     evaluations = np.zeros(count, dtype=np.int64)
+    # Per generation and shape: best and mean finite fitness, valid
+    # lanes. The IterationStats objects are built after the search.
+    best_fitness = np.empty((budget.iterations, count))
+    mean_fitness = np.empty((budget.iterations, count))
+    valid_counts = np.empty((budget.iterations, count), dtype=np.int64)
 
     for iteration in range(budget.iterations):
         # Ask: every layer's whole generation up front, in one batch.
@@ -139,10 +147,11 @@ def search_mappings(layers: Sequence[ConvLayer],
                                 vectors.reshape(-1, params))
         costs = cost_model.evaluate_lanes(lanes, accel, mappings)
         # The fitness is the EDP; decode failures and invalid costs
-        # read inf there. Tell: the lane-order fitnesses, as evaluated.
+        # read inf there.
         edp = costs.edp.reshape(count, population)
-        stack.tell(vectors, edp)
         evaluations += mappings.ok.reshape(count, population).sum(axis=1)
+        valid_counts[iteration] = costs.valid.reshape(
+            count, population).sum(axis=1)
 
         # First-occurrence argmin, strict improvement: the lane a
         # lane-by-lane ``edp < best`` scan would keep.
@@ -151,36 +160,48 @@ def search_mappings(layers: Sequence[ConvLayer],
         if len(improved):
             chosen = improved * population + winners[improved]
             best_edps[improved] = costs.edp[chosen]
-            taken = mappings.take(chosen), costs.take(chosen)
-            for row, index in enumerate(improved.tolist()):
-                best[index] = (*taken, row)
+            if best_costs is None:
+                firsts = shapes * population + winners
+                best_mappings = mappings.take(firsts)
+                best_costs = costs.take(firsts)
+            else:
+                best_mappings.put(improved, mappings, chosen)
+                best_costs.put(improved, costs, chosen)
+        # Only the best rows outlive the generation: free the rest
+        # before the tell and the next generation's arrays.
+        del mappings, costs
 
-        valid = costs.valid.reshape(count, population).sum(axis=1)
+        # Tell: the lane-order fitnesses, as evaluated.
+        stack.tell(vectors, edp)
         for index, fitnesses in enumerate(edp.tolist()):
             finite = [f for f in fitnesses if math.isfinite(f)]
-            histories[index].append(IterationStats(
-                iteration=iteration,
-                best_fitness=min(finite) if finite else math.inf,
-                mean_fitness=(sum(finite) / len(finite) if finite
-                              else math.inf),
-                valid_count=int(valid[index]),
-                population=population,
-            ))
+            best_fitness[iteration, index] = (min(finite) if finite
+                                              else math.inf)
+            mean_fitness[iteration, index] = (sum(finite) / len(finite)
+                                              if finite else math.inf)
+        del vectors, edp
         logger.debug("mapping search of %d layers iter %d: %d improved",
                      count, iteration, len(improved))
 
+    # The search state goes before the result objects are built.
+    del stack, lanes
     results = []
     for index, layer in enumerate(layers):
         best_mapping = best_cost = None
-        if best[index] is not None:
-            best_mappings, best_costs, row = best[index]
-            best_mapping = best_mappings.mapping(row)
-            best_cost = best_costs.layer_cost(row)
+        if math.isfinite(best_edps[index]):
+            best_mapping = best_mappings.mapping(index)
+            best_cost = best_costs.layer_cost(index)
         results.append(MappingSearchResult(
             layer_name=layer.name,
             best_mapping=best_mapping,
             best_cost=best_cost,
-            history=tuple(histories[index]),
+            history=tuple(IterationStats(
+                iteration=iteration,
+                best_fitness=float(best_fitness[iteration, index]),
+                mean_fitness=float(mean_fitness[iteration, index]),
+                valid_count=int(valid_counts[iteration, index]),
+                population=population,
+            ) for iteration in range(budget.iterations)),
             evaluations=int(evaluations[index]),
         ))
     return results
