@@ -92,6 +92,8 @@ def evaluate_accelerator(accel: AcceleratorConfig,
     Every layer of a shape group gets a ``best_mappings`` entry (not just
     the representative), so the table can be replayed through
     :meth:`repro.cost.model.CostModel.evaluate_with_mappings` directly.
+    A network's layer costs carry its own representative layer names,
+    also for shapes whose search another network's lookup ran.
 
     A network with any unmappable layer makes the whole candidate
     infeasible: the reward is ``math.inf`` and the partial network is
@@ -135,7 +137,8 @@ def evaluate_accelerator(accel: AcceleratorConfig,
     else:
         # Deduplicated by key: a shape shared across networks is
         # searched once, with the first network's layer, and its later
-        # lookups hit — as one-by-one lookups would.
+        # lookups hit — as one-by-one lookups would. Its cost takes
+        # each network's own layer name below.
         first_layer: Dict[tuple, ConvLayer] = {}
         for layer, key in lookups:
             first_layer.setdefault(key, layer)
@@ -166,7 +169,10 @@ def evaluate_accelerator(accel: AcceleratorConfig,
                 feasible = False
                 break
             shape_mappings[shape_key(layer)] = result.best_mapping
-            layer_costs.extend([result.best_cost] * count)
+            cost = result.best_cost
+            if cost.layer_name != layer.name:
+                cost = dataclasses.replace(cost, layer_name=layer.name)
+            layer_costs.extend([cost] * count)
         for layer in network:
             mapping = shape_mappings.get(shape_key(layer))
             if mapping is not None:

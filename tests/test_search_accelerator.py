@@ -7,6 +7,8 @@ import pytest
 from repro.accelerator.presets import baseline_constraint, baseline_preset
 from repro.cost.model import CostModel
 from repro.cost.report import LayerCost
+from repro.experiments.common import tuned_baseline_costs
+from repro.models import mobile_benchmark_set
 from repro.search.accelerator_search import (
     NAASBudget,
     evaluate_accelerator,
@@ -144,6 +146,49 @@ class TestEvaluateAccelerator:
         assert warm_reward == cold_reward
         assert warm_costs[tiny_network.name].edp == \
             cold_costs[tiny_network.name].edp
+
+
+    def test_shared_shape_keeps_each_networks_layer_names(self,
+                                                          cost_model):
+        """Regression: a shape two networks share is searched once, and
+        the second network's costs used to carry the first network's
+        layer names."""
+        first = Network(name="first", layers=(
+            ConvLayer(name="first_conv", k=32, c=16, y=14, x=14, r=3,
+                      s=3),))
+        second = Network(name="second", layers=(
+            ConvLayer(name="second_conv", k=32, c=16, y=14, x=14, r=3,
+                      s=3),))
+        preset = baseline_preset("nvdla_256")
+        budget = MappingSearchBudget(4, 2)
+        _, together, _ = evaluate_accelerator(
+            preset, [first, second], cost_model, budget, seed=0,
+            cache=EvaluationCache())
+        _, alone, _ = evaluate_accelerator(
+            preset, [second], cost_model, budget, seed=0)
+        assert [cost.layer_name for cost in together["second"].layer_costs] \
+            == ["second_conv"]
+        assert together["second"] == alone["second"]
+
+
+class TestTunedBaselineCosts:
+    def test_same_costs_at_any_chunking(self):
+        """Regression: mnasnet shares shapes with mobilenet_v2, and at
+        workers=1 its tuned costs carried mobilenet_v2's layer names,
+        unlike workers=2 or a call per network."""
+        networks = mobile_benchmark_set()
+        budget = MappingSearchBudget(4, 2)
+
+        def tune(nets, workers=1):
+            return tuned_baseline_costs("eyeriss", nets, CostModel(), budget,
+                                        seed=0, workers=workers)
+
+        serial = tune(networks)
+        assert tune(networks, workers=2) == serial
+        one_by_one = {}
+        for network in networks:
+            one_by_one.update(tune([network]))
+        assert one_by_one == serial
 
 
 class TestSearchAccelerator:
