@@ -11,5 +11,5 @@ from benchmarks.conftest import run_and_check
 def test_fig8_sizing_ablation(benchmark):
     result = run_and_check(benchmark, "fig8")
     for row in result.rows:
-        network, scenario, sizing_red, naas_red = row[0], row[1], row[2], row[3]
+        network, scenario, sizing_red, naas_red = row[:4]
         assert naas_red > sizing_red, (network, scenario)

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.accelerator.presets import BASELINE_PRESETS
+from repro.cost.batch import LaneLayers
 from repro.cost.operands import tile_set_bytes
-from repro.encoding.mapping_enc import MappingEncoder
+from repro.encoding.mapping_enc import MappingEncoder, heuristic_vectors
 from repro.encoding.spaces import EncodingStyle
 from repro.errors import EncodingError
 from repro.mapping.builders import dataflow_preserving_mapping
+from repro.models import MODEL_BUILDERS, build_model
+from repro.tensors.network import shape_key
 from repro.utils.rng import ensure_rng
 
 
@@ -142,3 +146,21 @@ class TestEncodeInverse:
         mapping = dataflow_preserving_mapping(small_layer, small_accel)
         with pytest.raises(EncodingError):
             encoder.encode_mapping(mapping)
+
+
+class TestHeuristicVectors:
+    @pytest.mark.parametrize("preset", sorted(BASELINE_PRESETS))
+    def test_equals_encoded_heuristic_mapping(self, preset):
+        """The array warm start is the scalar heuristic, encoded, for
+        every unique shape of every zoo model."""
+        accel = BASELINE_PRESETS[preset]
+        layers = list({shape_key(layer): layer
+                       for name in sorted(MODEL_BUILDERS)
+                       for layer, _ in build_model(name).unique_shapes()
+                       }.values())
+        vectors = heuristic_vectors(
+            LaneLayers(layers, np.arange(len(layers))), accel)
+        expected = [MappingEncoder(layer, accel).encode_mapping(
+            dataflow_preserving_mapping(layer, accel)) for layer in layers]
+        assert vectors.tolist() == np.array(expected).tolist()
+
