@@ -5,7 +5,8 @@ throughput bounds every experiment. These benchmarks use pytest-benchmark
 conventionally (many rounds) since each call is microseconds-scale, plus
 one manually-timed batch-vs-scalar comparison at the lane counts the
 lockstep mapping search really costs per call: every mobilenet_v2 shape
-times the shipped mapping populations.
+times the shipped mapping populations, and every distinct shape of the
+mobile benchmark set at the paper population.
 
 Numbers land in ``benchmarks/results/cost_model_perf.txt`` and
 ``benchmarks/results/cost_batch_scaling.txt``.
@@ -19,7 +20,8 @@ from repro.accelerator.presets import baseline_preset
 from repro.cost.batch import LaneLayers, LaneMappings
 from repro.cost.model import CostModel
 from repro.mapping.builders import dataflow_preserving_mapping
-from repro.models import build_model
+from repro.models import build_model, mobile_benchmark_set
+from repro.tensors.network import shape_key
 from repro.utils.rng import ensure_rng
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -100,9 +102,11 @@ def _best_of(rounds, fn):
 def test_batch_vs_scalar_scaling():
     """The batch kernel ≡ the scalar loop, and it earns its keep.
 
-    Each batch mixes all 31 mobilenet_v2 shapes at one shipped mapping
-    population (quick 6, full 10, paper 20: 186/310/620 lanes), which
-    is what one lockstep generation costs in one call. Writes
+    Each batch is what one lockstep generation costs in one call: all
+    31 mobilenet_v2 shapes at one shipped mapping population (quick 6,
+    full 10, paper 20: 186/310/620 lanes, a NAAS candidate's search),
+    and the 74 distinct shapes of the whole mobile set at the paper
+    population (1,480 lanes, a tuned baseline's search). Writes
     ``cost_batch_scaling.txt`` with the per-size speedup; the 186-lane
     row also feeds the combined ``cost_model_perf.txt``. The assertion
     bar is deliberately modest (>= 1.5x at the quick profile's 186
@@ -110,16 +114,24 @@ def test_batch_vs_scalar_scaling():
     """
     model = CostModel()
     accel = baseline_preset("eyeriss")
-    layers = [layer for layer, _ in
-              build_model("mobilenet_v2").unique_shapes()]
+    mobilenet = [layer for layer, _ in
+                 build_model("mobilenet_v2").unique_shapes()]
+    mobile_set = list({shape_key(layer): layer
+                       for network in mobile_benchmark_set()
+                       for layer, _ in network.unique_shapes()}.values())
 
     lines = [
-        "batch-vs-scalar cost evaluation "
-        "(all 31 mobilenet_v2 shapes x population, eyeriss preset)",
-        f"{'lanes':>6}  {'scalar':>10}  {'batch':>10}  {'speedup':>8}",
+        "batch-vs-scalar cost evaluation (one lockstep generation, "
+        "eyeriss preset)",
+        f"{'lanes':>6}  {'scalar':>10}  {'batch':>10}  {'speedup':>8}  "
+        "shapes",
     ]
     speedups = {}
-    for population in (6, 10, 20):
+    for layers, population, label in (
+            (mobilenet, 6, "mobilenet_v2"),
+            (mobilenet, 10, "mobilenet_v2"),
+            (mobilenet, 20, "mobilenet_v2"),
+            (mobile_set, 20, "mobile set")):
         index, mappings = _decode_generation(layers, accel, population)
         lanes = LaneLayers(layers, index)
         lane_mappings = LaneMappings.from_mappings(mappings)
@@ -135,8 +147,9 @@ def test_batch_vs_scalar_scaling():
         speedup = scalar_time / batch_time if batch_time else float("inf")
         speedups[size] = speedup
         lines.append(f"{size:>6}  {scalar_time:>9.4f}s  "
-                     f"{batch_time:>9.4f}s  {speedup:>7.2f}x")
-        if population == 6:
+                     f"{batch_time:>9.4f}s  {speedup:>7.2f}x  "
+                     f"{len(layers)} {label} x {population}")
+        if size == 186:
             _record("scalar loop (B=186)", scalar_time)
             _record("evaluate_lanes (B=186)", batch_time)
 
