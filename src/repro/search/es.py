@@ -8,10 +8,11 @@ and the covariance is updated toward the parents' spread so subsequent
 samples concentrate near them. A variance floor keeps exploration alive.
 
 The math lives once, in :class:`EvolutionStack`: ``S`` independent
-strategies held as arrays (means ``(S, n)``, covariances and Cholesky
-factors ``(S, n, n)``, one ``Generator`` per row), each step one array
-pass over every row. The mapping search keeps one row per layer shape;
-:class:`EvolutionEngine`, the hardware-level engine, is a stack of one.
+strategies held as arrays (means ``(S, n)``, covariances ``(S, n, n)``
+and one ``Generator`` per row; each ask factors the covariances), each
+step one array pass over every row. The mapping search keeps one row
+per layer shape; :class:`EvolutionEngine`, the hardware-level engine,
+is a stack of one.
 Every row evolves exactly as it would alone, to the last bit:
 
 - a row's ``standard_normal((count, n))`` draw is the stream ``count``
@@ -71,11 +72,20 @@ class EvolutionStack:
                     f"initial means must have {num_params} entries")
         self.cov = np.repeat((np.eye(num_params) * sigma_init**2)[None],
                              rows, axis=0)
-        self.chol = np.linalg.cholesky(self.cov)
         self.generation = 0
 
     def __len__(self) -> int:
         return len(self.rngs)
+
+    @property
+    def chol(self) -> np.ndarray:
+        """The rows' Cholesky factors, ``(S, n, n)``.
+
+        Computed when asked for rather than kept: only :meth:`ask` uses
+        them, and a stack of many rows would otherwise hold a second
+        covariance-sized array through every evaluation.
+        """
+        return np.linalg.cholesky(self.cov)
 
     def ask(self, count: int) -> np.ndarray:
         """Draw ``count`` candidates per row, clipped to the unit cube.
@@ -122,11 +132,6 @@ class EvolutionStack:
             group = np.flatnonzero(elite_counts == count)
             self._recenter(group,
                            candidates[group[:, None], order[group, :count]])
-        live = np.flatnonzero(elite_counts)
-        if len(live) == len(self):
-            self.chol = np.linalg.cholesky(self.cov)
-        elif len(live):
-            self.chol[live] = np.linalg.cholesky(self.cov[live])
 
     def _recenter(self, group: np.ndarray, elites: np.ndarray) -> None:
         """Blend rows ``group`` toward their ``(G, k, n)`` elites."""
