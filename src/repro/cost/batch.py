@@ -6,9 +6,10 @@ The scalar pipeline (:mod:`repro.cost.reuse`, :mod:`repro.cost.traffic`,
 whole batch of *lanes* at once on one accelerator. A lane is one mapping
 of one layer, and lanes of different layers mix freely: the lockstep
 mapping search (:mod:`repro.search.mapping_search`) costs every layer
-shape of a hardware candidate in a single call, which puts the batch at
-shapes x population lanes (186 for mobilenet_v2 at the ``quick``
-profile, 240-680 per network at ``paper``). Everything a lane needs
+shape of a hardware candidate, or of a tuned baseline's whole benchmark
+set, in a single call, which puts the batch at shapes x population
+lanes (186 for mobilenet_v2 at the ``quick`` profile, 1,040 and 1,480
+for the large and mobile sets at ``paper``). Everything a lane needs
 from its layer (sizes, stride, groups, relevance masks, bytes per
 element) is an array gathered per lane by :class:`LaneLayers`; every
 mapping is three integer rows of :class:`LaneMappings`.
@@ -27,13 +28,15 @@ association order and int-vs-float promotion points:
   tensor sizes, MAC energy) are computed per layer by the scalar
   expressions and then gathered per lane;
 - the reuse growth loop's early exit per operand becomes a per-lane
-  ``active`` mask, and the data-dependent ``window_start`` becomes a
-  prefix-product gather.
+  ``active`` mask, and the product of trips outside a window (the
+  scalar ``window_start`` loop) is multiplied in as the loop walks out
+  past the window, an exact integer product either way.
 
 Results stay arrays (:class:`LaneCosts`); ``LayerCost`` and ``Mapping``
 objects are built only for the lanes a caller asks for. The search keeps
-each shape's best lane as rows (:meth:`LaneCosts.take`,
-:meth:`LaneMappings.take`) and builds its objects once, at the end.
+each shape's best lane as one row (:meth:`LaneCosts.take`,
+:meth:`LaneCosts.put` and their :class:`LaneMappings` twins) and builds
+its objects once, at the end.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ def _order_indices(order: Tuple[Dim, ...]) -> Tuple[int, ...]:
 #: is ``GROW_ORDER[i]``, the order the reuse windows grow in.
 SLOT: Dict[Operand, int] = {op: row for row, op in enumerate(GROW_ORDER)}
 _O, _W, _I = SLOT[Operand.OUTPUT], SLOT[Operand.WEIGHT], SLOT[Operand.INPUT]
+#: The rows in ``Operand`` declaration order, the scalar sums' order.
+_DECLARED = tuple(SLOT[op] for op in Operand)
 
 
 class LaneLayers:
@@ -91,8 +96,8 @@ class LaneLayers:
     Integer quantities are ``int64`` and ``bpe`` (bytes per element) is
     ``float64``, each shaped ``(B,)`` except ``sizes`` (``(B, 7)`` in
     :data:`DIM_INDEX` order) and ``masks`` (``(3, B, 7)``, one row per
-    operand in :data:`SLOT` order). ``per_layer`` gathers any other per-layer
-    value a caller computes with the scalar expressions.
+    operand in :data:`SLOT` order). ``per_layer`` gathers any other
+    per-layer value a caller computes with the scalar expressions.
     """
 
     def __init__(self, layers: Sequence[ConvLayer],
@@ -166,15 +171,14 @@ class LaneLayers:
         """
         ext = (1, *np.minimum(tiles, self.sizes[:, 1:]).T)
         total = 0.0
-        for op in Operand:
-            slot = SLOT[op]
+        for slot in _DECLARED:
             total = total + (self.window_elements(slot, ext)
                              * self.element_bytes(slot, psum_bytes))
         return total
 
     def element_bytes(self, slot: int, psum_bytes: int):
-        """Per-lane :func:`repro.cost.operands.element_bytes` of operand
-        row ``slot`` of :data:`SLOT`."""
+        """Per-lane :func:`repro.cost.operands.element_bytes` of the
+        operand in row ``slot`` of :data:`SLOT`."""
         if slot == _O:
             return float(psum_bytes)
         return self.bpe

@@ -87,16 +87,22 @@ class EvolutionStack:
         """
         return np.linalg.cholesky(self.cov)
 
-    def ask(self, count: int) -> np.ndarray:
+    def ask(self, count: int,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
         """Draw ``count`` candidates per row, clipped to the unit cube.
 
         Drawing the whole generation before any evaluation decouples
         the random streams from evaluation order, which is what lets
-        the evaluator fan the batch out over worker processes.
+        the evaluator fan the batch out over worker processes. ``out``,
+        an ``(S, count, n)`` array whose rows are C-contiguous, receives
+        the candidates instead of a new array.
         """
         if count < 0:
             raise SearchError(f"ask count must be >= 0, got {count}")
-        steps = np.empty((len(self), count, self.num_params))
+        shape = (len(self), count, self.num_params)
+        steps = np.empty(shape) if out is None else out
+        if steps.shape != shape:
+            raise SearchError(f"ask out must be {shape}, got {steps.shape}")
         for row, rng, chol in zip(steps, self.rngs, self.chol):
             rng.standard_normal(out=row)
             row[:] = np.matmul(chol, row[..., None])[..., 0]

@@ -6,17 +6,25 @@ state. :func:`search_mappings` runs the searches of many layers in
 *lockstep*, as arrays:
 
 - the ES state of every shape is one :class:`repro.search.es.EvolutionStack`
-  row (mean, covariance and Cholesky factor, plus the shape's own random
-  stream), so a generation's ask is one draw per shape and one stacked
-  product, and its tell one stacked update;
+  row (mean and covariance, plus the shape's own random stream), so a
+  generation's ask is one draw per shape and one stacked product, and
+  its tell one stacked update; the heuristic warm starts of all shapes
+  are one array pass too
+  (:func:`repro.encoding.mapping_enc.heuristic_vectors`);
 - the generation's vectors, layers x population lanes, are decoded in
   one array pass (:func:`repro.encoding.mapping_enc.decode_lanes`) and
   costed in another (:meth:`repro.cost.model.CostModel.evaluate_lanes`).
   A candidate's 31 mobilenet_v2 shapes at the ``quick`` population of 6
-  are one 186-lane call per generation instead of 31 six-lane calls;
-- each shape's best so far is kept as rows of the generation it came
-  from (:meth:`~repro.cost.batch.LaneCosts.take`); its ``Mapping`` and
-  ``LayerCost`` objects are built once, after the last generation.
+  are one 186-lane call per generation instead of 31 six-lane calls; a
+  tuned baseline's whole benchmark set at the ``paper`` population of
+  20 is one call of 1,040 lanes (large set, 52 shapes) or 1,480 (mobile
+  set, 74 distinct shapes);
+- each shape's best so far is one row of a ``LaneMappings``/
+  ``LaneCosts`` pair, overwritten when a generation improves on it
+  (:meth:`~repro.cost.batch.LaneCosts.put`); every generation is asked
+  into one reused vector array, and its mappings and costs are freed
+  before the tell. The ``Mapping``, ``LayerCost`` and
+  ``IterationStats`` objects are built once, after the last generation.
 
 Lockstep changes no result: each layer's search is exactly what it
 would be alone (:func:`search_mapping` is the one-layer call). The
@@ -121,6 +129,7 @@ def search_mappings(layers: Sequence[ConvLayer],
         head = heuristic_vectors(LaneLayers(layers, np.arange(count)),
                                  accel)[:, None]
     lanes = LaneLayers(layers, np.repeat(np.arange(count), population))
+    vectors = np.empty((count, population, params))
     shapes = np.arange(count)
 
     best_edps = np.full(count, math.inf)
@@ -137,12 +146,14 @@ def search_mappings(layers: Sequence[ConvLayer],
     valid_counts = np.empty((budget.iterations, count), dtype=np.int64)
 
     for iteration in range(budget.iterations):
-        # Ask: every layer's whole generation up front, in one batch.
+        # Ask: every layer's whole generation up front, in one batch,
+        # into the one array every generation reuses.
         if iteration == 0:
-            vectors = np.concatenate(
-                [head, stack.ask(population - head.shape[1])], axis=1)
+            warm = head.shape[1]
+            vectors[:, :warm] = head
+            stack.ask(population - warm, out=vectors[:, warm:])
         else:
-            vectors = stack.ask(population)
+            stack.ask(population, out=vectors)
         mappings = decode_lanes(lanes, accel, style,
                                 vectors.reshape(-1, params))
         costs = cost_model.evaluate_lanes(lanes, accel, mappings)
@@ -179,12 +190,12 @@ def search_mappings(layers: Sequence[ConvLayer],
                                               else math.inf)
             mean_fitness[iteration, index] = (sum(finite) / len(finite)
                                               if finite else math.inf)
-        del vectors, edp
+        del edp
         logger.debug("mapping search of %d layers iter %d: %d improved",
                      count, iteration, len(improved))
 
     # The search state goes before the result objects are built.
-    del stack, lanes
+    del stack, lanes, vectors
     results = []
     for index, layer in enumerate(layers):
         best_mapping = best_cost = None

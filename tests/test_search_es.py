@@ -280,6 +280,25 @@ class TestStackParity:
                     ref.update(expected[row], fit[row].tolist())
                     _assert_same_state(stack, row, ref)
 
+    def test_ask_into_out_equals_a_new_array(self):
+        """The search asks every generation into one array, after a
+        warm-start column in generation 0."""
+        rows, num_params, population = 4, 18, 6
+        fresh = EvolutionStack(num_params, list(range(rows)))
+        reused = EvolutionStack(num_params, list(range(rows)))
+        buffer = np.full((rows, population + 1, num_params), -1.0)
+        rng = np.random.default_rng(3)
+        for generation in range(3):
+            expected = fresh.ask(population)
+            reused.ask(population, out=buffer[:, 1:])
+            np.testing.assert_array_equal(buffer[:, 1:], expected)
+            assert (buffer[:, 0] == -1.0).all()
+            fit = _fitnesses(rng, rows, population, generation)
+            fresh.tell(expected, fit)
+            reused.tell(buffer[:, 1:], fit)
+        with pytest.raises(SearchError):
+            reused.ask(population, out=buffer)
+
     def test_shape_mismatch_raises(self):
         stack = EvolutionStack(3, [0, 1])
         vectors = stack.ask(4)
