@@ -23,8 +23,8 @@ state. :func:`search_mappings` runs the searches of many layers in
   ``LaneCosts`` pair, overwritten when a generation improves on it
   (:meth:`~repro.cost.batch.LaneCosts.put`); every generation is asked
   into one reused vector array, and its mappings and costs are freed
-  before the tell. The ``Mapping``, ``LayerCost`` and
-  ``IterationStats`` objects are built once, after the last generation.
+  before the tell. The ``Mapping`` and ``LayerCost`` objects are built
+  once, after the last generation.
 
 Lockstep changes no result: each layer's search is exactly what it
 would be alone (:func:`search_mapping` is the one-layer call). The
@@ -138,12 +138,8 @@ def search_mappings(layers: Sequence[ConvLayer],
     # built after the search.
     best_mappings: Optional[LaneMappings] = None
     best_costs: Optional[LaneCosts] = None
+    histories: List[List[IterationStats]] = [[] for _ in layers]
     evaluations = np.zeros(count, dtype=np.int64)
-    # Per generation and shape: best and mean finite fitness, valid
-    # lanes. The IterationStats objects are built after the search.
-    best_fitness = np.empty((budget.iterations, count))
-    mean_fitness = np.empty((budget.iterations, count))
-    valid_counts = np.empty((budget.iterations, count), dtype=np.int64)
 
     for iteration in range(budget.iterations):
         # Ask: every layer's whole generation up front, in one batch,
@@ -161,8 +157,7 @@ def search_mappings(layers: Sequence[ConvLayer],
         # read inf there.
         edp = costs.edp.reshape(count, population)
         evaluations += mappings.ok.reshape(count, population).sum(axis=1)
-        valid_counts[iteration] = costs.valid.reshape(
-            count, population).sum(axis=1)
+        valid = costs.valid.reshape(count, population).sum(axis=1)
 
         # First-occurrence argmin, strict improvement: the lane a
         # lane-by-lane ``edp < best`` scan would keep.
@@ -186,10 +181,14 @@ def search_mappings(layers: Sequence[ConvLayer],
         stack.tell(vectors, edp)
         for index, fitnesses in enumerate(edp.tolist()):
             finite = [f for f in fitnesses if math.isfinite(f)]
-            best_fitness[iteration, index] = (min(finite) if finite
-                                              else math.inf)
-            mean_fitness[iteration, index] = (sum(finite) / len(finite)
-                                              if finite else math.inf)
+            histories[index].append(IterationStats(
+                iteration=iteration,
+                best_fitness=min(finite) if finite else math.inf,
+                mean_fitness=(sum(finite) / len(finite) if finite
+                              else math.inf),
+                valid_count=int(valid[index]),
+                population=population,
+            ))
         del edp
         logger.debug("mapping search of %d layers iter %d: %d improved",
                      count, iteration, len(improved))
@@ -206,13 +205,7 @@ def search_mappings(layers: Sequence[ConvLayer],
             layer_name=layer.name,
             best_mapping=best_mapping,
             best_cost=best_cost,
-            history=tuple(IterationStats(
-                iteration=iteration,
-                best_fitness=float(best_fitness[iteration, index]),
-                mean_fitness=float(mean_fitness[iteration, index]),
-                valid_count=int(valid_counts[iteration, index]),
-                population=population,
-            ) for iteration in range(budget.iterations)),
+            history=tuple(histories[index]),
             evaluations=int(evaluations[index]),
         ))
     return results
