@@ -189,7 +189,6 @@ def search_mappings(layers: Sequence[ConvLayer],
                 valid_count=int(valid[index]),
                 population=population,
             ))
-        del edp
         logger.debug("mapping search of %d layers iter %d: %d improved",
                      count, iteration, len(improved))
 
