@@ -3,15 +3,19 @@
 The scalar pipeline (:mod:`repro.cost.reuse`, :mod:`repro.cost.traffic`,
 :mod:`repro.cost.latency`, :mod:`repro.cost.energy`) evaluates one
 ``(layer, accel, mapping)`` triple per call. This module evaluates a
-whole batch of *lanes* at once on one accelerator. A lane is one mapping
-of one layer, and lanes of different layers mix freely: the lockstep
-mapping search (:mod:`repro.search.mapping_search`) costs every layer
-shape of a hardware candidate, or of a tuned baseline's whole benchmark
-set, in a single call, which puts the batch at shapes x population
-lanes (186 for mobilenet_v2 at the ``quick`` profile, 1,040 and 1,480
-for the large and mobile sets at ``paper``). Everything a lane needs
+whole batch of *lanes* at once. A lane is one mapping of one layer on
+one accelerator, and lanes of different layers and accelerators mix
+freely: the lockstep mapping search (:mod:`repro.search.mapping_search`)
+costs every layer shape of every hardware candidate of a task group,
+or of a tuned baseline's whole benchmark set, in a single call, which
+puts the batch at candidates x shapes x population lanes (1,488 for a
+``quick`` generation of 8 candidates on mobilenet_v2's 31 shapes at
+population 6, 4,960 at ``full``'s 10 x 31 x 16; 1,040 and 1,480 for
+the large and mobile sets tuned at ``paper``). Everything a lane needs
 from its layer (sizes, stride, groups, relevance masks, bytes per
-element) is an array gathered per lane by :class:`LaneLayers`; every
+element) is an array gathered per lane by :class:`LaneLayers`, and
+everything it needs from its accelerator (array extent per dim,
+buffer sizes, bandwidth, PE count) by :class:`LaneAccels`; every
 mapping is three integer rows of :class:`LaneMappings`.
 
 The scalar functions remain the reference implementation. The kernel
@@ -25,8 +29,13 @@ association order and int-vs-float promotion points:
   products, psum byte counts) stay ``int64`` here and convert to float
   at the same expression position the scalar code does;
 - constants the scalar code derives from one layer (MAC count, whole
-  tensor sizes, MAC energy) are computed per layer by the scalar
+  tensor sizes, MAC energy) or one accelerator (energy rates, L2
+  bandwidth) are computed per layer or accelerator by the scalar
   expressions and then gathered per lane;
+- an array axis is a per-lane extent on each dim, 1 on the dims the
+  lane's accelerator does not parallelize: every term an axis adds is
+  a product or a ``min`` of small integers, exact in any order, and an
+  extent of 1 leaves it unchanged;
 - the reuse growth loop's early exit per operand becomes a per-lane
   ``active`` mask, and the product of trips outside a window (the
   scalar ``window_start`` loop) is multiplied in as the loop walks out
@@ -41,7 +50,7 @@ its objects once, at the end.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -184,6 +193,62 @@ class LaneLayers:
         return self.bpe
 
 
+class LaneAccels:
+    """Per-lane accelerator parameters: lane ``i`` runs on
+    ``accels[index[i]]``.
+
+    ``axis`` is ``(B, 7)`` in :data:`DIM_INDEX` order: the array extent
+    along each dim, 1 for the dims the lane's accelerator does not
+    parallelize (and for the batch). ``l1_bytes``, ``l2_bytes``,
+    ``dram_bandwidth`` and ``num_pes`` are ``(B,)`` ``int64``.
+    ``per_accel`` gathers any other per-accelerator value a caller
+    computes with the scalar expressions.
+    """
+
+    def __init__(self, accels: Sequence[AcceleratorConfig],
+                 index: Sequence[int]) -> None:
+        self.accels = tuple(accels)
+        self.index = np.asarray(index, dtype=np.int64)
+        self.axis = np.array(
+            [[accel.spatial_size(dim) for dim in INDEX_DIM]
+             for accel in self.accels],
+            dtype=np.int64).reshape(-1, 7)[self.index]
+        self.l1_bytes = self.per_accel([a.l1_bytes for a in self.accels])
+        self.l2_bytes = self.per_accel([a.l2_bytes for a in self.accels])
+        self.dram_bandwidth = self.per_accel([a.dram_bandwidth
+                                              for a in self.accels])
+        self.num_pes = self.per_accel([a.num_pes for a in self.accels])
+
+    @classmethod
+    def of(cls, accels: "LaneAccels | AcceleratorConfig",
+           count: int) -> "LaneAccels":
+        """``accels`` itself, or one accelerator shared by ``count``
+        lanes."""
+        if isinstance(accels, LaneAccels):
+            return accels
+        return cls([accels], np.zeros(count, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def per_accel(self, values: Sequence, dtype=np.int64) -> np.ndarray:
+        """Gather one value per accelerator out to the lanes."""
+        return np.asarray(values, dtype=dtype)[self.index]
+
+    def accel(self, lane: int) -> AcceleratorConfig:
+        return self.accels[self.index[lane]]
+
+    def parallel_columns(self) -> np.ndarray:
+        """The dim indices some lane's accelerator parallelizes,
+        ascending; an axis extent of 1 elsewhere makes every other
+        dim's term a no-op."""
+        return np.flatnonzero((self.axis > 1).any(axis=0))
+
+
+#: Lane accelerators, or one accelerator every lane shares.
+AccelsLike = Union[LaneAccels, AcceleratorConfig]
+
+
 class LaneMappings:
     """Mappings as integer rows, one per lane.
 
@@ -238,7 +303,7 @@ def _reuse_windows_batch(lanes: LaneLayers,
                          loop_dims: np.ndarray,
                          ext: np.ndarray,
                          caps: np.ndarray,
-                         budget_bytes: float,
+                         budget_bytes: np.ndarray,
                          psum_bytes: int,
                          ) -> Tuple[np.ndarray, np.ndarray,
                                     np.ndarray, np.ndarray]:
@@ -249,7 +314,8 @@ def _reuse_windows_batch(lanes: LaneLayers,
     extents, which the windows grow from and overwrite; ``caps``
     (``(B, 7)``, within the lanes' sizes) bounds them, and a dim's loop
     runs ``ceil(cap / resident extent)`` trips (both levels of
-    :func:`analyze_traffic_batch` are built that way). Returns
+    :func:`analyze_traffic_batch` are built that way). ``budget_bytes``
+    is each lane's buffer budget, ``(B,)``. Returns
     ``(footprint bytes, deliveries, base_feasible, base_total)``, the
     first two ``(3, B)`` with one row per operand in :data:`SLOT`
     order; window values for lanes with ``base_feasible == False`` are
@@ -366,19 +432,21 @@ class TrafficArrays(_LaneFields):
         """The scalar analysis's reason for rejecting the lane, if any."""
         if not self.l2_ok[lane]:
             return (f"L2 overflow: base footprint {self.l2_base[lane]:.0f} "
-                    f"B exceeds budget {self.l2_budget:.0f} B")
+                    f"B exceeds budget {self.l2_budget[lane]:.0f} B")
         if not self.l1_ok[lane]:
             return (f"L1 overflow: base footprint {self.l1_base[lane]:.0f} "
-                    f"B exceeds budget {self.l1_budget:.0f} B")
+                    f"B exceeds budget {self.l1_budget[lane]:.0f} B")
         return None
 
 
-def analyze_traffic_batch(lanes: LaneLayers, accel: AcceleratorConfig,
+def analyze_traffic_batch(lanes: LaneLayers, accels: AccelsLike,
                           mappings: LaneMappings, params: CostParams,
                           ) -> TrafficArrays:
     """Batch :func:`repro.cost.traffic.analyze_traffic` over every lane;
-    each lane's fields equal the scalar analysis of that lane exactly."""
+    each lane's fields equal the scalar analysis of that lane on its
+    accelerator exactly."""
     count = len(lanes)
+    accels = LaneAccels.of(accels, count)
     sizes = lanes.sizes
     bpe = lanes.bpe
     psum = params.psum_bytes
@@ -391,18 +459,21 @@ def analyze_traffic_batch(lanes: LaneLayers, accel: AcceleratorConfig,
     # ---- PE level: L2 <-> PE, element-granular -----------------------------
     # The tiles become the PE level's trips per dim in place, and are
     # made again for the array level, which grows its windows over
-    # them: two (B, 7) arrays live per level instead of four.
+    # them: two (B, 7) arrays live per level instead of four. Each
+    # parallelized dim's active extent is min(axis, tile); it is 1 on
+    # lanes whose accelerator does not parallelize the dim.
     mid_trips = tiles7()
-    axes = [(dim, DIM_INDEX[dim],
-             np.minimum(size, mid_trips[:, DIM_INDEX[dim]]))
-            for dim, size in zip(accel.parallel_dims, accel.array_dims)]
+    axes = [(INDEX_DIM[idx], idx,
+             np.minimum(accels.axis[:, idx], mid_trips[:, idx]))
+            for idx in accels.parallel_columns()]
     tile_outputs = (mid_trips[:, IDX_K] * mid_trips[:, IDX_Y]
                     * mid_trips[:, IDX_X])
     for _, idx, eff in axes:
         mid_trips[:, idx] = -(-mid_trips[:, idx] // eff)
+    l1_budget = accels.l1_bytes.astype(np.float64)
     _, pe_del, l1_ok, l1_base = _reuse_windows_batch(
         lanes, mappings.pe_order, np.ones((count, 7), dtype=np.int64),
-        mid_trips, float(accel.l1_bytes), psum)
+        mid_trips, l1_budget, psum)
     steps_per_tile = np.prod(mid_trips[:, 1:], axis=1)
     del mid_trips
 
@@ -414,7 +485,7 @@ def analyze_traffic_batch(lanes: LaneLayers, accel: AcceleratorConfig,
     # The batch loop is outermost, then the mapping's array order.
     loop_dims = np.zeros((count, 7), dtype=np.int8)
     loop_dims[:, 1:] = mappings.array_order
-    l2_budget = accel.l2_bytes * (1.0 - params.double_buffer_fraction)
+    l2_budget = accels.l2_bytes * (1.0 - params.double_buffer_fraction)
     array_fp, array_del, l2_ok, l2_base = _reuse_windows_batch(
         lanes, loop_dims, tiles, sizes, l2_budget, psum)
     del tiles, loop_dims
@@ -497,7 +568,7 @@ def analyze_traffic_batch(lanes: LaneLayers, accel: AcceleratorConfig,
         active_pes=active_pes,
         first_fill=first_fill,
         l2_ok=l2_ok, l2_base=l2_base, l2_budget=l2_budget,
-        l1_ok=l1_ok, l1_base=l1_base, l1_budget=float(accel.l1_bytes),
+        l1_ok=l1_ok, l1_base=l1_base, l1_budget=l1_budget,
     )
 
 
@@ -569,6 +640,9 @@ class _CostRows(_LaneFields):
 
     def build(self, lane: int) -> LayerCost:
         layer = self.layers[self.layer_index[lane]]
+        problems = self.accel_problems[self.accel_index[lane]]
+        if problems:
+            return LayerCost.invalid(layer.name, problems)
         if not self.legal[lane]:
             return LayerCost.invalid(
                 layer.name, ("mapping tiles exceed layer dimensions",))
@@ -586,7 +660,7 @@ class _CostRows(_LaneFields):
                               noc_pj=float(self.noc_energy[lane]),
                               static_pj=float(self.static[lane]))
         utilization = layer.macs / max(
-            1.0, latency.compute_cycles * self.num_pes)
+            1.0, latency.compute_cycles * int(self.num_pes[lane]))
         return LayerCost(
             layer_name=layer.name,
             valid=True,
@@ -600,46 +674,64 @@ class _CostRows(_LaneFields):
         )
 
 
-def cost_lanes(lanes: LaneLayers, accel: AcceleratorConfig,
+def cost_lanes(lanes: LaneLayers, accels: AccelsLike,
                mappings: LaneMappings, params: CostParams,
-               traffic: TrafficArrays) -> LaneCosts:
-    """Latency, energy and EDP per lane from the traffic arrays, on an
-    accelerator that passed validation. Mirrors
+               traffic: TrafficArrays,
+               problems: Optional[Sequence[Sequence[str]]] = None,
+               ) -> LaneCosts:
+    """Latency, energy and EDP per lane from the traffic arrays. Mirrors
     :func:`repro.cost.latency.analyze_latency`,
     :func:`repro.cost.energy.analyze_energy` and
     :meth:`repro.cost.model.CostModel.evaluate` term by term.
+
+    ``problems[a]`` lists what
+    :func:`repro.accelerator.validation.validate_architecture` found
+    wrong with ``accels.accels[a]`` (all valid when ``None``); that
+    accelerator's lanes come back invalid, with those reasons.
     """
+    accels = LaneAccels.of(accels, len(lanes))
+    problems = tuple(tuple(found) for found in (
+        problems if problems is not None else [()] * len(accels.accels)))
     legal = (mappings.tiles <= lanes.sizes[:, 1:]).all(axis=1)
     valid = mappings.ok & legal & traffic.l2_ok & traffic.l1_ok
+    if any(problems):
+        valid &= accels.per_accel([not found for found in problems], bool)
 
     total_dram = traffic.dram_read + traffic.dram_write
     total_l2 = traffic.l2_read + traffic.l2_write
     compute = (traffic.tiles_count.astype(np.float64)
                * traffic.steps_per_tile.astype(np.float64))
-    dram = total_dram / accel.dram_bandwidth
-    l2 = total_l2 / l2_bandwidth_bytes_per_cycle(accel, params)
-    fill = traffic.first_fill / accel.dram_bandwidth
+    dram = total_dram / accels.dram_bandwidth
+    l2 = total_l2 / accels.per_accel(
+        [l2_bandwidth_bytes_per_cycle(accel, params)
+         for accel in accels.accels], np.float64)
+    fill = traffic.first_fill / accels.dram_bandwidth
     cycles = np.maximum(np.maximum(compute, dram), l2) + fill
+
+    def rate(per_accel) -> np.ndarray:
+        return accels.per_accel([per_accel(accel)
+                                 for accel in accels.accels], np.float64)
 
     mac = lanes.per_layer([layer.macs * params.mac_pj(layer.bits)
                            for layer in lanes.layers], np.float64)
-    l1_energy = traffic.l1 * params.l1_pj(accel.l1_bytes)
-    l2_energy = total_l2 * params.l2_pj(accel.l2_bytes)
+    l1_energy = traffic.l1 * rate(lambda a: params.l1_pj(a.l1_bytes))
+    l2_energy = total_l2 * rate(lambda a: params.l2_pj(a.l2_bytes))
     dram_energy = total_dram * params.dram_pj_per_byte
-    noc_rate = params.noc_pj(accel.num_pes)
+    noc_rate = rate(lambda a: params.noc_pj(a.num_pes))
     # Forwarded halo elements hop a single neighbour link (cheap); the
     # reduction tree moves one psum per merge.
     noc_energy = (traffic.noc * noc_rate
                   + traffic.forwarded * noc_rate * 0.5
                   + traffic.reduction * noc_rate)
-    static = cycles * params.static_pj_per_cycle(accel.num_pes,
-                                                 accel.onchip_bytes)
+    static = cycles * rate(lambda a: params.static_pj_per_cycle(
+        a.num_pes, a.onchip_bytes))
     energy_nj = (mac + l1_energy + l2_energy + dram_energy + noc_energy
                  + static) / 1000.0
 
     return LaneCosts(valid, cycles, energy_nj, _CostRows(
-        layers=lanes.layers, layer_index=lanes.index, num_pes=accel.num_pes,
-        legal=legal, traffic=traffic, compute=compute, dram=dram, l2=l2,
-        fill=fill, mac=mac, l1_energy=l1_energy, l2_energy=l2_energy,
-        dram_energy=dram_energy, noc_energy=noc_energy, static=static))
-
+        layers=lanes.layers, layer_index=lanes.index,
+        accel_problems=problems, accel_index=accels.index,
+        num_pes=accels.num_pes, legal=legal, traffic=traffic,
+        compute=compute, dram=dram, l2=l2, fill=fill, mac=mac,
+        l1_energy=l1_energy, l2_energy=l2_energy, dram_energy=dram_energy,
+        noc_energy=noc_energy, static=static))

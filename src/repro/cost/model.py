@@ -12,6 +12,8 @@ from typing import Callable, Dict, List, Sequence
 from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.validation import validate_architecture
 from repro.cost.batch import (
+    AccelsLike,
+    LaneAccels,
     LaneCosts,
     LaneLayers,
     LaneMappings,
@@ -85,29 +87,34 @@ class CostModel:
             LaneMappings.from_mappings(mappings))
         return [costs.layer_cost(lane) for lane in range(len(mappings))]
 
-    def evaluate_lanes(self, lanes: LaneLayers, accel: AcceleratorConfig,
+    def evaluate_lanes(self, lanes: LaneLayers, accels: AccelsLike,
                        mappings: LaneMappings) -> LaneCosts:
-        """Cost of lane ``i``'s mapping on lane ``i``'s layer, all lanes
-        in one array pass (see :mod:`repro.cost.batch`).
+        """Cost of lane ``i``'s mapping on lane ``i``'s layer and
+        accelerator, all lanes in one array pass (see
+        :mod:`repro.cost.batch`).
 
-        Lanes may belong to different layers. Lanes without a mapping
-        (``mappings.ok`` false) come back invalid with ``edp`` inf and
-        are never evaluated. A subclass that customizes the scalar
-        :meth:`evaluate` (test doubles, cost shaping) gets one
-        ``evaluate`` call per lane instead, so its overrides hold on
-        the batch surface too.
+        ``accels`` is a :class:`~repro.cost.batch.LaneAccels`, or one
+        accelerator every lane shares. Lanes may belong to different
+        layers and accelerators. Lanes without a mapping
+        (``mappings.ok`` false) come back invalid with ``edp`` inf, and
+        so do the lanes of an accelerator that fails
+        :func:`validate_architecture`, with its problems as the reasons.
+        A subclass that customizes the scalar :meth:`evaluate` (test
+        doubles, cost shaping) gets one ``evaluate`` call per lane that
+        holds a mapping instead, so its overrides hold on the batch
+        surface too.
         """
-        problems = validate_architecture(accel)
-        if self._scalar_override() or problems:
-            # The scalar path, which also reports an invalid
-            # architecture, once per lane that holds a mapping.
+        accels = LaneAccels.of(accels, len(lanes))
+        if self._scalar_override():
             return LaneCosts.from_objects([
-                self.evaluate(lanes.layer(lane), accel,
+                self.evaluate(lanes.layer(lane), accels.accel(lane),
                               mappings.mapping(lane))
                 if mappings.ok[lane] else None
                 for lane in range(len(lanes))])
-        traffic = analyze_traffic_batch(lanes, accel, mappings, self.params)
-        return cost_lanes(lanes, accel, mappings, self.params, traffic)
+        traffic = analyze_traffic_batch(lanes, accels, mappings, self.params)
+        return cost_lanes(lanes, accels, mappings, self.params, traffic,
+                          [validate_architecture(accel)
+                           for accel in accels.accels])
 
     def _scalar_override(self) -> bool:
         return type(self).evaluate is not CostModel.evaluate

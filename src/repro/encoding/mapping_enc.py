@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.accelerator.arch import AcceleratorConfig
-from repro.cost.batch import LaneLayers, LaneMappings
+from repro.cost.batch import AccelsLike, LaneAccels, LaneLayers, LaneMappings
 from repro.cost.operands import tile_set_bytes
 from repro.encoding.importance import importance_for_order, ranked_dims
 from repro.encoding.index import decode_order_scalar
@@ -114,19 +114,22 @@ def _order_rows(scalars: np.ndarray) -> np.ndarray:
     return _PERMUTATIONS[index.astype(np.int64)]
 
 
-def decode_lanes(lanes: LaneLayers, accel: AcceleratorConfig,
+def decode_lanes(lanes: LaneLayers, accels: AccelsLike,
                  style: EncodingStyle,
                  vectors: Sequence[Sequence[float]]) -> LaneMappings:
-    """Decode one vector per lane, each against its lane's layer.
+    """Decode one vector per lane, each against its lane's layer and
+    accelerator (a :class:`~repro.cost.batch.LaneAccels`, or one
+    accelerator every lane shares).
 
     Lane ``i`` of the result equals ``MappingEncoder(lanes.layer(i),
-    accel, style).decode(vectors[i])`` as arrays; lanes whose decode
-    raises :class:`EncodingError` (wrong length, non-finite entries)
-    come back with ``ok`` false. Loop orders are a stable
+    accels.accel(i), style).decode(vectors[i])`` as arrays; lanes whose
+    decode raises :class:`EncodingError` (wrong length, non-finite
+    entries) come back with ``ok`` false. Loop orders are a stable
     ``argsort(-importance)`` (importance style) or a row of the 720
-    six-dim permutations (index style); tiles are legalized against the
-    L2 for every lane at once.
+    six-dim permutations (index style); tiles are legalized against
+    each lane's L2 for every lane at once.
     """
+    accels = LaneAccels.of(accels, len(lanes))
     matrix, ok = _stack(vectors, num_params(style))
     if style is EncodingStyle.IMPORTANCE:
         array_order = _ranked_rows(matrix[:, 0:_NUM_DIMS])
@@ -141,15 +144,16 @@ def decode_lanes(lanes: LaneLayers, accel: AcceleratorConfig,
     with np.errstate(over="ignore"):
         tiles = np.rint(np.clip(ratios * sizes, 1.0, sizes)).astype(np.int64)
     # Parallel dims should cover the array at least once when the
-    # layer allows it, otherwise PEs are guaranteed idle.
-    for dim, axis in zip(accel.parallel_dims, accel.array_dims):
-        col = SEARCHED_DIMS.index(dim)
+    # layer allows it, otherwise PEs are guaranteed idle (an axis
+    # extent of 1 leaves a tile as it is).
+    for idx in accels.parallel_columns():
+        col = idx - 1
         size = sizes[:, col]
-        tiles[:, col] = np.minimum(
-            size, np.maximum(tiles[:, col], np.minimum(axis, size)))
+        tiles[:, col] = np.minimum(size, np.maximum(
+            tiles[:, col], np.minimum(accels.axis[:, idx], size)))
     tiles, converged = shrink_to_budget_batch(
         sizes, tiles, lambda t: lanes.tile_set_bytes(t, PSUM_BYTES),
-        accel.l2_bytes)
+        accels.l2_bytes)
     stuck = np.flatnonzero(ok & ~converged)
     if len(stuck):
         raise InvalidMappingError(
@@ -159,26 +163,30 @@ def decode_lanes(lanes: LaneLayers, accel: AcceleratorConfig,
 
 
 def heuristic_vectors(lanes: LaneLayers,
-                      accel: AcceleratorConfig) -> np.ndarray:
+                      accels: AccelsLike) -> np.ndarray:
     """The importance-style vector of the dataflow-preserving heuristic
-    mapping of every lane's layer, ``(B, 18)``.
+    mapping of every lane's layer on its accelerator, ``(B, 18)``.
 
     Row ``i`` equals ``MappingEncoder(lanes.layer(i), accel)
     .encode_mapping(dataflow_preserving_mapping(lanes.layer(i),
-    accel))``: the heuristic's tiles come from
-    :func:`repro.mapping.builders.heuristic_tile_caps` and shrink to
-    the L2 budget for every lane at once; its two loop orders are the
-    same importance rows for every lane. This is the mapping search's
-    warm start.
+    accel))`` with ``accel = accels.accel(i)``: the heuristic's tiles
+    come from :func:`repro.mapping.builders.heuristic_tile_caps` and
+    shrink to each lane's L2 budget for every lane at once; its two
+    loop orders are the same importance rows for every lane. This is
+    the mapping search's warm start.
     """
+    accels = LaneAccels.of(accels, len(lanes))
     sizes = lanes.sizes[:, 1:]
-    tiles = sizes.copy()
-    for col, cap in enumerate(heuristic_tile_caps(accel).values()):
-        if cap is not None:
-            tiles[:, col] = np.minimum(sizes[:, col], cap)
+    # A cap of None keeps the whole dim: no size reaches the int64 max.
+    whole = np.iinfo(np.int64).max
+    caps = accels.per_accel([
+        [whole if cap is None else cap
+         for cap in heuristic_tile_caps(accel).values()]
+        for accel in accels.accels]).reshape(-1, len(SEARCHED_DIMS))
     tiles, converged = shrink_to_budget_batch(
-        sizes, tiles, lambda t: lanes.tile_set_bytes(t, DEFAULT_PSUM_BYTES),
-        accel.l2_bytes)
+        sizes, np.minimum(sizes, caps),
+        lambda t: lanes.tile_set_bytes(t, DEFAULT_PSUM_BYTES),
+        accels.l2_bytes)
     stuck = np.flatnonzero(~converged)
     if len(stuck):
         raise InvalidMappingError(

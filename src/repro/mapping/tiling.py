@@ -94,7 +94,7 @@ def shrink_to_budget(layer: ConvLayer, tiles: TypingMapping[Dim, int],
 
 
 def shrink_to_budget_batch(sizes: np.ndarray, tiles: np.ndarray,
-                           footprint_batch, budget_bytes: int,
+                           footprint_batch, budget_bytes,
                            shrink_order: Sequence[Dim] = (
                                Dim.C, Dim.K, Dim.Y, Dim.X, Dim.S, Dim.R),
                            ) -> Tuple[np.ndarray, np.ndarray]:
@@ -103,9 +103,11 @@ def shrink_to_budget_batch(sizes: np.ndarray, tiles: np.ndarray,
     ``tiles`` and ``sizes`` (each lane's layer dimension sizes) are
     ``(B, 6)`` integers in :data:`SEARCHED_DIMS` order, so lanes may
     belong to different layers; ``footprint_batch`` is ``tiles_array ->
-    (B,) bytes``. Each lane follows the scalar halving schedule exactly:
-    the footprint is re-checked before every dim so a lane stops
-    shrinking the moment it fits within the round. Returns ``(tiles,
+    (B,) bytes``, and ``budget_bytes`` one budget for every lane or a
+    ``(B,)`` array of them (lanes on different accelerators). Each
+    lane follows the scalar halving schedule exactly: the footprint is
+    re-checked before every dim so a lane stops shrinking the moment
+    it fits within the round. Returns ``(tiles,
     converged)``; lanes that hit the scalar guard are flagged
     unconverged (the scalar path raises :class:`InvalidMappingError`
     there).

@@ -2,8 +2,8 @@
 
 Each layer shape is optimized independently (different conv shapes want
 different mappings), from its own seed, heuristic warm start and ES
-state. :func:`search_mappings` runs the searches of many layers in
-*lockstep*, as arrays:
+state. :func:`search_mappings` runs the searches of many layers, each
+on its own accelerator, in *lockstep*, as arrays:
 
 - the ES state of every shape is one :class:`repro.search.es.EvolutionStack`
   row (mean and covariance, plus the shape's own random stream), so a
@@ -13,12 +13,16 @@ state. :func:`search_mappings` runs the searches of many layers in
   (:func:`repro.encoding.mapping_enc.heuristic_vectors`);
 - the generation's vectors, layers x population lanes, are decoded in
   one array pass (:func:`repro.encoding.mapping_enc.decode_lanes`) and
-  costed in another (:meth:`repro.cost.model.CostModel.evaluate_lanes`).
-  A candidate's 31 mobilenet_v2 shapes at the ``quick`` population of 6
-  are one 186-lane call per generation instead of 31 six-lane calls; a
-  tuned baseline's whole benchmark set at the ``paper`` population of
-  20 is one call of 1,040 lanes (large set, 52 shapes) or 1,480 (mobile
-  set, 74 distinct shapes);
+  costed in another (:meth:`repro.cost.model.CostModel.evaluate_lanes`),
+  each lane against its row's accelerator
+  (:class:`repro.cost.batch.LaneAccels`). A NAAS generation's task
+  group is one search: at workers=1 the ``quick`` profile's 8
+  candidates x 31 mobilenet_v2 shapes at population 6 are one
+  1,488-lane call per generation instead of 8 calls of 186 lanes, and
+  ``full``'s 10 x 31 at population 16 one of 4,960; a tuned baseline's
+  whole benchmark set at the ``paper`` population of 20 is one call of
+  1,040 lanes (large set, 52 shapes) or 1,480 (mobile set, 74 distinct
+  shapes);
 - each shape's best so far is one row of a ``LaneMappings``/
   ``LaneCosts`` pair, overwritten when a generation improves on it
   (:meth:`~repro.cost.batch.LaneCosts.put`); every generation is asked
@@ -27,7 +31,8 @@ state. :func:`search_mappings` runs the searches of many layers in
   once, after the last generation.
 
 Lockstep changes no result: each layer's search is exactly what it
-would be alone (:func:`search_mapping` is the one-layer call). The
+would be alone on its accelerator (:func:`search_mapping` is the
+one-layer call). The
 encoder legalizes tilings, so nearly every sample evaluates; samples
 whose decode still fails count against the budget like the paper's
 rejected candidates.
@@ -37,12 +42,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.accelerator.arch import AcceleratorConfig
-from repro.cost.batch import LaneCosts, LaneLayers, LaneMappings
+from repro.cost.batch import LaneAccels, LaneCosts, LaneLayers, LaneMappings
 from repro.cost.model import CostModel
 from repro.encoding.mapping_enc import (
     decode_lanes,
@@ -100,7 +105,8 @@ def search_mapping(layer: ConvLayer,
 
 
 def search_mappings(layers: Sequence[ConvLayer],
-                    accel: AcceleratorConfig,
+                    accels: Union[AcceleratorConfig,
+                                  Sequence[AcceleratorConfig]],
                     cost_model: CostModel,
                     budget: MappingSearchBudget = MappingSearchBudget(),
                     seeds: Optional[Sequence[SeedLike]] = None,
@@ -109,15 +115,23 @@ def search_mappings(layers: Sequence[ConvLayer],
                     ) -> List[MappingSearchResult]:
     """Run one mapping search per layer, all in lockstep.
 
+    ``accels`` is one accelerator per layer, or one all layers share;
     ``seeds[i]`` seeds layer ``i``'s ES (``None`` for all-fresh
-    streams). Result ``i`` equals ``search_mapping(layers[i], ...,
-    seed=seeds[i])`` whatever the other layers are, provided no two
-    layers share one ``numpy`` generator object as their seed.
+    streams). Result ``i`` equals ``search_mapping(layers[i],
+    accels[i], ..., seed=seeds[i])`` whatever the other layers and
+    accelerators are, provided no two layers share one ``numpy``
+    generator object as their seed.
     """
     layers = list(layers)
     seeds = [None] * len(layers) if seeds is None else list(seeds)
     if len(seeds) != len(layers):
         raise ValueError(f"{len(seeds)} seeds for {len(layers)} layers")
+    if isinstance(accels, AcceleratorConfig):
+        accels = [accels] * len(layers)
+    accel_rows = _lane_accels(accels)
+    if len(accel_rows) != len(layers):
+        raise ValueError(
+            f"{len(accel_rows)} accelerators for {len(layers)} layers")
     if not layers:
         return []
     count, population = len(layers), budget.population
@@ -127,8 +141,11 @@ def search_mappings(layers: Sequence[ConvLayer],
     head = np.empty((count, 0, params))
     if seed_with_heuristic and style is EncodingStyle.IMPORTANCE:
         head = heuristic_vectors(LaneLayers(layers, np.arange(count)),
-                                 accel)[:, None]
+                                 accel_rows)[:, None]
     lanes = LaneLayers(layers, np.repeat(np.arange(count), population))
+    accel_lanes = LaneAccels(accel_rows.accels,
+                             np.repeat(accel_rows.index, population))
+    del accel_rows
     vectors = np.empty((count, population, params))
     shapes = np.arange(count)
 
@@ -150,9 +167,9 @@ def search_mappings(layers: Sequence[ConvLayer],
             stack.ask(population - warm, out=vectors[:, warm:])
         else:
             stack.ask(population, out=vectors)
-        mappings = decode_lanes(lanes, accel, style,
+        mappings = decode_lanes(lanes, accel_lanes, style,
                                 vectors.reshape(-1, params))
-        costs = cost_model.evaluate_lanes(lanes, accel, mappings)
+        costs = cost_model.evaluate_lanes(lanes, accel_lanes, mappings)
         # The fitness is the EDP; decode failures and invalid costs
         # read inf there.
         edp = costs.edp.reshape(count, population)
@@ -193,7 +210,7 @@ def search_mappings(layers: Sequence[ConvLayer],
                      count, iteration, len(improved))
 
     # The search state goes before the result objects are built.
-    del stack, lanes, vectors
+    del stack, lanes, accel_lanes, vectors
     results = []
     for index, layer in enumerate(layers):
         best_mapping = best_cost = None
@@ -208,3 +225,10 @@ def search_mappings(layers: Sequence[ConvLayer],
             evaluations=int(evaluations[index]),
         ))
     return results
+
+
+def _lane_accels(accels: Sequence[AcceleratorConfig]) -> LaneAccels:
+    """One row per layer, each distinct accelerator gathered once."""
+    distinct: Dict[AcceleratorConfig, int] = {}
+    index = [distinct.setdefault(accel, len(distinct)) for accel in accels]
+    return LaneAccels(list(distinct), index)
