@@ -14,12 +14,8 @@ from repro.search.accelerator_search import evaluate_accelerator
 from repro.search.cache import EvaluationCache
 from repro.search.diskcache import build_cache
 from repro.search.mapping_search import MappingSearchBudget
-from repro.search.parallel import (
-    build_evaluator,
-    resolve_workers,
-    split_chunks,
-)
-from repro.search.transport import Transport
+from repro.search.parallel import build_evaluator
+from repro.search.transport import Transport, group_worker
 from repro.tensors.network import Network
 from repro.utils.mathutils import geomean
 from repro.utils.rng import SeedLike, seed_entropy
@@ -46,22 +42,29 @@ def baseline_costs(preset_name: str,
 
 
 @dataclasses.dataclass(frozen=True)
-class _ChunkTask:
-    """Picklable payload: tune a chunk of networks' mappings on a preset."""
+class _TuneTask:
+    """Picklable payload: tune one network's mappings on a preset."""
 
     preset: AcceleratorConfig
-    networks: Tuple[Network, ...]
+    network: Network
     cost_model: CostModel
     mapping_budget: MappingSearchBudget
     entropy: int
 
 
-def _tune_chunk(task: _ChunkTask,
-                cache: Optional[EvaluationCache]) -> Dict[str, NetworkCost]:
+@group_worker
+def _tune_networks(tasks: List[_TuneTask],
+                   cache: Optional[EvaluationCache],
+                   ) -> List[Optional[NetworkCost]]:
+    """ParallelEvaluator group worker: tune a task group's networks
+    with one :func:`evaluate_accelerator` call (the tasks of one
+    tuning share everything but the network). ``None`` marks an
+    unmappable network."""
+    first = tasks[0]
     _, costs, _ = evaluate_accelerator(
-        task.preset, task.networks, task.cost_model, task.mapping_budget,
-        seed=task.entropy, cache=cache)
-    return costs
+        first.preset, [task.network for task in tasks], first.cost_model,
+        first.mapping_budget, seed=first.entropy, cache=cache)
+    return [costs.get(task.network.name) for task in tasks]
 
 
 def tuned_baseline_costs(preset_name: str,
@@ -79,28 +82,28 @@ def tuned_baseline_costs(preset_name: str,
 
     A stronger (conservative) baseline than :func:`baseline_costs`: the
     preset gets the same mapping-search budget as NAAS candidates.
-    The networks are split into one contiguous chunk per worker slot,
-    and each chunk is one :func:`evaluate_accelerator` call: one
-    lockstep mapping search over every shape of the chunk's networks.
+    Each network is one payload, and the evaluator partitions them
+    into task groups (one per worker slot, or per connected TCP
+    worker); each group is one :func:`evaluate_accelerator` call: one
+    lockstep mapping search over every shape of the group's networks.
     Each shape's search depends only on the seed and the shape, so any
-    worker count returns the same costs. Unmappable networks are
-    omitted from the result. ``cache_dir`` persists the tuned mappings
-    across runs via the disk tier.
+    partition returns the same costs. Unmappable networks are omitted
+    from the result. ``cache_dir`` persists the tuned mappings across
+    runs via the disk tier.
     """
     preset = baseline_preset(preset_name)
     entropy = seed_entropy(seed)
-    tasks = [_ChunkTask(preset=preset, networks=tuple(chunk),
-                        cost_model=cost_model,
-                        mapping_budget=mapping_budget, entropy=entropy)
-             for chunk in split_chunks(networks, resolve_workers(workers))]
-    with build_evaluator(_tune_chunk, workers=workers,
+    tasks = [_TuneTask(preset=preset, network=network,
+                       cost_model=cost_model,
+                       mapping_budget=mapping_budget, entropy=entropy)
+             for network in networks]
+    with build_evaluator(_tune_networks, workers=workers,
                          cache=build_cache(cache_dir),
                          transport=transport, workers_addr=workers_addr,
                          eval_timeout=eval_timeout) as evaluator:
         outcomes = evaluator.evaluate(tasks)
-    tuned = {name: cost for costs in outcomes for name, cost in costs.items()}
-    return {network.name: tuned[network.name]
-            for network in networks if network.name in tuned}
+    return {network.name: cost for network, cost in zip(networks, outcomes)
+            if cost is not None}
 
 
 def gain_rows(baseline: Dict[str, NetworkCost],

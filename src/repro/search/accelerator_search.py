@@ -11,7 +11,10 @@ is sampled and decoded up front, per-candidate seeds are derived in one
 batch, and the candidate evaluations are fanned out through the shared
 :func:`repro.search.parallel.run_search_loop` driver (``workers=N``
 reproduces the serial path bit-identically; see
-:mod:`repro.search.parallel` for the execution model).
+:mod:`repro.search.parallel` for the execution model). Each task group
+of candidates is one :func:`evaluate_accelerators` call, so at
+``workers=1`` a generation's mapping searches are one lockstep search
+over every candidate's shapes.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from repro.search.result import (
     AcceleratorSearchResult,
     MappingSearchResult,
 )
-from repro.search.transport import Transport
+from repro.search.transport import Transport, group_worker
 from repro.tensors.layer import ConvLayer
 from repro.tensors.network import Network, shape_key
 from repro.utils.logging import get_logger
@@ -70,6 +73,11 @@ class NAASBudget:
                 f"{self.accel_population}x{self.accel_iterations}")
 
 
+#: What scoring one accelerator returns: ``(reward, {network ->
+#: NetworkCost}, {layer -> Mapping})``.
+Evaluation = Tuple[float, Dict[str, NetworkCost], Dict[str, Mapping]]
+
+
 def evaluate_accelerator(accel: AcceleratorConfig,
                          networks: Sequence[Network],
                          cost_model: CostModel,
@@ -79,8 +87,7 @@ def evaluate_accelerator(accel: AcceleratorConfig,
                              EncodingStyle.IMPORTANCE),
                          cache: Optional[EvaluationCache] = None,
                          reward_fn: RewardFn = geomean_edp,
-                         ) -> Tuple[float, Dict[str, NetworkCost],
-                                    Dict[str, Mapping]]:
+                         ) -> Evaluation:
     """Score one accelerator: best-mapping EDP per network, geomean reward.
 
     Returns ``(reward, {network -> NetworkCost}, {layer -> Mapping})``.
@@ -116,43 +123,91 @@ def evaluate_accelerator(accel: AcceleratorConfig,
     cost-model params)`` — the full identity a cached value is a pure
     function of — so runs with a different budget, cost model, or seed
     can never hit a stale cross-run entry.
+
+    The one-candidate call of :func:`evaluate_accelerators`.
     """
-    entropy = seed_entropy(seed)
-    shapes = [[(layer, count, (accel, shape_key(layer), mapping_style))
+    [evaluation] = evaluate_accelerators(
+        [accel], [seed_entropy(seed)], networks, cost_model, mapping_budget,
+        mapping_style=mapping_style, cache=cache, reward_fn=reward_fn)
+    return evaluation
+
+
+def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
+                          entropies: Sequence[int],
+                          networks: Sequence[Network],
+                          cost_model: CostModel,
+                          mapping_budget: MappingSearchBudget,
+                          mapping_style: EncodingStyle = (
+                              EncodingStyle.IMPORTANCE),
+                          cache: Optional[EvaluationCache] = None,
+                          reward_fn: RewardFn = geomean_edp,
+                          ) -> List[Evaluation]:
+    """Score many accelerators at once; result ``i`` equals
+    ``evaluate_accelerator(accels[i], networks, ..., seed=entropies[i])``.
+
+    Every candidate's lookups go to the cache in candidate order, keyed
+    on ``(entropies[i], (accels[i], shape, style))`` as one call would
+    key them, and all the misses of all candidates run as one lockstep
+    :func:`~repro.search.mapping_search.search_mappings` call, each
+    shape on its candidate's accelerator. A key that recurs (a shape
+    shared across networks, or two candidates with one entropy and
+    accelerator) is searched once and its later lookups hit.
+    """
+    if len(entropies) != len(accels):
+        raise ValueError(
+            f"{len(entropies)} entropies for {len(accels)} accelerators")
+    shapes = [[(layer, count, shape_key(layer))
                for layer, count in network.unique_shapes()]
               for network in networks]
-    lookups = [(layer, key) for group in shapes for layer, _, key in group]
+    layers = [layer for group in shapes for layer, _, _ in group]
+    lookups = [(entropy, (accel, skey, mapping_style))
+               for accel, entropy in zip(accels, entropies)
+               for group in shapes for _, _, skey in group]
+    lookup_layers = layers * len(accels)
 
-    def run_searches(batch: Sequence[Tuple[ConvLayer, tuple]],
+    def run_searches(keys: Sequence[Tuple[int, tuple]],
+                     batch: Sequence[ConvLayer],
                      ) -> List[MappingSearchResult]:
-        # One lockstep mapping search over every shape in the batch.
+        # One lockstep mapping search over every shape in the batch,
+        # each on its own candidate's accelerator.
         return search_mappings(
-            [layer for layer, _ in batch], accel, cost_model,
+            batch, [key[0] for _, key in keys], cost_model,
             budget=mapping_budget,
-            seeds=[derive_seed(entropy, key) for _, key in batch],
+            seeds=[derive_seed(entropy, key) for entropy, key in keys],
             style=mapping_style)
 
     if cache is None:
-        results = run_searches(lookups)
+        results = run_searches(lookups, lookup_layers)
     else:
-        # Deduplicated by key: a shape shared across networks is
-        # searched once, with the first network's layer, and its later
-        # lookups hit — as one-by-one lookups would. Its cost takes
-        # each network's own layer name below.
-        first_layer: Dict[tuple, ConvLayer] = {}
-        for layer, key in lookups:
+        # Deduplicated by key: a recurring key is searched once, with
+        # its first lookup's layer, and its later lookups hit — as
+        # one-by-one lookups would. Its cost takes each network's own
+        # layer name below.
+        first_layer: Dict[Tuple[int, tuple], ConvLayer] = {}
+        for key, layer in zip(lookups, lookup_layers):
             first_layer.setdefault(key, layer)
         disk_keys = None
         if getattr(cache, "persistent", False):
             disk_keys = [content_digest(entropy, key, mapping_budget,
                                         cost_model.params)
-                         for _, key in lookups]
+                         for entropy, key in lookups]
         results = cache.get_or_compute_many(
-            [(entropy, key) for _, key in lookups],
-            lambda keys: run_searches([(first_layer[key], key)
-                                       for _, key in keys]),
+            lookups,
+            lambda keys: run_searches(keys,
+                                      [first_layer[key] for key in keys]),
             disk_keys=disk_keys)
 
+    size = len(layers)
+    return [_reduce(accel, networks, shapes,
+                    results[index * size:(index + 1) * size], reward_fn)
+            for index, accel in enumerate(accels)]
+
+
+def _reduce(accel: AcceleratorConfig, networks: Sequence[Network],
+            shapes: List[List[Tuple[ConvLayer, int, tuple]]],
+            results: Sequence[MappingSearchResult],
+            reward_fn: RewardFn) -> Evaluation:
+    """One candidate's evaluation from its shapes' search results."""
     network_costs: Dict[str, NetworkCost] = {}
     best_mappings: Dict[str, Mapping] = {}
     feasible = True
@@ -162,13 +217,13 @@ def evaluate_accelerator(accel: AcceleratorConfig,
         layer_costs = []
         shape_mappings: Dict[tuple, Mapping] = {}
         mappable = True
-        for (layer, count, _), result in zip(group, group_results):
+        for (layer, count, skey), result in zip(group, group_results):
             if not result.found:
                 logger.debug("no mapping for %s on %s", layer.name, accel.name)
                 mappable = False
                 feasible = False
                 break
-            shape_mappings[shape_key(layer)] = result.best_mapping
+            shape_mappings[skey] = result.best_mapping
             cost = result.best_cost
             if cost.layer_name != layer.name:
                 cost = dataclasses.replace(cost, layer_name=layer.name)
@@ -199,15 +254,19 @@ class _CandidateTask:
     reward_fn: RewardFn
 
 
-def _evaluate_candidate(task: _CandidateTask,
-                        cache: Optional[EvaluationCache],
-                        ) -> Tuple[float, Dict[str, NetworkCost],
-                                   Dict[str, Mapping]]:
-    """ParallelEvaluator worker: score one decoded candidate."""
-    return evaluate_accelerator(
-        task.accel, task.networks, task.cost_model, task.mapping_budget,
-        seed=task.entropy, mapping_style=task.mapping_style, cache=cache,
-        reward_fn=task.reward_fn)
+@group_worker
+def _evaluate_candidates(tasks: List[_CandidateTask],
+                         cache: Optional[EvaluationCache],
+                         ) -> List[Evaluation]:
+    """ParallelEvaluator group worker: score a task group's decoded
+    candidates with one :func:`evaluate_accelerators` call. The tasks
+    of one search share everything but the accelerator and entropy."""
+    first = tasks[0]
+    return evaluate_accelerators(
+        [task.accel for task in tasks], [task.entropy for task in tasks],
+        first.networks, first.cost_model, first.mapping_budget,
+        mapping_style=first.mapping_style, cache=cache,
+        reward_fn=first.reward_fn)
 
 
 class _AcceleratorLoop(GenerationLoop):
@@ -335,7 +394,7 @@ def search_accelerator(networks: Sequence[Network],
         mapping_style=mapping_style, reward_fn=reward_fn,
         max_decode_attempts=max_decode_attempts)
 
-    with build_evaluator(_evaluate_candidate, workers=workers, cache=cache,
+    with build_evaluator(_evaluate_candidates, workers=workers, cache=cache,
                          transport=transport, workers_addr=workers_addr,
                          eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)

@@ -22,7 +22,7 @@ workers send back only the counts a task group added, which
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.search.result import CacheStats
 
@@ -79,11 +79,13 @@ class EvaluationCache:
         """
         disk_keys = ([None] * len(keys) if disk_keys is None
                      else list(disk_keys))
-        missing: List[Hashable] = []
+        # Insertion-ordered: the distinct misses in first-occurrence order.
+        missing: Dict[Hashable, None] = {}
         for key, disk_key in zip(keys, disk_keys):
             if key not in missing and not self._holds(key, disk_key):
-                missing.append(key)
-        computed = dict(zip(missing, compute(missing))) if missing else {}
+                missing[key] = None
+        computed = (dict(zip(missing, compute(list(missing))))
+                    if missing else {})
 
         def value_for(key: Hashable) -> Callable[[], Any]:
             # A peeked entry can vanish before its lookup (LRU eviction,

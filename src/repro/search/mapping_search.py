@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,24 +128,28 @@ def search_mappings(layers: Sequence[ConvLayer],
         raise ValueError(f"{len(seeds)} seeds for {len(layers)} layers")
     if isinstance(accels, AcceleratorConfig):
         accels = [accels] * len(layers)
-    accel_rows = _lane_accels(accels)
-    if len(accel_rows) != len(layers):
+    if len(accels) != len(layers):
         raise ValueError(
-            f"{len(accel_rows)} accelerators for {len(layers)} layers")
+            f"{len(accels)} accelerators for {len(layers)} layers")
     if not layers:
         return []
     count, population = len(layers), budget.population
     params = num_params(style)
     stack = EvolutionStack(params, seeds)
+    # Each distinct layer and accelerator is gathered once; row i of
+    # the search is (distinct_layers[layer_rows[i]],
+    # distinct_accels[accel_rows[i]]).
+    distinct_layers, layer_rows = _distinct(layers)
+    distinct_accels, accel_rows = _distinct(accels)
     # Warm starts take the head of generation 0.
     head = np.empty((count, 0, params))
     if seed_with_heuristic and style is EncodingStyle.IMPORTANCE:
-        head = heuristic_vectors(LaneLayers(layers, np.arange(count)),
-                                 accel_rows)[:, None]
-    lanes = LaneLayers(layers, np.repeat(np.arange(count), population))
-    accel_lanes = LaneAccels(accel_rows.accels,
-                             np.repeat(accel_rows.index, population))
-    del accel_rows
+        head = heuristic_vectors(
+            LaneLayers(distinct_layers, layer_rows),
+            LaneAccels(distinct_accels, accel_rows))[:, None]
+    lanes = LaneLayers(distinct_layers, np.repeat(layer_rows, population))
+    accel_lanes = LaneAccels(distinct_accels,
+                             np.repeat(accel_rows, population))
     vectors = np.empty((count, population, params))
     shapes = np.arange(count)
 
@@ -227,8 +231,10 @@ def search_mappings(layers: Sequence[ConvLayer],
     return results
 
 
-def _lane_accels(accels: Sequence[AcceleratorConfig]) -> LaneAccels:
-    """One row per layer, each distinct accelerator gathered once."""
-    distinct: Dict[AcceleratorConfig, int] = {}
-    index = [distinct.setdefault(accel, len(distinct)) for accel in accels]
-    return LaneAccels(list(distinct), index)
+
+def _distinct(items: Sequence) -> Tuple[list, np.ndarray]:
+    """``(distinct, index)``: ``items[i] == distinct[index[i]]``, each
+    distinct item once, in first-occurrence order."""
+    first: Dict[Any, int] = {}
+    index = [first.setdefault(item, len(first)) for item in items]
+    return list(first), np.asarray(index, dtype=np.int64)

@@ -63,7 +63,11 @@ the search loops uphold three invariants:
    observe completion order.
 
 Worker functions must be module-level (picklable by qualified name) and
-take ``(payload, cache)``, returning a picklable result.
+take ``(payload, cache)``, returning a picklable result, or, marked with
+:func:`~repro.search.transport.group_worker`, take a whole task group's
+``(payloads, cache)`` and return one result per payload. Every task
+group is one :func:`~repro.search.transport.run_group` call, inline or
+dispatched; at ``workers=1`` a whole generation is one group.
 """
 
 from __future__ import annotations
@@ -101,6 +105,7 @@ from repro.search.transport import (
     Transport,
     WorkerFn,
     resolve_transport,
+    run_group,
 )
 from repro.utils.logging import get_logger
 from repro.utils.rng import seed_entropy, spawn_rngs
@@ -382,8 +387,7 @@ class ParallelEvaluator:
         if not payloads:
             return []
         if not self._dispatch_ready():
-            return [self.worker_fn(payload, self.cache)
-                    for payload in payloads]
+            return run_group(self.worker_fn, payloads, self.cache)
         groups = self._dispatch(self._task_groups(payloads))
         return [result for group in groups for result in group]
 
@@ -484,8 +488,8 @@ class ParallelEvaluator:
             len(remainder))
         self._degrade_to_inline()
         for index in remainder:
-            buffer.land(index, [self.worker_fn(payload, self.cache)
-                                for payload in groups[index]])
+            buffer.land(index, run_group(self.worker_fn, groups[index],
+                                         self.cache))
         return buffer.committed()
 
 

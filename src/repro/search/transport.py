@@ -84,7 +84,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import TransportError
+from repro.errors import SearchError, TransportError
 from repro.search.cache import EvaluationCache
 from repro.search.diskcache import CacheHandle, RunCache, content_digest
 from repro.search.result import CacheStats
@@ -92,7 +92,9 @@ from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
-#: A worker maps ``(payload, cache-or-None)`` to a picklable result.
+#: A worker maps ``(payload, cache-or-None)`` to a picklable result;
+#: a :func:`group_worker` maps ``(payloads, cache-or-None)`` to one
+#: result per payload. :func:`run_group` calls either kind.
 WorkerFn = Callable[[Any, Optional[EvaluationCache]], Any]
 
 #: Transport names ``resolve_transport`` understands.
@@ -366,6 +368,35 @@ class Transport:
 _pool_worker_cache = RunCache()
 
 
+def group_worker(worker_fn: Callable[[List[Any], Optional[EvaluationCache]],
+                                     List[Any]]) -> WorkerFn:
+    """Mark ``worker_fn`` as evaluating a whole task group in one call.
+
+    A group worker takes ``(payloads, cache)`` and returns one result
+    per payload, in order, so it can share work across the group (the
+    NAAS candidates of a group run one lockstep mapping search). The
+    mark is a function attribute, so it travels with the function's
+    qualified name to pool and TCP workers.
+    """
+    worker_fn.takes_group = True
+    return worker_fn
+
+
+def run_group(worker_fn: WorkerFn, payloads: Sequence[Any],
+              cache: Optional[EvaluationCache]) -> List[Any]:
+    """One task group's results, in payload order: one call of a
+    :func:`group_worker`, or one call per payload of any other worker.
+    Inline evaluation, salvage and :func:`run_chunk` all call this."""
+    if not getattr(worker_fn, "takes_group", False):
+        return [worker_fn(payload, cache) for payload in payloads]
+    results = list(worker_fn(list(payloads), cache))
+    if len(results) != len(payloads):
+        raise SearchError(
+            f"{getattr(worker_fn, '__qualname__', worker_fn)} returned "
+            f"{len(results)} results for {len(payloads)} payloads")
+    return results
+
+
 def run_chunk(worker_fn: WorkerFn, payloads: Sequence[Any],
               handle: Optional[CacheHandle],
               run_cache: Optional[RunCache] = None,
@@ -378,10 +409,10 @@ def run_chunk(worker_fn: WorkerFn, payloads: Sequence[Any],
     (process pool, TCP worker) fulfills.
     """
     if handle is None:
-        return [worker_fn(payload, None) for payload in payloads], None
+        return run_group(worker_fn, payloads, None), None
     cache = (run_cache or _pool_worker_cache).get(handle)
     before = cache.stats()
-    results = [worker_fn(payload, cache) for payload in payloads]
+    results = run_group(worker_fn, payloads, cache)
     return results, cache.stats() - before
 
 

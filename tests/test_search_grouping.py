@@ -1,23 +1,49 @@
 """Task partitioning: dispatch shapes and partition independence.
 
 The contract under test: a generation goes out as one contiguous chunk
-per worker slot (per connected worker on a remote transport), and the
-partition only decides which process evaluates which payloads — never
-the results, their order, or the cache semantics.
+per worker slot (per connected worker on a remote transport), each
+chunk one call of a group worker, and the partition only decides which
+process evaluates which payloads — never the results, their order, or
+the cache semantics.
 """
 
 from concurrent.futures import Future
 
 import pytest
 
+from repro.cost.model import CostModel
+from repro.errors import SearchError
+from repro.experiments.common import tuned_baseline_costs
+from repro.models import mobile_benchmark_set
+from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import ParallelEvaluator, split_chunks
-from repro.search.transport import Transport, run_chunk
+from repro.search.transport import (
+    Transport,
+    group_worker,
+    run_chunk,
+    run_group,
+)
 
 
 def _square(payload, cache):
     if cache is None:
         return payload * payload
     return cache.get_or_compute(payload, lambda: payload * payload)
+
+
+@group_worker
+def _squares(payloads, cache):
+    """A group worker: one call per task group."""
+    _squares.calls.append(list(payloads))
+    return [_square(payload, cache) for payload in payloads]
+
+
+_squares.calls = []
+
+
+@group_worker
+def _short(payloads, cache):
+    return payloads[1:]
 
 
 class RecordingTransport(Transport):
@@ -88,3 +114,50 @@ class TestGroupingDeterminism:
         inline = ParallelEvaluator(_square, workers=1)
         assert grouped == inline.evaluate(self.PAYLOADS)
         assert grouped == [p * p for p in self.PAYLOADS]
+
+
+class TestGroupWorkers:
+    """A group worker gets each task group in one call, inline or
+    dispatched; any other worker gets one call per payload."""
+
+    def setup_method(self):
+        _squares.calls.clear()
+
+    def test_per_payload_worker_is_called_per_payload(self):
+        assert run_group(_square, [1, 2, 3], None) == [1, 4, 9]
+
+    def test_inline_generation_is_one_call(self):
+        with ParallelEvaluator(_squares, workers=1) as evaluator:
+            assert evaluator.evaluate([1, 2, 3, 4]) == [1, 4, 9, 16]
+        assert _squares.calls == [[1, 2, 3, 4]]
+
+    def test_wrong_result_count_is_an_error(self):
+        with pytest.raises(SearchError, match="2 results for 3 payloads"):
+            run_group(_short, [1, 2, 3], None)
+
+    @pytest.mark.parametrize("slots", (1, 3, 7))
+    def test_each_dispatched_group_is_one_call(self, slots):
+        transport = RecordingTransport(slots=slots, remote=True)
+        evaluator = ParallelEvaluator(_squares, workers=1,
+                                      transport=transport)
+        payloads = list(range(7))
+        assert evaluator.evaluate(payloads) == [p * p for p in payloads]
+        assert transport.groups == split_chunks(payloads, slots)
+        assert _squares.calls == transport.groups
+
+    def test_tuned_baseline_groups_track_remote_capacity(self):
+        """Regression: the tuned baseline pre-chunked its networks by
+        the local worker count, so at workers=1 a whole fleet got one
+        task group. The evaluator alone partitions them now."""
+        networks = mobile_benchmark_set()
+        budget = MappingSearchBudget(3, 2)
+        transport = RecordingTransport(slots=3, remote=True)
+        fanned = tuned_baseline_costs("eyeriss", networks, CostModel(),
+                                      budget, seed=0, workers=1,
+                                      transport=transport)
+        assert len(transport.groups) == 3
+        assert [[task.network.name for task in group]
+                for group in transport.groups] == [
+                    [network.name] for network in networks]
+        assert fanned == tuned_baseline_costs(
+            "eyeriss", networks, CostModel(), budget, seed=0, workers=1)
