@@ -2,10 +2,11 @@
 
 Each benchmark regenerates one of the paper's tables/figures via the
 experiment registry, prints the paper-style table, persists it under
-``benchmarks/results/`` (the inputs to EXPERIMENTS.md), and asserts the
-experiment's qualitative claims. pytest-benchmark records the wall-clock
-of the full experiment (rounds=1 — these are minutes-scale searches, not
-microbenchmarks).
+``benchmarks/results/`` (the inputs to EXPERIMENTS.md) without the
+run's timings, so that a rerun on an unchanged tree rewrites each file
+byte for byte, and asserts the experiment's qualitative claims.
+pytest-benchmark records the wall-clock of the full experiment
+(rounds=1 — these are minutes-scale searches, not microbenchmarks).
 
 Profile selection: set ``REPRO_PROFILE=quick|full|paper`` (default quick).
 """
@@ -34,7 +35,8 @@ def run_and_check(benchmark, name: str, seed: int = 0) -> ExperimentResult:
     result: ExperimentResult = result_box["result"]
 
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(result.render() + "\n")
+    (RESULTS_DIR / f"{name}.txt").write_text(
+        result.render(timing=False) + "\n")
 
     print()
     print(result.render())

@@ -22,7 +22,8 @@ def _run(benchmark, name: str):
     benchmark.pedantic(target, rounds=1, iterations=1)
     result = box["result"]
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"ablation_{name}.txt").write_text(result.render() + "\n")
+    (RESULTS_DIR / f"ablation_{name}.txt").write_text(
+        result.render(timing=False) + "\n")
     print()
     print(result.render())
     failed = [c for c, ok in result.claims.items() if not ok]

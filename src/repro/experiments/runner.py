@@ -9,6 +9,12 @@ from typing import Any, Dict, List, Sequence
 from repro.utils.tables import Cell, render_markdown_table, render_table
 
 
+class Timed(float):
+    """A table cell read off the clock (a measured search cost): it
+    renders like any float, and as ``(timed)`` where a rendering leaves
+    timings out."""
+
+
 @dataclasses.dataclass
 class ExperimentResult:
     """Outcome of one experiment (one figure or table).
@@ -25,10 +31,20 @@ class ExperimentResult:
     details: Dict[str, Any] = dataclasses.field(default_factory=dict)
     seconds: float = 0.0
 
-    def render(self) -> str:
-        """ASCII table plus the claim checklist."""
-        lines = [f"== {self.experiment} ({self.seconds:.1f}s) ==",
-                 render_table(self.headers, self.rows)]
+    def render(self, timing: bool = True) -> str:
+        """ASCII table plus the claim checklist.
+
+        ``timing=False`` leaves the run's seconds out of the header and
+        prints :class:`Timed` cells as ``(timed)``, so the text changes
+        only when a number or a claim does (the form
+        ``benchmarks/results/`` keeps).
+        """
+        took = f" ({self.seconds:.1f}s)" if timing else ""
+        rows = self.rows if timing else [
+            ["(timed)" if isinstance(cell, Timed) else cell for cell in row]
+            for row in self.rows]
+        lines = [f"== {self.experiment}{took} ==",
+                 render_table(self.headers, rows)]
         for claim, holds in self.claims.items():
             lines.append(f"  [{'x' if holds else ' '}] {claim}")
         return "\n".join(lines)

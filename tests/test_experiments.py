@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ReproError
 from repro.experiments import EXPERIMENTS, get_profile, run_experiment
 from repro.experiments.config import PROFILE_ENV_VAR
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ExperimentResult, Timed
 
 
 class TestProfiles:
@@ -61,6 +61,26 @@ class TestResultRecord:
         assert "[x] it works" in text
         assert "[ ] it fails" in text
         assert not result.all_claims_hold
+
+    def test_render_without_timing_depends_on_content_only(self):
+        def result(seconds):
+            return ExperimentResult(
+                experiment="demo", headers=["a"], rows=[[1]],
+                claims={"ok": True}, seconds=seconds)
+        assert result(1.25).render().startswith("== demo (1.2s) ==")
+        assert result(1.25).render(timing=False) == result(
+            7.5).render(timing=False)
+        assert result(1.25).render(timing=False).startswith("== demo ==\n")
+
+    def test_timed_cells_are_left_out_without_timing(self):
+        result = ExperimentResult(
+            experiment="demo", headers=["approach", "cost"],
+            rows=[["published", 1.5], ["measured", Timed(3e-05)]],
+            claims={})
+        assert "3.000e-05" in result.render()
+        text = result.render(timing=False)
+        assert "3.000e-05" not in text and "(timed)" in text
+        assert "1.5" in text
 
     def test_markdown_render(self):
         result = ExperimentResult(
