@@ -228,9 +228,6 @@ class LaneAccels:
             return accels
         return cls([accels], np.zeros(count, dtype=np.int64))
 
-    def __len__(self) -> int:
-        return len(self.index)
-
     def per_accel(self, values: Sequence, dtype=np.int64) -> np.ndarray:
         """Gather one value per accelerator out to the lanes."""
         return np.asarray(values, dtype=dtype)[self.index]

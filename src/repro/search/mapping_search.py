@@ -231,7 +231,6 @@ def search_mappings(layers: Sequence[ConvLayer],
     return results
 
 
-
 def _distinct(items: Sequence) -> Tuple[list, np.ndarray]:
     """``(distinct, index)``: ``items[i] == distinct[index[i]]``, each
     distinct item once, in first-occurrence order."""

@@ -100,8 +100,9 @@ WorkerFn = Callable[[Any, Optional[EvaluationCache]], Any]
 #: Transport names ``resolve_transport`` understands.
 TRANSPORTS: Tuple[str, ...] = ("local", "tcp")
 
-#: Bumped on any incompatible change to framing, header or body semantics.
-PROTOCOL_VERSION = 3
+#: Bumped on any incompatible change to framing, header or body semantics
+#: (v4: a job body's worker may be a group worker, called once per job).
+PROTOCOL_VERSION = 4
 
 _MAGIC = b"NTP1"
 #: magic | protocol version | header length | body length
