@@ -694,20 +694,19 @@ def cost_lanes(lanes: LaneLayers, accels: AccelsLike,
     if any(problems):
         valid &= accels.per_accel([not found for found in problems], bool)
 
+    def rate(per_accel) -> np.ndarray:
+        """A per-accelerator float, by the scalar expression, per lane."""
+        return accels.per_accel([per_accel(accel)
+                                 for accel in accels.accels], np.float64)
+
     total_dram = traffic.dram_read + traffic.dram_write
     total_l2 = traffic.l2_read + traffic.l2_write
     compute = (traffic.tiles_count.astype(np.float64)
                * traffic.steps_per_tile.astype(np.float64))
     dram = total_dram / accels.dram_bandwidth
-    l2 = total_l2 / accels.per_accel(
-        [l2_bandwidth_bytes_per_cycle(accel, params)
-         for accel in accels.accels], np.float64)
+    l2 = total_l2 / rate(lambda a: l2_bandwidth_bytes_per_cycle(a, params))
     fill = traffic.first_fill / accels.dram_bandwidth
     cycles = np.maximum(np.maximum(compute, dram), l2) + fill
-
-    def rate(per_accel) -> np.ndarray:
-        return accels.per_accel([per_accel(accel)
-                                 for accel in accels.accels], np.float64)
 
     mac = lanes.per_layer([layer.macs * params.mac_pj(layer.bits)
                            for layer in lanes.layers], np.float64)

@@ -147,7 +147,7 @@ def decode_lanes(lanes: LaneLayers, accels: AccelsLike,
     # layer allows it, otherwise PEs are guaranteed idle (an axis
     # extent of 1 leaves a tile as it is).
     for idx in accels.parallel_columns():
-        col = idx - 1
+        col = idx - 1  # SEARCHED_DIMS are dim indices 1..6
         size = sizes[:, col]
         tiles[:, col] = np.minimum(size, np.maximum(
             tiles[:, col], np.minimum(accels.axis[:, idx], size)))
@@ -182,7 +182,7 @@ def heuristic_vectors(lanes: LaneLayers,
     caps = accels.per_accel([
         [whole if cap is None else cap
          for cap in heuristic_tile_caps(accel).values()]
-        for accel in accels.accels]).reshape(-1, len(SEARCHED_DIMS))
+        for accel in accels.accels])
     tiles, converged = shrink_to_budget_batch(
         sizes, np.minimum(sizes, caps),
         lambda t: lanes.tile_set_bytes(t, DEFAULT_PSUM_BYTES),

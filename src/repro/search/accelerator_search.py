@@ -149,9 +149,10 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
     on ``(entropies[i], (accels[i], shape, style))`` as one call would
     key them, and all the misses of all candidates run as one lockstep
     :func:`~repro.search.mapping_search.search_mappings` call, each
-    shape on its candidate's accelerator. A key that recurs (a shape
-    shared across networks, or two candidates with one entropy and
-    accelerator) is searched once and its later lookups hit.
+    shape on its candidate's accelerator. With a cache, a key that
+    recurs (a shape shared across networks, or two candidates with one
+    entropy and accelerator) is searched once and its later lookups
+    hit.
     """
     if len(entropies) != len(accels):
         raise ValueError(
