@@ -268,7 +268,7 @@ def _registry() -> Tuple[List[Checker], List[ProjectChecker]]:
         Checker(
             ownership.RULE,
             ownership.check,
-            path_in_packages("search", "experiments"),
+            path_in_packages("search", "experiments", "nas"),
         ),
         Checker(formatting.RULE, formatting.check),
     ]

@@ -4,7 +4,7 @@ The EADDRINUSE / leaked-ProcessPoolExecutor bug class came from
 transports and pools constructed with no closing owner.  A construction
 of a tracked resource is accepted only when one of these holds:
 
-* it appears in a ``with``-statement item,
+* it is a ``with``-statement item (or a branch of a conditional one),
 * it is lexically inside a ``try`` that has a ``finally`` block,
 * it is an assignment whose *next* statement is such a ``try``,
 * it is assigned to ``self.<attr>`` in a class that defines ``close``,
@@ -36,6 +36,7 @@ _CONSTRUCTORS = {
     "ProcessPoolExecutor",
     "ThreadPoolExecutor",
     "build_evaluator",
+    "build_cache",
     "resolve_transport",
     "socket",
     "create_connection",
@@ -87,8 +88,14 @@ class _Visitor(ast.NodeVisitor):
 
     def _visit_with(self, node: ast.AST) -> None:
         for item in getattr(node, "items", []):
-            for sub in ast.walk(item.context_expr):
-                self.ctx.with_expr_nodes.add(id(sub))
+            # The with owns what its item evaluates to (either branch of
+            # a conditional), not what the item's arguments construct.
+            pending = [item.context_expr]
+            while pending:
+                expr = pending.pop()
+                self.ctx.with_expr_nodes.add(id(expr))
+                if isinstance(expr, ast.IfExp):
+                    pending.extend((expr.body, expr.orelse))
         self.generic_visit(node)
 
     visit_With = _visit_with

@@ -97,10 +97,10 @@ def tuned_baseline_costs(preset_name: str,
                        cost_model=cost_model,
                        mapping_budget=mapping_budget, entropy=entropy)
              for network in networks]
-    with build_evaluator(_tune_networks, workers=workers,
-                         cache=build_cache(cache_dir),
-                         transport=transport, workers_addr=workers_addr,
-                         eval_timeout=eval_timeout) as evaluator:
+    with build_cache(cache_dir) as cache, build_evaluator(
+            _tune_networks, workers=workers, cache=cache,
+            transport=transport, workers_addr=workers_addr,
+            eval_timeout=eval_timeout) as evaluator:
         outcomes = evaluator.evaluate(tasks)
     return {network.name: cost for network, cost in zip(networks, outcomes)
             if cost is not None}

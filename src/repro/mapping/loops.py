@@ -16,11 +16,17 @@ def canonical_order() -> LoopOrder:
     return tuple(SEARCHED_DIMS)
 
 
+#: Member identities of the searched dims: ``Dim`` members are
+#: singletons, and comparing ids avoids the enum's Python-level hash.
+_SEARCHED_IDS = frozenset(map(id, SEARCHED_DIMS))
+
+
 def validate_order(order: Sequence[Dim],
                    context: str = "loop order") -> LoopOrder:
     """Check that ``order`` is a permutation of the searched dims."""
     order = tuple(order)
-    if sorted(d.name for d in order) != sorted(d.name for d in SEARCHED_DIMS):
+    if (len(order) != len(SEARCHED_DIMS)
+            or frozenset(map(id, order)) != _SEARCHED_IDS):
         raise InvalidMappingError(
             f"{context} must be a permutation of "
             f"{[d.name for d in SEARCHED_DIMS]}, "

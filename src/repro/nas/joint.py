@@ -185,7 +185,6 @@ def search_joint(constraint: ResourceConstraint,
     predictor = predictor or AccuracyPredictor()
     encoder = HardwareEncoder(constraint, style=EncodingStyle.IMPORTANCE)
     engine = EvolutionEngine(encoder.num_params, seed=rng)
-    cache = build_cache(cache_dir)
 
     loop = _JointLoop(
         engine=engine, encoder=encoder, rng=rng,
@@ -193,10 +192,10 @@ def search_joint(constraint: ResourceConstraint,
         budget=budget, cost_model=cost_model,
         accuracy_floor=accuracy_floor, predictor=predictor)
 
-    with build_evaluator(_evaluate_joint_candidate, workers=workers,
-                         cache=cache,
-                         transport=transport, workers_addr=workers_addr,
-                         eval_timeout=eval_timeout) as evaluator:
+    with build_cache(cache_dir) as cache, build_evaluator(
+            _evaluate_joint_candidate, workers=workers, cache=cache,
+            transport=transport, workers_addr=workers_addr,
+            eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 
     best = loop.best

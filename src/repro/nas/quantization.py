@@ -348,7 +348,6 @@ def search_quantized(accel: AcceleratorConfig,
     rng = ensure_rng(seed)
     space = OFAResNetSpace()
     predictor = predictor or QuantizedAccuracyPredictor()
-    cache = build_cache(cache_dir)
     # One entropy for the whole run, drawn before any evaluation: see
     # _evaluate_quant_pair for why this keeps rewards order-independent.
     eval_entropy = seed_entropy(rng)
@@ -362,9 +361,10 @@ def search_quantized(accel: AcceleratorConfig,
     loop = _QuantLoop(engine=engine, iterations=iterations, accel=accel,
                       cost_model=cost_model, mapping_budget=mapping_budget,
                       entropy=eval_entropy)
-    with build_evaluator(_evaluate_quant_pair, workers=workers, cache=cache,
-                         transport=transport, workers_addr=workers_addr,
-                         eval_timeout=eval_timeout) as evaluator:
+    with build_cache(cache_dir) as cache, build_evaluator(
+            _evaluate_quant_pair, workers=workers, cache=cache,
+            transport=transport, workers_addr=workers_addr,
+            eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 
     if loop.best_pair is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import nullcontext
 from typing import List, Optional, Tuple, Union
 
 from repro.accelerator.arch import AcceleratorConfig
@@ -201,7 +202,6 @@ def search_architecture(accel: AcceleratorConfig,
     rng = ensure_rng(seed)
     space = OFAResNetSpace()
     predictor = predictor or AccuracyPredictor()
-    cache = cache if cache is not None else build_cache(cache_dir)
     # One entropy for the whole NAS run: every evaluate_accelerator call
     # sharing this cache derives mapping seeds the same way, so cache
     # hits across architectures cannot change results.
@@ -237,9 +237,12 @@ def search_architecture(accel: AcceleratorConfig,
                      entropy=eval_entropy, predictor=predictor,
                      accuracy_floor=accuracy_floor, population=population,
                      sample_admissible=sample_admissible)
-    with build_evaluator(_evaluate_arch, workers=workers, cache=cache,
-                         transport=transport, workers_addr=workers_addr,
-                         eval_timeout=eval_timeout) as evaluator:
+    # A passed-in cache stays open; one built here closes with the run.
+    with (nullcontext(cache) if cache is not None
+          else build_cache(cache_dir)) as run_cache, build_evaluator(
+            _evaluate_arch, workers=workers, cache=run_cache,
+            transport=transport, workers_addr=workers_addr,
+            eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 
     best_accuracy = predictor(loop.best_arch) if loop.best_arch else 0.0

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.constraints import ResourceConstraint
 from repro.cost.model import CostModel
-from repro.cost.report import NetworkCost
+from repro.cost.report import LayerCost, NetworkCost
 from repro.encoding.hardware import HardwareEncoder
 from repro.encoding.spaces import EncodingStyle
 from repro.mapping.mapping import Mapping
@@ -45,10 +45,7 @@ from repro.search.parallel import (
     build_evaluator,
     run_search_loop,
 )
-from repro.search.result import (
-    AcceleratorSearchResult,
-    MappingSearchResult,
-)
+from repro.search.result import AcceleratorSearchResult
 from repro.search.transport import Transport, group_worker
 from repro.tensors.layer import ConvLayer
 from repro.tensors.network import Network, shape_key
@@ -76,6 +73,16 @@ class NAASBudget:
 #: What scoring one accelerator returns: ``(reward, {network ->
 #: NetworkCost}, {layer -> Mapping})``.
 Evaluation = Tuple[float, Dict[str, NetworkCost], Dict[str, Mapping]]
+
+#: What both cache tiers keep per ``(entropy, (accel, shape, style))``:
+#: the shape's best mapping and its cost, or ``None`` when no mapping
+#: fits. The mapping search's history stays out of the cache.
+ShapeBest = Optional[Tuple[Mapping, LayerCost]]
+
+#: Names the :data:`ShapeBest` layout in every disk key, so records of
+#: another value layout are never served. Change it whenever what the
+#: disk tier pickles changes.
+CACHE_FORMAT = "shape-best/2"
 
 
 def evaluate_accelerator(accel: AcceleratorConfig,
@@ -119,10 +126,12 @@ def evaluate_accelerator(accel: AcceleratorConfig,
 
     When the supplied cache has a persistent tier (see
     :mod:`repro.search.diskcache`), each lookup also carries a
-    ``disk_key`` content digest over ``(entropy, key, mapping_budget,
-    cost-model params)`` — the full identity a cached value is a pure
-    function of — so runs with a different budget, cost model, or seed
-    can never hit a stale cross-run entry.
+    ``disk_key``: ``content_digest(entropy, key, shared)``, where
+    ``shared = content_digest(CACHE_FORMAT, mapping_budget,
+    cost_model.params)`` is digested once per call. Together they cover
+    the full identity a cached value is a pure function of, so runs
+    with a different budget, cost model, seed or cache format can never
+    hit a stale cross-run entry.
 
     The one-candidate call of :func:`evaluate_accelerators`.
     """
@@ -167,15 +176,16 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
     lookup_layers = layers * len(accels)
 
     def run_searches(keys: Sequence[Tuple[int, tuple]],
-                     batch: Sequence[ConvLayer],
-                     ) -> List[MappingSearchResult]:
+                     batch: Sequence[ConvLayer]) -> List[ShapeBest]:
         # One lockstep mapping search over every shape in the batch,
         # each on its own candidate's accelerator.
-        return search_mappings(
+        results = search_mappings(
             batch, [key[0] for _, key in keys], cost_model,
             budget=mapping_budget,
             seeds=[derive_seed(entropy, key) for entropy, key in keys],
             style=mapping_style)
+        return [(result.best_mapping, result.best_cost) if result.found
+                else None for result in results]
 
     if cache is None:
         results = run_searches(lookups, lookup_layers)
@@ -189,8 +199,9 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
             first_layer.setdefault(key, layer)
         disk_keys = None
         if getattr(cache, "persistent", False):
-            disk_keys = [content_digest(entropy, key, mapping_budget,
-                                        cost_model.params)
+            shared = content_digest(CACHE_FORMAT, mapping_budget,
+                                    cost_model.params)
+            disk_keys = [content_digest(entropy, key, shared)
                          for entropy, key in lookups]
         results = cache.get_or_compute_many(
             lookups,
@@ -206,9 +217,9 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
 
 def _reduce(accel: AcceleratorConfig, networks: Sequence[Network],
             shapes: List[List[Tuple[ConvLayer, int, tuple]]],
-            results: Sequence[MappingSearchResult],
+            results: Sequence[ShapeBest],
             reward_fn: RewardFn) -> Evaluation:
-    """One candidate's evaluation from its shapes' search results."""
+    """One candidate's evaluation from its shapes' best mappings."""
     network_costs: Dict[str, NetworkCost] = {}
     best_mappings: Dict[str, Mapping] = {}
     feasible = True
@@ -218,14 +229,13 @@ def _reduce(accel: AcceleratorConfig, networks: Sequence[Network],
         layer_costs = []
         shape_mappings: Dict[tuple, Mapping] = {}
         mappable = True
-        for (layer, count, skey), result in zip(group, group_results):
-            if not result.found:
+        for (layer, count, skey), best in zip(group, group_results):
+            if best is None:
                 logger.debug("no mapping for %s on %s", layer.name, accel.name)
                 mappable = False
                 feasible = False
                 break
-            shape_mappings[skey] = result.best_mapping
-            cost = result.best_cost
+            shape_mappings[skey], cost = best
             if cost.layer_name != layer.name:
                 cost = dataclasses.replace(cost, layer_name=layer.name)
             layer_costs.extend([cost] * count)
@@ -386,7 +396,6 @@ def search_accelerator(networks: Sequence[Network],
     rng = ensure_rng(seed)
     encoder = HardwareEncoder(constraint, style=hardware_style)
     engine = engine_cls(encoder.num_params, seed=rng)
-    cache = build_cache(cache_dir)
 
     loop = _AcceleratorLoop(
         engine=engine, encoder=encoder, rng=rng,
@@ -395,9 +404,10 @@ def search_accelerator(networks: Sequence[Network],
         mapping_style=mapping_style, reward_fn=reward_fn,
         max_decode_attempts=max_decode_attempts)
 
-    with build_evaluator(_evaluate_candidates, workers=workers, cache=cache,
-                         transport=transport, workers_addr=workers_addr,
-                         eval_timeout=eval_timeout) as evaluator:
+    with build_cache(cache_dir) as cache, build_evaluator(
+            _evaluate_candidates, workers=workers, cache=cache,
+            transport=transport, workers_addr=workers_addr,
+            eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 
     return AcceleratorSearchResult(

@@ -14,7 +14,8 @@ lockstep mapping search fills a candidate's shapes.
 
 A cache never crosses a process boundary. The coordinator of a run,
 each pool worker process and each ``repro worker`` loop keeps its own
-for the length of the run (see :func:`repro.search.transport.run_chunk`);
+for the length of the run (see :func:`repro.search.transport.run_chunk`),
+and whoever builds a cache closes it (it is a context manager);
 workers send back only the counts a task group added, which
 :meth:`EvaluationCache.add_counts` sums into the coordinator's cache.
 """
@@ -117,6 +118,15 @@ class EvaluationCache:
         self.hits += stats.hits
         self.misses += stats.misses
         self.disk_hits += stats.disk_hits
+
+    def close(self) -> None:
+        """Release what the cache holds open (nothing, in memory)."""
+
+    def __enter__(self) -> "EvaluationCache":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def __len__(self) -> int:
         return len(self._store)

@@ -16,20 +16,33 @@ mapping_style))``: within one run the budget and cost parameters are
 fixed, but the entropy is not (the hardware search draws one per
 candidate), so it stays in the key. The disk tier is shared *across*
 runs, where none of those are fixed, so its keys are
-:func:`content_digest` hashes over the full evaluation identity::
+:func:`content_digest` hashes over the full evaluation identity, in
+two steps::
 
-    digest = blake2b(entropy, (accel, shape_key, style),
-                     MappingSearchBudget, CostParams)
+    shared = blake2b(CACHE_FORMAT, MappingSearchBudget, CostParams)
+    digest = blake2b(entropy, (accel, shape_key, style), shared)
 
-Hashing ``repr`` (like :func:`repro.utils.rng.derive_seed`) keeps the
-digest stable across processes and machines, unlike ``hash()`` under
-hash randomization. Including the budget and cost-model parameters means
-a run with a different :class:`MappingSearchBudget` or tuned
+``shared`` is digested once per
+:func:`~repro.search.accelerator_search.evaluate_accelerators` call,
+so a lookup renders only its own entropy and key. Hashing ``repr``
+(like :func:`repro.utils.rng.derive_seed`) keeps the digest stable
+across processes and machines, unlike ``hash()`` under hash
+randomization. Including the budget and cost-model parameters means a
+run with a different :class:`MappingSearchBudget` or tuned
 :class:`CostParams` can never hit a stale entry computed under another
 configuration; including the run entropy means a cache hit returns
 bit-for-bit what that run would have computed cold. The price is that
 only runs sharing a seed share disk entries — exactly the repeated /
 resumed / re-parameterized runs the tier exists for.
+
+``CACHE_FORMAT`` (in :mod:`repro.search.accelerator_search`) names the
+value layout, so records pickled under another layout are unreachable
+rather than misread: a directory written before a format change misses
+once, and ``repro cache prune`` clears its old shards once nothing
+appends to them. A record holds
+what the accelerator reward reads of one shape's mapping search, the
+pickled ``(best Mapping, its LayerCost)`` pair, or ``None`` when no
+mapping fits; the search's per-iteration history is not stored.
 
 Storage layout
 --------------
@@ -41,11 +54,13 @@ where the magic names the payload encoding: ``NAC1`` is a raw pickle,
 per record, so incompressible entries never grow; the length and crc
 always describe the stored bytes, so scans validate without
 decompressing). Readers scan every shard at open (and on
-:meth:`DiskCacheStore.refresh`)
-and stop a shard at the first incomplete or corrupt record — a torn
-tail from a crashed or still-writing process costs the entries behind
-it until the writer completes them, never an exception. Appends take an
-``flock`` exclusive lock where available as belt-and-braces.
+:meth:`DiskCacheStore.refresh`), a bounded block at a time, and stop a
+shard at the first incomplete or corrupt record — a torn tail from a
+crashed or still-writing process costs the entries behind it until the
+writer completes them, never an exception. A store reads its hits
+through one held read-only descriptor per shard with ``os.pread``
+until :meth:`DiskCacheStore.close`. Appends take an ``flock`` exclusive
+lock where available as belt-and-braces.
 
 :class:`TieredEvaluationCache` layers the existing in-memory LRU
 (:class:`repro.search.cache.EvaluationCache`) as L1 over a
@@ -66,7 +81,8 @@ import struct
 import time
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple, Union
+from typing import (Any, BinaryIO, Callable, Dict, Hashable, List, Optional,
+                    Tuple, Union)
 
 from repro.search.cache import EvaluationCache
 from repro.utils.logging import get_logger
@@ -105,41 +121,75 @@ def _shard_name() -> str:
     return f"shard-{pid}-{_process_shard[1]}.bin"
 
 
-def _next_record(handle) -> Tuple[str, Optional[Tuple[str, int]]]:
-    """Read one record at the handle's current offset.
+#: Bytes one shard-walk read covers; a longer record is read whole.
+_BLOCK_BYTES = 1 << 20
 
-    The one reader both :meth:`DiskCacheStore._scan_shard` and
-    :func:`directory_stats` walk shards with, so what the store indexes
-    and what the stats report can never diverge. Returns
-    ``(status, entry)``:
+#: A clean record: (digest, payload offset, stored length, compressed).
+_Record = Tuple[str, int, int, bool]
 
-    - ``("ok", (digest, payload_length, compressed))`` — a clean
-      record; the handle is positioned just past its payload.
-      ``compressed`` says whether the stored payload is zlib-wrapped
-      (``NAC2``) or a raw pickle (``NAC1``).
-    - ``("end", None)`` — exactly at end of file.
-    - ``("torn", None)`` — a truncated header or payload (a writer may
-      still be appending; safe to retry after it finishes).
-    - ``("corrupt", None)`` — bad magic or checksum; record boundaries
-      past this point cannot be resynchronized.
+
+def _read_block(fd: int, offset: int, size: int, need: int = 0) -> memoryview:
+    """Up to ``max(_BLOCK_BYTES, need)`` bytes at ``offset``, not past
+    ``size``."""
+    return memoryview(os.pread(fd, min(max(_BLOCK_BYTES, need),
+                                       size - offset), offset))
+
+
+def _parse_shard(fd: int, offset: int = 0) -> Tuple[List[_Record], int, str]:
+    """The clean records of a shard from ``offset`` on.
+
+    The one parser the store's scans, :func:`directory_stats`,
+    :func:`compact_directory` and :func:`prune_directory` walk shards
+    with, so what the store indexes and what the stats report can never
+    diverge. It reads the shard in bounded blocks with ``os.pread``
+    (which moves no shared file offset) and checks each record's crc
+    on a ``memoryview`` slice of its block, up to the size the shard
+    had when the walk began. Returns ``(records, end, status)``: each
+    clean record as ``(digest, payload offset, stored length,
+    compressed)``, the offset just past the last of them, and why the
+    walk stopped:
+
+    - ``"end"`` — exactly at the end of the shard;
+    - ``"torn"`` — a truncated header or payload (a writer may still be
+      appending; safe to retry after it finishes);
+    - ``"corrupt"`` — bad magic or checksum; record boundaries past
+      this point cannot be resynchronized.
     """
-    header = handle.read(_HEADER.size)
-    if not header:
-        return "end", None
-    if len(header) < _HEADER.size:
-        return "torn", None
-    magic, digest_raw, length, crc = _HEADER.unpack(header)
-    if magic not in (_MAGIC_RAW, _MAGIC_ZLIB):
-        return "corrupt", None
-    payload = handle.read(length)
-    if len(payload) < length:
-        return "torn", None
-    if zlib.crc32(payload) != crc:
-        return "corrupt", None
-    # Digests are 32 hex chars; struct pads shorter (test-only) keys
-    # with NULs, stripped here.
-    digest = digest_raw.rstrip(b"\x00").decode("ascii", errors="replace")
-    return "ok", (digest, length, magic == _MAGIC_ZLIB)
+    size = os.fstat(fd).st_size
+    records: List[_Record] = []
+    block = memoryview(b"")
+    base = offset  # shard offset of block[0]
+    while offset < size:
+        start = offset - base
+        if start + _HEADER.size > len(block):
+            block, base, start = _read_block(fd, offset, size), offset, 0
+            if _HEADER.size > len(block):
+                return records, offset, "torn"
+        magic, digest_raw, length, crc = _HEADER.unpack_from(block, start)
+        if magic not in (_MAGIC_RAW, _MAGIC_ZLIB):
+            return records, offset, "corrupt"
+        stop = start + _HEADER.size + length
+        if stop > len(block):
+            block = _read_block(fd, offset, size, _HEADER.size + length)
+            base, start, stop = offset, 0, _HEADER.size + length
+            if stop > len(block):
+                return records, offset, "torn"
+        if zlib.crc32(block[start + _HEADER.size:stop]) != crc:
+            return records, offset, "corrupt"
+        # Digests are 32 hex chars; struct pads shorter (test-only) keys
+        # with NULs, stripped here.
+        digest = digest_raw.rstrip(b"\x00").decode("ascii", errors="replace")
+        records.append((digest, offset + _HEADER.size, length,
+                        magic == _MAGIC_ZLIB))
+        offset += _HEADER.size + length
+    return records, offset, "end"
+
+
+def _parse_file(shard: Path, offset: int = 0,
+                ) -> Tuple[List[_Record], int, str]:
+    """:func:`_parse_shard` over a shard file opened for the walk."""
+    with open(shard, "rb") as handle:
+        return _parse_shard(handle.fileno(), offset)
 
 
 def content_digest(*parts: Any) -> str:
@@ -175,6 +225,9 @@ class DiskCacheStore:
         #: shards with a confirmed-corrupt record: scanned once, then
         #: skipped (their tail cannot be resynchronized anyway).
         self._dead: set = set()
+        #: shard path -> unbuffered read-only file, opened by the first
+        #: get() that reads the shard and held until close()
+        self._readers: Dict[str, BinaryIO] = {}
         self._write_path: Optional[Path] = None
         self._write_handle = None
         self.refresh()
@@ -204,46 +257,43 @@ class DiskCacheStore:
         if size <= offset:
             return
         try:
-            with open(shard, "rb") as handle:
-                handle.seek(offset)
-                while True:
-                    status, entry = _next_record(handle)
-                    if status in ("end", "torn"):
-                        break  # torn tail: retry once the writer finishes
-                    if status == "corrupt":
-                        # Record boundaries cannot be resynchronized;
-                        # mark the shard dead so refresh() stops
-                        # rescanning (and re-warning about) it.
-                        self._dead.add(path)
-                        logger.warning(
-                            "corrupt record in %s at offset %d; "
-                            "entries behind it are unreachable", shard,
-                            offset)
-                        break
-                    digest, length, compressed = entry
-                    self._index.setdefault(
-                        digest,
-                        (path, offset + _HEADER.size, length, compressed))
-                    offset += _HEADER.size + length
-                    self._scanned[path] = offset
+            records, end, status = _parse_file(shard, offset)
         except OSError as exc:
             logger.warning("unreadable cache shard %s (%s); skipped",
                            shard, exc)
+            return
+        for digest, payload_offset, length, compressed in records:
+            self._index.setdefault(
+                digest, (path, payload_offset, length, compressed))
+        # A torn tail is retried once its writer finishes.
+        self._scanned[path] = end
+        if status == "corrupt":
+            # Record boundaries cannot be resynchronized; mark the shard
+            # dead so refresh() stops rescanning (and re-warning about)
+            # it.
+            self._dead.add(path)
+            logger.warning("corrupt record in %s at offset %d; entries "
+                           "behind it are unreachable", shard, end)
 
     def get(self, digest: str) -> Tuple[bool, Any]:
         """``(found, value)`` for a digest; misses are ``(False, None)``.
 
-        A record that can no longer be read (deleted shard, undecodable
-        pickle) degrades to a miss — the caller recomputes.
+        Reads through this store's one descriptor per shard with
+        ``os.pread``, which shares no file offset, so a store a forked
+        child inherits reads correctly too. A record that can no longer
+        be read (deleted shard, undecodable pickle) degrades to a miss —
+        the caller recomputes.
         """
         entry = self._index.get(digest)
         if entry is None:
             return False, None
         path, offset, length, compressed = entry
         try:
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                payload = handle.read(length)
+            reader = self._readers.get(path)
+            if reader is None:
+                # repro: owner(DiskCacheStore.close)
+                reader = self._readers[path] = open(path, "rb", buffering=0)
+            payload = os.pread(reader.fileno(), length, offset)
             if len(payload) < length:
                 return False, None
             if compressed:
@@ -310,6 +360,11 @@ class DiskCacheStore:
         return digest in self._index
 
     def close(self) -> None:
+        """Release the shard descriptors; a later get() or put() opens
+        what it needs again."""
+        readers, self._readers = self._readers, {}
+        for reader in readers.values():
+            reader.close()
         if self._write_handle is not None:
             try:
                 self._write_handle.close()
@@ -364,6 +419,9 @@ class TieredEvaluationCache(EvaluationCache):
         if len(self._store) > self.max_entries:
             self._store.popitem(last=False)
 
+    def close(self) -> None:
+        self.store.close()
+
 
 @dataclasses.dataclass(frozen=True)
 class DiskCacheDirStats:
@@ -407,21 +465,17 @@ def directory_stats(directory: Union[str, Path]) -> DiskCacheDirStats:
         shards += 1
         total_bytes += size
         try:
-            with open(shard, "rb") as handle:
-                while True:
-                    status, entry = _next_record(handle)
-                    if status == "end":
-                        break
-                    if status != "ok":  # torn or corrupt tail
-                        corrupt_tails += 1
-                        break
-                    records += 1
-                    _digest, length, compressed = entry
-                    if compressed:
-                        compressed_records += 1
-                        compressed_bytes += length
+            clean, _end, status = _parse_file(shard)
         except OSError:
             corrupt_tails += 1
+            continue
+        if status != "end":  # torn or corrupt tail
+            corrupt_tails += 1
+        records += len(clean)
+        for _digest, _offset, length, compressed in clean:
+            if compressed:
+                compressed_records += 1
+                compressed_bytes += length
     return DiskCacheDirStats(shards=shards, records=records,
                              total_bytes=total_bytes,
                              corrupt_tails=corrupt_tails,
@@ -477,24 +531,17 @@ def compact_directory(directory: Union[str, Path]) -> CompactStats:
                     continue
                 try:
                     with open(shard, "rb") as handle:
-                        while True:
-                            status, entry = _next_record(handle)
-                            if status != "ok":
-                                break
-                            digest, length, compressed = entry
+                        fd = handle.fileno()
+                        records, _end, _status = _parse_shard(fd)
+                        for digest, offset, length, _compressed in records:
                             if digest in seen:
                                 duplicates += 1
                                 continue
-                            handle.seek(-length, os.SEEK_CUR)
-                            payload = handle.read(length)
-                            # Payload bytes are copied verbatim, so the
-                            # record keeps the magic it was written
-                            # under (raw NAC1 vs zlib NAC2).
-                            magic = (_MAGIC_ZLIB if compressed
-                                     else _MAGIC_RAW)
-                            out.write(_HEADER.pack(
-                                magic, digest.encode("ascii"), length,
-                                zlib.crc32(payload)) + payload)
+                            # The record is copied verbatim, so it keeps
+                            # the magic it was written under (raw NAC1
+                            # vs zlib NAC2).
+                            out.write(os.pread(fd, _HEADER.size + length,
+                                               offset - _HEADER.size))
                             seen.add(digest)
                             records_kept += 1
                 except OSError as exc:
@@ -569,12 +616,7 @@ def prune_directory(directory: Union[str, Path],
             continue
         shard_records = 0
         try:
-            with open(shard, "rb") as handle:
-                while True:
-                    status, _entry = _next_record(handle)
-                    if status != "ok":
-                        break
-                    shard_records += 1
+            shard_records = len(_parse_file(shard)[0])
         except OSError:
             pass
         try:
@@ -634,6 +676,6 @@ class RunCache:
         return self.cache
 
     def close(self) -> None:
-        if isinstance(self.cache, TieredEvaluationCache):
-            self.cache.store.close()
+        if self.cache is not None:
+            self.cache.close()
         self.token = self.cache = None

@@ -272,6 +272,47 @@ class TestResourceOwnership:
         )
         assert rule_findings(SEARCH, good, "resource-ownership") == []
 
+    def test_argument_of_a_with_item_is_not_owned(self):
+        """The with owns the evaluator, not the cache built inline as
+        its argument: nothing closes that one."""
+        bad = (
+            "from repro.search.diskcache import build_cache\n"
+            "\n"
+            "\n"
+            "def run(evaluator_for, cache_dir):\n"
+            "    with evaluator_for(cache=build_cache(cache_dir)) as ev:\n"
+            "        return ev.evaluate([])\n"
+        )
+        found = rule_findings(SEARCH, bad, "resource-ownership")
+        assert [(f.line, f.message) for f in found] == [
+            (5, "build_cache(...) constructed without an owner")]
+
+    def test_conditional_with_item_owns_both_branches(self):
+        good = (
+            "from contextlib import nullcontext\n"
+            "from repro.search.diskcache import build_cache\n"
+            "\n"
+            "\n"
+            "def run(cache, cache_dir):\n"
+            "    with (nullcontext(cache) if cache is not None\n"
+            "          else build_cache(cache_dir)) as run_cache:\n"
+            "        return run_cache.stats()\n"
+        )
+        assert rule_findings(SEARCH, good, "resource-ownership") == []
+
+    def test_nas_entry_points_are_in_scope(self):
+        bad = (
+            "from repro.search.diskcache import build_cache\n"
+            "\n"
+            "\n"
+            "def search(cache_dir):\n"
+            "    cache = build_cache(cache_dir)\n"
+            "    return cache.stats()\n"
+        )
+        found = rule_findings("src/repro/nas/search.py", bad,
+                              "resource-ownership")
+        assert [f.line for f in found] == [5]
+
 
 class TestCacheKey:
     DIGEST = (

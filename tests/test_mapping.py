@@ -34,6 +34,25 @@ class TestLoopOrder:
         with pytest.raises(InvalidMappingError):
             validate_order((Dim.K,) * 6)
 
+    @pytest.mark.parametrize("order", [
+        SEARCHED_DIMS + (Dim.K,),
+        SEARCHED_DIMS[:5] + (Dim.N,),
+        SEARCHED_DIMS[:5] + ("S",),
+        (),
+    ])
+    def test_validate_names_what_it_got(self, order):
+        with pytest.raises(InvalidMappingError) as error:
+            validate_order(order, "PE-level order")
+        assert str(error.value) == (
+            "PE-level order must be a permutation of "
+            "['K', 'C', 'Y', 'X', 'R', 'S'], got "
+            f"{[getattr(d, 'name', d) for d in order]}")
+
+    def test_validate_accepts_every_rotation(self):
+        for shift in range(len(SEARCHED_DIMS)):
+            order = SEARCHED_DIMS[shift:] + SEARCHED_DIMS[:shift]
+            assert validate_order(list(order)) == order
+
     def test_order_from_importance_descending(self):
         # K=0.9 > C=0.5 > others
         importance = [0.9, 0.5, 0.1, 0.2, 0.3, 0.4]

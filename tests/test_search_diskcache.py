@@ -1,7 +1,10 @@
 """Tests for the persistent cross-run evaluation cache tier."""
 
+import dataclasses
 import os
 import pickle
+import random
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -10,21 +13,30 @@ import pytest
 
 from repro.accelerator.presets import baseline_preset
 from repro.cost.config import CostParams
+from repro.cost.model import CostModel
+from repro.cost.report import LayerCost
+from repro.encoding.spaces import EncodingStyle
+from repro.mapping.mapping import Mapping
 from repro.search.accelerator_search import (
     NAASBudget,
     evaluate_accelerator,
     search_accelerator,
 )
 from repro.search.cache import EvaluationCache
+import repro.search.diskcache as diskcache_module
 from repro.search.diskcache import (
+    _HEADER,
     DiskCacheStore,
+    _parse_file,
     build_cache,
     compact_directory,
     content_digest,
+    directory_stats,
     prune_directory,
 )
-from repro.search.mapping_search import MappingSearchBudget
-from repro.tensors.network import Network
+from repro.search.mapping_search import MappingSearchBudget, search_mapping
+from repro.tensors.network import Network, shape_key
+from repro.utils.rng import derive_seed, seed_entropy
 
 TINY = NAASBudget(accel_population=4, accel_iterations=2,
                   mapping=MappingSearchBudget(population=4, iterations=2))
@@ -356,6 +368,7 @@ class TestRecordCompression:
         reader._index = dict(store._index)
         reader._scanned = {}
         reader._dead = set()
+        reader._readers = {}
         reader._write_path = None
         reader._write_handle = None
         assert reader.get(digest) == (False, None)
@@ -558,3 +571,276 @@ class TestSearchAcceleratorDiskTier:
         assert second["config"] == first["config"]
         assert eval(second["hit_rate"]) > 0.9  # noqa: S307 - our own repr
         assert eval(first["hit_rate"]) == 0.0
+
+
+def _write_records(store, count, size):
+    """``count`` records, the ``i``-th holding ``size + 17 * i`` seeded
+    random bytes; returns their digests in write order."""
+    digests = []
+    for i in range(count):
+        digest = content_digest("record", i)
+        # Random bytes do not compress, so the record is stored raw
+        # (NAC1) at the size written.
+        store.put(digest, random.Random(i).randbytes(size + 17 * i))
+        digests.append(digest)
+    return digests
+
+
+class TestBlockParser:
+    """The shard walk reads bounded blocks; records straddling a block
+    boundary parse exactly as with one block for the whole shard."""
+
+    def test_straddling_records_parse_like_one_block(self, tmp_path,
+                                                     monkeypatch):
+        store = DiskCacheStore(tmp_path)
+        digests = _write_records(store, 12, 150)
+        store.close()
+        shard = next(tmp_path.glob("shard-*.bin"))
+        whole = _parse_file(shard)
+        # 97 is smaller than a header plus payload: every record
+        # straddles a block edge.
+        for block in (97, 400):
+            monkeypatch.setattr(diskcache_module, "_BLOCK_BYTES", block)
+            assert _parse_file(shard) == whole
+        records, end, status = whole
+        assert [record[0] for record in records] == digests
+        assert (end, status) == (shard.stat().st_size, "end")
+
+    @pytest.mark.parametrize("damage", ["torn", "corrupt"])
+    def test_stats_and_store_agree_on_damaged_shards(self, tmp_path,
+                                                     monkeypatch, damage):
+        monkeypatch.setattr(diskcache_module, "_BLOCK_BYTES", 97)
+        store = DiskCacheStore(tmp_path)
+        digests = _write_records(store, 8, 120)
+        store.close()
+        shard = next(tmp_path.glob("shard-*.bin"))
+        data = bytearray(shard.read_bytes())
+        # Damage the sixth record, which straddles a 97-byte block edge.
+        start = _parse_file(shard)[0][5][1] - _HEADER.size
+        if damage == "torn":
+            del data[start + _HEADER.size + 50:]
+        else:
+            data[start + _HEADER.size + 50] ^= 0xFF
+            _new_shard_process_identity()
+        shard.write_bytes(bytes(data))
+        records, end, status = _parse_file(shard)
+        assert (len(records), end, status) == (5, start, damage)
+        stats = directory_stats(tmp_path)
+        assert (stats.records, stats.corrupt_tails) == (5, 1)
+        reader = DiskCacheStore(tmp_path)
+        assert len(reader) == 5
+        assert all(reader.get(digest)[0] for digest in digests[:5])
+        assert reader.get(digests[5]) == (False, None)
+
+
+class TestHeldReaders:
+    """get() reads through one held descriptor per shard."""
+
+    @staticmethod
+    def _fds_into(directory):
+        root = str(Path(directory).resolve())
+        held = []
+        for entry in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{entry}")
+            except OSError:
+                continue
+            if target.startswith(root):
+                held.append(target)
+        return held
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_close_releases_shard_descriptors(self, tmp_path):
+        store = DiskCacheStore(tmp_path)
+        digest = content_digest("k")
+        store.put(digest, "v")
+        for _ in range(3):
+            assert store.get(digest) == (True, "v")
+        # One write handle and one reader on the one shard.
+        assert len(self._fds_into(tmp_path)) == 2
+        store.close()
+        assert self._fds_into(tmp_path) == []
+        assert store.get(digest) == (True, "v")  # reopens on demand
+        store.close()
+
+    def test_two_stores_on_one_directory(self, tmp_path):
+        first, second = DiskCacheStore(tmp_path), DiskCacheStore(tmp_path)
+        first.put(content_digest("a"), "from-first")
+        _new_shard_process_identity()
+        second.put(content_digest("b"), "from-second")
+        first.refresh()
+        second.refresh()
+        for store in (first, second):
+            assert store.get(content_digest("a")) == (True, "from-first")
+            assert store.get(content_digest("b")) == (True, "from-second")
+        first.close()
+        # Closing one store leaves the other's descriptors working.
+        assert second.get(content_digest("a")) == (True, "from-first")
+        second.close()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_reads_through_inherited_store(self, tmp_path):
+        writer = DiskCacheStore(tmp_path)
+        values = {content_digest(i): [i] * (i + 1) for i in range(20)}
+        for digest, value in values.items():
+            writer.put(digest, value)
+        writer.close()
+        store = DiskCacheStore(tmp_path)
+        order = list(values)
+        assert store.get(order[-1]) == (True, values[order[-1]])
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: read in reverse through the same fd
+            try:
+                os.close(read_end)
+                seen = [store.get(digest) for digest in reversed(order)]
+                os.write(write_end, pickle.dumps(seen))
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        parent_seen = [store.get(digest) for digest in order]
+        ready, _, _ = select.select([read_end], [], [], 60)
+        assert ready, "the forked child did not answer within 60 s"
+        with os.fdopen(read_end, "rb") as pipe:
+            child_seen = pickle.loads(pipe.read())
+        assert os.waitpid(pid, 0)[1] == 0
+        assert parent_seen == [(True, values[d]) for d in order]
+        assert child_seen == [(True, values[d]) for d in reversed(order)]
+        store.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_search_closes_the_cache_it_builds(self, tiny_network,
+                                               cost_model, small_constraint,
+                                               tmp_path):
+        for _ in range(2):  # a cold fill, then a warm rerun that reads
+            result = search_accelerator(
+                [tiny_network], small_constraint, cost_model, budget=TINY,
+                seed=11, cache_dir=tmp_path, workers=1)
+            assert self._fds_into(tmp_path) == []
+        assert result.cache_stats.disk_hits > 0
+
+    def test_passed_in_cache_stays_open(self, cost_model, tmp_path):
+        from repro.nas.search import NASBudget, search_architecture
+
+        cache = build_cache(tmp_path)
+        search_architecture(
+            baseline_preset("nvdla_256"), cost_model, 0.70,
+            budget=NASBudget(population=2, iterations=1),
+            mapping_budget=MappingSearchBudget(2, 1), seed=3, cache=cache)
+        assert cache.store._write_handle is not None
+        cache.close()
+        assert cache.store._write_handle is None
+
+
+class _KeysSeen(Exception):
+    pass
+
+
+class _KeyRecorder(EvaluationCache):
+    """A persistent-looking cache that records the disk keys of the
+    first batched lookup and stops the evaluation there."""
+
+    persistent = True
+
+    def get_or_compute_many(self, keys, compute, disk_keys=None):
+        raise _KeysSeen(list(disk_keys))
+
+
+def _disk_keys(accel, layer, cost_model, budget, seed=7,
+               style=EncodingStyle.IMPORTANCE):
+    network = Network(name="one", layers=(layer,))
+    with pytest.raises(_KeysSeen) as seen:
+        evaluate_accelerator(accel, [network], cost_model, budget, seed=seed,
+                             mapping_style=style, cache=_KeyRecorder())
+    [key] = seen.value.args[0]
+    return key
+
+
+class TestDiskKey:
+    """The per-lookup disk key: ``content_digest(entropy, key, shared)``
+    with the budget, cost parameters and cache format digested once."""
+
+    def test_changes_with_each_part(self, small_layer, pointwise_layer):
+        accel = baseline_preset("nvdla_256")
+        budget = MappingSearchBudget(4, 2)
+        base = _disk_keys(accel, small_layer, CostModel(), budget)
+        assert _disk_keys(accel, small_layer, CostModel(), budget) == base
+        variants = {
+            "entropy": _disk_keys(accel, small_layer, CostModel(), budget,
+                                  seed=8),
+            "accelerator": _disk_keys(baseline_preset("eyeriss"),
+                                      small_layer, CostModel(), budget),
+            "shape": _disk_keys(accel, pointwise_layer, CostModel(), budget),
+            "style": _disk_keys(accel, small_layer, CostModel(), budget,
+                                style=EncodingStyle.INDEX),
+            "budget": _disk_keys(accel, small_layer, CostModel(),
+                                 MappingSearchBudget(4, 3)),
+        }
+        for field in dataclasses.fields(CostParams):
+            value = getattr(CostParams(), field.name)
+            params = dataclasses.replace(CostParams(),
+                                         **{field.name: value * 2 + 1})
+            variants[field.name] = _disk_keys(accel, small_layer,
+                                              CostModel(params), budget)
+        assert len(variants) > 5
+        assert base not in variants.values()
+        assert len(set(variants.values())) == len(variants)
+
+    def test_layer_names_stay_out_of_the_key(self, small_layer):
+        """Layers of one shape share a record, whatever their names."""
+        accel = baseline_preset("nvdla_256")
+        budget = MappingSearchBudget(4, 2)
+        renamed = dataclasses.replace(small_layer, name="renamed")
+        assert _disk_keys(accel, renamed, CostModel(), budget) == \
+            _disk_keys(accel, small_layer, CostModel(), budget)
+
+    def test_records_of_the_old_layout_are_never_served(
+            self, tiny_network, cost_model, tmp_path):
+        """A directory written before the slim records holds whole
+        ``MappingSearchResult`` values under the old key; they miss and
+        are recomputed."""
+        accel = baseline_preset("nvdla_256")
+        budget = MappingSearchBudget(4, 2)
+        entropy = seed_entropy(7)
+        store = DiskCacheStore(tmp_path)
+        for layer, _count in tiny_network.unique_shapes():
+            key = (accel, shape_key(layer), EncodingStyle.IMPORTANCE)
+            old = search_mapping(layer, accel, cost_model, budget,
+                                 seed=derive_seed(entropy, key))
+            store.put(content_digest(entropy, key, budget,
+                                     cost_model.params), old)
+        store.close()
+        cold = evaluate_accelerator(accel, [tiny_network], cost_model,
+                                    budget, seed=7)
+        with build_cache(tmp_path) as cache:
+            warm = evaluate_accelerator(accel, [tiny_network], cost_model,
+                                        budget, seed=7, cache=cache)
+            shapes = len(tiny_network.unique_shapes())
+            assert (cache.disk_hits, cache.misses) == (0, shapes)
+        assert warm[0] == cold[0]
+        assert warm[1][tiny_network.name] == cold[1][tiny_network.name]
+        # The recomputed values are stored under the new keys.
+        with build_cache(tmp_path) as cache:
+            evaluate_accelerator(accel, [tiny_network], cost_model, budget,
+                                 seed=7, cache=cache)
+            assert cache.disk_hits == shapes
+
+    def test_a_record_holds_the_best_mapping_and_cost(
+            self, tiny_network, cost_model, tmp_path):
+        accel = baseline_preset("nvdla_256")
+        budget = MappingSearchBudget(4, 2)
+        with build_cache(tmp_path) as cache:
+            _, costs, mappings = evaluate_accelerator(
+                accel, [tiny_network], cost_model, budget, seed=7,
+                cache=cache)
+        store = DiskCacheStore(tmp_path)
+        values = [store.get(digest)[1] for digest in store._index]
+        store.close()
+        assert len(values) == len(tiny_network.unique_shapes())
+        assert {(type(m), type(c)) for m, c in values} == \
+            {(Mapping, LayerCost)}
+        assert sorted(c.edp for _, c in values) == sorted(
+            c.edp for c in costs[tiny_network.name].layer_costs)
+        assert {m for m, _ in values} == set(mappings.values())
