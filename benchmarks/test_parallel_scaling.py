@@ -62,8 +62,7 @@ def _run(workers: int, transport=None):
     start = time.perf_counter()
     result = search_accelerator(
         [NETWORK], baseline_constraint("nvdla_256"), CostModel(),
-        budget=BUDGET, seed=0, workers=workers,
-        transport=transport if transport is not None else "local")
+        budget=BUDGET, seed=0, workers=workers, transport=transport)
     return result, time.perf_counter() - start
 
 

@@ -253,6 +253,9 @@ def _registry() -> Tuple[List[Checker], List[ProjectChecker]]:
         waits,
     )
 
+    # The CLI builds the TCP transport the library is handed.
+    owning_packages = path_in_packages("search", "experiments", "nas")
+    is_cli = path_endswith("repro/cli.py")
     file_checkers = [
         Checker(
             waits.RULE,
@@ -268,7 +271,7 @@ def _registry() -> Tuple[List[Checker], List[ProjectChecker]]:
         Checker(
             ownership.RULE,
             ownership.check,
-            path_in_packages("search", "experiments", "nas"),
+            lambda path: owning_packages(path) or is_cli(path),
         ),
         Checker(formatting.RULE, formatting.check),
     ]

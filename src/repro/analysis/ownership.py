@@ -35,9 +35,7 @@ _CONSTRUCTORS = {
     "LocalTransport",
     "ProcessPoolExecutor",
     "ThreadPoolExecutor",
-    "build_evaluator",
     "build_cache",
-    "resolve_transport",
     "socket",
     "create_connection",
     "create_server",

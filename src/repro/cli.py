@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional
 
@@ -56,7 +57,7 @@ from repro.search.diskcache import (
     prune_directory,
 )
 from repro.errors import TransportError
-from repro.search.transport import TRANSPORTS, run_worker
+from repro.search.transport import TcpTransport, run_worker
 from repro.utils.serialization import to_jsonable
 from repro.utils.tables import render_table
 
@@ -108,7 +109,9 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
 
     Every combination of them returns bit-identical search results;
     they only trade wall-clock and cache traffic (see
-    :mod:`repro.search.parallel`).
+    :mod:`repro.search.parallel`). ``--transport tcp --workers-addr``
+    becomes a :class:`~repro.search.transport.TcpTransport` here, owned
+    by the command for its whole run; the library takes the instance.
     """
     parser.add_argument("--workers", type=_workers_count, default=1,
                         help="parallel evaluation processes; 0 means "
@@ -120,7 +123,8 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
                              "processes; a repeated run with the same "
                              "seed reuses every mapping-search result "
                              "and returns bit-identical designs")
-    parser.add_argument("--transport", choices=TRANSPORTS, default="local",
+    parser.add_argument("--transport", choices=("local", "tcp"),
+                        default="local",
                         help="where dispatched evaluations run: 'local' "
                              "(in-process worker pool, default) or "
                              "'tcp' (bind --workers-addr and fan out "
@@ -219,12 +223,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
         network, preset,
         lambda layer: dataflow_preserving_mapping(layer, preset))
 
-    result = search_accelerator(
-        [network], baseline_constraint(args.preset), cost_model,
-        budget=profile.naas, seed=args.seed, seed_configs=[preset],
-        workers=args.workers, cache_dir=args.cache_dir,
-        transport=args.transport, workers_addr=args.workers_addr,
-        eval_timeout=args.eval_timeout)
+    with (TcpTransport(bind=args.workers_addr) if args.transport == "tcp"
+          else nullcontext()) as transport:
+        result = search_accelerator(
+            [network], baseline_constraint(args.preset), cost_model,
+            budget=profile.naas, seed=args.seed, seed_configs=[preset],
+            workers=args.workers, cache_dir=args.cache_dir,
+            transport=transport, eval_timeout=args.eval_timeout)
     if not result.found:
         print("search found no valid design", file=sys.stderr)
         return 1
@@ -257,11 +262,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    result = run_experiment(args.name, profile=args.profile, seed=args.seed,
-                            workers=args.workers, cache_dir=args.cache_dir,
-                            transport=args.transport,
-                            workers_addr=args.workers_addr,
-                            eval_timeout=args.eval_timeout)
+    # One transport for the whole experiment: its searches run back to
+    # back on the same bound address and connected worker fleet.
+    with (TcpTransport(bind=args.workers_addr) if args.transport == "tcp"
+          else nullcontext()) as transport:
+        result = run_experiment(
+            args.name, profile=args.profile, seed=args.seed,
+            workers=args.workers, cache_dir=args.cache_dir,
+            transport=transport, eval_timeout=args.eval_timeout)
     print(result.render())
     return 0 if result.all_claims_hold else 1
 

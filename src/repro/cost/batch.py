@@ -232,9 +232,6 @@ class LaneAccels:
         """Gather one value per accelerator out to the lanes."""
         return np.asarray(values, dtype=dtype)[self.index]
 
-    def accel(self, lane: int) -> AcceleratorConfig:
-        return self.accels[self.index[lane]]
-
     def parallel_columns(self) -> np.ndarray:
         """The dim indices some lane's accelerator parallelizes,
         ascending; an axis extent of 1 elsewhere makes every other
@@ -575,35 +572,17 @@ class LaneCosts:
     lane's full ``LayerCost``.
 
     Invalid lanes read ``inf`` in the three value arrays, matching
-    :meth:`LayerCost.invalid`. Build with :func:`cost_lanes` (the
-    kernel) or :meth:`from_objects` (per-lane objects from a scalar
-    evaluator).
+    :meth:`LayerCost.invalid`. Built by :func:`cost_lanes`.
     """
 
     def __init__(self, valid: np.ndarray, cycles: np.ndarray,
-                 energy_nj: np.ndarray,
-                 rows: "_CostRows | _CostObjects") -> None:
+                 energy_nj: np.ndarray, rows: "_CostRows") -> None:
         self.valid = valid
         self.cycles = np.where(valid, cycles, np.inf)
         self.energy_nj = np.where(valid, energy_nj, np.inf)
         with np.errstate(invalid="ignore", over="ignore"):
             self.edp = self.cycles * self.energy_nj
         self._rows = rows
-
-    @classmethod
-    def from_objects(cls, costs: Sequence[Optional[LayerCost]],
-                     ) -> "LaneCosts":
-        """Wrap per-lane ``LayerCost`` objects (``None`` = no mapping)."""
-        valid = np.array([cost is not None and cost.valid
-                          for cost in costs], dtype=bool)
-        objects = np.empty(len(costs), dtype=object)
-        objects[:] = costs
-        return cls(valid,
-                   np.array([cost.cycles if cost is not None else np.inf
-                             for cost in costs], dtype=np.float64),
-                   np.array([cost.energy_nj if cost is not None else np.inf
-                             for cost in costs], dtype=np.float64),
-                   _CostObjects(costs=objects))
 
     def layer_cost(self, lane: int) -> LayerCost:
         return self._rows.build(lane)
@@ -623,13 +602,6 @@ class LaneCosts:
         for name in ("valid", "cycles", "energy_nj", "edp"):
             getattr(self, name)[rows] = getattr(source, name)[lanes]
         self._rows.put(rows, source._rows, lanes)
-
-
-class _CostObjects(_LaneFields):
-    """Ready-made per-lane ``LayerCost`` objects (``costs``)."""
-
-    def build(self, lane: int) -> LayerCost:
-        return self.costs[lane]
 
 
 class _CostRows(_LaneFields):

@@ -79,9 +79,6 @@ class CostModel:
         mappings = list(mappings)
         if not mappings:
             return []
-        if self._scalar_override():
-            return [self.evaluate(layer, accel, mapping)
-                    for mapping in mappings]
         costs = self.evaluate_lanes(
             LaneLayers([layer], [0] * len(mappings)), accel,
             LaneMappings.from_mappings(mappings))
@@ -99,25 +96,14 @@ class CostModel:
         (``mappings.ok`` false) come back invalid with ``edp`` inf, and
         so do the lanes of an accelerator that fails
         :func:`validate_architecture`, with its problems as the reasons.
-        A subclass that customizes the scalar :meth:`evaluate` (test
-        doubles, cost shaping) gets one ``evaluate`` call per lane that
-        holds a mapping instead, so its overrides hold on the batch
-        surface too.
+        The searches call only this surface, so a subclass that shapes
+        costs overrides it, not the scalar :meth:`evaluate`.
         """
         accels = LaneAccels.of(accels, len(lanes))
-        if self._scalar_override():
-            return LaneCosts.from_objects([
-                self.evaluate(lanes.layer(lane), accels.accel(lane),
-                              mappings.mapping(lane))
-                if mappings.ok[lane] else None
-                for lane in range(len(lanes))])
         traffic = analyze_traffic_batch(lanes, accels, mappings, self.params)
         return cost_lanes(lanes, accels, mappings, self.params, traffic,
                           [validate_architecture(accel)
                            for accel in accels.accels])
-
-    def _scalar_override(self) -> bool:
-        return type(self).evaluate is not CostModel.evaluate
 
     def evaluate_network(self, network: Network, accel: AcceleratorConfig,
                          mapping_for: Callable[[ConvLayer], Mapping],

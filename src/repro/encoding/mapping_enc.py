@@ -122,9 +122,10 @@ def decode_lanes(lanes: LaneLayers, accels: AccelsLike,
     accelerator every lane shares).
 
     Lane ``i`` of the result equals ``MappingEncoder(lanes.layer(i),
-    accels.accel(i), style).decode(vectors[i])`` as arrays; lanes whose
-    decode raises :class:`EncodingError` (wrong length, non-finite
-    entries) come back with ``ok`` false. Loop orders are a stable
+    accel, style).decode(vectors[i])`` as arrays, with ``accel`` lane
+    ``i``'s accelerator; lanes whose decode raises
+    :class:`EncodingError` (wrong length, non-finite entries) come back
+    with ``ok`` false. Loop orders are a stable
     ``argsort(-importance)`` (importance style) or a row of the 720
     six-dim permutations (index style); tiles are legalized against
     each lane's L2 for every lane at once.
@@ -169,8 +170,8 @@ def heuristic_vectors(lanes: LaneLayers,
 
     Row ``i`` equals ``MappingEncoder(lanes.layer(i), accel)
     .encode_mapping(dataflow_preserving_mapping(lanes.layer(i),
-    accel))`` with ``accel = accels.accel(i)``: the heuristic's tiles
-    come from :func:`repro.mapping.builders.heuristic_tile_caps` and
+    accel))`` with ``accel`` lane ``i``'s accelerator: the heuristic's
+    tiles come from :func:`repro.mapping.builders.heuristic_tile_caps` and
     shrink to each lane's L2 budget for every lane at once; its two
     loop orders are the same importance rows for every lane. This is
     the mapping search's warm start.

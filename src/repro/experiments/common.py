@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.presets import baseline_constraint, baseline_preset
@@ -14,7 +14,7 @@ from repro.search.accelerator_search import evaluate_accelerator
 from repro.search.cache import EvaluationCache
 from repro.search.diskcache import build_cache
 from repro.search.mapping_search import MappingSearchBudget
-from repro.search.parallel import build_evaluator
+from repro.search.parallel import ParallelEvaluator
 from repro.search.transport import Transport, group_worker
 from repro.tensors.network import Network
 from repro.utils.mathutils import geomean
@@ -74,8 +74,7 @@ def tuned_baseline_costs(preset_name: str,
                          seed: SeedLike = None,
                          workers: int = 1,
                          cache_dir: Optional[str] = None,
-                         transport: Union[str, Transport, None] = "local",
-                         workers_addr: Optional[str] = None,
+                         transport: Optional[Transport] = None,
                          eval_timeout: Optional[float] = None,
                          ) -> Dict[str, NetworkCost]:
     """Per-network cost of a baseline preset with *searched* mappings.
@@ -97,10 +96,9 @@ def tuned_baseline_costs(preset_name: str,
                        cost_model=cost_model,
                        mapping_budget=mapping_budget, entropy=entropy)
              for network in networks]
-    with build_cache(cache_dir) as cache, build_evaluator(
+    with build_cache(cache_dir) as cache, ParallelEvaluator(
             _tune_networks, workers=workers, cache=cache,
-            transport=transport, workers_addr=workers_addr,
-            eval_timeout=eval_timeout) as evaluator:
+            transport=transport, eval_timeout=eval_timeout) as evaluator:
         outcomes = evaluator.evaluate(tasks)
     return {network.name: cost for network, cost in zip(networks, outcomes)
             if cost is not None}

@@ -13,7 +13,7 @@ Four points, as in the paper:
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.accelerator.presets import baseline_preset
 from repro.baselines.nhas import search_nhas
@@ -26,6 +26,7 @@ from repro.nas.joint import JointBudget, search_joint
 from repro.nas.ofa_space import OFAResNetSpace
 from repro.nas.subnet import build_subnet
 from repro.search.accelerator_search import search_accelerator
+from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 SCENARIO_PRESET = "eyeriss"
@@ -48,8 +49,7 @@ PAPER = {
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Any = "local",
-        workers_addr: Optional[str] = None,
+        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Produce the four (accuracy, normalized EDP) points."""
@@ -83,8 +83,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
         accel_only = search_accelerator(
             [resnet], constraint, cost_model, budget=budgets.naas, seed=rng,
             seed_configs=[preset], workers=workers, cache_dir=cache_dir,
-            transport=transport, workers_addr=workers_addr,
-            eval_timeout=eval_timeout)
+            transport=transport, eval_timeout=eval_timeout)
 
         # Point 4: full joint search.
         joint = search_joint(
@@ -96,8 +95,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
                 nas=budgets.nas, mapping=budgets.naas.mapping),
             seed=rng, predictor=predictor, workers=workers,
             cache_dir=cache_dir,
-            transport=transport, workers_addr=workers_addr,
-            eval_timeout=eval_timeout)
+            transport=transport, eval_timeout=eval_timeout)
 
     def normalized(edp: float) -> float:
         return edp / base_edp

@@ -9,7 +9,7 @@ scenario.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Optional
 
 from repro.cost.model import CostModel
 from repro.experiments.common import scenario_constraint
@@ -18,6 +18,7 @@ from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import build_model
 from repro.search.accelerator_search import NAASBudget, search_accelerator
 from repro.search.random_search import RandomEngine
+from repro.search.transport import Transport
 from repro.utils.mathutils import geomean
 from repro.utils.rng import ensure_rng
 
@@ -34,8 +35,7 @@ PAIRED_RUNS = 3
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Any = "local",
-        workers_addr: Optional[str] = None,
+        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Run paired searches and tabulate per-iteration population means."""
@@ -58,14 +58,12 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
             naas_runs.append(search_accelerator(
                 [network], constraint, cost_model, budget=budget,
                 seed=run_seed, workers=workers, cache_dir=cache_dir,
-                transport=transport, workers_addr=workers_addr,
-                eval_timeout=eval_timeout))
+                transport=transport, eval_timeout=eval_timeout))
             random_runs.append(search_accelerator(
                 [network], constraint, cost_model, budget=budget,
                 seed=run_seed, engine_cls=RandomEngine, workers=workers,
                 cache_dir=cache_dir,
-                transport=transport, workers_addr=workers_addr,
-                eval_timeout=eval_timeout))
+                transport=transport, eval_timeout=eval_timeout))
 
     # The table shows the first pair's trajectories, normalized to the
     # random search's first-iteration mean (the paper plots normalized

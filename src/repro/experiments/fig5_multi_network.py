@@ -9,7 +9,7 @@ saving versus the baseline preset running with equally tuned mappings.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cost.model import CostModel
 from repro.experiments.common import (
@@ -22,6 +22,7 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import large_benchmark_set, mobile_benchmark_set
 from repro.search.accelerator_search import search_accelerator
+from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 #: (scenario preset, benchmark-set builder) per deployment class.
@@ -55,8 +56,7 @@ def run(profile: str = "", seed: int = 0,
         scenarios: Sequence[Tuple[str, str]] = SCENARIOS,
         workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Any = "local",
-        workers_addr: Optional[str] = None,
+        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Run every scenario and tabulate per-network and geomean gains."""
@@ -76,8 +76,7 @@ def run(profile: str = "", seed: int = 0,
                 budget=budgets.naas, seed=rng,
                 seed_configs=[baseline_preset(preset_name)],
                 workers=workers, cache_dir=cache_dir,
-                transport=transport, workers_addr=workers_addr,
-                eval_timeout=eval_timeout)
+                transport=transport, eval_timeout=eval_timeout)
             per_net, geo_speed, geo_energy, geo_edp = gain_rows(
                 baseline, searched.network_costs)
             for name, speedup, energy_saving, edp_reduction in per_net:

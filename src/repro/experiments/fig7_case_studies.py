@@ -10,7 +10,7 @@ three scenarios and report our searched designs next to the paper's.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.cost.model import CostModel
 from repro.experiments.common import scenario_constraint
@@ -19,6 +19,7 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import build_model
 from repro.search.accelerator_search import search_accelerator
+from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 #: (label, network, preset, paper's searched design)
@@ -34,8 +35,7 @@ CASES: Tuple[Tuple[str, str, str, str], ...] = (
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Any = "local",
-        workers_addr: Optional[str] = None,
+        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Re-search the three showcase scenarios and describe the designs."""
@@ -55,8 +55,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
                 [network], constraint, cost_model, budget=budgets.naas,
                 seed=rng, seed_configs=[baseline_preset(preset_name)],
                 workers=workers, cache_dir=cache_dir,
-                transport=transport, workers_addr=workers_addr,
-                eval_timeout=eval_timeout)
+                transport=transport, eval_timeout=eval_timeout)
             config = searched.best_config
             ours = config.describe() if config else "search failed"
             rows.append((label, f"{network_name} @ {preset_name}",

@@ -9,7 +9,7 @@ MobileNetV2 at EdgeTPU resources) and 2.61x/1.62x (NVDLA-1024).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.accelerator.presets import baseline_preset
 from repro.baselines.sizing_only import search_sizing_only
@@ -19,6 +19,7 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import build_model
 from repro.search.accelerator_search import search_accelerator
+from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 #: (network, preset) grid of the figure.
@@ -46,8 +47,7 @@ PAPER_SIZING: Dict[Tuple[str, str], float] = {
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Any = "local",
-        workers_addr: Optional[str] = None,
+        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Run both search regimes on each case; tabulate EDP reductions."""
@@ -81,8 +81,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
                 [network], constraint, cost_model, budget=budgets.naas,
                 seed=rng, seed_configs=seeds, workers=workers,
                 cache_dir=cache_dir,
-                transport=transport, workers_addr=workers_addr,
-                eval_timeout=eval_timeout)
+                transport=transport, eval_timeout=eval_timeout)
 
             sizing_reduction = base_edp / sizing.best_reward
             naas_reduction = base_edp / naas.best_reward

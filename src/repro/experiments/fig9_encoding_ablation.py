@@ -18,7 +18,7 @@ is reported in the table but not asserted.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.cost.model import CostModel
 from repro.encoding.spaces import EncodingStyle
@@ -28,6 +28,7 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import build_model
 from repro.search.accelerator_search import NAASBudget, search_accelerator
+from repro.search.transport import Transport
 from repro.utils.mathutils import geomean
 from repro.utils.rng import ensure_rng
 
@@ -67,8 +68,7 @@ def _ablation_budget(naas: NAASBudget) -> NAASBudget:
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Any = "local",
-        workers_addr: Optional[str] = None,
+        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Search the same scenario under all four encoding combinations.
@@ -98,8 +98,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
                     mapping_style=mapping_style,
                     seed_configs=[baseline_preset(SCENARIO_PRESET)],
                     workers=workers, cache_dir=cache_dir,
-                    transport=transport, workers_addr=workers_addr,
-                    eval_timeout=eval_timeout)
+                    transport=transport, eval_timeout=eval_timeout)
                 samples[(hardware_style, mapping_style)].append(
                     base_edp / searched.best_reward)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import ReproError
 from repro.experiments import (
@@ -17,7 +17,7 @@ from repro.experiments import (
     table4_search_cost,
 )
 from repro.experiments.runner import ExperimentResult
-from repro.search.transport import Transport, resolve_transport
+from repro.search.transport import Transport
 
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "fig4": fig4_convergence.run,
@@ -35,8 +35,7 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 def run_experiment(name: str, profile: str = "",
                    seed: int = 0, workers: int = 1,
                    cache_dir: Optional[str] = None,
-                   transport: Any = "local",
-                   workers_addr: Optional[str] = None,
+                   transport: Optional[Transport] = None,
                    eval_timeout: Optional[float] = None) -> ExperimentResult:
     """Run one experiment by id (``fig4`` ... ``table4``).
 
@@ -44,11 +43,12 @@ def run_experiment(name: str, profile: str = "",
     are bit-identical at any worker count. ``cache_dir`` persists
     mapping-search results across runs (see
     :mod:`repro.search.diskcache`), so re-running an experiment with the
-    same seed and profile reuses its evaluations. ``transport="tcp"``
-    binds ``workers_addr`` and runs the evaluations on connected
-    ``repro worker`` processes; ``eval_timeout`` bounds any one
-    dispatched evaluation before inline fallback (see
-    :mod:`repro.search.transport`).
+    same seed and profile reuses its evaluations. ``transport`` is
+    handed to every search the experiment runs and stays open: with a
+    :class:`~repro.search.transport.TcpTransport` its connected
+    ``repro worker`` fleet serves them all, and the caller closes it.
+    ``eval_timeout`` bounds any one dispatched evaluation before inline
+    fallback (see :mod:`repro.search.transport`).
     """
     try:
         runner = EXPERIMENTS[name]
@@ -56,22 +56,6 @@ def run_experiment(name: str, profile: str = "",
         known = ", ".join(sorted(EXPERIMENTS))
         raise ReproError(
             f"unknown experiment {name!r}; known: {known}") from None
-    # One transport for the whole experiment: runners call several
-    # searches back to back, and each must reuse the same bound address
-    # and connected worker fleet rather than rebinding per search (the
-    # evaluators leave caller-owned transports open). Same ownership
-    # rule one level up: only a transport built HERE from a spec string
-    # is closed here — an instance handed in stays the caller's, so one
-    # fleet can serve several run_experiment calls back to back.
-    owns = not isinstance(transport, Transport)
-    transport_obj = resolve_transport(transport, workers_addr=workers_addr)
-    try:
-        return runner(profile=profile, seed=seed, workers=workers,
-                      cache_dir=cache_dir,
-                      transport=(transport_obj if transport_obj is not None
-                                 else transport),
-                      workers_addr=None,
-                      eval_timeout=eval_timeout)
-    finally:
-        if transport_obj is not None and owns:
-            transport_obj.close()
+    return runner(profile=profile, seed=seed, workers=workers,
+                  cache_dir=cache_dir, transport=transport,
+                  eval_timeout=eval_timeout)

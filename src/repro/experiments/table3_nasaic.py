@@ -10,7 +10,7 @@ values, carried over as constants (hardware search does not alter them).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.accelerator.constraints import ResourceConstraint
 from repro.baselines.nasaic import search_nasaic
@@ -19,6 +19,7 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import build_model
 from repro.search.accelerator_search import search_accelerator
+from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 #: Total budget shared by both approaches (NASAIC-scale: DLA-class array
@@ -42,8 +43,7 @@ PAPER_ROWS = (
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Any = "local",
-        workers_addr: Optional[str] = None,
+        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Run both searches on the CIFAR net and compare latency/energy/EDP."""
@@ -57,8 +57,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
         naas = search_accelerator(
             [network], TABLE3_CONSTRAINT, cost_model, budget=budgets.naas,
             seed=rng, workers=workers, cache_dir=cache_dir,
-            transport=transport, workers_addr=workers_addr,
-            eval_timeout=eval_timeout)
+            transport=transport, eval_timeout=eval_timeout)
 
     naas_cost = naas.network_costs[network.name]
     rows = [

@@ -9,7 +9,7 @@ claim is the >120x total-cost saving versus NASAIC.
 from __future__ import annotations
 
 import time
-from typing import Any, Optional
+from typing import Optional
 
 from repro.baselines.search_cost import (
     nasaic_cost,
@@ -23,6 +23,7 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch, Timed
 from repro.models import build_model
 from repro.search.accelerator_search import search_accelerator
+from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 #: Number of deployment scenarios the paper's table is parameterized on;
@@ -32,8 +33,7 @@ NUM_SCENARIOS = 5
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Any = "local",
-        workers_addr: Optional[str] = None,
+        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Tabulate published cost formulas plus this repro's measured cost."""
@@ -48,8 +48,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
             [build_model("mobilenet_v2")], scenario_constraint("eyeriss"),
             cost_model, budget=budgets.naas, seed=rng, workers=workers,
             cache_dir=cache_dir,
-            transport=transport, workers_addr=workers_addr,
-            eval_timeout=eval_timeout)
+            transport=transport, eval_timeout=eval_timeout)
         measured_seconds = time.perf_counter() - start
 
         reports = search_cost_table(

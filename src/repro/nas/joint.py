@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.constraints import ResourceConstraint
@@ -27,8 +27,8 @@ from repro.search.es import EvolutionEngine
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
     GenerationLoop,
+    ParallelEvaluator,
     ask_generation,
-    build_evaluator,
     run_search_loop,
 )
 from repro.search.result import IterationStats
@@ -164,8 +164,7 @@ def search_joint(constraint: ResourceConstraint,
                  seed_configs: Tuple[AcceleratorConfig, ...] = (),
                  workers: int = 1,
                  cache_dir: Optional[str] = None,
-                 transport: Union[str, Transport, None] = "local",
-                 workers_addr: Optional[str] = None,
+                 transport: Optional[Transport] = None,
                  eval_timeout: Optional[float] = None,
                  ) -> JointSearchResult:
     """Run the joint NAAS+NAS search under a resource constraint.
@@ -175,8 +174,9 @@ def search_joint(constraint: ResourceConstraint,
     best-amortized) unit of the three-level search. ``cache_dir`` backs
     every inner NAS run with the shared persistent disk tier of
     :mod:`repro.search.diskcache` (workers read through to disk and
-    append what they compute). ``transport="tcp"`` dispatches each
-    candidate's whole inner NAS run to a remote ``repro worker``
+    append what they compute). A ``TcpTransport`` passed as
+    ``transport`` dispatches each candidate's whole inner NAS run to a
+    remote ``repro worker``
     (coarse tasks amortize the wire best of all four searches);
     ``eval_timeout`` bounds any one dispatched run before inline
     fallback.
@@ -192,10 +192,9 @@ def search_joint(constraint: ResourceConstraint,
         budget=budget, cost_model=cost_model,
         accuracy_floor=accuracy_floor, predictor=predictor)
 
-    with build_cache(cache_dir) as cache, build_evaluator(
+    with build_cache(cache_dir) as cache, ParallelEvaluator(
             _evaluate_joint_candidate, workers=workers, cache=cache,
-            transport=transport, workers_addr=workers_addr,
-            eval_timeout=eval_timeout) as evaluator:
+            transport=transport, eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 
     best = loop.best

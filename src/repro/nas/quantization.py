@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.cost.model import CostModel
@@ -33,7 +33,7 @@ from repro.search.diskcache import build_cache
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
     GenerationLoop,
-    build_evaluator,
+    ParallelEvaluator,
     run_search_loop,
 )
 from repro.search.result import IterationStats
@@ -327,8 +327,7 @@ def search_quantized(accel: AcceleratorConfig,
                      predictor: Optional[QuantizedAccuracyPredictor] = None,
                      workers: int = 1,
                      cache_dir: Optional[str] = None,
-                     transport: Union[str, Transport, None] = "local",
-                     workers_addr: Optional[str] = None,
+                     transport: Optional[Transport] = None,
                      eval_timeout: Optional[float] = None,
                      ) -> QuantSearchResult:
     """Evolve (subnet, bitwidth policy) pairs minimizing EDP on ``accel``.
@@ -361,10 +360,9 @@ def search_quantized(accel: AcceleratorConfig,
     loop = _QuantLoop(engine=engine, iterations=iterations, accel=accel,
                       cost_model=cost_model, mapping_budget=mapping_budget,
                       entropy=eval_entropy)
-    with build_cache(cache_dir) as cache, build_evaluator(
+    with build_cache(cache_dir) as cache, ParallelEvaluator(
             _evaluate_quant_pair, workers=workers, cache=cache,
-            transport=transport, workers_addr=workers_addr,
-            eval_timeout=eval_timeout) as evaluator:
+            transport=transport, eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 
     if loop.best_pair is None:

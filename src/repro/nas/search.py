@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from contextlib import nullcontext
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.cost.model import CostModel
@@ -25,7 +25,7 @@ from repro.search.diskcache import build_cache
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
     GenerationLoop,
-    build_evaluator,
+    ParallelEvaluator,
     run_search_loop,
 )
 from repro.search.result import IterationStats
@@ -185,8 +185,7 @@ def search_architecture(accel: AcceleratorConfig,
                         cache: Optional[EvaluationCache] = None,
                         workers: int = 1,
                         cache_dir: Optional[str] = None,
-                        transport: Union[str, Transport, None] = "local",
-                        workers_addr: Optional[str] = None,
+                        transport: Optional[Transport] = None,
                         eval_timeout: Optional[float] = None,
                         ) -> NASResult:
     """Find the lowest-EDP subnet meeting ``accuracy_floor`` on ``accel``.
@@ -239,10 +238,9 @@ def search_architecture(accel: AcceleratorConfig,
                      sample_admissible=sample_admissible)
     # A passed-in cache stays open; one built here closes with the run.
     with (nullcontext(cache) if cache is not None
-          else build_cache(cache_dir)) as run_cache, build_evaluator(
+          else build_cache(cache_dir)) as run_cache, ParallelEvaluator(
             _evaluate_arch, workers=workers, cache=run_cache,
-            transport=transport, workers_addr=workers_addr,
-            eval_timeout=eval_timeout) as evaluator:
+            transport=transport, eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 
     best_accuracy = predictor(loop.best_arch) if loop.best_arch else 0.0

@@ -32,7 +32,6 @@ from repro.search.parallel import (
     CommitBuffer,
     GenerationLoop,
     ParallelEvaluator,
-    build_evaluator,
     resolve_workers,
     run_search_loop,
 )
@@ -44,11 +43,9 @@ from repro.search.result import (
 )
 from repro.search.transport import (
     PROTOCOL_VERSION,
-    TRANSPORTS,
     LocalTransport,
     TcpTransport,
     Transport,
-    resolve_transport,
     run_worker,
 )
 
@@ -66,11 +63,8 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ParallelEvaluator",
     "RandomEngine",
-    "TRANSPORTS",
     "TcpTransport",
     "Transport",
-    "build_evaluator",
-    "resolve_transport",
     "resolve_workers",
     "run_search_loop",
     "run_worker",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.constraints import ResourceConstraint
@@ -41,8 +41,8 @@ from repro.search.mapping_search import (
 from repro.search.objectives import RewardFn, geomean_edp
 from repro.search.parallel import (
     GenerationLoop,
+    ParallelEvaluator,
     ask_generation,
-    build_evaluator,
     run_search_loop,
 )
 from repro.search.result import AcceleratorSearchResult
@@ -368,8 +368,7 @@ def search_accelerator(networks: Sequence[Network],
                        reward_fn: RewardFn = geomean_edp,
                        workers: int = 1,
                        cache_dir: Optional[str] = None,
-                       transport: Union[str, Transport, None] = "local",
-                       workers_addr: Optional[str] = None,
+                       transport: Optional[Transport] = None,
                        eval_timeout: Optional[float] = None,
                        ) -> AcceleratorSearchResult:
     """Run the full NAAS hardware search under a resource constraint.
@@ -385,7 +384,8 @@ def search_accelerator(networks: Sequence[Network],
     and budget reuses every mapping-search result and returns a
     bit-identical ``AcceleratorSearchResult``.
 
-    ``transport="tcp"`` binds ``workers_addr`` and dispatches candidate
+    A :class:`~repro.search.transport.TcpTransport` passed as
+    ``transport`` (the caller owns and closes it) dispatches candidate
     evaluations to connected ``repro worker`` processes instead of the
     in-process pool — the result is the same as the local run's,
     whichever host completes what (see
@@ -404,10 +404,9 @@ def search_accelerator(networks: Sequence[Network],
         mapping_style=mapping_style, reward_fn=reward_fn,
         max_decode_attempts=max_decode_attempts)
 
-    with build_cache(cache_dir) as cache, build_evaluator(
+    with build_cache(cache_dir) as cache, ParallelEvaluator(
             _evaluate_candidates, workers=workers, cache=cache,
-            transport=transport, workers_addr=workers_addr,
-            eval_timeout=eval_timeout) as evaluator:
+            transport=transport, eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 
     return AcceleratorSearchResult(

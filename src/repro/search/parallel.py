@@ -85,7 +85,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -104,7 +103,6 @@ from repro.search.transport import (
     ProtocolError,
     Transport,
     WorkerFn,
-    resolve_transport,
     run_group,
 )
 from repro.utils.logging import get_logger
@@ -239,13 +237,15 @@ class ParallelEvaluator:
     bit-identically.
 
     Dispatched task groups run on a
-    :class:`~repro.search.transport.Transport`; the default
-    :class:`~repro.search.transport.LocalTransport` creates its process
-    pool lazily on the first parallel batch and recycles workers across
-    generations, while a remote transport (TCP) is dispatched to even
-    at ``workers=1`` — its parallelism lives in the connected fleet.
-    Release resources with :meth:`close` (or use the instance as a
-    context manager). ``executor_factory`` exists for tests that need
+    :class:`~repro.search.transport.Transport`. With ``transport=None``
+    the evaluator builds its own
+    :class:`~repro.search.transport.LocalTransport`, which creates its
+    process pool lazily on the first parallel batch and recycles
+    workers across generations; :meth:`close` (or leaving the instance
+    as a context manager) shuts that pool down. A transport passed in
+    belongs to the caller and is never closed here; a remote one (TCP)
+    is dispatched to even at ``workers=1``, since its parallelism lives
+    in the connected fleet. ``executor_factory`` exists for tests that need
     deterministic control over completion order and failure injection;
     ``eval_timeout`` bounds how long collection waits for *any*
     dispatched task group to finish before routing the stuck work
@@ -263,11 +263,14 @@ class ParallelEvaluator:
                  executor_factory: Optional[Callable[[int], Any]] = None,
                  transport: Optional[Transport] = None,
                  eval_timeout: Optional[float] = None,
-                 owns_transport: Optional[bool] = None,
                  ) -> None:
         if eval_timeout is not None and eval_timeout <= 0:
             raise SearchError(
                 f"eval_timeout must be positive, got {eval_timeout}")
+        if transport is not None and not isinstance(transport, Transport):
+            raise TransportError(
+                f"transport must be a Transport instance or None, "
+                f"got {transport!r}")
         self.worker_fn = worker_fn
         self.workers = resolve_workers(workers)
         self.cache = cache
@@ -279,29 +282,24 @@ class ParallelEvaluator:
                 f"{os.getpid()}-{next(_run_tokens)}",
                 None if store is None else str(store.directory))
         self.eval_timeout = eval_timeout
+        #: The pool this evaluator built, the one transport it may close
+        #: or shut down; a transport handed in is only ever detached.
+        self._own_pool: Optional[LocalTransport] = None
         if transport is None:
             # repro: owner(ParallelEvaluator.close)
-            transport = LocalTransport(
+            transport = self._own_pool = LocalTransport(
                 self.workers, executor_factory=executor_factory)
-            if owns_transport is None:
-                owns_transport = True
         self._transport: Optional[Transport] = transport
-        #: Whether close()/degrade may shut the transport down. A
-        #: transport handed in from outside (an experiment sharing one
-        #: worker fleet across many sequential searches) outlives this
-        #: evaluator; one it built itself does not.
-        self._owns_transport = bool(owns_transport)
 
     def close(self) -> None:
-        """Release the transport's resources (idempotent).
+        """Shut down the pool this evaluator built (idempotent).
 
-        Only a transport this evaluator built itself is shut down (the
-        local transport rebuilds its pool if the evaluator is used
-        again; a remote one stays closed). A shared transport handed in
-        by the caller is left running for the next search.
+        The local pool is rebuilt if the evaluator is used again. A
+        transport handed in by the caller is left running for the next
+        search.
         """
-        if self._transport is not None and self._owns_transport:
-            self._transport.close()
+        if self._own_pool is not None:
+            self._own_pool.close()
 
     def __enter__(self) -> "ParallelEvaluator":
         return self
@@ -327,7 +325,7 @@ class ParallelEvaluator:
         if not transport.available():
             self.workers = 1
             self._transport = None
-            if self._owns_transport:
+            if transport is self._own_pool:
                 transport.close()
             return False
         return True
@@ -366,20 +364,13 @@ class ParallelEvaluator:
         return done, still_pending
 
     def _degrade_to_inline(self) -> None:
+        """Run inline from here on. The pool this evaluator built is
+        shut down; a transport handed in is merely detached, and keeps
+        serving its other searches."""
         self.workers = 1
         transport, self._transport = self._transport, None
-        if transport is None or not self._owns_transport:
-            # A shared transport is merely detached: this search runs
-            # inline from here on, but the fleet keeps serving others.
-            return
-        if isinstance(transport, LocalTransport):
+        if transport is not None and transport is self._own_pool:
             transport.shutdown_broken()
-            return
-        try:
-            transport.close()
-        except Exception:  # a dying transport may refuse even close
-            pass
-
 
     def evaluate(self, payloads: Sequence[Any]) -> List[Any]:
         """Evaluate a generation, returning results in submission order."""
@@ -491,38 +482,6 @@ class ParallelEvaluator:
             buffer.land(index, run_group(self.worker_fn, groups[index],
                                          self.cache))
         return buffer.committed()
-
-
-def build_evaluator(worker_fn: WorkerFn, workers: int = 1,
-                    cache: Optional[EvaluationCache] = None,
-                    transport: Union[str, Transport, None] = "local",
-                    workers_addr: Optional[str] = None,
-                    eval_timeout: Optional[float] = None,
-                    ) -> ParallelEvaluator:
-    """The evaluator a search run should use for its execution config.
-
-    ``transport`` picks where dispatched evaluations run: ``"local"``
-    (the in-process pool), ``"tcp"`` (bind ``workers_addr`` and fan out
-    to connected ``repro worker`` processes — results stay bit-identical
-    to the local run, because commit boundaries and content-derived
-    seeds are transport-independent), or a ready-made
-    :class:`~repro.search.transport.Transport` instance. ``eval_timeout``
-    bounds how long collection waits on any dispatched task group
-    before the stuck work is salvaged and re-evaluated inline.
-    """
-    # repro: owner(the returned evaluator, via owns_transport below)
-    transport_obj = resolve_transport(transport, workers_addr=workers_addr)
-    # A transport built from a spec string — including the implicit
-    # local pool when transport_obj is None — belongs to this evaluator
-    # (owns_transport=None lets the constructor claim its own
-    # LocalTransport); an instance handed in belongs to the caller
-    # (e.g. an experiment sharing one fleet across sequential searches).
-    owns = (None if transport_obj is None
-            else not isinstance(transport, Transport))
-    return ParallelEvaluator(worker_fn, workers=workers, cache=cache,
-                             transport=transport_obj,
-                             eval_timeout=eval_timeout,
-                             owns_transport=owns)
 
 
 class GenerationLoop:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.cost.model import CostModel
@@ -19,7 +19,7 @@ from repro.nas.ofa_space import ResNetArch
 from repro.nas.search import NASBudget, NASResult, search_architecture
 from repro.search.cache import EvaluationCache
 from repro.search.mapping_search import MappingSearchBudget
-from repro.search.parallel import build_evaluator
+from repro.search.parallel import ParallelEvaluator
 from repro.search.transport import Transport
 from repro.utils.rng import SeedLike, ensure_rng, seed_entropy, spawn_rngs
 
@@ -115,8 +115,7 @@ def sweep_accuracy_frontier(accel: AcceleratorConfig,
                             predictor: Optional[AccuracyPredictor] = None,
                             workers: int = 1,
                             cache_dir: Optional[str] = None,
-                            transport: Union[str, Transport, None] = "local",
-                            workers_addr: Optional[str] = None,
+                            transport: Optional[Transport] = None,
                             eval_timeout: Optional[float] = None,
                             ) -> List[FrontierPoint]:
     """Trace the accuracy/EDP frontier on fixed hardware.
@@ -139,9 +138,9 @@ def sweep_accuracy_frontier(accel: AcceleratorConfig,
                         mapping_budget=mapping_budget, entropy=entropy,
                         predictor=predictor, cache_dir=cache_dir)
              for floor, entropy in zip(floors, entropies)]
-    with build_evaluator(_search_floor, workers=workers,
-                         transport=transport, workers_addr=workers_addr,
-                         eval_timeout=eval_timeout) as evaluator:
+    with ParallelEvaluator(_search_floor, workers=workers,
+                           transport=transport,
+                           eval_timeout=eval_timeout) as evaluator:
         results = evaluator.evaluate(tasks)
     points: List[FrontierPoint] = []
     for floor, result in zip(floors, results):

@@ -6,9 +6,10 @@ The evaluator in :mod:`repro.search.parallel` submits *task groups* —
 between that submit/collect surface and the machinery that actually
 executes a group:
 
-- :class:`LocalTransport` (``--transport local``, the default) wraps the
-  in-process :class:`~concurrent.futures.ProcessPoolExecutor` exactly as
-  the evaluator used it before the seam existed: lazy pool creation,
+- :class:`LocalTransport` (``--transport local``, the default; an
+  evaluator handed no transport builds its own) wraps the in-process
+  :class:`~concurrent.futures.ProcessPoolExecutor` exactly as the
+  evaluator used it before the seam existed: lazy pool creation,
   graceful degradation to inline evaluation when the sandbox cannot
   fork, and the ``executor_factory`` test hook.
 - :class:`TcpTransport` (``--transport tcp``) dispatches task groups to
@@ -82,7 +83,7 @@ import struct
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SearchError, TransportError
 from repro.search.cache import EvaluationCache
@@ -96,9 +97,6 @@ logger = get_logger(__name__)
 #: a :func:`group_worker` maps ``(payloads, cache-or-None)`` to one
 #: result per payload. :func:`run_group` calls either kind.
 WorkerFn = Callable[[Any, Optional[EvaluationCache]], Any]
-
-#: Transport names ``resolve_transport`` understands.
-TRANSPORTS: Tuple[str, ...] = ("local", "tcp")
 
 #: Bumped on any incompatible change to framing, header or body semantics
 #: (v4: a job body's worker may be a group worker, called once per job).
@@ -331,6 +329,10 @@ class Transport:
     logic and scripted-completion test seams work identically over any
     transport. ``remote`` transports are dispatched to even when the
     evaluator's ``workers`` is 1 (the parallelism lives elsewhere).
+
+    A transport belongs to whoever built it: use it as a ``with`` item
+    (``__exit__`` closes it) and pass it to any number of evaluators,
+    which never close a transport they were handed.
     """
 
     #: True when task groups leave this process.
@@ -358,6 +360,12 @@ class Transport:
 
     def close(self) -> None:
         raise NotImplementedError
+
+    def __enter__(self) -> "Transport":
+        return self
+
+    def __exit__(self, *_exc_info: Any) -> None:
+        self.close()
 
     def describe(self) -> str:
         return type(self).__name__
@@ -516,11 +524,11 @@ class _WorkerConn:
 class TcpTransport(Transport):
     """Coordinator side of ``--transport tcp``.
 
-    Binds ``workers_addr``, accepts ``repro worker`` connections, and
-    feeds submitted task groups to whichever worker is free — a single
-    shared queue, so a slow worker never holds jobs hostage while a
-    fast one idles. Which host evaluates which group is immaterial to
-    results: the evaluator commits in submission order and every
+    Binds ``bind`` (``--workers-addr``), accepts ``repro worker``
+    connections, and feeds submitted task groups to whichever worker is
+    free — a single shared queue, so a slow worker never holds jobs
+    hostage while a fast one idles. Which host evaluates which group is
+    immaterial to results: the evaluator commits in submission order and every
     evaluation is content-seeded, so the workers=1 ↔ workers=N
     bit-identity holds across machines exactly as it does across
     processes.
@@ -890,37 +898,6 @@ class TcpTransport(Transport):
                 return
             if not job.future.done():
                 job.future.set_exception(cause)
-
-
-def resolve_transport(transport: Union[str, Transport, None],
-                      workers_addr: Optional[str] = None,
-                      ) -> Optional[Transport]:
-    """Coerce a ``--transport`` value into a transport instance.
-
-    ``None``/``"local"`` return ``None`` — the evaluator builds its own
-    :class:`LocalTransport`, keeping the ``executor_factory`` test seam
-    intact. ``"tcp"`` binds a :class:`TcpTransport` on ``workers_addr``.
-    A ready-made :class:`Transport` instance passes through (the seam
-    tests and embedders use).
-    """
-    if transport is None or isinstance(transport, Transport):
-        if workers_addr is not None and transport is None:
-            raise TransportError(
-                "workers_addr is only meaningful with transport='tcp'")
-        return transport if isinstance(transport, Transport) else None
-    if transport == "local":
-        if workers_addr is not None:
-            raise TransportError(
-                "workers_addr is only meaningful with transport='tcp'")
-        return None
-    if transport == "tcp":
-        if not workers_addr:
-            raise TransportError(
-                "transport 'tcp' needs a workers_addr (HOST:PORT) to bind")
-        # repro: owner(build_evaluator, via owns_transport)
-        return TcpTransport(bind=workers_addr)
-    raise TransportError(
-        f"unknown transport {transport!r}; expected one of {TRANSPORTS}")
 
 
 # ---------------------------------------------------------------------------

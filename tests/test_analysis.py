@@ -19,6 +19,7 @@ TRANSPORT = "src/repro/search/transport.py"
 NAS = "src/repro/nas/quantization.py"
 COST = "src/repro/cost/model.py"
 SEARCH = "src/repro/search/driver.py"
+CLI = "src/repro/cli.py"
 UNSCOPED = "src/repro/tensors/layout.py"
 
 
@@ -312,6 +313,30 @@ class TestResourceOwnership:
         found = rule_findings("src/repro/nas/search.py", bad,
                               "resource-ownership")
         assert [f.line for f in found] == [5]
+
+    def test_cli_is_in_scope(self):
+        """The CLI builds the TCP transport the library is handed."""
+        bad = (
+            "from repro.search.transport import TcpTransport\n"
+            "\n"
+            "\n"
+            "def _cmd_search(args):\n"
+            "    transport = TcpTransport(bind=args.workers_addr)\n"
+            "    return run(transport=transport)\n"
+        )
+        found = rule_findings(CLI, bad, "resource-ownership")
+        assert [f.line for f in found] == [5]
+        good = (
+            "from contextlib import nullcontext\n"
+            "from repro.search.transport import TcpTransport\n"
+            "\n"
+            "\n"
+            "def _cmd_search(args):\n"
+            "    with (TcpTransport(bind=args.workers_addr) if args.tcp\n"
+            "          else nullcontext()) as transport:\n"
+            "        return run(transport=transport)\n"
+        )
+        assert rule_findings(CLI, good, "resource-ownership") == []
 
 
 class TestCacheKey:

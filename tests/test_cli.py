@@ -6,7 +6,10 @@ import re
 
 import pytest
 
+from repro import cli
 from repro.cli import _add_execution_args, build_parser, main
+from repro.search.parallel import ParallelEvaluator
+from repro.search.transport import TcpTransport
 
 
 class TestParser:
@@ -187,8 +190,13 @@ class TestCommands:
         assert "corrupt-tail skips : 0" in stats_out
         # Compaction preserved the payloads byte-for-byte.
         compacted = DiskCacheStore(tmp_path)
-        assert compacted.get(content_digest("a")) == (True, {"value": 1})
-        assert compacted.get(content_digest("b")) == (True, {"value": 2})
+        try:
+            assert compacted.get(content_digest("a")) == (
+                True, {"value": 1})
+            assert compacted.get(content_digest("b")) == (
+                True, {"value": 2})
+        finally:
+            compacted.close()
 
     def test_cache_prune_drops_stale_shards_only(self, capsys, tmp_path):
         import os
@@ -213,8 +221,11 @@ class TestCommands:
         assert "shards removed     : 1 (1 kept)" in out
         assert "records removed    : 1" in out
         survivor = DiskCacheStore(tmp_path)
-        assert survivor.get(content_digest("new")) == (True, 2)
-        assert survivor.get(content_digest("old")) == (False, None)
+        try:
+            assert survivor.get(content_digest("new")) == (True, 2)
+            assert survivor.get(content_digest("old")) == (False, None)
+        finally:
+            survivor.close()
 
     def test_cache_prune_requires_older_than(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
@@ -282,8 +293,6 @@ class TestTransportFlags:
         `repro worker` returns the same design as the local run."""
         import threading
 
-        from repro.search.transport import TcpTransport
-
         # Pick a free port by binding port 0 first.
         probe = TcpTransport(bind="127.0.0.1:0")
         host, port = probe.address
@@ -315,3 +324,65 @@ class TestTransportFlags:
         assert served is not None and int(served.group(1)) > 0
         tcp_lines.remove(exits[0])
         assert tcp_lines == local_out.splitlines()
+
+
+def _square(payload, cache):
+    return payload * payload
+
+
+@pytest.fixture
+def built_transports(monkeypatch):
+    """Every TcpTransport the CLI builds. Each waits only briefly for a
+    fleet, so a run with no worker connected degrades to inline."""
+    built = []
+
+    def short_wait(bind):
+        transport = TcpTransport(bind=bind, connect_timeout=0.2)
+        built.append(transport)
+        return transport
+
+    monkeypatch.setattr(cli, "TcpTransport", short_wait)
+    yield built
+    for transport in built:
+        transport.close()  # idempotent; frees the port if a test failed
+
+
+class TestTransportOwnership:
+    """The CLI is the one owner of the TcpTransport its flags ask for:
+    it builds one per command, hands that instance to every search and
+    closes it when the command ends."""
+
+    TCP = ["--transport", "tcp", "--workers-addr", "127.0.0.1:0"]
+
+    def test_search_closes_the_transport_it_built(self, built_transports,
+                                                  capsys):
+        base = ["search", "squeezenet", "shidiannao", "--seed", "3"]
+        assert main(base) == 0
+        local = capsys.readouterr().out
+        assert main(base + self.TCP) == 0
+        assert capsys.readouterr().out == local  # degraded inline
+        assert len(built_transports) == 1
+        assert built_transports[0].closed
+
+    def test_experiment_hands_every_search_one_transport(
+            self, built_transports, monkeypatch, capsys):
+        from repro.experiments import registry
+        from repro.experiments.runner import ExperimentResult
+
+        seen = []
+
+        def fake_runner(transport=None, **_execution):
+            for payloads in ([1, 2], [3]):  # two searches back to back
+                with ParallelEvaluator(_square, workers=2,
+                                       transport=transport) as evaluator:
+                    assert evaluator.evaluate(payloads) == [
+                        p * p for p in payloads]
+                seen.append((transport, transport.closed))
+            return ExperimentResult(experiment="fake", headers=(),
+                                    rows=[], claims={})
+
+        monkeypatch.setitem(registry.EXPERIMENTS, "fake", fake_runner)
+        assert main(["experiment", "fake"] + self.TCP) == 0
+        assert len(built_transports) == 1
+        assert seen == [(built_transports[0], False)] * 2
+        assert built_transports[0].closed

@@ -142,29 +142,3 @@ def test_heuristic_vectors_per_lane_accelerator():
         expected = encoder.encode_mapping(
             dataflow_preserving_mapping(LAYERS[layer], accel))
         assert mixed[lane].tolist() == expected.tolist()
-
-
-class _RecordingCostModel(CostModel):
-    """Customizes the scalar ``evaluate``: the batch surface must call
-    it once per lane, with the lane's own accelerator."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.seen = []
-
-    def evaluate(self, layer, accel, mapping):
-        self.seen.append(accel.name)
-        return super().evaluate(layer, accel, mapping)
-
-
-def test_scalar_override_sees_each_lanes_accelerator():
-    model = _RecordingCostModel()
-    style = EncodingStyle.IMPORTANCE
-    accel_index, layer_index, vectors = _lanes(ACCELS, style)
-    lanes = LaneLayers(LAYERS, layer_index)
-    lane_accels = LaneAccels(ACCELS, accel_index)
-    mappings = decode_lanes(lanes, lane_accels, style, vectors)
-    costs = model.evaluate_lanes(lanes, lane_accels, mappings)
-    assert model.seen == [ACCELS[which].name for which in accel_index]
-    kernel = CostModel().evaluate_lanes(lanes, lane_accels, mappings)
-    assert costs.edp.tolist() == kernel.edp.tolist()

@@ -2,11 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.accelerator.presets import baseline_constraint, baseline_preset
 from repro.cost.model import CostModel
-from repro.cost.report import LayerCost
 from repro.experiments.common import tuned_baseline_costs
 from repro.models import mobile_benchmark_set
 from repro.search.accelerator_search import (
@@ -25,16 +25,21 @@ TINY = NAASBudget(accel_population=4, accel_iterations=3,
 
 
 class _VetoCostModel(CostModel):
-    """Cost model that makes one named layer unmappable."""
+    """Cost model that makes one named layer unmappable: its lanes come
+    back invalid, with ``inf`` costs."""
 
     def __init__(self, veto: str) -> None:
         super().__init__()
         self._veto = veto
 
-    def evaluate(self, layer, accel, mapping):
-        if layer.name == self._veto:
-            return LayerCost.invalid(layer.name, ("vetoed by test",))
-        return super().evaluate(layer, accel, mapping)
+    def evaluate_lanes(self, lanes, accels, mappings):
+        costs = super().evaluate_lanes(lanes, accels, mappings)
+        vetoed = lanes.per_layer(
+            [layer.name == self._veto for layer in lanes.layers], bool)
+        costs.valid[vetoed] = False
+        for values in (costs.cycles, costs.energy_nj, costs.edp):
+            values[vetoed] = np.inf
+        return costs
 
 
 @pytest.fixture

@@ -31,11 +31,7 @@ from repro.search.accelerator_search import NAASBudget, search_accelerator
 from repro.search.cache import EvaluationCache
 from repro.search.es import EvolutionEngine
 from repro.search.mapping_search import MappingSearchBudget
-from repro.search.parallel import (
-    CommitBuffer,
-    ParallelEvaluator,
-    build_evaluator,
-)
+from repro.search.parallel import CommitBuffer, ParallelEvaluator
 from repro.search.random_search import RandomEngine
 from repro.tensors.layer import ConvLayer
 from repro.tensors.network import Network
@@ -276,11 +272,6 @@ class TestPoolFailureSalvage:
         # looks its payloads up in the coordinator's own cache
         assert cache.misses == 4
         assert len(cache) == 2
-
-
-class TestBuildEvaluator:
-    def test_build_evaluator_class(self):
-        assert isinstance(build_evaluator(_square), ParallelEvaluator)
 
 
 # ---------------------------------------------------------------------------

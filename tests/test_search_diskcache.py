@@ -50,13 +50,28 @@ def _new_shard_process_identity():
     diskcache_module._process_shard = None
 
 
+@pytest.fixture
+def open_store(tmp_path):
+    """``open_store()`` opens a DiskCacheStore on ``tmp_path`` that is
+    closed when the test ends."""
+    stores = []
+
+    def open_():
+        stores.append(DiskCacheStore(tmp_path))
+        return stores[-1]
+
+    yield open_
+    for store in stores:
+        store.close()
+
+
 class TestCompactDirectory:
-    def test_folds_shards_preserving_values(self, tmp_path):
-        first = DiskCacheStore(tmp_path)
+    def test_folds_shards_preserving_values(self, open_store, tmp_path):
+        first = open_store()
         first.put(content_digest("a"), {"value": 1})
         first.close()
         _new_shard_process_identity()
-        second = DiskCacheStore(tmp_path)
+        second = open_store()
         second.put(content_digest("b"), [2, 3])
         second.close()
         assert len(list(tmp_path.glob("shard-*.bin"))) == 2
@@ -67,17 +82,18 @@ class TestCompactDirectory:
         assert stats.records_kept == 2
         assert stats.bytes_after <= stats.bytes_before
         assert len(list(tmp_path.glob("shard-*.bin"))) == 1
-        compacted = DiskCacheStore(tmp_path)
+        compacted = open_store()
         assert compacted.get(content_digest("a")) == (True, {"value": 1})
         assert compacted.get(content_digest("b")) == (True, [2, 3])
 
-    def test_drops_duplicate_digests_first_write_wins(self, tmp_path):
+    def test_drops_duplicate_digests_first_write_wins(self, open_store,
+                                                      tmp_path):
         digest = content_digest("shared")
-        first = DiskCacheStore(tmp_path)
+        first = open_store()
         first.put(digest, "first")
         first.close()
         _new_shard_process_identity()
-        second = DiskCacheStore(tmp_path)
+        second = open_store()
         # Bypass the in-index dedup by writing via a store that has not
         # scanned the first shard's record yet.
         second._index.pop(digest, None)
@@ -89,11 +105,11 @@ class TestCompactDirectory:
         assert stats.duplicates_dropped == 1
         # Shards are compacted in sorted order; either value is a valid
         # first-write, but exactly one survives and reads cleanly.
-        found, value = DiskCacheStore(tmp_path).get(digest)
+        found, value = open_store().get(digest)
         assert found and value in ("first", "second")
 
-    def test_drops_corrupt_tail(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
+    def test_drops_corrupt_tail(self, open_store, tmp_path):
+        store = open_store()
         store.put(content_digest("a"), 1)
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
@@ -116,8 +132,8 @@ class TestCompactDirectory:
 
 
 class TestPruneDirectory:
-    def test_prunes_by_shard_mtime(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
+    def test_prunes_by_shard_mtime(self, open_store, tmp_path):
+        store = open_store()
         store.put(content_digest("stale"), 1)
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
@@ -129,14 +145,14 @@ class TestPruneDirectory:
         assert stats.bytes_removed > 0
         assert list(tmp_path.glob("shard-*.bin")) == []
 
-    def test_keeps_recent_shards(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
+    def test_keeps_recent_shards(self, open_store, tmp_path):
+        store = open_store()
         store.put(content_digest("fresh"), 1)
         store.close()
         stats = prune_directory(tmp_path, older_than_days=5)
         assert stats.shards_removed == 0
         assert stats.shards_kept == 1
-        assert DiskCacheStore(tmp_path).get(content_digest("fresh")) == \
+        assert open_store().get(content_digest("fresh")) == \
             (True, 1)
 
     def test_negative_days_rejected(self, tmp_path):
@@ -160,77 +176,79 @@ class TestContentDigest:
 
 
 class TestDiskCacheStore:
-    def test_round_trip(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
+    def test_round_trip(self, open_store, tmp_path):
+        store = open_store()
         digest = content_digest("k")
         store.put(digest, {"value": 42})
         assert store.get(digest) == (True, {"value": 42})
         assert digest in store
 
-    def test_miss(self, tmp_path):
-        assert DiskCacheStore(tmp_path).get("missing") == (False, None)
+    def test_miss(self, open_store, tmp_path):
+        assert open_store().get("missing") == (False, None)
 
-    def test_persists_across_reopen(self, tmp_path):
+    def test_persists_across_reopen(self, open_store, tmp_path):
         digest = content_digest("k")
-        DiskCacheStore(tmp_path).put(digest, [1, 2, 3])
-        reopened = DiskCacheStore(tmp_path)
+        open_store().put(digest, [1, 2, 3])
+        reopened = open_store()
         assert reopened.get(digest) == (True, [1, 2, 3])
         assert len(reopened) == 1
 
-    def test_first_write_wins(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
+    def test_first_write_wins(self, open_store, tmp_path):
+        store = open_store()
         digest = content_digest("k")
         store.put(digest, "first")
         store.put(digest, "second")
         assert store.get(digest) == (True, "first")
-        assert DiskCacheStore(tmp_path).get(digest) == (True, "first")
+        assert open_store().get(digest) == (True, "first")
 
-    def test_concurrent_stores_do_not_lose_entries(self, tmp_path):
+    def test_concurrent_stores_do_not_lose_entries(self, open_store, tmp_path):
         """Two handles on one directory writing interleaved (same-process
         handles share a locked shard; distinct processes get distinct
         shards); nobody's entries are lost."""
-        a, b = DiskCacheStore(tmp_path), DiskCacheStore(tmp_path)
+        a, b = open_store(), open_store()
         for i in range(10):
             (a if i % 2 else b).put(content_digest(i), i)
-        merged = DiskCacheStore(tmp_path)
+        merged = open_store()
         assert len(merged) == 10
         for i in range(10):
             assert merged.get(content_digest(i)) == (True, i)
 
-    def test_refresh_picks_up_other_writers(self, tmp_path):
-        reader = DiskCacheStore(tmp_path)
-        writer = DiskCacheStore(tmp_path)
+    def test_refresh_picks_up_other_writers(self, open_store, tmp_path):
+        reader = open_store()
+        writer = open_store()
         digest = content_digest("late")
         writer.put(digest, "late-value")
         assert reader.get(digest) == (False, None)
         reader.refresh()
         assert reader.get(digest) == (True, "late-value")
 
-    def test_truncated_tail_is_skipped_not_fatal(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
+    def test_truncated_tail_is_skipped_not_fatal(self, open_store, tmp_path):
+        store = open_store()
         good, bad = content_digest("good"), content_digest("bad")
         store.put(good, "ok")
         store.put(bad, "will be torn")
         shard = next(tmp_path.glob("shard-*.bin"))
         data = shard.read_bytes()
         shard.write_bytes(data[:-3])  # tear the last record's payload
-        reopened = DiskCacheStore(tmp_path)
+        reopened = open_store()
         assert reopened.get(good) == (True, "ok")
         assert reopened.get(bad) == (False, None)
 
-    def test_corrupt_garbage_file_is_skipped_not_fatal(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
+    def test_corrupt_garbage_file_is_skipped_not_fatal(self, open_store,
+                                                       tmp_path):
+        store = open_store()
         good = content_digest("good")
         store.put(good, "ok")
         (tmp_path / "shard-9999-dead.bin").write_bytes(b"not a record" * 10)
-        reopened = DiskCacheStore(tmp_path)
+        reopened = open_store()
         assert reopened.get(good) == (True, "ok")
         assert len(reopened) == 1
 
-    def test_corrupt_checksum_stops_that_shard_only(self, tmp_path):
+    def test_corrupt_checksum_stops_that_shard_only(self, open_store,
+                                                    tmp_path):
         """A crc-corrupt shard (here: another process's) is dropped
         without affecting clean shards."""
-        store = DiskCacheStore(tmp_path)
+        store = open_store()
         digest = content_digest("flip")
         store.put(digest, "payload")
         store.close()
@@ -240,32 +258,34 @@ class TestDiskCacheStore:
         # move the damaged shard under another process's name
         shard.rename(tmp_path / "shard-99999-beef.bin")
         (tmp_path / "shard-99999-beef.bin").write_bytes(bytes(data))
-        clean = DiskCacheStore(tmp_path)  # this process's (new) shard
+        clean = open_store()  # this process's (new) shard
         good = content_digest("good")
         clean.put(good, "ok")
-        reopened = DiskCacheStore(tmp_path)
+        reopened = open_store()
         assert reopened.get(digest) == (False, None)
         assert reopened.get(good) == (True, "ok")
 
-    def test_store_handles_append_to_this_process_shard(self, tmp_path):
+    def test_store_handles_append_to_this_process_shard(self, open_store,
+                                                        tmp_path):
         """Store handles in one process share a single shard file, so a
         worker opening a store per run doesn't litter the directory;
         entries from every handle survive."""
-        store = DiskCacheStore(tmp_path)
+        store = open_store()
         store.put(content_digest("parent"), 1)
-        clone = DiskCacheStore(tmp_path)
+        clone = open_store()
         clone.put(content_digest("child"), 2)
         assert len(list(tmp_path.glob("shard-*.bin"))) == 1
-        merged = DiskCacheStore(tmp_path)
+        merged = open_store()
         assert len(merged) == 2
         assert merged.get(content_digest("parent")) == (True, 1)
         assert merged.get(content_digest("child")) == (True, 2)
 
-    def test_corrupt_shard_scanned_once_then_skipped(self, tmp_path, caplog):
+    def test_corrupt_shard_scanned_once_then_skipped(self, open_store,
+                                                     tmp_path, caplog):
         """A confirmed-corrupt shard is marked dead: one warning, no
         rescan (and no repeated warning) on later refreshes."""
         import logging
-        store = DiskCacheStore(tmp_path)
+        store = open_store()
         store.put(content_digest("k"), "v")
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
@@ -273,7 +293,7 @@ class TestDiskCacheStore:
         data[0] ^= 0xFF  # clobber the magic
         shard.write_bytes(bytes(data))
         with caplog.at_level(logging.WARNING):
-            reader = DiskCacheStore(tmp_path)
+            reader = open_store()
             reader.refresh()
             reader.refresh()
         warnings = [r for r in caplog.records
@@ -285,37 +305,37 @@ class TestDiskCacheStore:
 class TestRecordCompression:
     """NAC2 (zlib) records: written when smaller, NAC1 stays readable."""
 
-    def test_compressible_payload_written_as_nac2(self, tmp_path):
+    def test_compressible_payload_written_as_nac2(self, open_store, tmp_path):
         from repro.search.diskcache import _MAGIC_ZLIB, directory_stats
 
-        store = DiskCacheStore(tmp_path)
+        store = open_store()
         digest = content_digest("big")
         value = {"rows": ["repeated-filler"] * 500}
         store.put(digest, value)
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
         assert shard.read_bytes()[:4] == _MAGIC_ZLIB
-        assert DiskCacheStore(tmp_path).get(digest) == (True, value)
+        assert open_store().get(digest) == (True, value)
         stats = directory_stats(tmp_path)
         assert stats.compressed_records == 1
         assert 0 < stats.compressed_bytes < len(pickle.dumps(value))
 
-    def test_incompressible_payload_stays_raw(self, tmp_path):
+    def test_incompressible_payload_stays_raw(self, open_store, tmp_path):
         from repro.search.diskcache import _MAGIC_RAW, directory_stats
 
-        store = DiskCacheStore(tmp_path)
+        store = open_store()
         digest = content_digest("noise")
         value = os.urandom(4096)  # zlib cannot shrink random bytes
         store.put(digest, value)
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
         assert shard.read_bytes()[:4] == _MAGIC_RAW
-        assert DiskCacheStore(tmp_path).get(digest) == (True, value)
+        assert open_store().get(digest) == (True, value)
         stats = directory_stats(tmp_path)
         assert stats.compressed_records == 0
         assert stats.compressed_bytes == 0
 
-    def test_legacy_nac1_records_still_readable(self, tmp_path):
+    def test_legacy_nac1_records_still_readable(self, open_store, tmp_path):
         """A shard written by the pre-compression format (raw pickle
         behind NAC1) must read back byte-for-byte."""
         import zlib
@@ -328,13 +348,13 @@ class TestRecordCompression:
         record = _HEADER.pack(_MAGIC_RAW, digest.encode("ascii"),
                               len(payload), zlib.crc32(payload)) + payload
         (tmp_path / "shard-11111-feed.bin").write_bytes(record)
-        store = DiskCacheStore(tmp_path)
+        store = open_store()
         assert store.get(digest) == (True, {"legacy": True})
 
-    def test_compact_preserves_per_record_magic(self, tmp_path):
+    def test_compact_preserves_per_record_magic(self, open_store, tmp_path):
         from repro.search.diskcache import directory_stats
 
-        store = DiskCacheStore(tmp_path)
+        store = open_store()
         squeezable = content_digest("squeezable")
         noise = content_digest("noise")
         store.put(squeezable, ["compress-me"] * 500)
@@ -346,14 +366,15 @@ class TestRecordCompression:
         after = directory_stats(tmp_path)
         assert after.records == 2
         assert after.compressed_records == 1
-        reopened = DiskCacheStore(tmp_path)
+        reopened = open_store()
         assert reopened.get(squeezable) == (True, ["compress-me"] * 500)
         assert reopened.get(noise)[0] is True
 
-    def test_corrupt_compressed_payload_degrades_to_miss(self, tmp_path):
+    def test_corrupt_compressed_payload_degrades_to_miss(self, open_store,
+                                                         tmp_path):
         """A record whose zlib stream is damaged after the crc was
         computed reads as a miss, not an exception."""
-        store = DiskCacheStore(tmp_path)
+        store = open_store()
         digest = content_digest("damaged")
         store.put(digest, ["compress-me"] * 500)
         store.close()
@@ -371,7 +392,10 @@ class TestRecordCompression:
         reader._readers = {}
         reader._write_path = None
         reader._write_handle = None
-        assert reader.get(digest) == (False, None)
+        try:
+            assert reader.get(digest) == (False, None)
+        finally:
+            reader.close()
 
 
 class TestTieredEvaluationCache:
@@ -381,55 +405,58 @@ class TestTieredEvaluationCache:
         assert cache.persistent is False
 
     def test_miss_computes_and_persists(self, tmp_path):
-        cache = build_cache(tmp_path)
-        assert cache.persistent is True
-        assert cache.get_or_compute("k", lambda: 41, disk_key="d" * 32) == 41
-        assert cache.misses == 1
+        with build_cache(tmp_path) as cache:
+            assert cache.persistent is True
+            assert cache.get_or_compute(
+                "k", lambda: 41, disk_key="d" * 32) == 41
+            assert cache.misses == 1
         # a fresh tiered cache over the same directory hits disk
-        fresh = build_cache(tmp_path)
-        assert fresh.get_or_compute("k", lambda: -1, disk_key="d" * 32) == 41
-        assert fresh.disk_hits == 1
-        assert fresh.hits == 1
+        with build_cache(tmp_path) as fresh:
+            assert fresh.get_or_compute(
+                "k", lambda: -1, disk_key="d" * 32) == 41
+            assert fresh.disk_hits == 1
+            assert fresh.hits == 1
 
     def test_many_reads_disk_hits_and_persists_misses(self, tmp_path):
-        build_cache(tmp_path).get_or_compute("k", lambda: 41,
-                                             disk_key="d" * 32)
-        cache = build_cache(tmp_path)
+        with build_cache(tmp_path) as cold:
+            cold.get_or_compute("k", lambda: 41, disk_key="d" * 32)
         batches = []
 
         def compute(keys):
             batches.append(list(keys))
             return [0 for _ in keys]
 
-        values = cache.get_or_compute_many(
-            ["k", "j"], compute, disk_keys=["d" * 32, "e" * 32])
+        with build_cache(tmp_path) as cache:
+            values = cache.get_or_compute_many(
+                ["k", "j"], compute, disk_keys=["d" * 32, "e" * 32])
+            assert (cache.hits, cache.disk_hits, cache.misses) == (1, 1, 1)
         assert values == [41, 0]
         assert batches == [["j"]]
-        assert (cache.hits, cache.disk_hits, cache.misses) == (1, 1, 1)
-        assert build_cache(tmp_path).get_or_compute(
-            "j", lambda: -1, disk_key="e" * 32) == 0
+        with build_cache(tmp_path) as warm:
+            assert warm.get_or_compute(
+                "j", lambda: -1, disk_key="e" * 32) == 0
 
     def test_l1_hit_does_not_touch_disk(self, tmp_path):
-        cache = build_cache(tmp_path)
-        cache.get_or_compute("k", lambda: 1, disk_key="d" * 32)
-        cache.get_or_compute("k", lambda: -1, disk_key="d" * 32)
+        with build_cache(tmp_path) as cache:
+            cache.get_or_compute("k", lambda: 1, disk_key="d" * 32)
+            cache.get_or_compute("k", lambda: -1, disk_key="d" * 32)
         assert cache.hits == 1
         assert cache.disk_hits == 0
 
     def test_no_disk_key_stays_in_memory(self, tmp_path):
-        cache = build_cache(tmp_path)
-        cache.get_or_compute("k", lambda: 1)
-        assert len(cache.store) == 0
+        with build_cache(tmp_path) as cache:
+            cache.get_or_compute("k", lambda: 1)
+            assert len(cache.store) == 0
 
     def test_disk_hit_is_not_promoted_into_l1(self, tmp_path):
         """A warm rerun reads each entry from disk as often as it is
         looked up and never grows the serving process's L1."""
-        build_cache(tmp_path).get_or_compute("k", lambda: 7,
-                                             disk_key="d" * 32)
-        warm = build_cache(tmp_path)
-        for _ in range(2):
-            assert warm.get_or_compute("k", lambda: -1,
-                                       disk_key="d" * 32) == 7
+        with build_cache(tmp_path) as cold:
+            cold.get_or_compute("k", lambda: 7, disk_key="d" * 32)
+        with build_cache(tmp_path) as warm:
+            for _ in range(2):
+                assert warm.get_or_compute("k", lambda: -1,
+                                           disk_key="d" * 32) == 7
         assert len(warm) == 0
         assert (warm.hits, warm.disk_hits, warm.misses) == (2, 2, 0)
 
@@ -448,12 +475,13 @@ class TestEvaluateAcceleratorDiskTier:
         budget = MappingSearchBudget(4, 2)
         cold, cold_costs, _ = evaluate_accelerator(
             preset, [tiny_network], cost_model, budget, seed=7)
-        evaluate_accelerator(preset, [tiny_network], cost_model, budget,
-                             seed=7, cache=build_cache(tmp_path))
-        warm_cache = build_cache(tmp_path)
-        warm, warm_costs, _ = evaluate_accelerator(
-            preset, [tiny_network], cost_model, budget, seed=7,
-            cache=warm_cache)
+        with build_cache(tmp_path) as cold_cache:
+            evaluate_accelerator(preset, [tiny_network], cost_model, budget,
+                                 seed=7, cache=cold_cache)
+        with build_cache(tmp_path) as warm_cache:
+            warm, warm_costs, _ = evaluate_accelerator(
+                preset, [tiny_network], cost_model, budget, seed=7,
+                cache=warm_cache)
         assert warm == cold
         assert warm_costs[tiny_network.name].edp == \
             cold_costs[tiny_network.name].edp
@@ -466,16 +494,17 @@ class TestEvaluateAcceleratorDiskTier:
         or a re-parameterized run would silently reuse results computed
         under another budget."""
         preset = baseline_preset("nvdla_256")
-        evaluate_accelerator(preset, [tiny_network], cost_model,
-                             MappingSearchBudget(4, 2), seed=7,
-                             cache=build_cache(tmp_path))
+        with build_cache(tmp_path) as cold_cache:
+            evaluate_accelerator(preset, [tiny_network], cost_model,
+                                 MappingSearchBudget(4, 2), seed=7,
+                                 cache=cold_cache)
         other_budget = MappingSearchBudget(population=6, iterations=3)
         fresh, _, _ = evaluate_accelerator(
             preset, [tiny_network], cost_model, other_budget, seed=7)
-        warm_cache = build_cache(tmp_path)
-        warm, _, _ = evaluate_accelerator(
-            preset, [tiny_network], cost_model, other_budget, seed=7,
-            cache=warm_cache)
+        with build_cache(tmp_path) as warm_cache:
+            warm, _, _ = evaluate_accelerator(
+                preset, [tiny_network], cost_model, other_budget, seed=7,
+                cache=warm_cache)
         assert warm_cache.disk_hits == 0
         assert warm == fresh
 
@@ -483,14 +512,15 @@ class TestEvaluateAcceleratorDiskTier:
             self, tiny_network, cost_model, tmp_path):
         preset = baseline_preset("nvdla_256")
         budget = MappingSearchBudget(4, 2)
-        evaluate_accelerator(preset, [tiny_network], cost_model, budget,
-                             seed=7, cache=build_cache(tmp_path))
+        with build_cache(tmp_path) as cold_cache:
+            evaluate_accelerator(preset, [tiny_network], cost_model, budget,
+                                 seed=7, cache=cold_cache)
         fresh, _, _ = evaluate_accelerator(
             preset, [tiny_network], cost_model, budget, seed=8)
-        warm_cache = build_cache(tmp_path)
-        warm, _, _ = evaluate_accelerator(
-            preset, [tiny_network], cost_model, budget, seed=8,
-            cache=warm_cache)
+        with build_cache(tmp_path) as warm_cache:
+            warm, _, _ = evaluate_accelerator(
+                preset, [tiny_network], cost_model, budget, seed=8,
+                cache=warm_cache)
         assert warm_cache.disk_hits == 0
         assert warm == fresh
 
@@ -590,9 +620,9 @@ class TestBlockParser:
     """The shard walk reads bounded blocks; records straddling a block
     boundary parse exactly as with one block for the whole shard."""
 
-    def test_straddling_records_parse_like_one_block(self, tmp_path,
-                                                     monkeypatch):
-        store = DiskCacheStore(tmp_path)
+    def test_straddling_records_parse_like_one_block(self, open_store,
+                                                     tmp_path, monkeypatch):
+        store = open_store()
         digests = _write_records(store, 12, 150)
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
@@ -607,10 +637,11 @@ class TestBlockParser:
         assert (end, status) == (shard.stat().st_size, "end")
 
     @pytest.mark.parametrize("damage", ["torn", "corrupt"])
-    def test_stats_and_store_agree_on_damaged_shards(self, tmp_path,
-                                                     monkeypatch, damage):
+    def test_stats_and_store_agree_on_damaged_shards(self, open_store,
+                                                     tmp_path, monkeypatch,
+                                                     damage):
         monkeypatch.setattr(diskcache_module, "_BLOCK_BYTES", 97)
-        store = DiskCacheStore(tmp_path)
+        store = open_store()
         digests = _write_records(store, 8, 120)
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
@@ -627,7 +658,7 @@ class TestBlockParser:
         assert (len(records), end, status) == (5, start, damage)
         stats = directory_stats(tmp_path)
         assert (stats.records, stats.corrupt_tails) == (5, 1)
-        reader = DiskCacheStore(tmp_path)
+        reader = open_store()
         assert len(reader) == 5
         assert all(reader.get(digest)[0] for digest in digests[:5])
         assert reader.get(digests[5]) == (False, None)
@@ -651,8 +682,8 @@ class TestHeldReaders:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="needs /proc/self/fd")
-    def test_close_releases_shard_descriptors(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
+    def test_close_releases_shard_descriptors(self, open_store, tmp_path):
+        store = open_store()
         digest = content_digest("k")
         store.put(digest, "v")
         for _ in range(3):
@@ -664,8 +695,8 @@ class TestHeldReaders:
         assert store.get(digest) == (True, "v")  # reopens on demand
         store.close()
 
-    def test_two_stores_on_one_directory(self, tmp_path):
-        first, second = DiskCacheStore(tmp_path), DiskCacheStore(tmp_path)
+    def test_two_stores_on_one_directory(self, open_store, tmp_path):
+        first, second = open_store(), open_store()
         first.put(content_digest("a"), "from-first")
         _new_shard_process_identity()
         second.put(content_digest("b"), "from-second")
@@ -680,13 +711,14 @@ class TestHeldReaders:
         second.close()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_reads_through_inherited_store(self, tmp_path):
-        writer = DiskCacheStore(tmp_path)
+    def test_forked_child_reads_through_inherited_store(self, open_store,
+                                                        tmp_path):
+        writer = open_store()
         values = {content_digest(i): [i] * (i + 1) for i in range(20)}
         for digest, value in values.items():
             writer.put(digest, value)
         writer.close()
-        store = DiskCacheStore(tmp_path)
+        store = open_store()
         order = list(values)
         assert store.get(order[-1]) == (True, values[order[-1]])
         read_end, write_end = os.pipe()
@@ -797,14 +829,14 @@ class TestDiskKey:
             _disk_keys(accel, small_layer, CostModel(), budget)
 
     def test_records_of_the_old_layout_are_never_served(
-            self, tiny_network, cost_model, tmp_path):
+            self, open_store, tiny_network, cost_model, tmp_path):
         """A directory written before the slim records holds whole
         ``MappingSearchResult`` values under the old key; they miss and
         are recomputed."""
         accel = baseline_preset("nvdla_256")
         budget = MappingSearchBudget(4, 2)
         entropy = seed_entropy(7)
-        store = DiskCacheStore(tmp_path)
+        store = open_store()
         for layer, _count in tiny_network.unique_shapes():
             key = (accel, shape_key(layer), EncodingStyle.IMPORTANCE)
             old = search_mapping(layer, accel, cost_model, budget,
@@ -828,14 +860,14 @@ class TestDiskKey:
             assert cache.disk_hits == shapes
 
     def test_a_record_holds_the_best_mapping_and_cost(
-            self, tiny_network, cost_model, tmp_path):
+            self, open_store, tiny_network, cost_model, tmp_path):
         accel = baseline_preset("nvdla_256")
         budget = MappingSearchBudget(4, 2)
         with build_cache(tmp_path) as cache:
             _, costs, mappings = evaluate_accelerator(
                 accel, [tiny_network], cost_model, budget, seed=7,
                 cache=cache)
-        store = DiskCacheStore(tmp_path)
+        store = open_store()
         values = [store.get(digest)[1] for digest in store._index]
         store.close()
         assert len(values) == len(tiny_network.unique_shapes())

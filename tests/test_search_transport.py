@@ -20,6 +20,7 @@ import socket
 import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -30,10 +31,7 @@ from repro.search.accelerator_search import NAASBudget, search_accelerator
 from repro.search.cache import EvaluationCache
 from repro.search.diskcache import DiskCacheStore, RunCache, build_cache
 from repro.search.mapping_search import MappingSearchBudget
-from repro.search.parallel import (
-    ParallelEvaluator,
-    build_evaluator,
-)
+from repro.search.parallel import ParallelEvaluator
 from repro.search import transport as transport_module
 from repro.search.transport import (
     HEARTBEAT,
@@ -55,7 +53,6 @@ from repro.search.transport import (
     job_context,
     parse_address,
     recv_frame,
-    resolve_transport,
     run_worker,
 )
 from repro.tensors.layer import ConvLayer
@@ -187,28 +184,6 @@ class TestFraming:
             with pytest.raises(TransportError):
                 parse_address(bad)
 
-
-class TestResolveTransport:
-    def test_local_passthrough(self):
-        assert resolve_transport(None) is None
-        assert resolve_transport("local") is None
-        local = LocalTransport(2)
-        assert resolve_transport(local) is local
-
-    def test_workers_addr_requires_tcp(self):
-        with pytest.raises(TransportError):
-            resolve_transport("local", workers_addr="127.0.0.1:0")
-        with pytest.raises(TransportError):
-            resolve_transport(None, workers_addr="127.0.0.1:0")
-
-    def test_tcp_requires_workers_addr(self):
-        with pytest.raises(TransportError):
-            resolve_transport("tcp")
-
-    def test_unknown_transport(self):
-        with pytest.raises(TransportError):
-            resolve_transport("carrier-pigeon")
-
     def test_job_context_tracks_identity(self):
         class Task:
             def __init__(self, entropy):
@@ -218,6 +193,8 @@ class TestResolveTransport:
         assert same == job_context([Task(3)])
         assert same != job_context([Task(4)])
         assert set(same) == {"entropy", "budget"}
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +231,8 @@ class TestTcpEvaluate:
     def test_worker_reads_through_its_own_disk_cache(self, tmp_path):
         cache_dir = str(tmp_path / "worker-cache")
         # Warm the worker-side store out of band.
-        warm = build_cache(cache_dir)
-        warm.get_or_compute(3, lambda: 9, disk_key="digest-of-3")
-        warm.store.close()
+        with build_cache(cache_dir) as warm:
+            warm.get_or_compute(3, lambda: 9, disk_key="digest-of-3")
         # The coordinator's cache is in-memory (its handle names no
         # directory); the worker still caches over its own --cache-dir.
         cache = EvaluationCache()
@@ -265,8 +241,8 @@ class TestTcpEvaluate:
                                    transport=transport) as evaluator:
                 assert evaluator.evaluate([2, 3]) == [4, 9]
         assert (cache.hits, cache.disk_hits, cache.misses) == (1, 1, 1)
-        stats = build_cache(cache_dir)
-        assert stats.store.get("digest-of-2")[0]  # worker appended it
+        with build_cache(cache_dir) as stats:
+            assert stats.store.get("digest-of-2")[0]  # worker appended it
 
     def test_worker_exception_propagates(self):
         with tcp_fleet(count=1) as transport:
@@ -631,24 +607,26 @@ class TestEvaluationTimeout:
 
 
 class TestBuildEvaluator:
-    def test_build_evaluator_accepts_transport_instance(self):
+    """How an evaluator is built around a transport: it builds, owns
+    and closes its own local pool, or takes a caller's instance."""
+
+    def test_evaluator_accepts_transport_instance(self):
         transport = StallTransport()
-        evaluator = build_evaluator(_square, workers=2,
-                                    transport=transport, eval_timeout=0.2)
+        evaluator = ParallelEvaluator(_square, workers=2,
+                                      transport=transport, eval_timeout=0.2)
         evaluator.salvage_grace = 0.1
         assert evaluator._transport is transport
         assert evaluator.evaluate([2]) == [4]
 
-    def test_build_evaluator_rejects_mismatched_flags(self):
-        with pytest.raises(TransportError):
-            build_evaluator(_square, transport="tcp")
-        with pytest.raises(TransportError):
-            build_evaluator(_square, workers_addr="127.0.0.1:0")
+    @pytest.mark.parametrize("spec", ["local", "tcp"])
+    def test_transport_string_is_refused(self, spec):
+        with pytest.raises(TransportError, match="Transport instance"):
+            ParallelEvaluator(_square, workers=2, transport=spec)
 
-    def test_build_evaluator_owns_and_closes_its_local_pool(self):
+    def test_evaluator_closes_the_local_pool_it_built(self):
         """Regression: the implicit local transport belongs to the
         evaluator — close() must actually shut its process pool down."""
-        evaluator = build_evaluator(_square, workers=2)
+        evaluator = ParallelEvaluator(_square, workers=2)
         assert evaluator.evaluate([2, 3]) == [4, 9]
         transport = evaluator._transport
         assert isinstance(transport, LocalTransport)
@@ -667,6 +645,42 @@ class TestBuildEvaluator:
                 assert evaluator.evaluate([1, 2, 3, 4]) == [1, 4, 9, 16]
 
 
+def _no_fork(_count):
+    raise OSError("no process pool here")
+
+
+class _BrokenExecutor:
+    """A pool whose every task group dies with its worker."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_exception(BrokenProcessPool("injected worker death"))
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+
+def _broken_pool(_count):
+    return _BrokenExecutor()
+
+
+class WatchedPool(LocalTransport):
+    """A caller's local pool that records being closed or shut down."""
+
+    def __init__(self, executor_factory):
+        super().__init__(2, executor_factory=executor_factory)
+        self.teardowns = []
+
+    def close(self):
+        self.teardowns.append("close")
+        super().close()
+
+    def shutdown_broken(self):
+        self.teardowns.append("shutdown_broken")
+        super().shutdown_broken()
+
+
 class TestSharedTransportOwnership:
     """A caller-owned transport outlives each search using it — the
     contract multi-search experiments (`run_experiment`) rely on."""
@@ -674,27 +688,17 @@ class TestSharedTransportOwnership:
     def test_evaluator_close_leaves_shared_transport_open(self):
         with tcp_fleet(count=1) as transport:
             for round_payloads in ([1, 2], [3, 4]):
-                with build_evaluator(_square, workers=2,
-                                     transport=transport) as evaluator:
+                with ParallelEvaluator(_square, workers=2,
+                                       transport=transport) as evaluator:
                     assert evaluator.evaluate(round_payloads) == [
                         p * p for p in round_payloads]
             assert not transport.closed
             assert transport.connected_workers() == 1  # fleet survived
 
-    def test_spec_built_transport_is_closed_by_evaluator(self):
-        evaluator = build_evaluator(
-            _square, workers=2, transport="tcp",
-            workers_addr="127.0.0.1:0")
-        transport = evaluator._transport
-        transport.connect_timeout = 0.1  # no fleet: degrade fast
-        assert evaluator.evaluate([2]) == [4]
-        evaluator.close()
-        assert transport.closed
-
     def test_degrade_detaches_but_does_not_close_shared_transport(self):
         transport = StallTransport()
-        evaluator = build_evaluator(_square, workers=2,
-                                    transport=transport, eval_timeout=0.1)
+        evaluator = ParallelEvaluator(_square, workers=2,
+                                      transport=transport, eval_timeout=0.1)
         evaluator.salvage_grace = 0.1
         closed = []
         transport.close = lambda: closed.append(True)
@@ -702,32 +706,18 @@ class TestSharedTransportOwnership:
         assert evaluator._transport is None  # detached for this search
         assert not closed  # the shared fleet keeps serving others
 
-    def test_run_experiment_builds_one_transport_and_closes_it(
-            self, monkeypatch):
-        """The registry hands every runner ONE live transport instance
-        (not the spec string) and tears it down afterwards."""
-        from repro.experiments import registry
-        from repro.experiments.runner import ExperimentResult
-
-        seen = {}
-
-        def fake_runner(profile="", seed=0, workers=1, cache_dir=None,
-                        transport="local",
-                        workers_addr=None, eval_timeout=None):
-            seen["transport"] = transport
-            seen["workers_addr"] = workers_addr
-            return ExperimentResult(experiment="fake", headers=(),
-                                    rows=[], claims={})
-
-        monkeypatch.setitem(registry.EXPERIMENTS, "fake", fake_runner)
-        registry.run_experiment("fake", transport="tcp",
-                                workers_addr="127.0.0.1:0")
-        assert isinstance(seen["transport"], TcpTransport)
-        assert seen["workers_addr"] is None  # instance replaces the spec
-        assert seen["transport"].closed  # torn down after the runner
-
-        registry.run_experiment("fake", transport="local")
-        assert seen["transport"] == "local"  # local passes through
+    @pytest.mark.parametrize("factory", [_no_fork, _broken_pool],
+                             ids=["unavailable", "broken"])
+    def test_handed_in_local_pool_is_never_torn_down(self, factory):
+        """Degrading to inline, whether the pool cannot start or breaks
+        mid-generation, only detaches a caller's pool."""
+        with WatchedPool(factory) as pool:
+            with ParallelEvaluator(_square, workers=2,
+                                   transport=pool) as evaluator:
+                assert evaluator.evaluate([2, 3]) == [4, 9]
+                assert evaluator._transport is None  # ran inline
+            assert pool.teardowns == []
+        assert pool.teardowns == ["close"]  # the caller's with, only
 
     def test_run_experiment_leaves_caller_instance_open(self, monkeypatch):
         from repro.experiments import registry
@@ -796,7 +786,7 @@ _BACK_TO_BACK = ((1, MappingSearchBudget(6, 3)),
                  (2, MappingSearchBudget(5, 3)))
 
 
-def _isolation_search(seed, workers, transport="local", cache_dir=None,
+def _isolation_search(seed, workers, transport=None, cache_dir=None,
                       mapping=MappingSearchBudget(6, 3)):
     """A small search whose first generation holds the eyeriss preset."""
     return search_accelerator(
@@ -832,8 +822,9 @@ def _shared_transport(kind, monkeypatch):
     # run.
     monkeypatch.setattr(transport_module, "_pool_worker_cache",
                         RunCache())
-    yield LocalTransport(
-        2, executor_factory=lambda _count: PickledInlineExecutor())
+    with LocalTransport(2, executor_factory=lambda _count: (
+            PickledInlineExecutor())) as transport:
+        yield transport
 
 
 def _back_to_back(kind, monkeypatch):
