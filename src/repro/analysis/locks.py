@@ -2,8 +2,8 @@
 
 A class opts in by declaring::
 
-    class CommitBuffer:
-        _GUARDED_BY = {"_outcomes": "_lock", "_remaining": "_lock"}
+    class TcpTransport:
+        _GUARDED_BY = {"_workers": "_lock", "_next_job_id": "_lock"}
 
 Every ``self.<attr>`` access to a declared attribute — read or write —
 must then sit lexically inside ``with self.<lock>:`` in every method

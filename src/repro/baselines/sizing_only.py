@@ -134,7 +134,6 @@ def search_sizing_only(networks: Sequence[Network],
     for iteration in range(iterations):
         vectors = []
         fitnesses = []
-        valid = 0
         for member in range(population):
             vector = engine.sample()
             vectors.append(vector)
@@ -152,21 +151,13 @@ def search_sizing_only(networks: Sequence[Network],
             reward = geomean_edp(list(costs.values()))
             evaluations += 1
             fitnesses.append(reward)
-            if math.isfinite(reward):
-                valid += 1
-                if reward < best_reward:
-                    best_reward = reward
-                    best_config = config
-                    best_costs = costs
+            if math.isfinite(reward) and reward < best_reward:
+                best_reward = reward
+                best_config = config
+                best_costs = costs
         engine.update(vectors, fitnesses)
-        finite = [f for f in fitnesses if math.isfinite(f)]
-        history.append(IterationStats(
-            iteration=iteration,
-            best_fitness=min(finite) if finite else math.inf,
-            mean_fitness=sum(finite) / len(finite) if finite else math.inf,
-            valid_count=valid,
-            population=population,
-        ))
+        history.append(IterationStats.from_fitnesses(
+            iteration, tuple(fitnesses), population))
     return AcceleratorSearchResult(
         best_config=best_config,
         best_reward=best_reward,

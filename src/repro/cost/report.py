@@ -14,6 +14,7 @@ from typing import Dict, Optional, Tuple
 from repro.cost.energy import EnergyReport
 from repro.cost.latency import LatencyReport
 from repro.cost.traffic import TrafficReport
+from repro.utils.mathutils import fold_sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,13 +64,13 @@ class NetworkCost:
     def total_cycles(self) -> float:
         if not self.valid:
             return math.inf
-        return sum(cost.cycles for cost in self.layer_costs)
+        return fold_sum(cost.cycles for cost in self.layer_costs)
 
     @property
     def total_energy_nj(self) -> float:
         if not self.valid:
             return math.inf
-        return sum(cost.energy_nj for cost in self.layer_costs)
+        return fold_sum(cost.energy_nj for cost in self.layer_costs)
 
     @property
     def edp(self) -> float:
@@ -83,8 +84,8 @@ class NetworkCost:
         total_macs = sum(cost.macs for cost in self.layer_costs)
         if total_macs == 0:
             return 0.0
-        return sum(cost.utilization * cost.macs
-                   for cost in self.layer_costs) / total_macs
+        return fold_sum(cost.utilization * cost.macs
+                        for cost in self.layer_costs) / total_macs
 
     def summary(self) -> Dict[str, float]:
         return {

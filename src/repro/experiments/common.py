@@ -12,7 +12,6 @@ from repro.cost.report import NetworkCost
 from repro.mapping.builders import dataflow_preserving_mapping
 from repro.search.accelerator_search import evaluate_accelerator
 from repro.search.cache import EvaluationCache
-from repro.search.diskcache import build_cache
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import ParallelEvaluator
 from repro.search.transport import Transport, group_worker
@@ -96,8 +95,8 @@ def tuned_baseline_costs(preset_name: str,
                        cost_model=cost_model,
                        mapping_budget=mapping_budget, entropy=entropy)
              for network in networks]
-    with build_cache(cache_dir) as cache, ParallelEvaluator(
-            _tune_networks, workers=workers, cache=cache,
+    with ParallelEvaluator(
+            _tune_networks, workers=workers, cache_dir=cache_dir,
             transport=transport, eval_timeout=eval_timeout) as evaluator:
         outcomes = evaluator.evaluate(tasks)
     return {network.name: cost for network, cost in zip(networks, outcomes)

@@ -22,6 +22,7 @@ import hashlib
 import math
 
 from repro.nas.ofa_space import ResNetArch
+from repro.utils.mathutils import fold_sum
 
 _ANCHOR_ACC = 76.1  # ResNet-50 top-1
 _W_COEF = 4.8
@@ -41,7 +42,7 @@ class AccuracyPredictor:
     def predict(self, arch: ResNetArch) -> float:
         """Top-1 ImageNet accuracy estimate in percent."""
         expands = arch.active_expand_ratios()
-        mean_expand = sum(expands) / len(expands)
+        mean_expand = fold_sum(expands) / len(expands)
         raw = (_ANCHOR_ACC
                + _W_COEF * math.log(arch.width_mult)
                + _D_COEF * math.log(arch.total_blocks / _REFERENCE_BLOCKS)

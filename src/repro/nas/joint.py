@@ -22,7 +22,6 @@ from repro.nas.accuracy import AccuracyPredictor
 from repro.nas.ofa_space import ResNetArch
 from repro.nas.search import NASBudget, NASResult, search_architecture
 from repro.search.cache import EvaluationCache
-from repro.search.diskcache import build_cache
 from repro.search.es import EvolutionEngine
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
@@ -192,8 +191,8 @@ def search_joint(constraint: ResourceConstraint,
         budget=budget, cost_model=cost_model,
         accuracy_floor=accuracy_floor, predictor=predictor)
 
-    with build_cache(cache_dir) as cache, ParallelEvaluator(
-            _evaluate_joint_candidate, workers=workers, cache=cache,
+    with ParallelEvaluator(
+            _evaluate_joint_candidate, workers=workers, cache_dir=cache_dir,
             transport=transport, eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 

@@ -29,7 +29,6 @@ from repro.nas.ofa_space import OFAResNetSpace, ResNetArch
 from repro.nas.subnet import build_subnet
 from repro.search.accelerator_search import evaluate_accelerator
 from repro.search.cache import EvaluationCache
-from repro.search.diskcache import build_cache
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
     GenerationLoop,
@@ -39,6 +38,7 @@ from repro.search.parallel import (
 from repro.search.result import IterationStats
 from repro.search.transport import Transport
 from repro.tensors.network import Network
+from repro.utils.mathutils import fold_sum
 from repro.utils.rng import SeedLike, ensure_rng, seed_entropy
 
 BIT_CHOICES: Tuple[int, ...] = (4, 8, 16)
@@ -72,7 +72,8 @@ class QuantPolicy:
 
     def accuracy_drop(self) -> float:
         """Total predicted top-1 degradation for this policy."""
-        return sum(ACCURACY_DROP_PER_STAGE[b] for b in self.stage_bits)
+        return fold_sum(ACCURACY_DROP_PER_STAGE[b]
+                        for b in self.stage_bits)
 
     def describe(self) -> str:
         return "b" + "-".join(str(b) for b in self.stage_bits)
@@ -237,18 +238,14 @@ class QuantPairEngine:
             raise ReproError(f"ask count must be >= 0, got {count}")
         return list(self._pairs[:count])
 
-    def update(self, candidates: List[QuantPair],
-               fitnesses: List[float]) -> None:
-        """Record one committed generation's fitnesses (no breeding)."""
+    def tell(self, candidates: List[QuantPair],
+             fitnesses: List[float]) -> None:
+        """Report one full generation (tell half of ask/tell): record
+        its fitnesses for :meth:`evolve`, without breeding."""
         if len(candidates) != len(fitnesses):
             raise ReproError("candidates and fitnesses length mismatch")
         self.generation += 1
         self._fitnesses = list(fitnesses)
-
-    def tell(self, candidates: List[QuantPair],
-             fitnesses: List[float]) -> None:
-        """Report one full generation (tell half of ask/tell)."""
-        self.update(candidates, fitnesses)
 
     def evolve(self) -> None:
         """Breed the next population from the last committed generation.
@@ -360,8 +357,8 @@ def search_quantized(accel: AcceleratorConfig,
     loop = _QuantLoop(engine=engine, iterations=iterations, accel=accel,
                       cost_model=cost_model, mapping_budget=mapping_budget,
                       entropy=eval_entropy)
-    with build_cache(cache_dir) as cache, ParallelEvaluator(
-            _evaluate_quant_pair, workers=workers, cache=cache,
+    with ParallelEvaluator(
+            _evaluate_quant_pair, workers=workers, cache_dir=cache_dir,
             transport=transport, eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 

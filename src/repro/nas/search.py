@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from contextlib import nullcontext
 from typing import List, Optional, Tuple
 
 from repro.accelerator.arch import AcceleratorConfig
@@ -21,7 +20,6 @@ from repro.nas.ofa_space import OFAResNetSpace, ResNetArch
 from repro.nas.subnet import build_subnet
 from repro.search.accelerator_search import evaluate_accelerator
 from repro.search.cache import EvaluationCache
-from repro.search.diskcache import build_cache
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
     GenerationLoop,
@@ -236,11 +234,10 @@ def search_architecture(accel: AcceleratorConfig,
                      entropy=eval_entropy, predictor=predictor,
                      accuracy_floor=accuracy_floor, population=population,
                      sample_admissible=sample_admissible)
-    # A passed-in cache stays open; one built here closes with the run.
-    with (nullcontext(cache) if cache is not None
-          else build_cache(cache_dir)) as run_cache, ParallelEvaluator(
-            _evaluate_arch, workers=workers, cache=run_cache,
-            transport=transport, eval_timeout=eval_timeout) as evaluator:
+    with ParallelEvaluator(
+            _evaluate_arch, workers=workers, cache=cache,
+            cache_dir=cache_dir, transport=transport,
+            eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 
     best_accuracy = predictor(loop.best_arch) if loop.best_arch else 0.0

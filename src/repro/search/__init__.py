@@ -29,7 +29,6 @@ from repro.search.mapping_search import (
     search_mappings,
 )
 from repro.search.parallel import (
-    CommitBuffer,
     GenerationLoop,
     ParallelEvaluator,
     resolve_workers,
@@ -51,7 +50,6 @@ from repro.search.transport import (
 
 __all__ = [
     "AcceleratorSearchResult",
-    "CommitBuffer",
     "EvaluationCache",
     "EvolutionEngine",
     "GenerationLoop",

@@ -31,7 +31,7 @@ from repro.encoding.hardware import HardwareEncoder
 from repro.encoding.spaces import EncodingStyle
 from repro.mapping.mapping import Mapping
 from repro.search.cache import EvaluationCache
-from repro.search.diskcache import build_cache, content_digest
+from repro.search.diskcache import content_digest
 from repro.search.es import EvolutionEngine
 from repro.search.mapping_search import (
     MappingSearchBudget,
@@ -404,8 +404,8 @@ def search_accelerator(networks: Sequence[Network],
         mapping_style=mapping_style, reward_fn=reward_fn,
         max_decode_attempts=max_decode_attempts)
 
-    with build_cache(cache_dir) as cache, ParallelEvaluator(
-            _evaluate_candidates, workers=workers, cache=cache,
+    with ParallelEvaluator(
+            _evaluate_candidates, workers=workers, cache_dir=cache_dir,
             transport=transport, eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 
@@ -416,5 +416,5 @@ def search_accelerator(networks: Sequence[Network],
         best_mappings=loop.best_maps,
         history=tuple(history),
         evaluations=loop.evaluations,
-        cache_stats=cache.stats(),
+        cache_stats=evaluator.cache_stats,
     )

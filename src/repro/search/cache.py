@@ -15,9 +15,12 @@ lockstep mapping search fills a candidate's shapes.
 A cache never crosses a process boundary. The coordinator of a run,
 each pool worker process and each ``repro worker`` loop keeps its own
 for the length of the run (see :func:`repro.search.transport.run_chunk`),
-and whoever builds a cache closes it (it is a context manager);
-workers send back only the counts a task group added, which
-:meth:`EvaluationCache.add_counts` sums into the coordinator's cache.
+and whoever builds a cache closes it (it is a context manager). The
+coordinator's is built and closed by its
+:class:`~repro.search.parallel.ParallelEvaluator`, unless the caller
+hands one in and keeps it. Workers send back only the counts a task
+group added, which the evaluator sums into its ``cache_stats``; a
+cache's own counters count only the lookups made through it.
 """
 
 from __future__ import annotations
@@ -106,18 +109,6 @@ class EvaluationCache:
         """This cache's lookup counters as a :class:`CacheStats`."""
         return CacheStats(hits=self.hits, misses=self.misses,
                           disk_hits=self.disk_hits)
-
-    def add_counts(self, stats: CacheStats) -> None:
-        """Count lookups another process's cache made for this run.
-
-        Pool and TCP workers keep their own caches and return only what
-        a task group added; summing the lookup counts here makes this
-        cache's counters the run's totals, whichever process did the
-        lookups. The entries themselves stay where they were computed.
-        """
-        self.hits += stats.hits
-        self.misses += stats.misses
-        self.disk_hits += stats.disk_hits
 
     def close(self) -> None:
         """Release what the cache holds open (nothing, in memory)."""

@@ -56,7 +56,11 @@ from repro.encoding.mapping_enc import (
 )
 from repro.encoding.spaces import EncodingStyle
 from repro.search.es import EvolutionStack
-from repro.search.result import IterationStats, MappingSearchResult
+from repro.search.result import (
+    IterationStats,
+    MappingSearchResult,
+    best_and_mean,
+)
 from repro.tensors.layer import ConvLayer
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike
@@ -200,16 +204,12 @@ def search_mappings(layers: Sequence[ConvLayer],
 
         # Tell: the lane-order fitnesses, as evaluated.
         stack.tell(vectors, edp)
-        for index, fitnesses in enumerate(edp.tolist()):
-            finite = [f for f in fitnesses if math.isfinite(f)]
-            histories[index].append(IterationStats(
-                iteration=iteration,
-                best_fitness=min(finite) if finite else math.inf,
-                mean_fitness=(sum(finite) / len(finite) if finite
-                              else math.inf),
-                valid_count=int(valid[index]),
-                population=population,
-            ))
+        bests, means = best_and_mean(edp)
+        for history, best, mean, valid_count in zip(
+                histories, bests, means, valid.tolist()):
+            history.append(IterationStats(
+                iteration=iteration, best_fitness=best, mean_fitness=mean,
+                valid_count=valid_count, population=population))
         logger.debug("mapping search of %d layers iter %d: %d improved",
                      count, iteration, len(improved))
 

@@ -11,7 +11,7 @@ import math
 from typing import Callable, Sequence
 
 from repro.cost.report import NetworkCost
-from repro.utils.mathutils import geomean
+from repro.utils.mathutils import fold_sum, geomean
 
 #: A reward maps the per-network costs of one candidate to a scalar to
 #: minimize; infinity marks the candidate invalid.
@@ -32,12 +32,12 @@ def geomean_edp(network_costs: Sequence[NetworkCost]) -> float:
 
 def total_latency(network_costs: Sequence[NetworkCost]) -> float:
     """Summed cycles across networks (secondary reporting metric)."""
-    return sum(cost.total_cycles for cost in network_costs)
+    return fold_sum(cost.total_cycles for cost in network_costs)
 
 
 def total_energy(network_costs: Sequence[NetworkCost]) -> float:
     """Summed energy (nJ) across networks (secondary reporting metric)."""
-    return sum(cost.total_energy_nj for cost in network_costs)
+    return fold_sum(cost.total_energy_nj for cost in network_costs)
 
 
 def geomean_latency(network_costs: Sequence[NetworkCost]) -> float:

@@ -9,23 +9,25 @@ those searches run on:
   generational one NAAS describes (sample a population, rank it, update
   the distribution): it partitions a generation into task groups,
   submits them all, lands completions in whatever order they finish
-  into a :class:`CommitBuffer`, and commits them in **submission
-  order** at the generation's commit boundary — which is what keeps
-  the ``workers=1`` ↔ ``workers=N`` bit-identity contract intact (see
-  below).
+  into one slot per group, and returns them in **submission order**
+  once every slot is filled (the generation's commit boundary), which
+  is what keeps the ``workers=1`` ↔ ``workers=N`` bit-identity contract
+  intact (see below).
 - :func:`run_search_loop` is the one generation driver all four outer
   searches (accelerator, joint, NAS, quantization) share: ask a
   generation from a :class:`GenerationLoop`, dispatch the decodable
   members through an evaluator, stitch outcomes back to member slots in
   submission order, tell, record :class:`~repro.search.result.IterationStats`.
 - Caches never cross a process boundary. The coordinator's cache
-  serves inline evaluation and salvage; each worker process keeps its
-  own cache for the run, built from the small
+  belongs to its evaluator, which builds it on first inline use and
+  closes it, unless the caller hands one in (see
+  :class:`ParallelEvaluator`). Each worker process keeps its own cache
+  for the run, built from the small
   :class:`~repro.search.diskcache.CacheHandle` (run token and disk
   directory) every task group carries. A task group returns its
-  results and the cache counts it added, which the coordinator sums
-  into its cache's counters; entries stay where they were computed,
-  and the disk tier is how processes share them.
+  results and the cache counts it added, which the evaluator sums into
+  its ``cache_stats``; entries stay where they were computed, and the
+  disk tier is how processes share them.
 - *Where* a dispatched task group runs is a
   :class:`~repro.search.transport.Transport`: the default
   :class:`~repro.search.transport.LocalTransport` keeps the in-process
@@ -56,9 +58,9 @@ the search loops uphold three invariants:
    returns exactly what a fresh computation would — cache state (and
    therefore worker scheduling) can never change a result, only its
    cost; and
-3. tells are applied at *commit boundaries*: results are buffered as
-   they complete and committed in submission order once the full
-   generation has landed, so the engines
+3. tells are applied at *commit boundaries*: results land in their
+   group's slot as they complete and are returned in submission order
+   once the full generation has landed, so the engines
    (:class:`~repro.search.es.EvolutionEngine` via ``tell``) never
    observe completion order.
 
@@ -74,9 +76,9 @@ from __future__ import annotations
 
 import itertools
 import os
-import threading
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -85,6 +87,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -96,8 +99,8 @@ from repro.errors import (
     TransportError,
 )
 from repro.search.cache import EvaluationCache
-from repro.search.diskcache import CacheHandle
-from repro.search.result import IterationStats
+from repro.search.diskcache import CacheHandle, build_cache
+from repro.search.result import CacheStats, IterationStats
 from repro.search.transport import (
     LocalTransport,
     ProtocolError,
@@ -154,87 +157,31 @@ def split_chunks(items: Sequence[Any], parts: int) -> List[List[Any]]:
     return chunks
 
 
-class CommitBuffer:
-    """Buffers out-of-order completions; commits in submission order.
-
-    The generational schedule's determinism hinge: results :meth:`land`
-    keyed by their submission index, in whatever order task groups
-    complete, and :meth:`committed` releases them in submission order
-    only once the whole generation is present. Any permutation of
-    ``land`` calls therefore yields an identical commit.
-
-    The slot tables are lock-guarded (and lint-enforced through
-    ``_GUARDED_BY``): completions can land from transport callbacks
-    while the coordinator polls :attr:`full` / :attr:`missing`.
-    """
-
-    _GUARDED_BY = {
-        "_outcomes": "_lock",
-        "_landed": "_lock",
-        "_remaining": "_lock",
-    }
-
-    def __init__(self, size: int) -> None:
-        if size < 0:
-            raise SearchError(f"buffer size must be >= 0, got {size}")
-        self._lock = threading.Lock()
-        self._outcomes: List[Any] = [None] * size
-        self._landed = [False] * size
-        self._remaining = size
-
-    def land(self, index: int, outcome: Any) -> None:
-        """Record the outcome for submission slot ``index``."""
-        with self._lock:
-            if not 0 <= index < len(self._outcomes):
-                raise SearchError(
-                    f"index {index} outside buffer of "
-                    f"{len(self._outcomes)}")
-            if self._landed[index]:
-                raise SearchError(f"slot {index} already landed")
-            self._outcomes[index] = outcome
-            self._landed[index] = True
-            self._remaining -= 1
-
-    @property
-    def full(self) -> bool:
-        with self._lock:
-            return self._remaining == 0
-
-    @property
-    def missing(self) -> List[int]:
-        """Submission indices that have not landed yet."""
-        with self._lock:
-            return [
-                i for i, landed in enumerate(self._landed) if not landed
-            ]
-
-    def committed(self) -> List[Any]:
-        """All outcomes, in submission order (requires :attr:`full`)."""
-        # self.full would re-acquire the non-reentrant lock; read the
-        # counter directly inside one critical section instead.
-        with self._lock:
-            if self._remaining != 0:
-                raise SearchError(
-                    f"commit before full: {self._remaining} slots "
-                    "outstanding")
-            return list(self._outcomes)
-
-
 class ParallelEvaluator:
     """Generational schedule: fan a generation out, commit it in order.
 
     :meth:`evaluate` partitions the generation into task groups
     (:meth:`_task_groups`), submits them all, lands completions in
-    whatever order they finish into a :class:`CommitBuffer`, and
-    returns the results in submission order once every group has
-    landed — the commit boundary. Results, and everything the search
-    loops derive from them, are therefore bit-identical to the inline
-    ``workers=1`` path for any completion order and any partition.
+    whatever order they finish into one slot per group, and returns
+    the results in submission order once every group has landed — the
+    commit boundary. Results, and everything the search loops derive
+    from them, are therefore bit-identical to the inline ``workers=1``
+    path for any completion order and any partition.
 
     ``workers=1`` (on the local transport) evaluates inline against the
     coordinator's cache — no subprocess, no pickling — and is the
     reference behavior every parallel path must reproduce
     bit-identically.
+
+    The coordinator's cache has one owner, like the transport. A
+    ``cache`` passed in belongs to the caller and is never closed here.
+    Otherwise the evaluator builds one over ``cache_dir`` (in memory
+    when ``None``) the first time it evaluates inline, and
+    :meth:`close` closes it. Dispatched task groups carry that
+    directory (a passed cache's store directory) in their
+    :class:`~repro.search.diskcache.CacheHandle`, and
+    :attr:`cache_stats` counts every lookup this evaluator's task
+    groups made, inline or in a worker.
 
     Dispatched task groups run on a
     :class:`~repro.search.transport.Transport`. With ``transport=None``
@@ -260,6 +207,7 @@ class ParallelEvaluator:
 
     def __init__(self, worker_fn: WorkerFn, workers: int = 1,
                  cache: Optional[EvaluationCache] = None,
+                 cache_dir: Union[str, Path, None] = None,
                  executor_factory: Optional[Callable[[int], Any]] = None,
                  transport: Optional[Transport] = None,
                  eval_timeout: Optional[float] = None,
@@ -273,14 +221,20 @@ class ParallelEvaluator:
                 f"got {transport!r}")
         self.worker_fn = worker_fn
         self.workers = resolve_workers(workers)
+        #: The caller's cache, or the one this evaluator builds (over
+        #: ``cache_dir``) on its first inline evaluation.
         self.cache = cache
-        #: What every dispatched task group carries instead of a cache.
-        self._cache_handle: Optional[CacheHandle] = None
+        self._cache_dir = cache_dir
+        self._own_cache: Optional[EvaluationCache] = None
         if cache is not None:
             store = getattr(cache, "store", None)
-            self._cache_handle = CacheHandle(
-                f"{os.getpid()}-{next(_run_tokens)}",
-                None if store is None else str(store.directory))
+            cache_dir = None if store is None else store.directory
+        #: What every dispatched task group carries instead of a cache.
+        self._cache_handle = CacheHandle(
+            f"{os.getpid()}-{next(_run_tokens)}",
+            None if cache_dir is None else str(Path(cache_dir)))
+        #: The lookups of this evaluator's task groups, wherever they ran.
+        self.cache_stats = CacheStats(hits=0, misses=0, disk_hits=0)
         self.eval_timeout = eval_timeout
         #: The pool this evaluator built, the one transport it may close
         #: or shut down; a transport handed in is only ever detached.
@@ -292,14 +246,17 @@ class ParallelEvaluator:
         self._transport: Optional[Transport] = transport
 
     def close(self) -> None:
-        """Shut down the pool this evaluator built (idempotent).
+        """Shut down the pool and close the cache this evaluator built
+        (idempotent).
 
-        The local pool is rebuilt if the evaluator is used again. A
-        transport handed in by the caller is left running for the next
-        search.
+        Both are rebuilt if the evaluator is used again. A transport or
+        cache handed in by the caller is left open for the next search.
         """
         if self._own_pool is not None:
             self._own_pool.close()
+        if self._own_cache is not None:
+            self._own_cache.close()
+            self.cache = self._own_cache = None
 
     def __enter__(self) -> "ParallelEvaluator":
         return self
@@ -330,6 +287,17 @@ class ParallelEvaluator:
             return False
         return True
 
+    def _run_inline(self, payloads: List[Any]) -> List[Any]:
+        """One task group's results, evaluated here against the
+        coordinator's cache, which is built on the first call."""
+        if self.cache is None:
+            # repro: owner(ParallelEvaluator.close)
+            self.cache = self._own_cache = build_cache(self._cache_dir)
+        before = self.cache.stats()
+        results = run_group(self.worker_fn, payloads, self.cache)
+        self.cache_stats += self.cache.stats() - before
+        return results
+
     def _group_results(self, future: Future, size: int) -> List[Any]:
         """A landed group's results; its cache counts join the run's.
 
@@ -348,7 +316,7 @@ class ParallelEvaluator:
                 f"malformed outcome for a task group of {size} payloads")
         results, counts = outcome
         if counts is not None:
-            self.cache.add_counts(counts)
+            self.cache_stats += counts
         return results
 
     def _wait_any(self, pending: set) -> Tuple[set, set]:
@@ -378,7 +346,7 @@ class ParallelEvaluator:
         if not payloads:
             return []
         if not self._dispatch_ready():
-            return run_group(self.worker_fn, payloads, self.cache)
+            return self._run_inline(payloads)
         groups = self._dispatch(self._task_groups(payloads))
         return [result for group in groups for result in group]
 
@@ -390,7 +358,12 @@ class ParallelEvaluator:
         return split_chunks(payloads, max(1, parts))
 
     def _dispatch(self, groups: List[List[Any]]) -> List[List[Any]]:
-        """Submit task groups and gather their results, salvage-aware."""
+        """Submit task groups and gather their results, salvage-aware.
+
+        Every landing happens here, on the coordinator thread, so the
+        results are one plain slot per group (``None``: not landed),
+        returned in submission order.
+        """
         futures: List[Future] = []
         submit_failure: Optional[BaseException] = None
         for group in groups:
@@ -403,18 +376,19 @@ class ParallelEvaluator:
                 # remote fleet can vanish between generations.
                 submit_failure = exc
                 break
-        buffer = CommitBuffer(len(groups))
+        landed: List[Optional[List[Any]]] = [None] * len(groups)
         failure = submit_failure
         if failure is None:
-            failure = self._land_completions(futures, groups, buffer)
-        if failure is None:
-            return buffer.committed()
-        return self._salvage(failure, futures, groups, buffer)
+            failure = self._land_completions(futures, groups, landed)
+        if failure is not None:
+            self._salvage(failure, futures, groups, landed)
+        return landed
 
     def _land_completions(self, futures: List[Future],
                           groups: List[List[Any]],
-                          buffer: CommitBuffer) -> Optional[BaseException]:
-        """Land future results into the buffer as they complete.
+                          landed: List[Optional[List[Any]]],
+                          ) -> Optional[BaseException]:
+        """Land future results into their slots as they complete.
 
         Returns the transport failure to salvage from, if one occurred
         — including an :class:`~repro.errors.EvaluationTimeout` when no
@@ -434,15 +408,15 @@ class ParallelEvaluator:
             for future in done:
                 try:
                     index = index_of[future]
-                    buffer.land(index, self._group_results(
-                        future, len(groups[index])))
+                    landed[index] = self._group_results(
+                        future, len(groups[index]))
                 except _DISPATCH_FAILURES as exc:
                     return exc
         return None
 
     def _salvage(self, failure: BaseException, futures: List[Future],
-                 groups: List[List[Any]], buffer: CommitBuffer,
-                 ) -> List[List[Any]]:
+                 groups: List[List[Any]],
+                 landed: List[Optional[List[Any]]]) -> None:
         """Recover from a mid-generation transport failure, keeping work.
 
         Futures that completed cleanly before the transport broke keep
@@ -455,33 +429,31 @@ class ParallelEvaluator:
         # Let in-flight futures settle: a broken pool marks them all
         # failed almost immediately, but a clean completion racing the
         # breakage is worth the short wait.
-        outstanding = [futures[index] for index in buffer.missing
-                       if index < len(futures)]
+        outstanding = [index for index, results in enumerate(landed)
+                       if results is None and index < len(futures)]
         if outstanding:
-            wait(outstanding, timeout=self.salvage_grace)
+            wait([futures[index] for index in outstanding],
+                 timeout=self.salvage_grace)
         salvaged = 0
-        for index in buffer.missing:
-            if index >= len(futures):
-                continue  # never submitted
+        for index in outstanding:
             future = futures[index]
             if (future.done() and not future.cancelled()
                     and future.exception() is None):
                 try:
-                    results = self._group_results(future, len(groups[index]))
+                    landed[index] = self._group_results(
+                        future, len(groups[index]))
                 except ProtocolError:
                     continue  # malformed: recomputed inline below
-                buffer.land(index, results)
                 salvaged += 1
-        remainder = buffer.missing
+        remainder = [index for index, results in enumerate(landed)
+                     if results is None]
         logger.warning(
             "evaluation transport failed (%s); salvaged %d completed task "
             "groups, re-evaluating %d inline", failure, salvaged,
             len(remainder))
         self._degrade_to_inline()
         for index in remainder:
-            buffer.land(index, run_group(self.worker_fn, groups[index],
-                                         self.cache))
-        return buffer.committed()
+            landed[index] = self._run_inline(groups[index])
 
 
 class GenerationLoop:

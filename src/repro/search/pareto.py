@@ -85,24 +85,23 @@ class _FloorTask:
     mapping_budget: MappingSearchBudget
     entropy: int
     predictor: AccuracyPredictor
-    cache_dir: Optional[str]
 
 
 def _search_floor(task: _FloorTask,
                   cache: Optional[EvaluationCache]) -> NASResult:
     """ParallelEvaluator worker: run the NAS loop for one floor.
 
-    Floors are independent runs with pre-derived entropies, so no cache
-    travels between them (``cache`` is always ``None`` here); each run
-    builds its own — tiered over the shared ``cache_dir`` store when
-    one is configured.
+    The floor's run looks its mappings up in ``cache``, the cache of
+    the process evaluating it: the coordinator's inline, or a worker's
+    own for the sweep (over its own disk directory, on a remote
+    worker). Floors have pre-derived entropies, so sharing one cache
+    changes only what a floor costs, never its result.
     """
-    del cache
     return search_architecture(
         task.accel, task.cost_model, accuracy_floor=task.accuracy_floor,
         budget=task.nas_budget, mapping_budget=task.mapping_budget,
         seed=task.entropy, predictor=task.predictor, workers=1,
-        cache_dir=task.cache_dir)
+        cache=cache)
 
 
 def sweep_accuracy_frontier(accel: AcceleratorConfig,
@@ -136,10 +135,10 @@ def sweep_accuracy_frontier(accel: AcceleratorConfig,
     tasks = [_FloorTask(accel=accel, cost_model=cost_model,
                         accuracy_floor=floor, nas_budget=nas_budget,
                         mapping_budget=mapping_budget, entropy=entropy,
-                        predictor=predictor, cache_dir=cache_dir)
+                        predictor=predictor)
              for floor, entropy in zip(floors, entropies)]
     with ParallelEvaluator(_search_floor, workers=workers,
-                           transport=transport,
+                           cache_dir=cache_dir, transport=transport,
                            eval_timeout=eval_timeout) as evaluator:
         results = evaluator.evaluate(tasks)
     points: List[FrontierPoint] = []

@@ -4,11 +4,35 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.cost.report import LayerCost, NetworkCost
 from repro.mapping.mapping import Mapping
+
+
+def best_and_mean(rows: Sequence[Sequence[float]],
+                  ) -> Tuple[List[float], List[float]]:
+    """Per row of fitnesses, the best and the mean of its finite
+    entries (``inf`` for a row with none).
+
+    The mean is a left fold from ``0.0`` in which non-finite entries add
+    an exact ``0.0``, so it does not depend on the Python version:
+    3.12 made ``sum`` of floats compensated, and 3.11's plain ``sum`` is
+    this fold.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(rows)
+    counts = finite.sum(axis=1)
+    best = np.where(finite, rows, np.inf).min(axis=1, initial=np.inf)
+    terms = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    np.copyto(terms[:, 1:], rows, where=finite)
+    totals = np.add.accumulate(terms, axis=1)[:, -1]
+    means = np.divide(totals, counts, out=np.full(len(rows), np.inf),
+                      where=counts > 0)
+    return best.tolist(), means.tolist()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -25,12 +49,12 @@ class IterationStats:
     def from_fitnesses(cls, iteration: int, fitnesses: Tuple[float, ...],
                        population: int) -> "IterationStats":
         """Summarize one generation's fitness batch (inf = invalid)."""
-        finite = [f for f in fitnesses if math.isfinite(f)]
+        (best,), (mean,) = best_and_mean([fitnesses])
         return cls(
             iteration=iteration,
-            best_fitness=min(finite) if finite else math.inf,
-            mean_fitness=sum(finite) / len(finite) if finite else math.inf,
-            valid_count=len(finite),
+            best_fitness=best,
+            mean_fitness=mean,
+            valid_count=sum(1 for f in fitnesses if math.isfinite(f)),
             population=population,
         )
 
@@ -55,6 +79,11 @@ class CacheStats:
     hits: int
     misses: int
     disk_hits: int
+
+    def __add__(self, other: "CacheStats") -> "CacheStats":
+        return CacheStats(hits=self.hits + other.hits,
+                          misses=self.misses + other.misses,
+                          disk_hits=self.disk_hits + other.disk_hits)
 
     def __sub__(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(hits=self.hits - other.hits,

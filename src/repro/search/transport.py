@@ -52,7 +52,10 @@ and each :func:`run_worker` loop, keeps one
 :class:`~repro.search.diskcache.RunCache` for the run it serves (over
 TCP only the run token travels, and the worker caches over its own
 ``--cache-dir``). A group returns its results and the cache counts it
-added, which the coordinator sums. Every evaluation is seeded from
+added, which the coordinator's evaluator sums into its
+``cache_stats``; the coordinator's own cache is the evaluator's (see
+:mod:`repro.search.parallel`) and serves only inline evaluation and
+salvage. Every evaluation is seeded from
 content digests, so cache state can change only cost, never results.
 
 Failure model
@@ -325,7 +328,7 @@ class Transport:
 
     ``submit`` returns a :class:`~concurrent.futures.Future` resolving
     to ``(results, cache counts)`` — the exact contract of
-    :func:`run_chunk` — so the evaluator's commit buffer, salvage
+    :func:`run_chunk` — so the evaluator's commit boundary, salvage
     logic and scripted-completion test seams work identically over any
     transport. ``remote`` transports are dispatched to even when the
     evaluator's ``workers`` is 1 (the parallelism lives elsewhere).

@@ -26,6 +26,18 @@ def prod(values: Iterable[float]) -> float:
     return result
 
 
+def fold_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum from ``0`` (ints stay ints).
+
+    The float ``sum`` of Python 3.11 and earlier, which 3.12 made
+    compensated; search results must not depend on the Python version.
+    """
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
 def clamp(value: float, low: float, high: float) -> float:
     """Clamp ``value`` into the closed interval [low, high]."""
     if low > high:

@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict
 
-import pytest
 
 from repro.accelerator.presets import baseline_constraint, baseline_preset
 from repro.cost.model import CostModel
@@ -158,16 +157,6 @@ def compute() -> Dict[str, str]:
     return {name: _digest(run()) for name, run in cases().items()}
 
 
-def _naive_float_sum() -> bool:
-    # Python 3.12 made ``sum`` of floats compensated; the recorded
-    # ``IterationStats.mean_fitness`` values come from a plain
-    # left-to-right ``sum``, so their digests only hold where ``sum``
-    # still is one.
-    return sum([1e16, 1.0, -1e16]) == 0.0
-
-
-@pytest.mark.skipif(not _naive_float_sum(),
-                    reason="digests record left-to-right float sums")
 def test_golden_digests_unchanged():
     expected = json.loads(GOLDEN.read_text())["digests"]
     assert set(expected) == set(cases())

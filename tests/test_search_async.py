@@ -3,8 +3,8 @@
 The contract under test: any completion order of task-group futures —
 and any worker count or task-group partition — yields a bit-identical
 final search result versus the serial path, because results land
-index-keyed into a commit buffer and every tell is applied at a commit
-boundary in submission order.
+index-keyed into one slot per task group and every tell is applied at
+a commit boundary in submission order.
 """
 
 import itertools
@@ -28,10 +28,12 @@ from repro.nas.quantization import (
 )
 from repro.nas.search import NASBudget, search_architecture
 from repro.search.accelerator_search import NAASBudget, search_accelerator
+from repro.search import parallel as parallel_module
 from repro.search.cache import EvaluationCache
+from repro.search.diskcache import build_cache
 from repro.search.es import EvolutionEngine
 from repro.search.mapping_search import MappingSearchBudget
-from repro.search.parallel import CommitBuffer, ParallelEvaluator
+from repro.search.parallel import ParallelEvaluator
 from repro.search.random_search import RandomEngine
 from repro.tensors.layer import ConvLayer
 from repro.tensors.network import Network
@@ -117,47 +119,6 @@ class PermutedEvaluator(ParallelEvaluator):
 
 
 # ---------------------------------------------------------------------------
-# CommitBuffer: landing order must never matter.
-# ---------------------------------------------------------------------------
-
-
-class TestCommitBuffer:
-    def test_any_landing_permutation_commits_identically(self):
-        outcomes = [f"outcome-{i}" for i in range(5)]
-        reference = None
-        for order in itertools.permutations(range(5)):
-            buffer = CommitBuffer(5)
-            for index in order:
-                buffer.land(index, outcomes[index])
-            assert buffer.full
-            committed = buffer.committed()
-            if reference is None:
-                reference = committed
-            assert committed == reference == outcomes
-
-    def test_commit_before_full_raises(self):
-        buffer = CommitBuffer(2)
-        buffer.land(1, "late slot first")
-        assert not buffer.full
-        assert buffer.missing == [0]
-        with pytest.raises(SearchError):
-            buffer.committed()
-
-    def test_duplicate_landing_raises(self):
-        buffer = CommitBuffer(2)
-        buffer.land(0, "a")
-        with pytest.raises(SearchError):
-            buffer.land(0, "again")
-
-    def test_out_of_range_index_raises(self):
-        with pytest.raises(SearchError):
-            CommitBuffer(2).land(2, "x")
-
-    def test_empty_buffer_is_full(self):
-        assert CommitBuffer(0).committed() == []
-
-
-# ---------------------------------------------------------------------------
 # ParallelEvaluator: out-of-order landing, commit-boundary semantics.
 # ---------------------------------------------------------------------------
 
@@ -178,17 +139,19 @@ class TestCommitBoundary:
 
     def test_worker_caches_merge_back(self):
         """A worker's cache lasts the run; its counts come back."""
-        cache = EvaluationCache()
         with ParallelEvaluator(
-                _square, workers=2, cache=cache,
+                _square, workers=2,
                 executor_factory=lambda _count: ScriptedExecutor(),
         ) as evaluator:
             evaluator.evaluate([1, 2, 3, 4])
-            assert len(cache) == 0
-            assert (cache.hits, cache.misses) == (0, 4)
+            # only dispatched: the coordinator never built its cache
+            assert evaluator.cache is None
+            stats = evaluator.cache_stats
+            assert (stats.hits, stats.misses) == (0, 4)
             evaluator.evaluate([1, 2, 3, 4])
         # the second generation hits in the resident worker cache
-        assert (cache.hits, cache.misses) == (4, 4)
+        stats = evaluator.cache_stats
+        assert (stats.hits, stats.misses) == (4, 4)
 
     def test_worker_exception_propagates(self):
         with ParallelEvaluator(_boom, workers=2) as evaluator:
@@ -207,14 +170,13 @@ class TestCommitBoundary:
         payloads = [7, 3, 9, 1]
         expected = [p * p for p in payloads]
         for order in itertools.permutations(range(groups)):
-            cache = EvaluationCache()
             executor = ScriptedExecutor()
             evaluator = PermutedEvaluator(
-                _square, workers=workers, cache=cache, order=order,
+                _square, workers=workers, order=order,
                 executor_factory=lambda _count: executor)
             assert evaluator.evaluate(payloads) == expected
             assert executor.submitted == groups
-            assert cache.misses == len(payloads)
+            assert evaluator.cache_stats.misses == len(payloads)
 
 
 def _boom(payload, cache):
@@ -270,8 +232,40 @@ class TestPoolFailureSalvage:
         assert evaluator.evaluate([1, 2, 3, 4]) == [1, 4, 9, 16]
         # the salvaged chunk's counts are summed; the inline remainder
         # looks its payloads up in the coordinator's own cache
-        assert cache.misses == 4
+        assert evaluator.cache_stats.misses == 4
+        assert (cache.hits, cache.misses) == (0, 2)
         assert len(cache) == 2
+
+    def test_salvage_builds_the_coordinator_cache_once(self, monkeypatch,
+                                                       tmp_path):
+        """The coordinator's cache is built on the first salvage, serves
+        every re-evaluated group, and closes with the evaluator."""
+        built, closed = [], []
+
+        def spy_build_cache(cache_dir=None):
+            cache = build_cache(cache_dir)
+            built.append(cache)
+            close = cache.close
+            cache.close = lambda: closed.append(cache) or close()
+            return cache
+
+        monkeypatch.setattr(parallel_module, "build_cache", spy_build_cache)
+        executor = ScriptedExecutor(fail_results=[0, 2])
+        with ParallelEvaluator(
+                _square, workers=3, cache_dir=tmp_path / "coordinator",
+                executor_factory=lambda workers: executor) as evaluator:
+            # groups [1, 2], [3, 4], [1, 2]: the first and last are lost
+            assert evaluator.evaluate([1, 2, 3, 4, 1, 2]) == [
+                1, 4, 9, 16, 1, 4]
+            assert len(built) == 1 and evaluator.cache is built[0]
+            # the second lost group is served by the first one's entries
+            assert (built[0].hits, built[0].misses) == (2, 2)
+            stats = evaluator.cache_stats
+            assert (stats.hits, stats.misses) == (2, 4)
+            assert evaluator.evaluate([3]) == [9]  # inline from here on
+            assert len(built) == 1
+        assert evaluator.cache is None
+        assert closed == built
 
 
 # ---------------------------------------------------------------------------

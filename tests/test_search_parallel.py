@@ -4,13 +4,20 @@ import os
 
 import pytest
 
+from repro.accelerator.presets import baseline_constraint
+from repro.cost.model import CostModel
 from repro.errors import SearchError
+from repro.search.accelerator_search import NAASBudget, search_accelerator
 from repro.search.cache import EvaluationCache
+from repro.search.diskcache import DiskCacheStore
+from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
     ParallelEvaluator,
     resolve_workers,
     split_chunks,
 )
+from repro.tensors.layer import ConvLayer
+from repro.tensors.network import Network
 
 
 def _square(payload, cache):
@@ -91,6 +98,7 @@ class TestParallelEvaluator:
             evaluator.evaluate([3, 3, 3])
         assert cache.misses == 1
         assert cache.hits == 2
+        assert evaluator.cache_stats == cache.stats()
 
     def test_worker_caches_merge_back(self):
         """Worker caches stay in the workers; their counts come back."""
@@ -98,10 +106,34 @@ class TestParallelEvaluator:
         with ParallelEvaluator(_square, workers=2, cache=cache) as evaluator:
             evaluator.evaluate([1, 2, 3, 4])
             assert len(cache) == 0  # no entry crosses a process boundary
-            assert (cache.hits, cache.misses) == (0, 4)
+            stats = evaluator.cache_stats
+            assert (stats.hits, stats.misses) == (0, 4)
             evaluator.evaluate([1, 2, 3, 4])
         # every lookup counts once, whichever worker made it
-        assert cache.hits + cache.misses == 8
+        stats = evaluator.cache_stats
+        assert stats.hits + stats.misses == 8
+        # the caller's cache counts only lookups made through it
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_builds_its_cache_on_first_inline_evaluation(self, tmp_path):
+        evaluator = ParallelEvaluator(_square, workers=1,
+                                      cache_dir=tmp_path / "cache")
+        assert evaluator.cache is None
+        with evaluator:
+            assert evaluator.evaluate([2, 2]) == [4, 4]
+            built = evaluator.cache
+            assert built.store.directory == tmp_path / "cache"
+            assert (built.hits, built.misses) == (1, 1)
+        assert evaluator.cache is None  # closed with the evaluator
+
+    def test_a_passed_cache_wins_and_stays_open(self, tmp_path):
+        cache = EvaluationCache()
+        with ParallelEvaluator(_square, workers=1, cache=cache,
+                               cache_dir=tmp_path / "unused") as evaluator:
+            evaluator.evaluate([5])
+        assert evaluator.cache is cache
+        assert len(cache) == 1
+        assert not (tmp_path / "unused").exists()
 
     def test_worker_exception_propagates(self):
         with ParallelEvaluator(_boom, workers=2) as evaluator:
@@ -115,3 +147,40 @@ class TestParallelEvaluator:
         evaluator.close()
         # inline evaluation still works after close
         assert ParallelEvaluator(_square, workers=1).evaluate([2]) == [4]
+
+
+_TINY_NETWORK = Network(name="tiny", layers=(
+    ConvLayer(name="a", k=16, c=8, y=14, x=14, r=3, s=3),
+    ConvLayer(name="b", k=32, c=16, y=7, x=7, r=1, s=1),
+))
+
+
+class TestCoordinatorCache:
+    def test_warm_pooled_search_opens_no_store_here(self, tmp_path,
+                                                    monkeypatch):
+        """At workers=2 only the pool workers read the disk tier; the
+        coordinator, which evaluates nothing inline, opens no store."""
+        budget = NAASBudget(accel_population=4, accel_iterations=2,
+                            mapping=MappingSearchBudget(population=4,
+                                                        iterations=2))
+
+        def search(workers):
+            return search_accelerator(
+                [_TINY_NETWORK], baseline_constraint("nvdla_256"),
+                CostModel(), budget=budget, seed=41, workers=workers,
+                cache_dir=str(tmp_path / "cache"))
+
+        cold = search(workers=1)
+        opened = []
+        init = DiskCacheStore.__init__
+
+        def counting_init(self, directory):
+            opened.append(directory)
+            init(self, directory)
+
+        monkeypatch.setattr(DiskCacheStore, "__init__", counting_init)
+        warm = search(workers=2)
+        assert opened == []
+        assert warm == cold
+        stats = warm.cache_stats
+        assert stats.disk_hits == stats.hits + stats.misses > 0

@@ -27,11 +27,13 @@ import pytest
 from repro.accelerator.presets import baseline_constraint, baseline_preset
 from repro.cost.model import CostModel
 from repro.errors import EvaluationTimeout, TransportError
+from repro.nas.search import NASBudget
 from repro.search.accelerator_search import NAASBudget, search_accelerator
 from repro.search.cache import EvaluationCache
 from repro.search.diskcache import DiskCacheStore, RunCache, build_cache
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import ParallelEvaluator
+from repro.search.pareto import sweep_accuracy_frontier
 from repro.search import transport as transport_module
 from repro.search.transport import (
     HEARTBEAT,
@@ -219,14 +221,14 @@ class TestTcpEvaluate:
 
     def test_worker_deltas_merge_into_master_cache(self):
         """The counts each worker's groups add are summed into the
-        coordinator's cache; the entries stay in the workers."""
+        evaluator's stats; the entries stay in the workers."""
         cache = EvaluationCache()
         with tcp_fleet(count=2) as transport:
             with ParallelEvaluator(_square, workers=2, cache=cache,
                                    transport=transport) as evaluator:
                 evaluator.evaluate([1, 2, 3, 4])
         assert len(cache) == 0  # entries stay in the workers
-        assert cache.misses == 4
+        assert evaluator.cache_stats.misses == 4
 
     def test_worker_reads_through_its_own_disk_cache(self, tmp_path):
         cache_dir = str(tmp_path / "worker-cache")
@@ -240,7 +242,8 @@ class TestTcpEvaluate:
             with ParallelEvaluator(_disk_square, workers=2, cache=cache,
                                    transport=transport) as evaluator:
                 assert evaluator.evaluate([2, 3]) == [4, 9]
-        assert (cache.hits, cache.disk_hits, cache.misses) == (1, 1, 1)
+        stats = evaluator.cache_stats
+        assert (stats.hits, stats.disk_hits, stats.misses) == (1, 1, 1)
         with build_cache(cache_dir) as stats:
             assert stats.store.get("digest-of-2")[0]  # worker appended it
 
@@ -910,3 +913,26 @@ class TestNothingCacheShapedIsShipped:
         assert cold.cache_stats.hits + cold.cache_stats.misses == lookups
         stats = warm.cache_stats
         assert stats.disk_hits == stats.hits + stats.misses == lookups
+
+
+class TestFrontierSweepOverTcp:
+    def test_worker_caches_in_its_own_directory(self, tmp_path):
+        """The coordinator's cache directory never travels in a floor's
+        payload: a remote worker caches under its own --cache-dir."""
+        coordinator_dir = tmp_path / "coordinator"
+        worker_dir = tmp_path / "worker"
+        kwargs = dict(
+            accuracy_floors=[72.0, 76.0],
+            nas_budget=NASBudget(population=4, iterations=2),
+            mapping_budget=MappingSearchBudget(population=4, iterations=2),
+            seed=4)
+        local = sweep_accuracy_frontier(
+            baseline_preset("nvdla_256"), CostModel(), **kwargs)
+        with tcp_fleet(count=1, cache_dirs=[str(worker_dir)]) as transport:
+            remote = sweep_accuracy_frontier(
+                baseline_preset("nvdla_256"), CostModel(),
+                cache_dir=str(coordinator_dir), transport=transport,
+                **kwargs)
+        assert remote == local
+        assert list(worker_dir.glob("shard-*"))
+        assert not list(coordinator_dir.glob("*"))

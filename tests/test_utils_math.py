@@ -1,6 +1,7 @@
 """Unit tests for repro.utils.mathutils."""
 
 import math
+import random
 
 import pytest
 
@@ -8,11 +9,13 @@ from repro.utils.mathutils import (
     ceil_div,
     clamp,
     divisors,
+    fold_sum,
     geomean,
     nearest_multiple,
     prod,
     round_to_stride,
 )
+from repro.search.result import IterationStats, best_and_mean
 
 
 class TestCeilDiv:
@@ -48,6 +51,62 @@ class TestProd:
 
     def test_mixed_floats(self):
         assert prod([2, 0.5]) == pytest.approx(1.0)
+
+
+def _left_fold(values):
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
+class TestFoldSum:
+    def test_ints_stay_ints(self):
+        assert fold_sum([1, 2, 3]) == 6
+        assert isinstance(fold_sum([1, 2, 3]), int)
+        assert fold_sum([]) == 0
+
+    def test_sums_left_to_right_without_compensation(self):
+        # A compensated sum (3.12's ``sum``, ``math.fsum``) gives 1.0.
+        assert fold_sum([1e16, 1.0, -1e16]) == 0.0
+        assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+
+    def test_matches_the_plain_fold_on_random_rows(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            row = [rng.uniform(0, 1e6) ** rng.uniform(0.5, 2)
+                   for _ in range(rng.randrange(1, 40))]
+            assert fold_sum(row) == _left_fold(row)
+            assert fold_sum(iter(row)) == _left_fold(row)
+
+
+class TestBestAndMean:
+    def test_skips_non_finite_entries(self):
+        best, mean = best_and_mean([[math.inf, 2.0, 1.0, math.nan],
+                                    [math.inf] * 4])
+        assert best == [1.0, math.inf]
+        assert mean == [1.5, math.inf]
+
+    def test_empty_row(self):
+        assert best_and_mean([()]) == ([math.inf], [math.inf])
+
+    def test_mean_is_the_left_fold_over_finite_entries(self):
+        rng = random.Random(1)
+        rows = [[rng.choice([math.inf, rng.uniform(0, 1e9)])
+                 for _ in range(24)] for _ in range(300)]
+        bests, means = best_and_mean(rows)
+        for row, best, mean in zip(rows, bests, means):
+            finite = [f for f in row if math.isfinite(f)]
+            assert best == (min(finite) if finite else math.inf)
+            assert mean == (_left_fold(finite) / len(finite) if finite
+                            else math.inf)
+        # not a compensated sum
+        assert best_and_mean([[1e16, 1.0, -1e16]])[1] == [0.0]
+
+    def test_iteration_stats_use_it(self):
+        stats = IterationStats.from_fitnesses(3, (1e16, 1.0, -1e16), 4)
+        assert stats.mean_fitness == 0.0
+        assert (stats.best_fitness, stats.valid_count) == (-1e16, 3)
 
 
 class TestClamp:
