@@ -18,6 +18,7 @@ from pathlib import Path
 from repro.accelerator.presets import baseline_constraint
 from repro.cost.model import CostModel
 from repro.search.accelerator_search import NAASBudget, search_accelerator
+from repro.search.diskcache import CacheHandle
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import resolve_workers
 from repro.search.transport import LocalTransport
@@ -52,7 +53,8 @@ def _warmed_transport(workers: int) -> LocalTransport:
     """
     transport = LocalTransport(workers)
     assert transport.available()
-    for future in [transport.submit(_noop, [index], None)
+    warm_up = CacheHandle("warm-up")
+    for future in [transport.submit(_noop, [index], warm_up)
                    for index in range(workers)]:
         future.result(timeout=60.0)
     return transport

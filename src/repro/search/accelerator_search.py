@@ -14,12 +14,15 @@ reproduces the serial path bit-identically; see
 :mod:`repro.search.parallel` for the execution model). Each task group
 of candidates is one :func:`evaluate_accelerators` call, so at
 ``workers=1`` a generation's mapping searches are one lockstep search
-over every candidate's shapes.
+over every candidate's shapes. Before a generation is dispatched, the
+group worker's companion serves the candidates whose every shape the
+coordinator's cache already holds, in the coordinator.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
@@ -31,7 +34,11 @@ from repro.encoding.hardware import HardwareEncoder
 from repro.encoding.spaces import EncodingStyle
 from repro.mapping.mapping import Mapping
 from repro.search.cache import EvaluationCache
-from repro.search.diskcache import content_digest
+from repro.search.diskcache import (
+    DIGEST_SEPARATOR,
+    content_digest,
+    text_digest,
+)
 from repro.search.es import EvolutionEngine
 from repro.search.mapping_search import (
     MappingSearchBudget,
@@ -128,7 +135,8 @@ def evaluate_accelerator(accel: AcceleratorConfig,
     :mod:`repro.search.diskcache`), each lookup also carries a
     ``disk_key``: ``content_digest(entropy, key, shared)``, where
     ``shared = content_digest(CACHE_FORMAT, mapping_budget,
-    cost_model.params)`` is digested once per call. Together they cover
+    cost_model.params)`` is digested once per call (and the accelerator
+    and each shape key rendered once per call). Together they cover
     the full identity a cached value is a pure function of, so runs
     with a different budget, cost model, seed or cache format can never
     hit a stale cross-run entry.
@@ -163,6 +171,23 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
     entropy and accelerator) is searched once and its later lookups
     hit.
     """
+    return list(_evaluate(accels, entropies, networks, cost_model,
+                          mapping_budget, mapping_style, cache, reward_fn,
+                          held_only=False).values())
+
+
+def _evaluate(accels: Sequence[AcceleratorConfig], entropies: Sequence[int],
+              networks: Sequence[Network], cost_model: CostModel,
+              mapping_budget: MappingSearchBudget,
+              mapping_style: EncodingStyle, cache: Optional[EvaluationCache],
+              reward_fn: RewardFn, held_only: bool) -> Dict[int, Evaluation]:
+    """:func:`evaluate_accelerators`' evaluations by candidate index.
+
+    With ``held_only``, only the candidates whose every lookup ``cache``
+    holds are evaluated (probed with ``_holds``, which counts and reads
+    nothing), through the same lookups; each disk key is digested once
+    either way.
+    """
     if len(entropies) != len(accels):
         raise ValueError(
             f"{len(entropies)} entropies for {len(accels)} accelerators")
@@ -170,10 +195,23 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
                for layer, count in network.unique_shapes()]
               for network in networks]
     layers = [layer for group in shapes for layer, _, _ in group]
-    lookups = [(entropy, (accel, skey, mapping_style))
-               for accel, entropy in zip(accels, entropies)
-               for group in shapes for _, _, skey in group]
-    lookup_layers = layers * len(accels)
+    skeys = [skey for group in shapes for _, _, skey in group]
+    keys = [[(entropy, (accel, skey, mapping_style)) for skey in skeys]
+            for accel, entropy in zip(accels, entropies)]
+    disk_keys = None
+    if cache is not None and cache.persistent:
+        shared = content_digest(CACHE_FORMAT, mapping_budget,
+                                cost_model.params)
+        disk_keys = _rendered_disk_keys(accels, entropies, skeys,
+                                        mapping_style, shared)
+    chosen = range(len(accels))
+    if held_only:
+        chosen = [index for index in chosen
+                  if all(map(cache._holds, keys[index],
+                             disk_keys[index] if disk_keys
+                             else itertools.repeat(None)))]
+    lookups = [key for index in chosen for key in keys[index]]
+    lookup_layers = layers * len(chosen)
 
     def run_searches(keys: Sequence[Tuple[int, tuple]],
                      batch: Sequence[ConvLayer]) -> List[ShapeBest]:
@@ -197,22 +235,35 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
         first_layer: Dict[Tuple[int, tuple], ConvLayer] = {}
         for key, layer in zip(lookups, lookup_layers):
             first_layer.setdefault(key, layer)
-        disk_keys = None
-        if getattr(cache, "persistent", False):
-            shared = content_digest(CACHE_FORMAT, mapping_budget,
-                                    cost_model.params)
-            disk_keys = [content_digest(entropy, key, shared)
-                         for entropy, key in lookups]
         results = cache.get_or_compute_many(
             lookups,
             lambda keys: run_searches(keys,
                                       [first_layer[key] for key in keys]),
-            disk_keys=disk_keys)
+            disk_keys=None if disk_keys is None else [
+                digest for index in chosen for digest in disk_keys[index]])
 
     size = len(layers)
-    return [_reduce(accel, networks, shapes,
-                    results[index * size:(index + 1) * size], reward_fn)
-            for index, accel in enumerate(accels)]
+    return {index: _reduce(accels[index], networks, shapes,
+                           results[slot * size:(slot + 1) * size],
+                           reward_fn)
+            for slot, index in enumerate(chosen)}
+
+
+def _rendered_disk_keys(accels: Sequence[AcceleratorConfig],
+                        entropies: Sequence[int], skeys: Sequence[tuple],
+                        mapping_style: EncodingStyle,
+                        shared: str) -> List[List[str]]:
+    """``content_digest(entropy, (accel, skey, mapping_style), shared)``
+    per candidate and shape key, rendering each accelerator and shape
+    key once per call rather than once per lookup."""
+    rendered = [repr(skey) for skey in skeys]
+    tail = f", {mapping_style!r}){DIGEST_SEPARATOR}{shared!r}"
+    digests = []
+    for accel, entropy in zip(accels, entropies):
+        head = f"{entropy!r}{DIGEST_SEPARATOR}({accel!r}, "
+        digests.append([text_digest(head + skey + tail)
+                        for skey in rendered])
+    return digests
 
 
 def _reduce(accel: AcceleratorConfig, networks: Sequence[Network],
@@ -265,7 +316,19 @@ class _CandidateTask:
     reward_fn: RewardFn
 
 
-@group_worker
+def _evaluate_held_candidates(tasks: List[_CandidateTask],
+                              cache: EvaluationCache,
+                              ) -> Dict[int, Evaluation]:
+    """:func:`_evaluate_candidates`' companion: the evaluations, by task
+    index, of the tasks whose every lookup ``cache`` already holds."""
+    first = tasks[0]
+    return _evaluate(
+        [task.accel for task in tasks], [task.entropy for task in tasks],
+        first.networks, first.cost_model, first.mapping_budget,
+        first.mapping_style, cache, first.reward_fn, held_only=True)
+
+
+@group_worker(held=_evaluate_held_candidates)
 def _evaluate_candidates(tasks: List[_CandidateTask],
                          cache: Optional[EvaluationCache],
                          ) -> List[Evaluation]:

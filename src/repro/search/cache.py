@@ -18,9 +18,14 @@ for the length of the run (see :func:`repro.search.transport.run_chunk`),
 and whoever builds a cache closes it (it is a context manager). The
 coordinator's is built and closed by its
 :class:`~repro.search.parallel.ParallelEvaluator`, unless the caller
-hands one in and keeps it. Workers send back only the counts a task
-group added, which the evaluator sums into its ``cache_stats``; a
-cache's own counters count only the lookups made through it.
+hands one in and keeps it. Before a generation is dispatched, the
+coordinator probes its cache with :meth:`EvaluationCache._holds`
+(which counts and reads nothing) and evaluates the candidates it fully
+holds itself, so a warm generation never leaves the coordinator.
+Workers send back only the counts a task group added, which the
+evaluator sums into its ``cache_stats``, with the coordinator's own
+lookups; a cache's own counters count only the lookups made through
+it.
 """
 
 from __future__ import annotations

@@ -24,7 +24,10 @@ two steps::
 
 ``shared`` is digested once per
 :func:`~repro.search.accelerator_search.evaluate_accelerators` call,
-so a lookup renders only its own entropy and key. Hashing ``repr``
+and each candidate's accelerator and entropy and each shape key are
+rendered once per call too, so a lookup only joins rendered text
+(:func:`text_digest`) into exactly what :func:`content_digest` would
+hash. Hashing ``repr``
 (like :func:`repro.utils.rng.derive_seed`) keeps the digest stable
 across processes and machines, unlike ``hash()`` under hash
 randomization. Including the budget and cost-model parameters means a
@@ -68,7 +71,9 @@ lock where available as belt-and-braces.
 No store or cache is ever pickled: a task group carries the cache
 directory, each worker process opens its own store on it with
 :func:`build_cache`, reads through to the entries every process has
-written, and appends what it computes to its own shard.
+written, and appends what it computes to its own shard. The
+coordinator opens one too, once per run: it serves the candidates
+whose records are all on disk before anything is dispatched.
 """
 
 from __future__ import annotations
@@ -192,6 +197,10 @@ def _parse_file(shard: Path, offset: int = 0,
         return _parse_shard(handle.fileno(), offset)
 
 
+#: What :func:`content_digest` joins the ``repr`` of its parts with.
+DIGEST_SEPARATOR = "\x1f"
+
+
 def content_digest(*parts: Any) -> str:
     """Stable content digest over ``repr`` of each part.
 
@@ -199,8 +208,18 @@ def content_digest(*parts: Any) -> str:
     deterministic across processes, machines, and interpreter restarts
     for the frozen-dataclass/tuple/enum values the search layers use.
     """
-    payload = "\x1f".join(repr(part) for part in parts)
-    return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
+    return text_digest(DIGEST_SEPARATOR.join(repr(part) for part in parts))
+
+
+def text_digest(text: str) -> str:
+    """The digest of an already rendered :func:`content_digest` text.
+
+    ``content_digest(*parts)`` is
+    ``text_digest(DIGEST_SEPARATOR.join(map(repr, parts)))``; a caller
+    digesting many keys that share parts can render each shared part
+    once and join the rest itself.
+    """
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 class DiskCacheStore:

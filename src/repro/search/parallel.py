@@ -19,10 +19,14 @@ those searches run on:
   members through an evaluator, stitch outcomes back to member slots in
   submission order, tell, record :class:`~repro.search.result.IterationStats`.
 - Caches never cross a process boundary. The coordinator's cache
-  belongs to its evaluator, which builds it on first inline use and
-  closes it, unless the caller hands one in (see
-  :class:`ParallelEvaluator`). Each worker process keeps its own cache
-  for the run, built from the small
+  belongs to its evaluator, which builds it on first use and closes
+  it, unless the caller hands one in (see :class:`ParallelEvaluator`).
+  It serves inline evaluation, salvage, and the payloads of a batch
+  about to be dispatched whose every lookup it already holds (the
+  worker's ``held`` companion, see
+  :func:`~repro.search.transport.group_worker`, evaluates them here),
+  so a fully warm generation never reaches the transport. Each worker
+  process keeps its own cache for the run, built from the small
   :class:`~repro.search.diskcache.CacheHandle` (run token and disk
   directory) every task group carries. A task group returns its
   results and the cache counts it added, which the evaluator sums into
@@ -173,15 +177,26 @@ class ParallelEvaluator:
     reference behavior every parallel path must reproduce
     bit-identically.
 
+    A batch that would be dispatched (``workers > 1``, or a remote
+    transport) is first served here as far as the coordinator's cache
+    holds it: when the cache can hold anything (a ``cache`` passed in,
+    or a ``cache_dir``) and the worker has a ``held`` companion, the
+    companion evaluates the payloads whose every lookup the cache
+    holds, and only the others are dispatched, after
+    ``transport.available()``. Results are stitched back in submission
+    order; content-derived seeds make a held result equal to a
+    dispatched one.
+
     The coordinator's cache has one owner, like the transport. A
     ``cache`` passed in belongs to the caller and is never closed here.
     Otherwise the evaluator builds one over ``cache_dir`` (in memory
-    when ``None``) the first time it evaluates inline, and
-    :meth:`close` closes it. Dispatched task groups carry that
+    when ``None``) the first time it evaluates inline or probes a
+    batch, and :meth:`close` closes it; an in-memory run that only
+    dispatches never builds it. Dispatched task groups carry that
     directory (a passed cache's store directory) in their
     :class:`~repro.search.diskcache.CacheHandle`, and
-    :attr:`cache_stats` counts every lookup this evaluator's task
-    groups made, inline or in a worker.
+    :attr:`cache_stats` counts every lookup this evaluator made, here
+    or in a worker.
 
     Dispatched task groups run on a
     :class:`~repro.search.transport.Transport`. With ``transport=None``
@@ -226,6 +241,10 @@ class ParallelEvaluator:
         self.cache = cache
         self._cache_dir = cache_dir
         self._own_cache: Optional[EvaluationCache] = None
+        #: Whether the coordinator's cache can hold anything this
+        #: evaluator did not put there: the caller's, or one over a
+        #: cache directory. Only then are held payloads worth probing.
+        self._cache_may_hold = cache is not None or cache_dir is not None
         if cache is not None:
             store = getattr(cache, "store", None)
             cache_dir = None if store is None else store.directory
@@ -264,39 +283,62 @@ class ParallelEvaluator:
     def __exit__(self, *_exc_info: Any) -> None:
         self.close()
 
-    def _dispatch_ready(self) -> bool:
-        """Should this batch fan out through the transport?
+    def _dispatching(self) -> bool:
+        """Would this batch fan out through the transport?
 
         A local transport is only worth dispatching to with more than
         one worker; a remote transport always is (its parallelism is
-        the connected fleet, whatever this process's ``workers``). A
-        transport that reports itself unavailable — no pool in this
-        sandbox, no fleet ever connected — degrades the evaluator to
-        inline for the rest of the run.
+        the connected fleet, whatever this process's ``workers``).
         """
         transport = self._transport
         if transport is None or transport.closed:
             return False
-        if not transport.remote and self.workers <= 1:
-            return False
-        if not transport.available():
-            self.workers = 1
-            self._transport = None
-            if transport is self._own_pool:
-                transport.close()
-            return False
-        return True
+        return transport.remote or self.workers > 1
 
-    def _run_inline(self, payloads: List[Any]) -> List[Any]:
-        """One task group's results, evaluated here against the
-        coordinator's cache, which is built on the first call."""
+    def _transport_available(self) -> bool:
+        """Can the transport take the batch now?
+
+        A transport that reports itself unavailable — no pool in this
+        sandbox, no fleet ever connected — degrades the evaluator to
+        inline for the rest of the run.
+        """
+        transport = self._transport
+        if transport.available():
+            return True
+        self.workers = 1
+        self._transport = None
+        if transport is self._own_pool:
+            transport.close()
+        return False
+
+    def _on_own_cache(self, evaluate: Callable[[EvaluationCache], Any],
+                      ) -> Any:
+        """``evaluate(cache)`` against the coordinator's cache, which is
+        built on the first call; its lookups join :attr:`cache_stats`."""
         if self.cache is None:
             # repro: owner(ParallelEvaluator.close)
             self.cache = self._own_cache = build_cache(self._cache_dir)
         before = self.cache.stats()
-        results = run_group(self.worker_fn, payloads, self.cache)
+        outcome = evaluate(self.cache)
         self.cache_stats += self.cache.stats() - before
-        return results
+        return outcome
+
+    def _run_inline(self, payloads: List[Any]) -> List[Any]:
+        """One task group's results, evaluated here against the
+        coordinator's cache."""
+        return self._on_own_cache(
+            lambda cache: run_group(self.worker_fn, payloads, cache))
+
+    def _serve_held(self, payloads: List[Any]) -> Dict[int, Any]:
+        """The results, by index, of the payloads the coordinator's
+        cache fully holds, evaluated here by the worker's companion
+        (see :func:`~repro.search.transport.group_worker`). Nothing is
+        probed when the worker has no companion or the cache can hold
+        nothing yet."""
+        held = getattr(self.worker_fn, "held", None)
+        if held is None or not self._cache_may_hold:
+            return {}
+        return self._on_own_cache(lambda cache: held(payloads, cache))
 
     def _group_results(self, future: Future, size: int) -> List[Any]:
         """A landed group's results; its cache counts join the run's.
@@ -304,19 +346,20 @@ class ParallelEvaluator:
         Called on the coordinator thread only, for futures known to be
         done (``timeout=0`` turns a broken guarantee into an error). An
         outcome that is not ``(results, counts)`` with one result per
-        payload came from a broken or foreign peer: it would shift every
+        payload and :class:`~repro.search.result.CacheStats` counts came
+        from a broken or foreign peer: it would shift every
         later result onto the wrong candidate, so it is a transport
         failure, salvaged like a lost group.
         """
         outcome = future.result(timeout=0)
         if not (isinstance(outcome, tuple) and len(outcome) == 2
                 and isinstance(outcome[0], list)
-                and len(outcome[0]) == size):
+                and len(outcome[0]) == size
+                and isinstance(outcome[1], CacheStats)):
             raise ProtocolError(
                 f"malformed outcome for a task group of {size} payloads")
         results, counts = outcome
-        if counts is not None:
-            self.cache_stats += counts
+        self.cache_stats += counts
         return results
 
     def _wait_any(self, pending: set) -> Tuple[set, set]:
@@ -341,14 +384,29 @@ class ParallelEvaluator:
             transport.shutdown_broken()
 
     def evaluate(self, payloads: Sequence[Any]) -> List[Any]:
-        """Evaluate a generation, returning results in submission order."""
+        """Evaluate a generation, returning results in submission order.
+
+        A batch that would be dispatched is first served from the
+        coordinator's cache as far as it holds it; only the remainder
+        reaches the transport.
+        """
         payloads = list(payloads)
         if not payloads:
             return []
-        if not self._dispatch_ready():
+        if not self._dispatching():
             return self._run_inline(payloads)
-        groups = self._dispatch(self._task_groups(payloads))
-        return [result for group in groups for result in group]
+        served = self._serve_held(payloads)
+        rest = [payload for index, payload in enumerate(payloads)
+                if index not in served]
+        results: List[Any] = []
+        if rest and self._transport_available():
+            groups = self._dispatch(self._task_groups(rest))
+            results = [result for group in groups for result in group]
+        elif rest:
+            results = self._run_inline(rest)
+        cursor = iter(results)
+        return [served[index] if index in served else next(cursor)
+                for index in range(len(payloads))]
 
     def _task_groups(self, payloads: List[Any]) -> List[List[Any]]:
         """One contiguous chunk per worker slot (per connected worker)."""

@@ -54,9 +54,10 @@ TCP only the run token travels, and the worker caches over its own
 ``--cache-dir``). A group returns its results and the cache counts it
 added, which the coordinator's evaluator sums into its
 ``cache_stats``; the coordinator's own cache is the evaluator's (see
-:mod:`repro.search.parallel`) and serves only inline evaluation and
-salvage. Every evaluation is seeded from
-content digests, so cache state can change only cost, never results.
+:mod:`repro.search.parallel`) and serves inline evaluation, salvage
+and the payloads it already holds, which are never submitted. Every
+evaluation is seeded from content digests, so cache state can change
+only cost, never results.
 
 Failure model
 -------------
@@ -86,7 +87,16 @@ import struct
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import SearchError, TransportError
 from repro.search.cache import EvaluationCache
@@ -100,6 +110,11 @@ logger = get_logger(__name__)
 #: a :func:`group_worker` maps ``(payloads, cache-or-None)`` to one
 #: result per payload. :func:`run_group` calls either kind.
 WorkerFn = Callable[[Any, Optional[EvaluationCache]], Any]
+#: The group form: ``(payloads, cache-or-None)`` to one result each.
+GroupFn = Callable[[List[Any], Optional[EvaluationCache]], List[Any]]
+#: A group worker's companion: ``(payloads, cache)`` to the results of
+#: the payloads the cache fully holds, keyed by payload index.
+HeldFn = Callable[[List[Any], EvaluationCache], Dict[int, Any]]
 
 #: Bumped on any incompatible change to framing, header or body semantics
 #: (v4: a job body's worker may be a group worker, called once per job).
@@ -358,7 +373,7 @@ class Transport:
         raise NotImplementedError
 
     def submit(self, worker_fn: WorkerFn, payloads: Sequence[Any],
-               cache: Optional[CacheHandle]) -> Future:
+               cache: CacheHandle) -> Future:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -380,8 +395,9 @@ class Transport:
 _pool_worker_cache = RunCache()
 
 
-def group_worker(worker_fn: Callable[[List[Any], Optional[EvaluationCache]],
-                                     List[Any]]) -> WorkerFn:
+def group_worker(worker_fn: Optional[GroupFn] = None, *,
+                 held: Optional[HeldFn] = None,
+                 ) -> Union[WorkerFn, Callable[[GroupFn], WorkerFn]]:
     """Mark ``worker_fn`` as evaluating a whole task group in one call.
 
     A group worker takes ``(payloads, cache)`` and returns one result
@@ -389,9 +405,22 @@ def group_worker(worker_fn: Callable[[List[Any], Optional[EvaluationCache]],
     NAAS candidates of a group run one lockstep mapping search). The
     mark is a function attribute, so it travels with the function's
     qualified name to pool and TCP workers.
+
+    ``held`` is the worker's optional companion: given a generation's
+    payloads and a cache, it evaluates the payloads whose every lookup
+    the cache already holds and returns their results by payload index,
+    leaving the rest alone. Before dispatching a generation the
+    coordinator's :class:`~repro.search.parallel.ParallelEvaluator`
+    serves those payloads itself, so a warm generation never reaches
+    the transport. Used bare (``@group_worker``) or with the companion
+    (``@group_worker(held=...)``).
     """
-    worker_fn.takes_group = True
-    return worker_fn
+    def mark(fn: GroupFn) -> WorkerFn:
+        fn.takes_group = True
+        fn.held = held
+        return fn
+
+    return mark if worker_fn is None else mark(worker_fn)
 
 
 def run_group(worker_fn: WorkerFn, payloads: Sequence[Any],
@@ -410,9 +439,8 @@ def run_group(worker_fn: WorkerFn, payloads: Sequence[Any],
 
 
 def run_chunk(worker_fn: WorkerFn, payloads: Sequence[Any],
-              handle: Optional[CacheHandle],
-              run_cache: Optional[RunCache] = None,
-              ) -> Tuple[List[Any], Optional[CacheStats]]:
+              handle: CacheHandle, run_cache: Optional[RunCache] = None,
+              ) -> Tuple[List[Any], CacheStats]:
     """Evaluate one task group; ``(results, cache counts)``.
 
     The group runs against ``run_cache``'s cache for the handle's run
@@ -420,8 +448,6 @@ def run_chunk(worker_fn: WorkerFn, payloads: Sequence[Any],
     added to that cache. The single execution contract every transport
     (process pool, TCP worker) fulfills.
     """
-    if handle is None:
-        return run_group(worker_fn, payloads, None), None
     cache = (run_cache or _pool_worker_cache).get(handle)
     before = cache.stats()
     results = run_group(worker_fn, payloads, cache)
@@ -457,7 +483,7 @@ class LocalTransport(Transport):
         return max(1, self.workers)
 
     def submit(self, worker_fn: WorkerFn, payloads: Sequence[Any],
-               cache: Optional[CacheHandle]) -> Future:
+               cache: CacheHandle) -> Future:
         executor = self._ensure_executor()
         if executor is None:
             raise TransportUnavailable("process pool unavailable")
@@ -623,7 +649,7 @@ class TcpTransport(Transport):
         return self.connected_workers()
 
     def submit(self, worker_fn: WorkerFn, payloads: Sequence[Any],
-               cache: Optional[CacheHandle]) -> Future:
+               cache: CacheHandle) -> Future:
         if self._closed:
             raise TransportUnavailable("transport is closed")
         if self._ever_connected.is_set() and self.connected_workers() == 0:
@@ -636,7 +662,7 @@ class TcpTransport(Transport):
         # Only the run token travels: workers cache over their own dirs.
         header = {"job": job_id, "digest": body_digest(body),
                   "context": job_context(payloads),
-                  "cache": None if cache is None else cache.token}
+                  "cache": cache.token}
         job = _Job(job_id=job_id, header=header, body=body, future=Future())
         self._queue.put(job)
         # Re-check AFTER the put: the last pump thread may have drained
@@ -1092,9 +1118,9 @@ def _serve_job(sock: socket.socket, send_lock: threading.Lock,
                     lock=send_lock)
         stats.failures += 1
         return
-    # The run's cache lives under this worker's own directory.
-    handle = header.get("cache") and CacheHandle(header["cache"], cache_dir)
     try:
+        # The run's cache lives under this worker's own directory.
+        handle = CacheHandle(header["cache"], cache_dir)
         outcome = run_chunk(worker_fn, payloads, handle, run_cache)
     except Exception as exc:
         try:

@@ -11,14 +11,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.accelerator.presets import baseline_preset
+from repro.accelerator.presets import BASELINE_PRESETS, baseline_preset
 from repro.cost.config import CostParams
 from repro.cost.model import CostModel
 from repro.cost.report import LayerCost
 from repro.encoding.spaces import EncodingStyle
 from repro.mapping.mapping import Mapping
+from repro.models import build_model
 from repro.search.accelerator_search import (
+    CACHE_FORMAT,
     NAASBudget,
+    _rendered_disk_keys,
     evaluate_accelerator,
     search_accelerator,
 )
@@ -173,6 +176,25 @@ class TestContentDigest:
     def test_cost_params_participate(self):
         assert content_digest(CostParams()) != \
             content_digest(CostParams(dram_pj_per_byte=1.0))
+
+    @pytest.mark.parametrize("style", list(EncodingStyle))
+    def test_rendered_disk_keys_are_content_digests(self, style):
+        """The disk keys an evaluation renders once per accelerator and
+        shape equal ``content_digest`` over each whole lookup."""
+        shapes = [shape_key(layer) for layer, _ in
+                  build_model("mobilenet_v2").unique_shapes()]
+        lookups = [(accel, entropy)
+                   for accel in BASELINE_PRESETS.values()
+                   for entropy in (0, 1, seed_entropy(2021), 2 ** 127 + 5)]
+        shared = content_digest(CACHE_FORMAT, MappingSearchBudget(),
+                                CostParams())
+        rendered = _rendered_disk_keys(
+            [accel for accel, _ in lookups],
+            [entropy for _, entropy in lookups], shapes, style, shared)
+        assert rendered == [
+            [content_digest(entropy, (accel, skey, style), shared)
+             for skey in shapes]
+            for accel, entropy in lookups]
 
 
 class TestDiskCacheStore:

@@ -15,6 +15,7 @@ from repro.cost.model import CostModel
 from repro.errors import SearchError
 from repro.experiments.common import tuned_baseline_costs
 from repro.models import mobile_benchmark_set
+from repro.search.cache import EvaluationCache
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import ParallelEvaluator, split_chunks
 from repro.search.transport import (
@@ -44,6 +45,18 @@ _squares.calls = []
 @group_worker
 def _short(payloads, cache):
     return payloads[1:]
+
+
+def _held_squares(payloads, cache):
+    """The companion of :func:`_squares_served_here`."""
+    return {index: _square(payload, cache)
+            for index, payload in enumerate(payloads)
+            if cache._holds(payload, None)}
+
+
+@group_worker(held=_held_squares)
+def _squares_served_here(payloads, cache):
+    return [_square(payload, cache) for payload in payloads]
 
 
 class RecordingTransport(Transport):
@@ -161,3 +174,44 @@ class TestGroupWorkers:
                     [network.name] for network in networks]
         assert fanned == tuned_baseline_costs(
             "eyeriss", networks, CostModel(), budget, seed=0, workers=1)
+
+
+class TestHeldPayloads:
+    """A companion's payloads are served by the coordinator; only the
+    rest is dispatched, and results keep submission order."""
+
+    PAYLOADS = [7, 3, 9, 1, 5, 4]
+
+    def test_held_payloads_never_reach_the_transport(self):
+        cache = EvaluationCache()
+        for payload in (3, 9, 4):
+            cache.get_or_compute(payload, lambda: payload * payload)
+        transport = RecordingTransport(slots=2, remote=True)
+        evaluator = ParallelEvaluator(_squares_served_here, workers=1,
+                                      cache=cache, transport=transport)
+        assert evaluator.evaluate(self.PAYLOADS) == [
+            p * p for p in self.PAYLOADS]
+        assert transport.groups == [[7, 1], [5]]
+        stats = evaluator.cache_stats
+        assert (stats.hits, stats.misses) == (3, 3)
+
+    def test_a_fully_held_batch_asks_no_transport(self):
+        cache = EvaluationCache()
+        for payload in self.PAYLOADS:
+            cache.get_or_compute(payload, lambda: payload * payload)
+        transport = RecordingTransport(slots=2, remote=True)
+        transport.available = None  # must not be called
+        evaluator = ParallelEvaluator(_squares_served_here, workers=1,
+                                      cache=cache, transport=transport)
+        assert evaluator.evaluate(self.PAYLOADS) == [
+            p * p for p in self.PAYLOADS]
+        assert transport.groups == []
+
+    def test_no_cache_that_could_hold_anything_no_probe(self):
+        transport = RecordingTransport(slots=2, remote=True)
+        evaluator = ParallelEvaluator(_squares_served_here, workers=1,
+                                      transport=transport)
+        assert evaluator.evaluate(self.PAYLOADS) == [
+            p * p for p in self.PAYLOADS]
+        assert transport.groups == split_chunks(self.PAYLOADS, 2)
+        assert evaluator.cache is None

@@ -1,6 +1,8 @@
 """Tests for the batched parallel evaluation engine."""
 
+import dataclasses
 import os
+import time
 
 import pytest
 
@@ -11,11 +13,13 @@ from repro.search.accelerator_search import NAASBudget, search_accelerator
 from repro.search.cache import EvaluationCache
 from repro.search.diskcache import DiskCacheStore
 from repro.search.mapping_search import MappingSearchBudget
+from repro.search import parallel as parallel_module
 from repro.search.parallel import (
     ParallelEvaluator,
     resolve_workers,
     split_chunks,
 )
+from repro.search.transport import LocalTransport, TcpTransport
 from repro.tensors.layer import ConvLayer
 from repro.tensors.network import Network
 
@@ -155,32 +159,147 @@ _TINY_NETWORK = Network(name="tiny", layers=(
 ))
 
 
+_BUDGET = NAASBudget(accel_population=4, accel_iterations=2,
+                     mapping=MappingSearchBudget(population=4, iterations=2))
+
+
+def _search(workers, cache_dir=None, transport=None, budget=_BUDGET):
+    return search_accelerator(
+        [_TINY_NETWORK], baseline_constraint("nvdla_256"), CostModel(),
+        budget=budget, seed=41, workers=workers, cache_dir=cache_dir,
+        transport=transport)
+
+
+def _lookups(result):
+    return result.cache_stats.hits + result.cache_stats.misses
+
+
+class RecordingPool(LocalTransport):
+    """The process pool, recording the payloads of every submit."""
+
+    def __init__(self, workers=2):
+        super().__init__(workers)
+        self.submitted = []
+
+    def submit(self, worker_fn, payloads, cache):
+        self.submitted.append(list(payloads))
+        return super().submit(worker_fn, payloads, cache)
+
+
+def _record_opens(monkeypatch):
+    """The directories stores are opened on in this process."""
+    opened = []
+    init = DiskCacheStore.__init__
+    pid = os.getpid()
+
+    def recording_init(self, directory):
+        if os.getpid() == pid:
+            opened.append(str(directory))
+        init(self, directory)
+
+    monkeypatch.setattr(DiskCacheStore, "__init__", recording_init)
+    return opened
+
+
 class TestCoordinatorCache:
-    def test_warm_pooled_search_opens_no_store_here(self, tmp_path,
-                                                    monkeypatch):
-        """At workers=2 only the pool workers read the disk tier; the
-        coordinator, which evaluates nothing inline, opens no store."""
-        budget = NAASBudget(accel_population=4, accel_iterations=2,
-                            mapping=MappingSearchBudget(population=4,
-                                                        iterations=2))
+    """A batch that would be dispatched is first served from the
+    coordinator's cache; only the rest reaches the transport."""
 
-        def search(workers):
-            return search_accelerator(
-                [_TINY_NETWORK], baseline_constraint("nvdla_256"),
-                CostModel(), budget=budget, seed=41, workers=workers,
-                cache_dir=str(tmp_path / "cache"))
+    def test_warm_pooled_search_is_served_here(self, tmp_path,
+                                               monkeypatch):
+        """A fully warm pooled search opens the store once, here, and
+        submits nothing."""
+        cache_dir = str(tmp_path / "cache")
+        cold = _search(workers=1, cache_dir=cache_dir)
+        opened = _record_opens(monkeypatch)
+        with RecordingPool() as pool:
+            warm = _search(workers=2, cache_dir=cache_dir, transport=pool)
+        assert opened == [cache_dir]
+        assert pool.submitted == []
+        assert warm == cold
+        stats = warm.cache_stats
+        assert stats.disk_hits == stats.hits + stats.misses > 0
 
-        cold = search(workers=1)
-        opened = []
-        init = DiskCacheStore.__init__
+    def test_partly_warm_search_dispatches_only_the_rest(self, tmp_path):
+        """A fill of generation 0 serves it here; generation 1 goes to
+        the pool, and the run still matches a cold serial run."""
+        cache_dir = str(tmp_path / "cache")
+        fill = _search(workers=1, cache_dir=cache_dir, budget=(
+            dataclasses.replace(_BUDGET, accel_iterations=1)))
+        cold = _search(workers=1)
+        with RecordingPool() as pool:
+            warm = _search(workers=2, cache_dir=cache_dir, transport=pool)
+        assert warm == cold
+        dispatched = [task.accel.name for group in pool.submitted
+                      for task in group]
+        assert dispatched
+        assert all(name.startswith("naas-g1m") for name in dispatched)
+        assert len(dispatched) == cold.evaluations - fill.evaluations
+        assert _lookups(warm) == _lookups(cold)
+        assert warm.cache_stats.disk_hits >= _lookups(fill) > 0
 
-        def counting_init(self, directory):
-            opened.append(directory)
-            init(self, directory)
+    def test_a_record_that_vanishes_after_the_probe_is_computed(
+            self, tmp_path, monkeypatch):
+        """The probe saw a record the lookup then cannot read: the
+        coordinator computes that shape, and the result holds."""
+        cache_dir = str(tmp_path / "cache")
+        cold = _search(workers=1, cache_dir=cache_dir)
+        get = DiskCacheStore.get
+        lost = []
 
-        monkeypatch.setattr(DiskCacheStore, "__init__", counting_init)
-        warm = search(workers=2)
-        assert opened == []
+        def lose_first_read(self, digest):
+            if not lost:
+                lost.append(digest)
+                return False, None
+            return get(self, digest)
+
+        monkeypatch.setattr(DiskCacheStore, "get", lose_first_read)
+        with RecordingPool() as pool:
+            warm = _search(workers=2, cache_dir=cache_dir, transport=pool)
+        assert lost
+        assert pool.submitted == []
+        assert warm == cold
+        stats = warm.cache_stats
+        assert stats.misses == 1
+        assert stats.disk_hits == stats.hits == _lookups(cold) - 1
+
+    def test_in_memory_pooled_search_probes_nothing(self, monkeypatch):
+        """Without a cache directory the coordinator's cache could hold
+        nothing: it is not built, and no candidate is probed."""
+        built, probed = [], []
+        build = parallel_module.build_cache
+        holds = EvaluationCache._holds
+        pid = os.getpid()
+
+        def recording_build(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        def recording_holds(self, key, disk_key):
+            if os.getpid() == pid:
+                probed.append(key)
+            return holds(self, key, disk_key)
+
+        monkeypatch.setattr(parallel_module, "build_cache", recording_build)
+        monkeypatch.setattr(EvaluationCache, "_holds", recording_holds)
+        with RecordingPool() as pool:
+            pooled = _search(workers=2, transport=pool)
+        assert built == probed == []
+        assert pool.submitted
+        assert pooled == _search(workers=1)
+
+    def test_warm_tcp_search_needs_no_fleet(self, tmp_path):
+        """Fully warm over TCP with no worker ever connected: served
+        here, without waiting out the connect timeout."""
+        cache_dir = str(tmp_path / "cache")
+        cold = _search(workers=1, cache_dir=cache_dir)
+        with TcpTransport(bind="127.0.0.1:0",
+                          connect_timeout=30.0) as transport:
+            start = time.monotonic()
+            warm = _search(workers=1, cache_dir=cache_dir,
+                           transport=transport)
+            elapsed = time.monotonic() - start
+        assert elapsed < 10.0
         assert warm == cold
         stats = warm.cache_stats
         assert stats.disk_hits == stats.hits + stats.misses > 0

@@ -30,10 +30,16 @@ from repro.errors import EvaluationTimeout, TransportError
 from repro.nas.search import NASBudget
 from repro.search.accelerator_search import NAASBudget, search_accelerator
 from repro.search.cache import EvaluationCache
-from repro.search.diskcache import DiskCacheStore, RunCache, build_cache
+from repro.search.diskcache import (
+    CacheHandle,
+    DiskCacheStore,
+    RunCache,
+    build_cache,
+)
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import ParallelEvaluator
 from repro.search.pareto import sweep_accuracy_frontier
+from repro.search.result import CacheStats
 from repro.search import transport as transport_module
 from repro.search.transport import (
     HEARTBEAT,
@@ -420,6 +426,10 @@ class TestProtocolRejections:
                 raise future.exception(timeout=10.0)
 
 
+#: What a raw test peer reports for a group that looked nothing up.
+_NO_LOOKUPS = CacheStats(hits=0, misses=0, disk_hits=0)
+
+
 class TestDuplicateResults:
     def test_duplicate_result_frames_are_dropped(self):
         transport = TcpTransport(bind="127.0.0.1:0", connect_timeout=10.0,
@@ -434,7 +444,7 @@ class TestDuplicateResults:
                         return
                     job_id = frame[1]["job"]
                     _fn, payloads = pickle.loads(frame[2])
-                    outcome = ([p * p for p in payloads], None)
+                    outcome = ([p * p for p in payloads], _NO_LOOKUPS)
                     body = pickle.dumps(outcome)
                     # An answer for a job nobody asked about, the real
                     # answer, then the real answer again.
@@ -465,10 +475,11 @@ class TestMalformedOutcomes:
     inline, never returned as a misaligned generation."""
 
     @pytest.mark.parametrize("answer", [
-        lambda squares: (squares[:-1], None),
-        lambda squares: (squares + [-1], None),
+        lambda squares: (squares[:-1], _NO_LOOKUPS),
+        lambda squares: (squares + [-1], _NO_LOOKUPS),
+        lambda squares: (squares, None),
         lambda squares: squares,
-    ], ids=["short", "long", "non_tuple"])
+    ], ids=["short", "long", "no_counts", "non_tuple"])
     def test_malformed_result_is_recomputed_inline(self, answer):
         transport = TcpTransport(bind="127.0.0.1:0", connect_timeout=10.0,
                                  heartbeat_grace=10.0)
@@ -762,7 +773,7 @@ class TestSharedTransportOwnership:
             while (transport.connected_workers()
                    and time.monotonic() < deadline):
                 time.sleep(0.02)
-            future = transport.submit(_square, [3], None)
+            future = transport.submit(_square, [3], CacheHandle("race"))
             with pytest.raises(TransportError):
                 future.result(timeout=5.0)
         except TransportError:
@@ -894,6 +905,8 @@ class RecordingLocalTransport(LocalTransport):
 
 class TestNothingCacheShapedIsShipped:
     def test_pool_runs_ship_handles_and_sum_counts(self, tmp_path):
+        """The cold run ships handles and sums its workers' counts; the
+        warm rerun is served by the coordinator and ships nothing."""
         cache_dir = str(tmp_path / "cache")
         serial = _isolation_search(0, workers=1)
         lookups = serial.cache_stats.hits + serial.cache_stats.misses
@@ -901,15 +914,17 @@ class TestNothingCacheShapedIsShipped:
         try:
             cold = _isolation_search(0, workers=2, transport=transport,
                                      cache_dir=cache_dir)
+            shipped = list(transport.handles)
             warm = _isolation_search(0, workers=2, transport=transport,
                                      cache_dir=cache_dir)
         finally:
             transport.close()
         assert cold == warm == serial
+        assert transport.handles == shipped
         assert transport.handles
         assert {handle.directory for handle in transport.handles} == {
             cache_dir}
-        assert len({handle.token for handle in transport.handles}) == 2
+        assert len({handle.token for handle in transport.handles}) == 1
         assert cold.cache_stats.hits + cold.cache_stats.misses == lookups
         stats = warm.cache_stats
         assert stats.disk_hits == stats.hits + stats.misses == lookups
