@@ -31,7 +31,6 @@ _HINT = (
 # Constructor names (bare or attribute tail) that yield resources
 # needing a closing owner.
 _CONSTRUCTORS = {
-    "TcpTransport",
     "LocalTransport",
     "ProcessPoolExecutor",
     "ThreadPoolExecutor",

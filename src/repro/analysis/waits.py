@@ -8,9 +8,6 @@ shapes that can reproduce that class of bug in the dispatch layer:
 * ``<future>.result()`` with neither a positional nor ``timeout=`` arg
 * ``wait(fs)`` / ``<event>.wait()`` without a timeout
 * ``<queue>.get()`` with no arguments at all
-* ``<sock>.recv(...)`` / ``<sock>.accept()`` in a function that never
-  calls ``settimeout`` and is not guarded by a ``socket.timeout`` /
-  ``TimeoutError`` handler
 """
 
 from __future__ import annotations
@@ -36,10 +33,6 @@ class _Visitor(ast.NodeVisitor):
     def __init__(self, source: SourceFile) -> None:
         self.source = source
         self.findings: List[Finding] = []
-        # Per enclosing function: does it ever call settimeout()?
-        self._settimeout_stack: List[bool] = []
-        # Enclosing try blocks whose handlers catch timeouts.
-        self._timeout_guard_depth = 0
 
     # -- helpers -------------------------------------------------------
 
@@ -53,47 +46,6 @@ class _Visitor(ast.NodeVisitor):
                 _HINT,
             )
         )
-
-    @staticmethod
-    def _catches_timeout(handler: ast.ExceptHandler) -> bool:
-        def matches(expr: ast.expr) -> bool:
-            if isinstance(expr, ast.Name):
-                return expr.id in ("TimeoutError", "OSError", "Exception")
-            if isinstance(expr, ast.Attribute):
-                return expr.attr in ("timeout", "TimeoutError")
-            if isinstance(expr, ast.Tuple):
-                return any(matches(el) for el in expr.elts)
-            return False
-
-        return handler.type is None or matches(handler.type)
-
-    # -- scope tracking ------------------------------------------------
-
-    def _visit_function(self, node: ast.AST) -> None:
-        calls_settimeout = any(
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr == "settimeout"
-            for sub in ast.walk(node)
-        )
-        self._settimeout_stack.append(calls_settimeout)
-        self.generic_visit(node)
-        self._settimeout_stack.pop()
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def visit_Try(self, node: ast.Try) -> None:
-        guarded = any(self._catches_timeout(h) for h in node.handlers)
-        if guarded:
-            self._timeout_guard_depth += 1
-        for child in node.body:
-            self.visit(child)
-        if guarded:
-            self._timeout_guard_depth -= 1
-        for part in (node.handlers, node.orelse, node.finalbody):
-            for child in part:
-                self.visit(child)
 
     # -- the rule ------------------------------------------------------
 
@@ -112,17 +64,10 @@ class _Visitor(ast.NodeVisitor):
                 self._flag(node, ".wait() without a timeout")
             elif name == "get" and not node.args and not node.keywords:
                 self._flag(node, ".get() without a timeout")
-            elif name in ("recv", "accept") and not self._socket_bounded():
-                self._flag(node, f"socket .{name}() with no deadline")
         elif isinstance(func, ast.Name) and func.id == "wait":
             # concurrent.futures.wait(fs, timeout=..., return_when=...)
             if len(node.args) < 2 and not _has_timeout_kwarg(node):
                 self._flag(node, "futures wait() without a timeout")
-
-    def _socket_bounded(self) -> bool:
-        if self._timeout_guard_depth > 0:
-            return True
-        return bool(self._settimeout_stack) and self._settimeout_stack[-1]
 
 
 def check(source: SourceFile) -> List[Finding]:

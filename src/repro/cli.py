@@ -14,10 +14,6 @@ Commands
 ``experiment``
     Run one of the paper's experiments (fig4..table4) and print its
     table and claim checklist.
-``worker``
-    Serve evaluations to a coordinator over the TCP transport
-    (``repro worker --connect HOST:PORT``); pair with ``search``/
-    ``experiment`` runs started with ``--transport tcp``.
 ``cache``
     Maintain a persistent evaluation-cache directory: ``cache stats``
     reports shard/record/byte counts, ``cache compact`` rewrites live
@@ -26,9 +22,9 @@ Commands
     appended to for that long.
 ``lint``
     Run the static invariant checkers over the tree (``repro lint
-    [paths]``, default ``src tests``): unbounded-wait, lock-discipline,
-    determinism, resource-ownership, cache-key completeness, and
-    quote/line-length format conformance. Exit 1 on findings.
+    [paths]``, default ``src tests``): unbounded-wait, determinism,
+    resource-ownership, cache-key completeness, and quote/line-length
+    format conformance. Exit 1 on findings.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional
 
@@ -56,8 +51,6 @@ from repro.search.diskcache import (
     directory_stats,
     prune_directory,
 )
-from repro.errors import TransportError
-from repro.search.transport import TcpTransport, run_worker
 from repro.utils.serialization import to_jsonable
 from repro.utils.tables import render_table
 
@@ -99,8 +92,6 @@ def _positive_float(flag: str):
 
 
 _eval_timeout_seconds = _positive_float("--eval-timeout")
-_retry_seconds = _positive_float("--retry")
-_heartbeat_seconds = _positive_float("--heartbeat")
 _older_than_days = _positive_float("--older-than")
 
 
@@ -109,9 +100,7 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
 
     Every combination of them returns bit-identical search results;
     they only trade wall-clock and cache traffic (see
-    :mod:`repro.search.parallel`). ``--transport tcp --workers-addr``
-    becomes a :class:`~repro.search.transport.TcpTransport` here, owned
-    by the command for its whole run; the library takes the instance.
+    :mod:`repro.search.parallel`).
     """
     parser.add_argument("--workers", type=_workers_count, default=1,
                         help="parallel evaluation processes; 0 means "
@@ -123,18 +112,6 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
                              "processes; a repeated run with the same "
                              "seed reuses every mapping-search result "
                              "and returns bit-identical designs")
-    parser.add_argument("--transport", choices=("local", "tcp"),
-                        default="local",
-                        help="where dispatched evaluations run: 'local' "
-                             "(in-process worker pool, default) or "
-                             "'tcp' (bind --workers-addr and fan out "
-                             "to connected 'repro worker' processes; "
-                             "results stay bit-identical "
-                             "whichever host completes what)")
-    parser.add_argument("--workers-addr", default=None, metavar="HOST:PORT",
-                        help="with --transport tcp: the address this "
-                             "coordinator binds; point each "
-                             "'repro worker --connect' at it")
     parser.add_argument("--eval-timeout", type=_eval_timeout_seconds,
                         default=None, metavar="SECONDS",
                         help="per dispatched evaluation: if nothing "
@@ -142,20 +119,6 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
                              "stuck work is salvaged and re-evaluated "
                              "inline, so a hung worker cannot stall "
                              "the search (default: wait indefinitely)")
-
-
-def _validate_execution_args(parser: argparse.ArgumentParser,
-                             args: argparse.Namespace) -> None:
-    """Cross-flag validation argparse cannot express declaratively."""
-    if (getattr(args, "transport", "local") == "tcp"
-            and not getattr(args, "workers_addr", None)):
-        parser.error(
-            "--transport tcp needs --workers-addr HOST:PORT to bind "
-            "(workers connect to it with 'repro worker --connect')")
-    if (getattr(args, "workers_addr", None)
-            and getattr(args, "transport", "local") != "tcp"):
-        parser.error(
-            "--workers-addr is only meaningful with --transport tcp")
 
 
 def _cmd_models(_args: argparse.Namespace) -> int:
@@ -223,13 +186,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         network, preset,
         lambda layer: dataflow_preserving_mapping(layer, preset))
 
-    with (TcpTransport(bind=args.workers_addr) if args.transport == "tcp"
-          else nullcontext()) as transport:
-        result = search_accelerator(
-            [network], baseline_constraint(args.preset), cost_model,
-            budget=profile.naas, seed=args.seed, seed_configs=[preset],
-            workers=args.workers, cache_dir=args.cache_dir,
-            transport=transport, eval_timeout=args.eval_timeout)
+    result = search_accelerator(
+        [network], baseline_constraint(args.preset), cost_model,
+        budget=profile.naas, seed=args.seed, seed_configs=[preset],
+        workers=args.workers, cache_dir=args.cache_dir,
+        eval_timeout=args.eval_timeout)
     if not result.found:
         print("search found no valid design", file=sys.stderr)
         return 1
@@ -262,31 +223,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    # One transport for the whole experiment: its searches run back to
-    # back on the same bound address and connected worker fleet.
-    with (TcpTransport(bind=args.workers_addr) if args.transport == "tcp"
-          else nullcontext()) as transport:
-        result = run_experiment(
-            args.name, profile=args.profile, seed=args.seed,
-            workers=args.workers, cache_dir=args.cache_dir,
-            transport=transport, eval_timeout=args.eval_timeout)
+    result = run_experiment(
+        args.name, profile=args.profile, seed=args.seed,
+        workers=args.workers, cache_dir=args.cache_dir,
+        eval_timeout=args.eval_timeout)
     print(result.render())
     return 0 if result.all_claims_hold else 1
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    try:
-        stats = run_worker(args.connect, cache_dir=args.cache_dir,
-                           retry_for=args.retry,
-                           heartbeat_interval=args.heartbeat,
-                           install_signal_handlers=True)
-    except TransportError as exc:
-        print(f"worker error: {exc}", file=sys.stderr)
-        return 1
-    drained = " (drained)" if stats.drained else ""
-    print(f"worker exiting{drained}: {stats.jobs} jobs served, "
-          f"{stats.failures} failed")
-    return 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -363,27 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--seed", type=int, default=0)
     _add_execution_args(experiment)
 
-    worker = sub.add_parser(
-        "worker",
-        help="serve evaluations to a '--transport tcp' coordinator")
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="the coordinator's --workers-addr")
-    worker.add_argument("--cache-dir", default=None,
-                        help="this worker's own persistent cache "
-                             "directory (per-host; evaluations read "
-                             "through to it and append what they "
-                             "compute)")
-    worker.add_argument("--retry", type=_retry_seconds, default=30.0,
-                        metavar="SECONDS",
-                        help="keep retrying the initial connection for "
-                             "this long, so workers and coordinator "
-                             "can start in any order (default 30)")
-    worker.add_argument("--heartbeat", type=_heartbeat_seconds, default=5.0,
-                        metavar="SECONDS",
-                        help="heartbeat interval; the coordinator "
-                             "reaps a worker silent for several "
-                             "intervals (default 5)")
-
     cache = sub.add_parser("cache",
                            help="inspect or maintain a persistent "
                                 "evaluation cache")
@@ -405,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the static invariant checkers (unbounded-wait, "
-             "lock-discipline, determinism, resource-ownership, "
-             "cache-key, format)")
+             "determinism, resource-ownership, cache-key, format)")
     lint.add_argument("paths", nargs="*", default=["src", "tests"],
                       help="files or directories to lint "
                            "(default: src tests)")
@@ -417,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate_execution_args(parser, args)
     if args.command == "cache":
         if args.action == "prune" and args.older_than is None:
             parser.error("cache prune requires --older-than DAYS")
@@ -430,7 +349,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "evaluate": _cmd_evaluate,
         "search": _cmd_search,
         "experiment": _cmd_experiment,
-        "worker": _cmd_worker,
         "cache": _cmd_cache,
         "lint": _cmd_lint,
     }

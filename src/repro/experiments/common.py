@@ -1,4 +1,12 @@
-"""Shared helpers for the experiment drivers."""
+"""Shared helpers for the experiment drivers.
+
+The baseline columns of the figures and tables: a preset's cost with
+its native compiler heuristic (:func:`baseline_costs`) and with
+searched mappings (:func:`tuned_baseline_costs`). Tuning runs on the
+same evaluator as the searches, so its networks are dispatched to the
+local worker pool at ``workers > 1``, and with a ``cache_dir`` the
+networks whose every shape is on disk are served in the coordinator.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +17,12 @@ from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.presets import baseline_constraint, baseline_preset
 from repro.cost.model import CostModel
 from repro.cost.report import NetworkCost
+from repro.encoding.spaces import EncodingStyle
 from repro.mapping.builders import dataflow_preserving_mapping
-from repro.search.accelerator_search import evaluate_accelerator
+from repro.search.accelerator_search import _evaluate, evaluate_accelerator
 from repro.search.cache import EvaluationCache
 from repro.search.mapping_search import MappingSearchBudget
+from repro.search.objectives import geomean_edp
 from repro.search.parallel import ParallelEvaluator
 from repro.search.transport import Transport, group_worker
 from repro.tensors.network import Network
@@ -51,7 +61,22 @@ class _TuneTask:
     entropy: int
 
 
-@group_worker
+def _tune_held_networks(tasks: List[_TuneTask], cache: EvaluationCache,
+                        ) -> Dict[int, Optional[NetworkCost]]:
+    """:func:`_tune_networks`' companion: the costs, by task index, of
+    the networks whose every lookup ``cache`` already holds."""
+    held: Dict[int, Optional[NetworkCost]] = {}
+    for index, task in enumerate(tasks):
+        evaluations = _evaluate(
+            [task.preset], [task.entropy], [task.network], task.cost_model,
+            task.mapping_budget, EncodingStyle.IMPORTANCE, cache,
+            geomean_edp, held_only=True)
+        if evaluations:
+            held[index] = evaluations[0][1].get(task.network.name)
+    return held
+
+
+@group_worker(held=_tune_held_networks)
 def _tune_networks(tasks: List[_TuneTask],
                    cache: Optional[EvaluationCache],
                    ) -> List[Optional[NetworkCost]]:
@@ -81,13 +106,14 @@ def tuned_baseline_costs(preset_name: str,
     A stronger (conservative) baseline than :func:`baseline_costs`: the
     preset gets the same mapping-search budget as NAAS candidates.
     Each network is one payload, and the evaluator partitions them
-    into task groups (one per worker slot, or per connected TCP
-    worker); each group is one :func:`evaluate_accelerator` call: one
-    lockstep mapping search over every shape of the group's networks.
-    Each shape's search depends only on the seed and the shape, so any
-    partition returns the same costs. Unmappable networks are omitted
-    from the result. ``cache_dir`` persists the tuned mappings across
-    runs via the disk tier.
+    into task groups (one per worker slot); each group is one
+    :func:`evaluate_accelerator` call: one lockstep mapping search over
+    every shape of the group's networks. Each shape's search depends
+    only on the seed and the shape, so any partition returns the same
+    costs. Unmappable networks are omitted from the result.
+    ``cache_dir`` persists the tuned mappings across runs via the disk
+    tier; a rerun at ``workers > 1`` serves every network whose shapes
+    are all on disk in the coordinator and dispatches only the rest.
     """
     preset = baseline_preset(preset_name)
     entropy = seed_entropy(seed)

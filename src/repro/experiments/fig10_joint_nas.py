@@ -26,7 +26,6 @@ from repro.nas.joint import JointBudget, search_joint
 from repro.nas.ofa_space import OFAResNetSpace
 from repro.nas.subnet import build_subnet
 from repro.search.accelerator_search import search_accelerator
-from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 SCENARIO_PRESET = "eyeriss"
@@ -49,7 +48,6 @@ PAPER = {
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Produce the four (accuracy, normalized EDP) points."""
@@ -83,7 +81,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
         accel_only = search_accelerator(
             [resnet], constraint, cost_model, budget=budgets.naas, seed=rng,
             seed_configs=[preset], workers=workers, cache_dir=cache_dir,
-            transport=transport, eval_timeout=eval_timeout)
+            eval_timeout=eval_timeout)
 
         # Point 4: full joint search.
         joint = search_joint(
@@ -94,8 +92,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
                 accel_iterations=max(2, budgets.naas.accel_iterations - 1),
                 nas=budgets.nas, mapping=budgets.naas.mapping),
             seed=rng, predictor=predictor, workers=workers,
-            cache_dir=cache_dir,
-            transport=transport, eval_timeout=eval_timeout)
+            cache_dir=cache_dir, eval_timeout=eval_timeout)
 
     def normalized(edp: float) -> float:
         return edp / base_edp

@@ -18,7 +18,6 @@ from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import build_model
 from repro.search.accelerator_search import NAASBudget, search_accelerator
 from repro.search.random_search import RandomEngine
-from repro.search.transport import Transport
 from repro.utils.mathutils import geomean
 from repro.utils.rng import ensure_rng
 
@@ -35,7 +34,6 @@ PAIRED_RUNS = 3
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Run paired searches and tabulate per-iteration population means."""
@@ -58,12 +56,11 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
             naas_runs.append(search_accelerator(
                 [network], constraint, cost_model, budget=budget,
                 seed=run_seed, workers=workers, cache_dir=cache_dir,
-                transport=transport, eval_timeout=eval_timeout))
+                eval_timeout=eval_timeout))
             random_runs.append(search_accelerator(
                 [network], constraint, cost_model, budget=budget,
                 seed=run_seed, engine_cls=RandomEngine, workers=workers,
-                cache_dir=cache_dir,
-                transport=transport, eval_timeout=eval_timeout))
+                cache_dir=cache_dir, eval_timeout=eval_timeout))
 
     # The table shows the first pair's trajectories, normalized to the
     # random search's first-iteration mean (the paper plots normalized

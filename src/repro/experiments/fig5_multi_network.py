@@ -22,7 +22,6 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import large_benchmark_set, mobile_benchmark_set
 from repro.search.accelerator_search import search_accelerator
-from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 #: (scenario preset, benchmark-set builder) per deployment class.
@@ -56,7 +55,6 @@ def run(profile: str = "", seed: int = 0,
         scenarios: Sequence[Tuple[str, str]] = SCENARIOS,
         workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Run every scenario and tabulate per-network and geomean gains."""
@@ -76,7 +74,7 @@ def run(profile: str = "", seed: int = 0,
                 budget=budgets.naas, seed=rng,
                 seed_configs=[baseline_preset(preset_name)],
                 workers=workers, cache_dir=cache_dir,
-                transport=transport, eval_timeout=eval_timeout)
+                eval_timeout=eval_timeout)
             per_net, geo_speed, geo_energy, geo_edp = gain_rows(
                 baseline, searched.network_costs)
             for name, speedup, energy_saving, edp_reduction in per_net:

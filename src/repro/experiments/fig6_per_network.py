@@ -23,7 +23,6 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import build_model
 from repro.search.accelerator_search import search_accelerator
-from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 ALL_SCENARIOS: Tuple[str, ...] = ("edgetpu", "nvdla_1024", "nvdla_256",
@@ -54,7 +53,6 @@ def run(profile: str = "", seed: int = 0,
         pairs: Sequence[Tuple[str, str]] = (),
         workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Search per (scenario, network) pair; tabulate speedup / energy."""
@@ -75,7 +73,7 @@ def run(profile: str = "", seed: int = 0,
                 budget=budgets.naas, seed=rng,
                 seed_configs=[baseline_preset(preset_name)],
                 workers=workers, cache_dir=cache_dir,
-                transport=transport, eval_timeout=eval_timeout)
+                eval_timeout=eval_timeout)
             per_net, geo_speed, geo_energy, geo_edp = gain_rows(
                 baseline, searched.network_costs)
             _, speedup, energy_saving, edp_reduction = per_net[0]

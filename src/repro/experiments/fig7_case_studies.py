@@ -19,7 +19,6 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import build_model
 from repro.search.accelerator_search import search_accelerator
-from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 #: (label, network, preset, paper's searched design)
@@ -35,7 +34,6 @@ CASES: Tuple[Tuple[str, str, str, str], ...] = (
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Re-search the three showcase scenarios and describe the designs."""
@@ -55,7 +53,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
                 [network], constraint, cost_model, budget=budgets.naas,
                 seed=rng, seed_configs=[baseline_preset(preset_name)],
                 workers=workers, cache_dir=cache_dir,
-                transport=transport, eval_timeout=eval_timeout)
+                eval_timeout=eval_timeout)
             config = searched.best_config
             ours = config.describe() if config else "search failed"
             rows.append((label, f"{network_name} @ {preset_name}",

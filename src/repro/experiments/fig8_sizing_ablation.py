@@ -19,7 +19,6 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import build_model
 from repro.search.accelerator_search import search_accelerator
-from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 #: (network, preset) grid of the figure.
@@ -47,7 +46,6 @@ PAPER_SIZING: Dict[Tuple[str, str], float] = {
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Run both search regimes on each case; tabulate EDP reductions."""
@@ -80,8 +78,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
             naas = search_accelerator(
                 [network], constraint, cost_model, budget=budgets.naas,
                 seed=rng, seed_configs=seeds, workers=workers,
-                cache_dir=cache_dir,
-                transport=transport, eval_timeout=eval_timeout)
+                cache_dir=cache_dir, eval_timeout=eval_timeout)
 
             sizing_reduction = base_edp / sizing.best_reward
             naas_reduction = base_edp / naas.best_reward

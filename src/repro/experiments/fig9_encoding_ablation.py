@@ -28,7 +28,6 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import build_model
 from repro.search.accelerator_search import NAASBudget, search_accelerator
-from repro.search.transport import Transport
 from repro.utils.mathutils import geomean
 from repro.utils.rng import ensure_rng
 
@@ -68,7 +67,6 @@ def _ablation_budget(naas: NAASBudget) -> NAASBudget:
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Search the same scenario under all four encoding combinations.
@@ -98,7 +96,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
                     mapping_style=mapping_style,
                     seed_configs=[baseline_preset(SCENARIO_PRESET)],
                     workers=workers, cache_dir=cache_dir,
-                    transport=transport, eval_timeout=eval_timeout)
+                    eval_timeout=eval_timeout)
                 samples[(hardware_style, mapping_style)].append(
                     base_edp / searched.best_reward)
 

@@ -17,7 +17,6 @@ from repro.experiments import (
     table4_search_cost,
 )
 from repro.experiments.runner import ExperimentResult
-from repro.search.transport import Transport
 
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "fig4": fig4_convergence.run,
@@ -35,7 +34,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 def run_experiment(name: str, profile: str = "",
                    seed: int = 0, workers: int = 1,
                    cache_dir: Optional[str] = None,
-                   transport: Optional[Transport] = None,
                    eval_timeout: Optional[float] = None) -> ExperimentResult:
     """Run one experiment by id (``fig4`` ... ``table4``).
 
@@ -43,12 +41,9 @@ def run_experiment(name: str, profile: str = "",
     are bit-identical at any worker count. ``cache_dir`` persists
     mapping-search results across runs (see
     :mod:`repro.search.diskcache`), so re-running an experiment with the
-    same seed and profile reuses its evaluations. ``transport`` is
-    handed to every search the experiment runs and stays open: with a
-    :class:`~repro.search.transport.TcpTransport` its connected
-    ``repro worker`` fleet serves them all, and the caller closes it.
-    ``eval_timeout`` bounds any one dispatched evaluation before inline
-    fallback (see :mod:`repro.search.transport`).
+    same seed and profile reuses its evaluations. ``eval_timeout``
+    bounds any one dispatched evaluation before inline fallback (see
+    :mod:`repro.search.transport`).
     """
     try:
         runner = EXPERIMENTS[name]
@@ -57,5 +52,4 @@ def run_experiment(name: str, profile: str = "",
         raise ReproError(
             f"unknown experiment {name!r}; known: {known}") from None
     return runner(profile=profile, seed=seed, workers=workers,
-                  cache_dir=cache_dir, transport=transport,
-                  eval_timeout=eval_timeout)
+                  cache_dir=cache_dir, eval_timeout=eval_timeout)

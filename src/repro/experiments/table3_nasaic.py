@@ -19,7 +19,6 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch
 from repro.models import build_model
 from repro.search.accelerator_search import search_accelerator
-from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 #: Total budget shared by both approaches (NASAIC-scale: DLA-class array
@@ -43,7 +42,6 @@ PAPER_ROWS = (
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Run both searches on the CIFAR net and compare latency/energy/EDP."""
@@ -57,7 +55,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
         naas = search_accelerator(
             [network], TABLE3_CONSTRAINT, cost_model, budget=budgets.naas,
             seed=rng, workers=workers, cache_dir=cache_dir,
-            transport=transport, eval_timeout=eval_timeout)
+            eval_timeout=eval_timeout)
 
     naas_cost = naas.network_costs[network.name]
     rows = [

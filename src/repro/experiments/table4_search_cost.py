@@ -23,7 +23,6 @@ from repro.experiments.config import get_profile
 from repro.experiments.runner import ExperimentResult, Stopwatch, Timed
 from repro.models import build_model
 from repro.search.accelerator_search import search_accelerator
-from repro.search.transport import Transport
 from repro.utils.rng import ensure_rng
 
 #: Number of deployment scenarios the paper's table is parameterized on;
@@ -33,7 +32,6 @@ NUM_SCENARIOS = 5
 
 def run(profile: str = "", seed: int = 0, workers: int = 1,
         cache_dir: Optional[str] = None,
-        transport: Optional[Transport] = None,
         eval_timeout: Optional[float] = None,
         ) -> ExperimentResult:
     """Tabulate published cost formulas plus this repro's measured cost."""
@@ -47,8 +45,7 @@ def run(profile: str = "", seed: int = 0, workers: int = 1,
         search_accelerator(
             [build_model("mobilenet_v2")], scenario_constraint("eyeriss"),
             cost_model, budget=budgets.naas, seed=rng, workers=workers,
-            cache_dir=cache_dir,
-            transport=transport, eval_timeout=eval_timeout)
+            cache_dir=cache_dir, eval_timeout=eval_timeout)
         measured_seconds = time.perf_counter() - start
 
         reports = search_cost_table(

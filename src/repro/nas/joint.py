@@ -173,12 +173,10 @@ def search_joint(constraint: ResourceConstraint,
     best-amortized) unit of the three-level search. ``cache_dir`` backs
     every inner NAS run with the shared persistent disk tier of
     :mod:`repro.search.diskcache` (workers read through to disk and
-    append what they compute). A ``TcpTransport`` passed as
-    ``transport`` dispatches each candidate's whole inner NAS run to a
-    remote ``repro worker``
-    (coarse tasks amortize the wire best of all four searches);
-    ``eval_timeout`` bounds any one dispatched run before inline
-    fallback.
+    append what they compute). A ``transport`` passed in (the caller
+    owns and closes it) runs the dispatched candidates instead of a
+    pool of the search's own; ``eval_timeout`` bounds any one
+    dispatched run before inline fallback.
     """
     rng = ensure_rng(seed)
     predictor = predictor or AccuracyPredictor()

@@ -14,10 +14,9 @@
   :func:`~repro.search.parallel.run_search_loop`, the one generation
   driver every outer search runs on.
 - :mod:`repro.search.transport` — where dispatched evaluations run:
-  the in-process pool (:class:`~repro.search.transport.LocalTransport`)
-  or remote ``repro worker`` processes over length-prefixed, versioned
-  TCP frames (:class:`~repro.search.transport.TcpTransport` +
-  :func:`~repro.search.transport.run_worker`).
+  the :class:`~repro.search.transport.Transport` seam and its one
+  implementation, the in-process pool
+  (:class:`~repro.search.transport.LocalTransport`).
 """
 
 from repro.search.accelerator_search import NAASBudget, search_accelerator
@@ -40,13 +39,7 @@ from repro.search.result import (
     IterationStats,
     MappingSearchResult,
 )
-from repro.search.transport import (
-    PROTOCOL_VERSION,
-    LocalTransport,
-    TcpTransport,
-    Transport,
-    run_worker,
-)
+from repro.search.transport import LocalTransport, Transport
 
 __all__ = [
     "AcceleratorSearchResult",
@@ -58,14 +51,11 @@ __all__ = [
     "MappingSearchBudget",
     "MappingSearchResult",
     "NAASBudget",
-    "PROTOCOL_VERSION",
     "ParallelEvaluator",
     "RandomEngine",
-    "TcpTransport",
     "Transport",
     "resolve_workers",
     "run_search_loop",
-    "run_worker",
     "search_accelerator",
     "search_mapping",
     "search_mappings",

@@ -447,14 +447,13 @@ def search_accelerator(networks: Sequence[Network],
     and budget reuses every mapping-search result and returns a
     bit-identical ``AcceleratorSearchResult``.
 
-    A :class:`~repro.search.transport.TcpTransport` passed as
-    ``transport`` (the caller owns and closes it) dispatches candidate
-    evaluations to connected ``repro worker`` processes instead of the
-    in-process pool — the result is the same as the local run's,
-    whichever host completes what (see
-    :mod:`repro.search.transport`). ``eval_timeout`` bounds how long
-    any dispatched evaluation may stall before it is re-evaluated
-    inline.
+    A :class:`~repro.search.transport.Transport` passed as
+    ``transport`` (the caller owns and closes it, e.g. a pre-warmed
+    :class:`~repro.search.transport.LocalTransport` shared by several
+    searches) runs the dispatched candidate evaluations instead of a
+    pool of the search's own; the result is the same either way.
+    ``eval_timeout`` bounds how long any dispatched evaluation may
+    stall before it is re-evaluated inline.
     """
     rng = ensure_rng(seed)
     encoder = HardwareEncoder(constraint, style=hardware_style)

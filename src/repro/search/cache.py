@@ -12,11 +12,11 @@ it unconditionally. ``get_or_compute_many`` is the batched form: one
 ``compute`` call over every miss of a batch of keys, which is how the
 lockstep mapping search fills a candidate's shapes.
 
-A cache never crosses a process boundary. The coordinator of a run,
-each pool worker process and each ``repro worker`` loop keeps its own
-for the length of the run (see :func:`repro.search.transport.run_chunk`),
-and whoever builds a cache closes it (it is a context manager). The
-coordinator's is built and closed by its
+A cache never crosses a process boundary. The coordinator of a run
+and each pool worker process keep their own for the length of the
+run (see :func:`repro.search.transport.run_chunk`), and whoever
+builds a cache closes it (it is a context manager). The coordinator's
+is built and closed by its
 :class:`~repro.search.parallel.ParallelEvaluator`, unless the caller
 hands one in and keeps it. Before a generation is dispatched, the
 coordinator probes its cache with :meth:`EvaluationCache._holds`

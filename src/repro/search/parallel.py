@@ -33,26 +33,19 @@ those searches run on:
   its ``cache_stats``; entries stay where they were computed, and the
   disk tier is how processes share them.
 - *Where* a dispatched task group runs is a
-  :class:`~repro.search.transport.Transport`: the default
-  :class:`~repro.search.transport.LocalTransport` keeps the in-process
-  ProcessPoolExecutor behavior, while
-  :class:`~repro.search.transport.TcpTransport` (``--transport tcp``)
-  fans the same task groups out to remote ``repro worker`` processes —
-  the evaluator runs unchanged on either, because both surface the
-  same submit/collect future contract. Remote workers build their
-  run's cache over their own ``--cache-dir`` and ship back
-  ``(results, counts)`` like any pool worker would.
-- A generation goes out as one contiguous chunk per worker slot (per
-  connected worker over TCP). The partition only decides which process
-  evaluates which payloads; commit order and content-derived seeds do
-  not depend on it, so the bit-identity contract below holds for any
-  partition.
+  :class:`~repro.search.transport.Transport`, by default the in-process
+  ProcessPoolExecutor of :class:`~repro.search.transport.LocalTransport`;
+  the evaluator sees only the submit/collect future contract.
+- A generation goes out as one contiguous chunk per worker slot. The
+  partition only decides which process evaluates which payloads;
+  commit order and content-derived seeds do not depend on it, so the
+  bit-identity contract below holds for any partition.
 
 Determinism contract
 --------------------
-``workers=1`` and ``workers=N`` — on any transport, and whatever order
-task groups complete in — produce bit-identical search results because
-the search loops uphold three invariants:
+``workers=1`` and ``workers=N`` — whatever order task groups complete
+in — produce bit-identical search results because the search loops
+uphold three invariants:
 
 1. per-candidate seeds are derived *in batch* (``spawn_rngs``) before any
    evaluation is dispatched, so the parent stream never observes
@@ -107,7 +100,6 @@ from repro.search.diskcache import CacheHandle, build_cache
 from repro.search.result import CacheStats, IterationStats
 from repro.search.transport import (
     LocalTransport,
-    ProtocolError,
     Transport,
     WorkerFn,
     run_group,
@@ -172,20 +164,18 @@ class ParallelEvaluator:
     from them, are therefore bit-identical to the inline ``workers=1``
     path for any completion order and any partition.
 
-    ``workers=1`` (on the local transport) evaluates inline against the
-    coordinator's cache — no subprocess, no pickling — and is the
-    reference behavior every parallel path must reproduce
-    bit-identically.
+    ``workers=1`` evaluates inline against the coordinator's cache — no
+    subprocess, no pickling — and is the reference behavior every
+    parallel path must reproduce bit-identically.
 
-    A batch that would be dispatched (``workers > 1``, or a remote
-    transport) is first served here as far as the coordinator's cache
-    holds it: when the cache can hold anything (a ``cache`` passed in,
-    or a ``cache_dir``) and the worker has a ``held`` companion, the
-    companion evaluates the payloads whose every lookup the cache
-    holds, and only the others are dispatched, after
-    ``transport.available()``. Results are stitched back in submission
-    order; content-derived seeds make a held result equal to a
-    dispatched one.
+    A batch that would be dispatched (``workers > 1``) is first served
+    here as far as the coordinator's cache holds it: when the cache can
+    hold anything (a ``cache`` passed in, or a ``cache_dir``) and the
+    worker has a ``held`` companion, the companion evaluates the
+    payloads whose every lookup the cache holds, and only the others
+    are dispatched, after ``transport.available()``. Results are
+    stitched back in submission order; content-derived seeds make a
+    held result equal to a dispatched one.
 
     The coordinator's cache has one owner, like the transport. A
     ``cache`` passed in belongs to the caller and is never closed here.
@@ -205,10 +195,9 @@ class ParallelEvaluator:
     process pool lazily on the first parallel batch and recycles
     workers across generations; :meth:`close` (or leaving the instance
     as a context manager) shuts that pool down. A transport passed in
-    belongs to the caller and is never closed here; a remote one (TCP)
-    is dispatched to even at ``workers=1``, since its parallelism lives
-    in the connected fleet. ``executor_factory`` exists for tests that need
-    deterministic control over completion order and failure injection;
+    belongs to the caller and is never closed here.
+    ``executor_factory`` exists for tests that need deterministic
+    control over completion order and failure injection;
     ``eval_timeout`` bounds how long collection waits for *any*
     dispatched task group to finish before routing the stuck work
     through the salvage/inline fallback (a hung — not dead — worker
@@ -284,23 +273,19 @@ class ParallelEvaluator:
         self.close()
 
     def _dispatching(self) -> bool:
-        """Would this batch fan out through the transport?
-
-        A local transport is only worth dispatching to with more than
-        one worker; a remote transport always is (its parallelism is
-        the connected fleet, whatever this process's ``workers``).
-        """
+        """Would this batch fan out through the transport? Only with
+        more than one worker."""
         transport = self._transport
         if transport is None or transport.closed:
             return False
-        return transport.remote or self.workers > 1
+        return self.workers > 1
 
     def _transport_available(self) -> bool:
         """Can the transport take the batch now?
 
         A transport that reports itself unavailable — no pool in this
-        sandbox, no fleet ever connected — degrades the evaluator to
-        inline for the rest of the run.
+        sandbox — degrades the evaluator to inline for the rest of the
+        run.
         """
         transport = self._transport
         if transport.available():
@@ -347,16 +332,16 @@ class ParallelEvaluator:
         done (``timeout=0`` turns a broken guarantee into an error). An
         outcome that is not ``(results, counts)`` with one result per
         payload and :class:`~repro.search.result.CacheStats` counts came
-        from a broken or foreign peer: it would shift every
-        later result onto the wrong candidate, so it is a transport
-        failure, salvaged like a lost group.
+        from a broken transport: it would shift every later result onto
+        the wrong candidate, so it is a transport failure, salvaged like
+        a lost group.
         """
         outcome = future.result(timeout=0)
         if not (isinstance(outcome, tuple) and len(outcome) == 2
                 and isinstance(outcome[0], list)
                 and len(outcome[0]) == size
                 and isinstance(outcome[1], CacheStats)):
-            raise ProtocolError(
+            raise TransportError(
                 f"malformed outcome for a task group of {size} payloads")
         results, counts = outcome
         self.cache_stats += counts
@@ -409,11 +394,8 @@ class ParallelEvaluator:
                 for index in range(len(payloads))]
 
     def _task_groups(self, payloads: List[Any]) -> List[List[Any]]:
-        """One contiguous chunk per worker slot (per connected worker)."""
-        parts = self.workers
-        if self._transport is not None and self._transport.remote:
-            parts = self._transport.capacity()
-        return split_chunks(payloads, max(1, parts))
+        """One contiguous chunk per worker slot."""
+        return split_chunks(payloads, self.workers)
 
     def _dispatch(self, groups: List[List[Any]]) -> List[List[Any]]:
         """Submit task groups and gather their results, salvage-aware.
@@ -430,8 +412,7 @@ class ParallelEvaluator:
                     self.worker_fn, group, self._cache_handle))
             except _DISPATCH_FAILURES as exc:
                 # Fork/spawn can also fail at submit time (seccomp,
-                # cgroup limits), not just at pool construction — and a
-                # remote fleet can vanish between generations.
+                # cgroup limits), not just at pool construction.
                 submit_failure = exc
                 break
         landed: List[Optional[List[Any]]] = [None] * len(groups)
@@ -500,7 +481,7 @@ class ParallelEvaluator:
                 try:
                     landed[index] = self._group_results(
                         future, len(groups[index]))
-                except ProtocolError:
+                except TransportError:
                     continue  # malformed: recomputed inline below
                 salvaged += 1
         remainder = [index for index, results in enumerate(landed)

@@ -92,10 +92,10 @@ def _search_floor(task: _FloorTask,
     """ParallelEvaluator worker: run the NAS loop for one floor.
 
     The floor's run looks its mappings up in ``cache``, the cache of
-    the process evaluating it: the coordinator's inline, or a worker's
-    own for the sweep (over its own disk directory, on a remote
-    worker). Floors have pre-derived entropies, so sharing one cache
-    changes only what a floor costs, never its result.
+    the process evaluating it: the coordinator's inline, or a pool
+    worker's own for the sweep. Floors have pre-derived entropies, so
+    sharing one cache changes only what a floor costs, never its
+    result.
     """
     return search_architecture(
         task.accel, task.cost_model, accuracy_floor=task.accuracy_floor,

@@ -83,64 +83,9 @@ class TestUnboundedWait:
         good = "def lookup(table, key):\n    return table.get(key)\n"
         assert rule_findings(TRANSPORT, good, "unbounded-wait") == []
 
-    def test_socket_recv_needs_a_deadline(self):
-        bad = "def read(sock):\n    return sock.recv(4)\n"
-        assert rule_findings(TRANSPORT, bad, "unbounded-wait")
-        good = (
-            "def read(sock):\n"
-            "    sock.settimeout(10.0)\n"
-            "    return sock.recv(4)\n"
-        )
-        assert rule_findings(TRANSPORT, good, "unbounded-wait") == []
-
     def test_rule_only_applies_to_dispatch_modules(self):
         bad = "def collect(future):\n    return future.result()\n"
         assert rule_findings(UNSCOPED, bad, "unbounded-wait") == []
-
-
-class TestLockDiscipline:
-    BAD = (
-        "class Buffer:\n"
-        "    _GUARDED_BY = {\"_slots\": \"_lock\"}\n"
-        "\n"
-        "    def __init__(self, lock):\n"
-        "        self._lock = lock\n"
-        "        self._slots = []\n"
-        "\n"
-        "    def land(self, outcome):\n"
-        "        self._slots.append(outcome)\n"
-    )
-
-    def test_bare_access_flagged(self):
-        found = rule_findings(UNSCOPED, self.BAD, "lock-discipline")
-        assert [f.line for f in found] == [9]
-        assert "_slots" in found[0].message
-
-    def test_init_is_exempt(self):
-        found = rule_findings(UNSCOPED, self.BAD, "lock-discipline")
-        assert all(f.line != 6 for f in found)
-
-    def test_locked_access_passes(self):
-        good = self.BAD.replace(
-            "    def land(self, outcome):\n"
-            "        self._slots.append(outcome)\n",
-            "    def land(self, outcome):\n"
-            "        with self._lock:\n"
-            "            self._slots.append(outcome)\n",
-        )
-        assert rule_findings(UNSCOPED, good, "lock-discipline") == []
-
-    def test_nested_callback_does_not_inherit_the_lock(self):
-        bad = self.BAD.replace(
-            "    def land(self, outcome):\n"
-            "        self._slots.append(outcome)\n",
-            "    def land(self, outcome):\n"
-            "        with self._lock:\n"
-            "            def callback():\n"
-            "                self._slots.append(outcome)\n"
-            "            return callback\n",
-        )
-        assert rule_findings(UNSCOPED, bad, "lock-discipline")
 
 
 class TestDeterminism:
@@ -216,36 +161,36 @@ class TestDeterminism:
 class TestResourceOwnership:
     def test_unowned_transport_flagged(self):
         bad = (
-            "from repro.search.transport import TcpTransport\n"
+            "from repro.search.transport import LocalTransport\n"
             "\n"
             "\n"
-            "def serve(addr):\n"
-            "    transport = TcpTransport(bind=addr)\n"
-            "    return transport.address\n"
+            "def serve(workers):\n"
+            "    transport = LocalTransport(workers)\n"
+            "    return transport.available()\n"
         )
         found = rule_findings(SEARCH, bad, "resource-ownership")
         assert [f.line for f in found] == [5]
 
     def test_with_statement_owns(self):
         good = (
-            "from repro.search.transport import TcpTransport\n"
+            "from repro.search.transport import LocalTransport\n"
             "\n"
             "\n"
-            "def serve(addr):\n"
-            "    with TcpTransport(bind=addr) as transport:\n"
-            "        return transport.address\n"
+            "def serve(workers):\n"
+            "    with LocalTransport(workers) as transport:\n"
+            "        return transport.available()\n"
         )
         assert rule_findings(SEARCH, good, "resource-ownership") == []
 
     def test_try_finally_owns(self):
         good = (
-            "from repro.search.transport import TcpTransport\n"
+            "from repro.search.transport import LocalTransport\n"
             "\n"
             "\n"
-            "def serve(addr):\n"
-            "    transport = TcpTransport(bind=addr)\n"
+            "def serve(workers):\n"
+            "    transport = LocalTransport(workers)\n"
             "    try:\n"
-            "        return transport.address\n"
+            "        return transport.available()\n"
             "    finally:\n"
             "        transport.close()\n"
         )
@@ -253,12 +198,12 @@ class TestResourceOwnership:
 
     def test_owner_annotation_recognizes_handoff(self):
         good = (
-            "from repro.search.transport import TcpTransport\n"
+            "from repro.search.transport import LocalTransport\n"
             "\n"
             "\n"
-            "def make(addr):\n"
+            "def make(workers):\n"
             "    # repro: owner(the caller)\n"
-            "    return TcpTransport(bind=addr)\n"
+            "    return LocalTransport(workers)\n"
         )
         assert rule_findings(SEARCH, good, "resource-ownership") == []
 
@@ -315,24 +260,24 @@ class TestResourceOwnership:
         assert [f.line for f in found] == [5]
 
     def test_cli_is_in_scope(self):
-        """The CLI builds the TCP transport the library is handed."""
+        """Whatever the CLI builds for the library needs an owner too."""
         bad = (
-            "from repro.search.transport import TcpTransport\n"
+            "from repro.search.transport import LocalTransport\n"
             "\n"
             "\n"
             "def _cmd_search(args):\n"
-            "    transport = TcpTransport(bind=args.workers_addr)\n"
+            "    transport = LocalTransport(args.workers)\n"
             "    return run(transport=transport)\n"
         )
         found = rule_findings(CLI, bad, "resource-ownership")
         assert [f.line for f in found] == [5]
         good = (
             "from contextlib import nullcontext\n"
-            "from repro.search.transport import TcpTransport\n"
+            "from repro.search.transport import LocalTransport\n"
             "\n"
             "\n"
             "def _cmd_search(args):\n"
-            "    with (TcpTransport(bind=args.workers_addr) if args.tcp\n"
+            "    with (LocalTransport(args.workers) if args.pool\n"
             "          else nullcontext()) as transport:\n"
             "        return run(transport=transport)\n"
         )

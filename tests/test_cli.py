@@ -2,14 +2,10 @@
 
 import argparse
 import json
-import re
 
 import pytest
 
-from repro import cli
 from repro.cli import _add_execution_args, build_parser, main
-from repro.search.parallel import ParallelEvaluator
-from repro.search.transport import TcpTransport
 
 
 class TestParser:
@@ -40,21 +36,26 @@ class TestParser:
         help_text = " ".join(scratch.format_help().split())
         assert "0 means one per CPU core" in help_text
         assert "--schedule" not in help_text
+        assert "--transport" not in help_text
 
     @pytest.mark.parametrize("flags", [
         ["--schedule", "async"],
         ["--schedule", "steady"],
         ["--schedule", "batched"],
         ["--shards", "2"],
+        ["--transport", "local"],
+        ["--transport", "tcp"],
+        ["--workers-addr", "127.0.0.1:7070"],
     ])
     @pytest.mark.parametrize("command", [
         ["search", "squeezenet", "shidiannao"],
         ["experiment", "fig4"],
     ])
     def test_removed_execution_flags_rejected(self, command, flags):
-        """There is one evaluation schedule and no logical shards: any
-        ``--schedule`` and ``--shards`` die in argparse, before any
-        search runs, on every entry point."""
+        """There is one evaluation schedule, no logical shards and one
+        transport: any ``--schedule``, ``--shards``, ``--transport`` and
+        ``--workers-addr`` die in argparse, before any search runs, on
+        every entry point."""
         with pytest.raises(SystemExit) as excinfo:
             main(command + flags)
         assert excinfo.value.code == 2  # argparse usage error
@@ -240,29 +241,6 @@ class TestCommands:
 
 
 class TestTransportFlags:
-    @pytest.mark.parametrize("command", [
-        ["search", "squeezenet", "shidiannao"],
-        ["experiment", "fig4"],
-    ])
-    def test_tcp_requires_workers_addr(self, command, capsys):
-        with pytest.raises(SystemExit):
-            main(command + ["--transport", "tcp"])
-        assert "--workers-addr" in capsys.readouterr().err
-
-    def test_workers_addr_requires_tcp(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["search", "squeezenet", "shidiannao",
-                  "--workers-addr", "127.0.0.1:7070"])
-        assert "--transport tcp" in capsys.readouterr().err
-
-    def test_transport_flags_parse(self):
-        args = build_parser().parse_args(
-            ["search", "squeezenet", "shidiannao", "--transport", "tcp",
-             "--workers-addr", "127.0.0.1:7070", "--eval-timeout", "90"])
-        assert args.transport == "tcp"
-        assert args.workers_addr == "127.0.0.1:7070"
-        assert args.eval_timeout == 90.0
-
     def test_unknown_transport_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -276,113 +254,10 @@ class TestTransportFlags:
                  "--eval-timeout", "0"])
         assert "--eval-timeout must be > 0" in capsys.readouterr().err
 
-    def test_worker_requires_connect(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker"])
-        assert "--connect" in capsys.readouterr().err
-
-    def test_worker_flags_parse(self):
-        args = build_parser().parse_args(
-            ["worker", "--connect", "10.0.0.1:7070",
-             "--cache-dir", "/tmp/x", "--retry", "60", "--heartbeat", "2"])
-        assert args.connect == "10.0.0.1:7070"
-        assert (args.retry, args.heartbeat) == (60.0, 2.0)
-
-    def test_worker_serves_a_search_end_to_end(self, capsys, tmp_path):
-        """`repro search --transport tcp` against an in-thread
-        `repro worker` returns the same design as the local run."""
-        import threading
-
-        # Pick a free port by binding port 0 first.
-        probe = TcpTransport(bind="127.0.0.1:0")
-        host, port = probe.address
-        probe.close()
-        address = f"{host}:{port}"
-        worker = threading.Thread(
-            target=main,
-            args=(["worker", "--connect", address,
-                   "--cache-dir", str(tmp_path / "worker-cache"),
-                   "--retry", "30", "--heartbeat", "0.5"],),
-            daemon=True)
-        base = ["search", "squeezenet", "shidiannao", "--seed", "3"]
-        assert main(base) == 0
-        local_out = capsys.readouterr().out
-        # Started only now, so the worker's --retry window is spent
-        # waiting for the TCP coordinator, not for the local run.
-        worker.start()
-        assert main(base + ["--workers", "2", "--transport", "tcp",
-                            "--workers-addr", address]) == 0
-        # The coordinator says goodbye on close; the worker's exit line
-        # is in the capture once the thread has finished.
-        worker.join(timeout=30.0)
-        assert not worker.is_alive()
-        tcp_lines = capsys.readouterr().out.splitlines()
-        exits = [line for line in tcp_lines
-                 if line.startswith("worker exiting")]
-        assert len(exits) == 1
-        served = re.search(r": (\d+) jobs served", exits[0])
-        assert served is not None and int(served.group(1)) > 0
-        tcp_lines.remove(exits[0])
-        assert tcp_lines == local_out.splitlines()
-
-
-def _square(payload, cache):
-    return payload * payload
-
-
-@pytest.fixture
-def built_transports(monkeypatch):
-    """Every TcpTransport the CLI builds. Each waits only briefly for a
-    fleet, so a run with no worker connected degrades to inline."""
-    built = []
-
-    def short_wait(bind):
-        transport = TcpTransport(bind=bind, connect_timeout=0.2)
-        built.append(transport)
-        return transport
-
-    monkeypatch.setattr(cli, "TcpTransport", short_wait)
-    yield built
-    for transport in built:
-        transport.close()  # idempotent; frees the port if a test failed
-
-
-class TestTransportOwnership:
-    """The CLI is the one owner of the TcpTransport its flags ask for:
-    it builds one per command, hands that instance to every search and
-    closes it when the command ends."""
-
-    TCP = ["--transport", "tcp", "--workers-addr", "127.0.0.1:0"]
-
-    def test_search_closes_the_transport_it_built(self, built_transports,
-                                                  capsys):
-        base = ["search", "squeezenet", "shidiannao", "--seed", "3"]
-        assert main(base) == 0
-        local = capsys.readouterr().out
-        assert main(base + self.TCP) == 0
-        assert capsys.readouterr().out == local  # degraded inline
-        assert len(built_transports) == 1
-        assert built_transports[0].closed
-
-    def test_experiment_hands_every_search_one_transport(
-            self, built_transports, monkeypatch, capsys):
-        from repro.experiments import registry
-        from repro.experiments.runner import ExperimentResult
-
-        seen = []
-
-        def fake_runner(transport=None, **_execution):
-            for payloads in ([1, 2], [3]):  # two searches back to back
-                with ParallelEvaluator(_square, workers=2,
-                                       transport=transport) as evaluator:
-                    assert evaluator.evaluate(payloads) == [
-                        p * p for p in payloads]
-                seen.append((transport, transport.closed))
-            return ExperimentResult(experiment="fake", headers=(),
-                                    rows=[], claims={})
-
-        monkeypatch.setitem(registry.EXPERIMENTS, "fake", fake_runner)
-        assert main(["experiment", "fake"] + self.TCP) == 0
-        assert len(built_transports) == 1
-        assert seen == [(built_transports[0], False)] * 2
-        assert built_transports[0].closed
+    def test_worker_command_rejected(self, capsys):
+        """There is no remote worker to serve: ``repro worker`` is not
+        a command."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--connect", "127.0.0.1:7070"])
+        assert excinfo.value.code == 2  # argparse usage error
+        assert "invalid choice: 'worker'" in capsys.readouterr().err

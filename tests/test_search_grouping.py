@@ -1,10 +1,9 @@
 """Task partitioning: dispatch shapes and partition independence.
 
 The contract under test: a generation goes out as one contiguous chunk
-per worker slot (per connected worker on a remote transport), each
-chunk one call of a group worker, and the partition only decides which
-process evaluates which payloads — never the results, their order, or
-the cache semantics.
+per worker slot, each chunk one call of a group worker, and the
+partition only decides which process evaluates which payloads — never
+the results, their order, or the cache semantics.
 """
 
 from concurrent.futures import Future
@@ -19,6 +18,7 @@ from repro.search.cache import EvaluationCache
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import ParallelEvaluator, split_chunks
 from repro.search.transport import (
+    LocalTransport,
     Transport,
     group_worker,
     run_chunk,
@@ -62,10 +62,8 @@ def _squares_served_here(payloads, cache):
 class RecordingTransport(Transport):
     """Synchronous transport that records every submitted group."""
 
-    def __init__(self, slots=4, remote=False):
+    def __init__(self):
         self.groups = []
-        self.slots = slots
-        self.remote = remote
         self._closed = False
 
     @property
@@ -74,9 +72,6 @@ class RecordingTransport(Transport):
 
     def available(self):
         return True
-
-    def capacity(self):
-        return self.slots
 
     def submit(self, worker_fn, payloads, cache):
         self.groups.append(list(payloads))
@@ -91,6 +86,18 @@ class RecordingTransport(Transport):
         self._closed = True
 
 
+class CountingPool(LocalTransport):
+    """The process pool, counting its submits."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submits = 0
+
+    def submit(self, worker_fn, payloads, cache):
+        self.submits += 1
+        return super().submit(worker_fn, payloads, cache)
+
+
 class TestGroupedBatched:
     def test_uncalibrated_uses_contiguous_chunks(self):
         transport = RecordingTransport()
@@ -102,10 +109,9 @@ class TestGroupedBatched:
 
     @pytest.mark.parametrize("workers", (1, 3, 7))
     def test_local_groups_are_one_chunk_per_worker_slot(self, workers):
-        # A local transport's own capacity does not matter: the
-        # evaluator's worker count sets the partition.
+        # The evaluator's worker count alone sets the partition.
         evaluator = ParallelEvaluator(_square, workers=workers,
-                                      transport=RecordingTransport(slots=4))
+                                      transport=RecordingTransport())
         payloads = list(range(6))
         assert (evaluator._task_groups(payloads)
                 == split_chunks(payloads, workers))
@@ -118,12 +124,14 @@ class TestGroupingDeterminism:
 
     @pytest.mark.parametrize("slots", (1, 2, 3, 5, 12))
     def test_every_group_size(self, slots):
-        # From one group of all twelve payloads to one group per payload.
-        transport = RecordingTransport(slots=slots, remote=True)
-        evaluator = ParallelEvaluator(_square, workers=1,
+        # From one group of all twelve payloads to one group per payload;
+        # one worker is the inline path, which dispatches nothing.
+        transport = RecordingTransport()
+        evaluator = ParallelEvaluator(_square, workers=slots,
                                       transport=transport)
         grouped = evaluator.evaluate(self.PAYLOADS)
-        assert transport.groups == split_chunks(self.PAYLOADS, slots)
+        assert transport.groups == (
+            [] if slots == 1 else split_chunks(self.PAYLOADS, slots))
         inline = ParallelEvaluator(_square, workers=1)
         assert grouped == inline.evaluate(self.PAYLOADS)
         assert grouped == [p * p for p in self.PAYLOADS]
@@ -150,23 +158,24 @@ class TestGroupWorkers:
 
     @pytest.mark.parametrize("slots", (1, 3, 7))
     def test_each_dispatched_group_is_one_call(self, slots):
-        transport = RecordingTransport(slots=slots, remote=True)
-        evaluator = ParallelEvaluator(_squares, workers=1,
+        transport = RecordingTransport()
+        evaluator = ParallelEvaluator(_squares, workers=slots,
                                       transport=transport)
         payloads = list(range(7))
         assert evaluator.evaluate(payloads) == [p * p for p in payloads]
-        assert transport.groups == split_chunks(payloads, slots)
-        assert _squares.calls == transport.groups
+        # One worker runs the generation inline, as one group too.
+        assert _squares.calls == split_chunks(payloads, slots)
+        assert transport.groups == ([] if slots == 1 else _squares.calls)
 
-    def test_tuned_baseline_groups_track_remote_capacity(self):
-        """Regression: the tuned baseline pre-chunked its networks by
-        the local worker count, so at workers=1 a whole fleet got one
-        task group. The evaluator alone partitions them now."""
+    def test_tuned_baseline_groups_track_workers(self):
+        """Regression: the tuned baseline pre-chunked its networks
+        itself. The evaluator alone partitions them now, one task group
+        per worker slot."""
         networks = mobile_benchmark_set()
         budget = MappingSearchBudget(3, 2)
-        transport = RecordingTransport(slots=3, remote=True)
+        transport = RecordingTransport()
         fanned = tuned_baseline_costs("eyeriss", networks, CostModel(),
-                                      budget, seed=0, workers=1,
+                                      budget, seed=0, workers=3,
                                       transport=transport)
         assert len(transport.groups) == 3
         assert [[task.network.name for task in group]
@@ -186,8 +195,8 @@ class TestHeldPayloads:
         cache = EvaluationCache()
         for payload in (3, 9, 4):
             cache.get_or_compute(payload, lambda: payload * payload)
-        transport = RecordingTransport(slots=2, remote=True)
-        evaluator = ParallelEvaluator(_squares_served_here, workers=1,
+        transport = RecordingTransport()
+        evaluator = ParallelEvaluator(_squares_served_here, workers=2,
                                       cache=cache, transport=transport)
         assert evaluator.evaluate(self.PAYLOADS) == [
             p * p for p in self.PAYLOADS]
@@ -199,19 +208,39 @@ class TestHeldPayloads:
         cache = EvaluationCache()
         for payload in self.PAYLOADS:
             cache.get_or_compute(payload, lambda: payload * payload)
-        transport = RecordingTransport(slots=2, remote=True)
+        transport = RecordingTransport()
         transport.available = None  # must not be called
-        evaluator = ParallelEvaluator(_squares_served_here, workers=1,
+        evaluator = ParallelEvaluator(_squares_served_here, workers=2,
                                       cache=cache, transport=transport)
         assert evaluator.evaluate(self.PAYLOADS) == [
             p * p for p in self.PAYLOADS]
         assert transport.groups == []
 
     def test_no_cache_that_could_hold_anything_no_probe(self):
-        transport = RecordingTransport(slots=2, remote=True)
-        evaluator = ParallelEvaluator(_squares_served_here, workers=1,
+        transport = RecordingTransport()
+        evaluator = ParallelEvaluator(_squares_served_here, workers=2,
                                       transport=transport)
         assert evaluator.evaluate(self.PAYLOADS) == [
             p * p for p in self.PAYLOADS]
         assert transport.groups == split_chunks(self.PAYLOADS, 2)
         assert evaluator.cache is None
+
+    def test_warm_tuned_baseline_submits_nothing(self, tmp_path):
+        """Regression: tuning had no companion, so a warm rerun over a
+        cache directory dispatched every network again. Now each fully
+        held network is served here: the rerun submits nothing."""
+        networks = mobile_benchmark_set()
+        budget = MappingSearchBudget(3, 2)
+        cache_dir = str(tmp_path / "cache")
+        with CountingPool(2) as pool:
+            cold = tuned_baseline_costs("eyeriss", networks, CostModel(),
+                                        budget, seed=0, workers=2,
+                                        cache_dir=cache_dir, transport=pool)
+            assert pool.submits == 2
+            warm = tuned_baseline_costs("eyeriss", networks, CostModel(),
+                                        budget, seed=0, workers=2,
+                                        cache_dir=cache_dir, transport=pool)
+            assert pool.submits == 2  # the rerun submitted nothing
+        assert warm == cold
+        assert cold == tuned_baseline_costs(
+            "eyeriss", networks, CostModel(), budget, seed=0, workers=1)

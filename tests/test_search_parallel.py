@@ -2,7 +2,6 @@
 
 import dataclasses
 import os
-import time
 
 import pytest
 
@@ -19,7 +18,7 @@ from repro.search.parallel import (
     resolve_workers,
     split_chunks,
 )
-from repro.search.transport import LocalTransport, TcpTransport
+from repro.search.transport import LocalTransport
 from repro.tensors.layer import ConvLayer
 from repro.tensors.network import Network
 
@@ -287,19 +286,3 @@ class TestCoordinatorCache:
         assert built == probed == []
         assert pool.submitted
         assert pooled == _search(workers=1)
-
-    def test_warm_tcp_search_needs_no_fleet(self, tmp_path):
-        """Fully warm over TCP with no worker ever connected: served
-        here, without waiting out the connect timeout."""
-        cache_dir = str(tmp_path / "cache")
-        cold = _search(workers=1, cache_dir=cache_dir)
-        with TcpTransport(bind="127.0.0.1:0",
-                          connect_timeout=30.0) as transport:
-            start = time.monotonic()
-            warm = _search(workers=1, cache_dir=cache_dir,
-                           transport=transport)
-            elapsed = time.monotonic() - start
-        assert elapsed < 10.0
-        assert warm == cold
-        stats = warm.cache_stats
-        assert stats.disk_hits == stats.hits + stats.misses > 0
