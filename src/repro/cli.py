@@ -242,8 +242,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"shards             : {stats.shards}")
         print(f"records            : {stats.records}")
         print(f"total bytes        : {stats.total_bytes}")
-        print(f"compressed records : {stats.compressed_records} "
-              f"({stats.compressed_bytes} bytes zlib)")
+        print(f"stale records      : {stats.stale_records}")
         print(f"corrupt-tail skips : {stats.corrupt_tails}")
         return 0
     if args.action == "compact":
@@ -253,6 +252,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               f"{stats.shards_after}")
         print(f"records kept       : {stats.records_kept}")
         print(f"duplicates dropped : {stats.duplicates_dropped}")
+        print(f"stale dropped      : {stats.stale_dropped}")
         print(f"bytes              : {stats.bytes_before} -> "
               f"{stats.bytes_after}")
         return 0

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.constraints import ResourceConstraint
 from repro.cost.model import CostModel
-from repro.cost.report import LayerCost, NetworkCost
+from repro.cost.report import NetworkCost
 from repro.encoding.hardware import HardwareEncoder
 from repro.encoding.spaces import EncodingStyle
 from repro.mapping.mapping import Mapping
@@ -52,6 +52,7 @@ from repro.search.parallel import (
     ask_generation,
     run_search_loop,
 )
+from repro.search.records import CACHE_FORMAT, ShapeBest
 from repro.search.result import AcceleratorSearchResult
 from repro.search.transport import Transport, group_worker
 from repro.tensors.layer import ConvLayer
@@ -80,17 +81,6 @@ class NAASBudget:
 #: What scoring one accelerator returns: ``(reward, {network ->
 #: NetworkCost}, {layer -> Mapping})``.
 Evaluation = Tuple[float, Dict[str, NetworkCost], Dict[str, Mapping]]
-
-#: What both cache tiers keep per ``(entropy, (accel, shape, style))``:
-#: the shape's best mapping and its cost, or ``None`` when no mapping
-#: fits. The mapping search's history stays out of the cache.
-ShapeBest = Optional[Tuple[Mapping, LayerCost]]
-
-#: Names the :data:`ShapeBest` layout in every disk key, so records of
-#: another value layout are never served. Change it whenever what the
-#: disk tier pickles changes.
-CACHE_FORMAT = "shape-best/2"
-
 
 def evaluate_accelerator(accel: AcceleratorConfig,
                          networks: Sequence[Network],

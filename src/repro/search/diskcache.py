@@ -38,32 +38,35 @@ bit-for-bit what that run would have computed cold. The price is that
 only runs sharing a seed share disk entries — exactly the repeated /
 resumed / re-parameterized runs the tier exists for.
 
-``CACHE_FORMAT`` (in :mod:`repro.search.accelerator_search`) names the
-value layout, so records pickled under another layout are unreachable
-rather than misread: a directory written before a format change misses
-once, and ``repro cache prune`` clears its old shards once nothing
-appends to them. A record holds
-what the accelerator reward reads of one shape's mapping search, the
-pickled ``(best Mapping, its LayerCost)`` pair, or ``None`` when no
-mapping fits; the search's per-iteration history is not stored.
+``CACHE_FORMAT`` (in :mod:`repro.search.records`) names the value
+layout, so records of another layout are unreachable rather than
+misread: a directory written before a format change misses once, and
+``repro cache prune`` clears its old shards once nothing appends to
+them. A record holds what the accelerator reward reads of one shape's
+mapping search, a :data:`~repro.search.records.ShapeBest` (the best
+``Mapping`` and its ``LayerCost``, or ``None`` when no mapping fits) as
+one fixed-width row; the search's per-iteration history is not stored.
 
 Storage layout
 --------------
 A cache directory holds append-only shard files, one per writing
 process (``shard-<pid>-<token>.bin``), so concurrent runs never contend
 on a file. Each record is ``magic | digest | length | crc32 | payload``
-where the magic names the payload encoding: ``NAC1`` is a raw pickle,
-``NAC2`` a zlib-compressed pickle (writers pick whichever is smaller
-per record, so incompressible entries never grow; the length and crc
-always describe the stored bytes, so scans validate without
-decompressing). Readers scan every shard at open (and on
+where the magic ``NAC3`` marks a payload that is one row of
+:mod:`repro.search.records`. Records of the previous formats (``NAC1``
+raw and ``NAC2`` zlib-compressed pickles) are still framed by their
+length and crc, so a scan walks past them as *stale*: they are counted,
+never indexed or decoded, and ``repro cache compact`` drops them.
+Readers scan every shard at open (and on
 :meth:`DiskCacheStore.refresh`), a bounded block at a time, and stop a
 shard at the first incomplete or corrupt record — a torn tail from a
 crashed or still-writing process costs the entries behind it until the
 writer completes them, never an exception. A store reads its hits
 through one held read-only descriptor per shard with ``os.pread``
-until :meth:`DiskCacheStore.close`. Appends take an ``flock`` exclusive
-lock where available as belt-and-braces.
+until :meth:`DiskCacheStore.close`, and a row that fails
+:func:`~repro.search.records.decode_row`'s checks reads as a miss.
+Appends take an ``flock`` exclusive lock where available as
+belt-and-braces.
 
 :class:`TieredEvaluationCache` layers the existing in-memory LRU
 (:class:`repro.search.cache.EvaluationCache`) as L1 over a
@@ -81,7 +84,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import pickle
 import struct
 import time
 import zlib
@@ -90,6 +92,7 @@ from typing import (Any, BinaryIO, Callable, Dict, Hashable, List, Optional,
                     Tuple, Union)
 
 from repro.search.cache import EvaluationCache
+from repro.search.records import ShapeBest, decode_row, encode_row
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -99,12 +102,12 @@ try:  # POSIX only; shards are per-process so the lock is belt-and-braces
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-_MAGIC_RAW = b"NAC1"   # payload is a raw pickle
-_MAGIC_ZLIB = b"NAC2"  # payload is a zlib-compressed pickle
+_MAGIC = b"NAC3"  # payload is one records.py row
+#: Magics of earlier payload encodings (raw and zlib-compressed
+#: pickles): framed like a row record, never decoded.
+_STALE_MAGICS = (b"NAC1", b"NAC2")
 _DIGEST_BYTES = 32  # blake2b(digest_size=16) hex-encoded
-#: magic | digest (hex ascii) | stored-payload length | stored-payload
-#: crc32 (over the bytes on disk, compressed or not, so record scans
-#: never need to decompress)
+#: magic | digest (hex ascii) | payload length | payload crc32
 _HEADER = struct.Struct(f"<4s{_DIGEST_BYTES}sQI")
 
 #: (pid, token) naming this process's shard file. One shard per writing
@@ -129,7 +132,7 @@ def _shard_name() -> str:
 #: Bytes one shard-walk read covers; a longer record is read whole.
 _BLOCK_BYTES = 1 << 20
 
-#: A clean record: (digest, payload offset, stored length, compressed).
+#: A clean record: (digest, payload offset, payload length, stale).
 _Record = Tuple[str, int, int, bool]
 
 
@@ -150,9 +153,9 @@ def _parse_shard(fd: int, offset: int = 0) -> Tuple[List[_Record], int, str]:
     (which moves no shared file offset) and checks each record's crc
     on a ``memoryview`` slice of its block, up to the size the shard
     had when the walk began. Returns ``(records, end, status)``: each
-    clean record as ``(digest, payload offset, stored length,
-    compressed)``, the offset just past the last of them, and why the
-    walk stopped:
+    clean record as ``(digest, payload offset, payload length,
+    stale)``, the offset just past the last of them, and why the walk
+    stopped:
 
     - ``"end"`` — exactly at the end of the shard;
     - ``"torn"`` — a truncated header or payload (a writer may still be
@@ -171,7 +174,8 @@ def _parse_shard(fd: int, offset: int = 0) -> Tuple[List[_Record], int, str]:
             if _HEADER.size > len(block):
                 return records, offset, "torn"
         magic, digest_raw, length, crc = _HEADER.unpack_from(block, start)
-        if magic not in (_MAGIC_RAW, _MAGIC_ZLIB):
+        stale = magic in _STALE_MAGICS
+        if magic != _MAGIC and not stale:
             return records, offset, "corrupt"
         stop = start + _HEADER.size + length
         if stop > len(block):
@@ -184,8 +188,7 @@ def _parse_shard(fd: int, offset: int = 0) -> Tuple[List[_Record], int, str]:
         # Digests are 32 hex chars; struct pads shorter (test-only) keys
         # with NULs, stripped here.
         digest = digest_raw.rstrip(b"\x00").decode("ascii", errors="replace")
-        records.append((digest, offset + _HEADER.size, length,
-                        magic == _MAGIC_ZLIB))
+        records.append((digest, offset + _HEADER.size, length, stale))
         offset += _HEADER.size + length
     return records, offset, "end"
 
@@ -229,16 +232,16 @@ class DiskCacheStore:
     so concurrent runs sharing a directory cannot lose each other's
     entries; readers see a shard's records up to its first incomplete
     one and pick the rest up on the next :meth:`refresh`. Values are
-    pickled; keys are :func:`content_digest` strings. First write wins:
-    a digest already present is never rewritten.
+    :data:`~repro.search.records.ShapeBest` rows; keys are
+    :func:`content_digest` strings. First write wins: a digest already
+    present is never rewritten.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: digest -> (shard path, payload offset, stored length,
-        #: compressed flag)
-        self._index: Dict[str, Tuple[str, int, int, bool]] = {}
+        #: digest -> (shard path, payload offset, payload length)
+        self._index: Dict[str, Tuple[str, int, int]] = {}
         #: shard path -> bytes consumed by clean records
         self._scanned: Dict[str, int] = {}
         #: shards with a confirmed-corrupt record: scanned once, then
@@ -281,9 +284,9 @@ class DiskCacheStore:
             logger.warning("unreadable cache shard %s (%s); skipped",
                            shard, exc)
             return
-        for digest, payload_offset, length, compressed in records:
-            self._index.setdefault(
-                digest, (path, payload_offset, length, compressed))
+        for digest, payload_offset, length, stale in records:
+            if not stale:
+                self._index.setdefault(digest, (path, payload_offset, length))
         # A torn tail is retried once its writer finishes.
         self._scanned[path] = end
         if status == "corrupt":
@@ -294,19 +297,20 @@ class DiskCacheStore:
             logger.warning("corrupt record in %s at offset %d; entries "
                            "behind it are unreachable", shard, end)
 
-    def get(self, digest: str) -> Tuple[bool, Any]:
+    def get(self, digest: str) -> Tuple[bool, ShapeBest]:
         """``(found, value)`` for a digest; misses are ``(False, None)``.
 
         Reads through this store's one descriptor per shard with
         ``os.pread``, which shares no file offset, so a store a forked
         child inherits reads correctly too. A record that can no longer
-        be read (deleted shard, undecodable pickle) degrades to a miss —
-        the caller recomputes.
+        be read (deleted shard, a row that fails
+        :func:`~repro.search.records.decode_row`'s checks) degrades to
+        a miss — the caller recomputes.
         """
         entry = self._index.get(digest)
         if entry is None:
             return False, None
-        path, offset, length, compressed = entry
+        path, offset, length = entry
         try:
             reader = self._readers.get(path)
             if reader is None:
@@ -315,34 +319,25 @@ class DiskCacheStore:
             payload = os.pread(reader.fileno(), length, offset)
             if len(payload) < length:
                 return False, None
-            if compressed:
-                payload = zlib.decompress(payload)
-            return True, pickle.loads(payload)
-        except (OSError, pickle.PickleError, AttributeError, EOFError,
-                zlib.error) as exc:
+            return True, decode_row(payload)
+        except (OSError, ValueError) as exc:
             logger.warning("unreadable cache entry %s (%s); recomputing",
                            digest, exc)
             return False, None
 
     # ----- writing -----------------------------------------------------
 
-    def put(self, digest: str, value: Any) -> None:
+    def put(self, digest: str, value: ShapeBest) -> None:
         """Append one record to this process's shard (first write wins).
 
-        The payload is stored zlib-compressed (``NAC2``) when that is
-        actually smaller than the raw pickle, raw (``NAC1``) otherwise
-        — per record, so incompressible entries never pay for the
-        format.
+        Raises ``ValueError`` (from
+        :func:`~repro.search.records.encode_row`) on a value that a row
+        cannot hold exactly.
         """
         if digest in self._index:
             return
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        squeezed = zlib.compress(payload)
-        compressed = len(squeezed) < len(payload)
-        if compressed:
-            payload = squeezed
-        magic = _MAGIC_ZLIB if compressed else _MAGIC_RAW
-        record = _HEADER.pack(magic, digest.encode("ascii"), len(payload),
+        payload = encode_row(value)
+        record = _HEADER.pack(_MAGIC, digest.encode("ascii"), len(payload),
                               zlib.crc32(payload)) + payload
         handle = self._ensure_write_handle()
         if fcntl is not None:
@@ -361,8 +356,7 @@ class DiskCacheStore:
         # (same process) may have interleaved records before ours, and
         # the scanner must not skip them.
         path = str(self._write_path)
-        self._index[digest] = (path, offset + _HEADER.size, len(payload),
-                               compressed)
+        self._index[digest] = (path, offset + _HEADER.size, len(payload))
 
     def _ensure_write_handle(self):
         if self._write_handle is None:
@@ -395,12 +389,13 @@ class TieredEvaluationCache(EvaluationCache):
     """In-memory LRU (L1) over a :class:`DiskCacheStore` (L2).
 
     Drop-in for :class:`repro.search.cache.EvaluationCache` wherever the
-    caller supplies ``disk_key`` digests (see :func:`content_digest`):
-    an L1 miss falls through to disk, and fresh computations go to both
-    tiers. A disk hit is returned as read and not copied into L1, so a
-    warm rerun does not grow the memory of the process serving it. L2
-    hits count as ``hits`` (and separately as ``disk_hits``), so
-    hit-rate reporting covers both tiers.
+    caller supplies ``disk_key`` digests (see :func:`content_digest`)
+    for :data:`~repro.search.records.ShapeBest` values: an L1 miss falls
+    through to disk, and fresh computations go to both tiers. A disk
+    hit is returned as read and not copied into L1, so a warm rerun
+    does not grow the memory of the process serving it. L2 hits count
+    as ``hits`` (and separately as ``disk_hits``), so hit-rate
+    reporting covers both tiers.
     """
 
     persistent = True
@@ -451,18 +446,17 @@ class DiskCacheDirStats:
     writer, or an actually corrupt record. The entries behind such a
     tail are the ones :class:`DiskCacheStore` skips at read time.
 
-    ``compressed_records`` / ``compressed_bytes`` cover the ``NAC2``
-    (zlib) records; raw ``NAC1`` records make up the rest. Mixed
-    directories are normal — old caches stay readable, and writers fall
-    back to raw storage for incompressible payloads.
+    ``records`` counts the row records a store indexes;
+    ``stale_records`` the records of earlier formats (pickles behind
+    ``NAC1``/``NAC2``), which no store reads and ``repro cache
+    compact`` drops.
     """
 
     shards: int
     records: int
     total_bytes: int
     corrupt_tails: int
-    compressed_records: int = 0
-    compressed_bytes: int = 0
+    stale_records: int
 
 
 def directory_stats(directory: Union[str, Path]) -> DiskCacheDirStats:
@@ -474,8 +468,7 @@ def directory_stats(directory: Union[str, Path]) -> DiskCacheDirStats:
     count matches what it would skip.
     """
     path = Path(directory)
-    shards = records = total_bytes = corrupt_tails = 0
-    compressed_records = compressed_bytes = 0
+    shards = records = total_bytes = corrupt_tails = stale_records = 0
     for shard in sorted(path.glob("shard-*.bin")):
         try:
             size = shard.stat().st_size
@@ -490,16 +483,13 @@ def directory_stats(directory: Union[str, Path]) -> DiskCacheDirStats:
             continue
         if status != "end":  # torn or corrupt tail
             corrupt_tails += 1
-        records += len(clean)
-        for _digest, _offset, length, compressed in clean:
-            if compressed:
-                compressed_records += 1
-                compressed_bytes += length
+        stale = sum(record[3] for record in clean)
+        records += len(clean) - stale
+        stale_records += stale
     return DiskCacheDirStats(shards=shards, records=records,
                              total_bytes=total_bytes,
                              corrupt_tails=corrupt_tails,
-                             compressed_records=compressed_records,
-                             compressed_bytes=compressed_bytes)
+                             stale_records=stale_records)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -510,6 +500,7 @@ class CompactStats:
     shards_after: int
     records_kept: int
     duplicates_dropped: int
+    stale_dropped: int
     bytes_before: int
     bytes_after: int
 
@@ -520,10 +511,11 @@ def compact_directory(directory: Union[str, Path]) -> CompactStats:
     Walks every shard with the store's own record reader, keeps the
     first record per digest (the store's first-write-wins rule), and
     drops duplicate digests plus everything a reader could not reach
-    anyway — torn tails from crashed writers and the unreachable bytes
-    behind a corrupt record. The survivors are written to a single new
-    shard via a temp file + atomic rename, and only then are the old
-    shards unlinked, so a crash mid-compact never loses a live record.
+    anyway — stale records of earlier formats, torn tails from crashed
+    writers and the unreachable bytes behind a corrupt record. The
+    survivors are written to a single new shard via a temp file +
+    atomic rename, and only then are the old shards unlinked, so a
+    crash mid-compact never loses a live record.
 
     Offline maintenance: run it while no process is appending to the
     directory — records appended to an old shard after its scan are
@@ -532,8 +524,7 @@ def compact_directory(directory: Union[str, Path]) -> CompactStats:
     path = Path(directory)
     old_shards = sorted(path.glob("shard-*.bin"))
     bytes_before = 0
-    records_kept = 0
-    duplicates = 0
+    records_kept = duplicates = stale_dropped = 0
     seen: set = set()
     # A fresh token (not _shard_name()) so the output can never collide
     # with a shard this same process already has open for appends.
@@ -552,13 +543,13 @@ def compact_directory(directory: Union[str, Path]) -> CompactStats:
                     with open(shard, "rb") as handle:
                         fd = handle.fileno()
                         records, _end, _status = _parse_shard(fd)
-                        for digest, offset, length, _compressed in records:
+                        for digest, offset, length, stale in records:
+                            if stale:
+                                stale_dropped += 1
+                                continue
                             if digest in seen:
                                 duplicates += 1
                                 continue
-                            # The record is copied verbatim, so it keeps
-                            # the magic it was written under (raw NAC1
-                            # vs zlib NAC2).
                             out.write(os.pread(fd, _HEADER.size + length,
                                                offset - _HEADER.size))
                             seen.add(digest)
@@ -592,6 +583,7 @@ def compact_directory(directory: Union[str, Path]) -> CompactStats:
         shards_after=1 if records_kept else 0,
         records_kept=records_kept,
         duplicates_dropped=duplicates,
+        stale_dropped=stale_dropped,
         bytes_before=bytes_before,
         bytes_after=bytes_after)
 

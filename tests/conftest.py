@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.accelerator.arch import AcceleratorConfig
@@ -57,3 +59,16 @@ def small_constraint(small_accel) -> ResourceConstraint:
 @pytest.fixture
 def heuristic_mapping(small_layer, small_accel):
     return dataflow_preserving_mapping(small_layer, small_accel)
+
+
+@pytest.fixture
+def shape_best(small_layer, small_accel, heuristic_mapping, cost_model):
+    """``shape_best(n, name=...)``: a disk-cache value (a best mapping and
+    its cost), distinct for each ``n``."""
+    cost = cost_model.evaluate(small_layer, small_accel, heuristic_mapping)
+
+    def make(n: int, name: str = "test_conv"):
+        return heuristic_mapping, dataclasses.replace(
+            cost, layer_name=name, cycles=cost.cycles + n)
+
+    return make

@@ -144,17 +144,16 @@ class TestCommands:
         assert int(fields["records"]) > 0
         assert int(fields["total bytes"]) > 0
         assert fields["corrupt-tail skips"] == "0"
-        # The search results pickle well: at least one record should
-        # have been stored zlib-compressed (NAC2).
-        compressed, _, _ = fields["compressed records"].partition(" ")
-        assert int(compressed) > 0
+        # Every record is a row of the current format.
+        assert fields["stale records"] == "0"
 
-    def test_cache_stats_counts_corrupt_tails(self, capsys, tmp_path):
+    def test_cache_stats_counts_corrupt_tails(self, capsys, tmp_path,
+                                              shape_best):
         from repro.search.diskcache import DiskCacheStore, content_digest
 
         store = DiskCacheStore(tmp_path)
-        store.put(content_digest("a"), {"value": 1})
-        store.put(content_digest("b"), {"value": 2})
+        store.put(content_digest("a"), shape_best(1))
+        store.put(content_digest("b"), shape_best(2))
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
         with open(shard, "ab") as handle:
@@ -170,12 +169,12 @@ class TestCommands:
         assert "no cache directory" in capsys.readouterr().err
 
     def test_cache_compact_folds_shards_and_drops_tails(self, capsys,
-                                                        tmp_path):
+                                                        tmp_path, shape_best):
         from repro.search.diskcache import DiskCacheStore, content_digest
 
         store = DiskCacheStore(tmp_path)
-        store.put(content_digest("a"), {"value": 1})
-        store.put(content_digest("b"), {"value": 2})
+        store.put(content_digest("a"), shape_best(1))
+        store.put(content_digest("b"), shape_best(2))
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
         with open(shard, "ab") as handle:
@@ -193,19 +192,20 @@ class TestCommands:
         compacted = DiskCacheStore(tmp_path)
         try:
             assert compacted.get(content_digest("a")) == (
-                True, {"value": 1})
+                True, shape_best(1))
             assert compacted.get(content_digest("b")) == (
-                True, {"value": 2})
+                True, shape_best(2))
         finally:
             compacted.close()
 
-    def test_cache_prune_drops_stale_shards_only(self, capsys, tmp_path):
+    def test_cache_prune_drops_stale_shards_only(self, capsys, tmp_path,
+                                                 shape_best):
         import os
 
         from repro.search.diskcache import DiskCacheStore, content_digest
 
         store = DiskCacheStore(tmp_path)
-        store.put(content_digest("old"), 1)
+        store.put(content_digest("old"), shape_best(1))
         store.close()
         stale = next(tmp_path.glob("shard-*.bin"))
         week_ago = __import__("time").time() - 7 * 86400
@@ -214,7 +214,7 @@ class TestCommands:
         fresh_dir_store._write_path = None  # force a new shard name
         import repro.search.diskcache as diskcache_module
         diskcache_module._process_shard = None  # re-roll the shard token
-        fresh_dir_store.put(content_digest("new"), 2)
+        fresh_dir_store.put(content_digest("new"), shape_best(2))
         fresh_dir_store.close()
         assert main(["cache", "prune", "--cache-dir", str(tmp_path),
                      "--older-than", "3"]) == 0
@@ -223,7 +223,7 @@ class TestCommands:
         assert "records removed    : 1" in out
         survivor = DiskCacheStore(tmp_path)
         try:
-            assert survivor.get(content_digest("new")) == (True, 2)
+            assert survivor.get(content_digest("new")) == (True, shape_best(2))
             assert survivor.get(content_digest("old")) == (False, None)
         finally:
             survivor.close()

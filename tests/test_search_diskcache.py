@@ -3,18 +3,22 @@
 import dataclasses
 import os
 import pickle
-import random
 import select
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
 from repro.accelerator.presets import BASELINE_PRESETS, baseline_preset
 from repro.cost.config import CostParams
+from repro.cost.energy import EnergyReport
+from repro.cost.latency import LatencyReport
 from repro.cost.model import CostModel
 from repro.cost.report import LayerCost
+from repro.cost.traffic import TrafficReport
 from repro.encoding.spaces import EncodingStyle
 from repro.mapping.mapping import Mapping
 from repro.models import build_model
@@ -37,7 +41,13 @@ from repro.search.diskcache import (
     directory_stats,
     prune_directory,
 )
-from repro.search.mapping_search import MappingSearchBudget, search_mapping
+from repro.search import records
+from repro.search.mapping_search import (
+    MappingSearchBudget,
+    search_mapping,
+    search_mappings,
+)
+from repro.search.records import decode_row, encode_row
 from repro.tensors.network import Network, shape_key
 from repro.utils.rng import derive_seed, seed_entropy
 
@@ -69,13 +79,14 @@ def open_store(tmp_path):
 
 
 class TestCompactDirectory:
-    def test_folds_shards_preserving_values(self, open_store, tmp_path):
+    def test_folds_shards_preserving_values(self, open_store, tmp_path,
+                                            shape_best):
         first = open_store()
-        first.put(content_digest("a"), {"value": 1})
+        first.put(content_digest("a"), shape_best(1))
         first.close()
         _new_shard_process_identity()
         second = open_store()
-        second.put(content_digest("b"), [2, 3])
+        second.put(content_digest("b"), None)
         second.close()
         assert len(list(tmp_path.glob("shard-*.bin"))) == 2
 
@@ -86,21 +97,21 @@ class TestCompactDirectory:
         assert stats.bytes_after <= stats.bytes_before
         assert len(list(tmp_path.glob("shard-*.bin"))) == 1
         compacted = open_store()
-        assert compacted.get(content_digest("a")) == (True, {"value": 1})
-        assert compacted.get(content_digest("b")) == (True, [2, 3])
+        assert compacted.get(content_digest("a")) == (True, shape_best(1))
+        assert compacted.get(content_digest("b")) == (True, None)
 
     def test_drops_duplicate_digests_first_write_wins(self, open_store,
-                                                      tmp_path):
+                                                      tmp_path, shape_best):
         digest = content_digest("shared")
         first = open_store()
-        first.put(digest, "first")
+        first.put(digest, shape_best(1))
         first.close()
         _new_shard_process_identity()
         second = open_store()
         # Bypass the in-index dedup by writing via a store that has not
         # scanned the first shard's record yet.
         second._index.pop(digest, None)
-        second.put(digest, "second")
+        second.put(digest, shape_best(2))
         second.close()
 
         stats = compact_directory(tmp_path)
@@ -109,11 +120,11 @@ class TestCompactDirectory:
         # Shards are compacted in sorted order; either value is a valid
         # first-write, but exactly one survives and reads cleanly.
         found, value = open_store().get(digest)
-        assert found and value in ("first", "second")
+        assert found and value in (shape_best(1), shape_best(2))
 
-    def test_drops_corrupt_tail(self, open_store, tmp_path):
+    def test_drops_corrupt_tail(self, open_store, tmp_path, shape_best):
         store = open_store()
-        store.put(content_digest("a"), 1)
+        store.put(content_digest("a"), shape_best(1))
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
         with open(shard, "ab") as handle:
@@ -135,9 +146,9 @@ class TestCompactDirectory:
 
 
 class TestPruneDirectory:
-    def test_prunes_by_shard_mtime(self, open_store, tmp_path):
+    def test_prunes_by_shard_mtime(self, open_store, tmp_path, shape_best):
         store = open_store()
-        store.put(content_digest("stale"), 1)
+        store.put(content_digest("stale"), shape_best(1))
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
         old = __import__("time").time() - 10 * 86400
@@ -148,15 +159,15 @@ class TestPruneDirectory:
         assert stats.bytes_removed > 0
         assert list(tmp_path.glob("shard-*.bin")) == []
 
-    def test_keeps_recent_shards(self, open_store, tmp_path):
+    def test_keeps_recent_shards(self, open_store, tmp_path, shape_best):
         store = open_store()
-        store.put(content_digest("fresh"), 1)
+        store.put(content_digest("fresh"), shape_best(1))
         store.close()
         stats = prune_directory(tmp_path, older_than_days=5)
         assert stats.shards_removed == 0
         assert stats.shards_kept == 1
         assert open_store().get(content_digest("fresh")) == \
-            (True, 1)
+            (True, shape_best(1))
 
     def test_negative_days_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -198,81 +209,86 @@ class TestContentDigest:
 
 
 class TestDiskCacheStore:
-    def test_round_trip(self, open_store, tmp_path):
+    def test_round_trip(self, open_store, tmp_path, shape_best):
         store = open_store()
-        digest = content_digest("k")
-        store.put(digest, {"value": 42})
-        assert store.get(digest) == (True, {"value": 42})
+        digest, none = content_digest("k"), content_digest("none")
+        store.put(digest, shape_best(42))
+        store.put(none, None)
+        assert store.get(digest) == (True, shape_best(42))
+        assert store.get(none) == (True, None)
         assert digest in store
 
     def test_miss(self, open_store, tmp_path):
         assert open_store().get("missing") == (False, None)
 
-    def test_persists_across_reopen(self, open_store, tmp_path):
+    def test_persists_across_reopen(self, open_store, tmp_path, shape_best):
         digest = content_digest("k")
-        open_store().put(digest, [1, 2, 3])
+        open_store().put(digest, shape_best(3))
         reopened = open_store()
-        assert reopened.get(digest) == (True, [1, 2, 3])
+        assert reopened.get(digest) == (True, shape_best(3))
         assert len(reopened) == 1
 
-    def test_first_write_wins(self, open_store, tmp_path):
+    def test_first_write_wins(self, open_store, tmp_path, shape_best):
         store = open_store()
         digest = content_digest("k")
-        store.put(digest, "first")
-        store.put(digest, "second")
-        assert store.get(digest) == (True, "first")
-        assert open_store().get(digest) == (True, "first")
+        store.put(digest, shape_best(1))
+        store.put(digest, shape_best(2))
+        assert store.get(digest) == (True, shape_best(1))
+        assert open_store().get(digest) == (True, shape_best(1))
 
-    def test_concurrent_stores_do_not_lose_entries(self, open_store, tmp_path):
+    def test_concurrent_stores_do_not_lose_entries(self, open_store, tmp_path,
+                                                   shape_best):
         """Two handles on one directory writing interleaved (same-process
         handles share a locked shard; distinct processes get distinct
         shards); nobody's entries are lost."""
         a, b = open_store(), open_store()
         for i in range(10):
-            (a if i % 2 else b).put(content_digest(i), i)
+            (a if i % 2 else b).put(content_digest(i), shape_best(i))
         merged = open_store()
         assert len(merged) == 10
         for i in range(10):
-            assert merged.get(content_digest(i)) == (True, i)
+            assert merged.get(content_digest(i)) == (True, shape_best(i))
 
-    def test_refresh_picks_up_other_writers(self, open_store, tmp_path):
+    def test_refresh_picks_up_other_writers(self, open_store, tmp_path,
+                                            shape_best):
         reader = open_store()
         writer = open_store()
         digest = content_digest("late")
-        writer.put(digest, "late-value")
+        writer.put(digest, shape_best(7))
         assert reader.get(digest) == (False, None)
         reader.refresh()
-        assert reader.get(digest) == (True, "late-value")
+        assert reader.get(digest) == (True, shape_best(7))
 
-    def test_truncated_tail_is_skipped_not_fatal(self, open_store, tmp_path):
+    def test_truncated_tail_is_skipped_not_fatal(self, open_store, tmp_path,
+                                                 shape_best):
         store = open_store()
         good, bad = content_digest("good"), content_digest("bad")
-        store.put(good, "ok")
-        store.put(bad, "will be torn")
+        store.put(good, shape_best(1))
+        store.put(bad, shape_best(2))
         shard = next(tmp_path.glob("shard-*.bin"))
         data = shard.read_bytes()
         shard.write_bytes(data[:-3])  # tear the last record's payload
         reopened = open_store()
-        assert reopened.get(good) == (True, "ok")
+        assert reopened.get(good) == (True, shape_best(1))
         assert reopened.get(bad) == (False, None)
 
     def test_corrupt_garbage_file_is_skipped_not_fatal(self, open_store,
-                                                       tmp_path):
+                                                       tmp_path, shape_best):
         store = open_store()
         good = content_digest("good")
-        store.put(good, "ok")
+        store.put(good, shape_best(1))
         (tmp_path / "shard-9999-dead.bin").write_bytes(b"not a record" * 10)
         reopened = open_store()
-        assert reopened.get(good) == (True, "ok")
+        assert reopened.get(good) == (True, shape_best(1))
         assert len(reopened) == 1
 
     def test_corrupt_checksum_stops_that_shard_only(self, open_store,
-                                                    tmp_path):
+                                                    tmp_path, shape_best):
         """A crc-corrupt shard (here: another process's) is dropped
         without affecting clean shards."""
         store = open_store()
         digest = content_digest("flip")
-        store.put(digest, "payload")
+        store.put(digest, shape_best(1))
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
         data = bytearray(shard.read_bytes())
@@ -282,33 +298,48 @@ class TestDiskCacheStore:
         (tmp_path / "shard-99999-beef.bin").write_bytes(bytes(data))
         clean = open_store()  # this process's (new) shard
         good = content_digest("good")
-        clean.put(good, "ok")
+        clean.put(good, shape_best(2))
         reopened = open_store()
         assert reopened.get(digest) == (False, None)
-        assert reopened.get(good) == (True, "ok")
+        assert reopened.get(good) == (True, shape_best(2))
 
     def test_store_handles_append_to_this_process_shard(self, open_store,
-                                                        tmp_path):
+                                                        tmp_path, shape_best):
         """Store handles in one process share a single shard file, so a
         worker opening a store per run doesn't litter the directory;
         entries from every handle survive."""
         store = open_store()
-        store.put(content_digest("parent"), 1)
+        store.put(content_digest("parent"), shape_best(1))
         clone = open_store()
-        clone.put(content_digest("child"), 2)
+        clone.put(content_digest("child"), shape_best(2))
         assert len(list(tmp_path.glob("shard-*.bin"))) == 1
         merged = open_store()
         assert len(merged) == 2
-        assert merged.get(content_digest("parent")) == (True, 1)
-        assert merged.get(content_digest("child")) == (True, 2)
+        assert merged.get(content_digest("parent")) == (True, shape_best(1))
+        assert merged.get(content_digest("child")) == (True, shape_best(2))
+
+    @pytest.mark.parametrize("damage", ["order", "tile", "short"])
+    def test_damaged_row_degrades_to_miss(self, open_store, tmp_path,
+                                          shape_best, damage):
+        """A record whose frame and crc are sound but whose row fails
+        decode's checks reads as a miss, never an exception."""
+        digest, good = content_digest("damaged"), content_digest("good")
+        (tmp_path / "shard-11111-feed.bin").write_bytes(
+            _framed(digest, _damaged(encode_row(shape_best(1)), damage))
+            + _framed(good, encode_row(shape_best(2))))
+        store = open_store()
+        assert digest in store
+        assert store.get(digest) == (False, None)
+        assert store.get(good) == (True, shape_best(2))
 
     def test_corrupt_shard_scanned_once_then_skipped(self, open_store,
-                                                     tmp_path, caplog):
+                                                     tmp_path, caplog,
+                                                     shape_best):
         """A confirmed-corrupt shard is marked dead: one warning, no
         rescan (and no repeated warning) on later refreshes."""
         import logging
         store = open_store()
-        store.put(content_digest("k"), "v")
+        store.put(content_digest("k"), shape_best(1))
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
         data = bytearray(shard.read_bytes())
@@ -324,100 +355,156 @@ class TestDiskCacheStore:
         assert len(reader) == 0
 
 
-class TestRecordCompression:
-    """NAC2 (zlib) records: written when smaller, NAC1 stays readable."""
+def _legacy_record(digest, value, magic):
+    """A record as the pickle formats framed it: the pickled value
+    behind ``NAC1`` (raw) or ``NAC2`` (zlib-compressed)."""
+    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    if magic == b"NAC2":
+        payload = zlib.compress(payload)
+    return _HEADER.pack(magic, digest.encode("ascii"), len(payload),
+                        zlib.crc32(payload)) + payload
 
-    def test_compressible_payload_written_as_nac2(self, open_store, tmp_path):
-        from repro.search.diskcache import _MAGIC_ZLIB, directory_stats
 
-        store = open_store()
-        digest = content_digest("big")
-        value = {"rows": ["repeated-filler"] * 500}
-        store.put(digest, value)
-        store.close()
-        shard = next(tmp_path.glob("shard-*.bin"))
-        assert shard.read_bytes()[:4] == _MAGIC_ZLIB
-        assert open_store().get(digest) == (True, value)
+def _framed(digest, row):
+    """A row record around ``row`` with a matching length and crc."""
+    return _HEADER.pack(b"NAC3", digest.encode("ascii"), len(row),
+                        zlib.crc32(row)) + row
+
+
+def _leaves(value):
+    """Every leaf of a nested tuple, floats as their IEEE-754 bytes."""
+    for item in value:
+        if isinstance(item, tuple):
+            yield from _leaves(item)
+        elif type(item) is float:
+            yield struct.pack("<d", item)
+        else:
+            yield type(item), item
+
+
+def _bits(value):
+    if value is None:
+        return None
+    mapping, cost = value
+    return list(_leaves(dataclasses.astuple(mapping)
+                        + dataclasses.astuple(cost)))
+
+
+#: Where a row keeps its array order and its first tile (records.py).
+_ARRAY_ORDER = slice(1, 7)
+_FIRST_TILE = slice(13, 17)
+
+
+def _damaged(row, damage):
+    data = bytearray(row)
+    if damage == "order":  # K twice, S never: not a permutation
+        data[_ARRAY_ORDER] = bytes([1, 1, 2, 3, 4, 5])
+    elif damage == "tile":
+        data[_FIRST_TILE] = bytes(4)
+    else:  # "short"
+        del data[len(data) // 2:]
+    return bytes(data)
+
+
+class TestShapeBestRows:
+    """A record's row gives back exactly the value written."""
+
+    @pytest.mark.parametrize("style", list(EncodingStyle))
+    @pytest.mark.parametrize("preset", sorted(BASELINE_PRESETS))
+    def test_round_trip_on_search_results(self, preset, style, cost_model,
+                                          small_layer, pointwise_layer,
+                                          depthwise_layer, strided_layer):
+        layers = [small_layer, pointwise_layer, depthwise_layer,
+                  strided_layer]
+        results = search_mappings(
+            layers, baseline_preset(preset), cost_model,
+            budget=MappingSearchBudget(4, 2), seeds=range(len(layers)),
+            style=style)
+        values = [(result.best_mapping, result.best_cost) if result.found
+                  else None for result in results] + [None]
+        assert any(value is not None for value in values)
+        for value in values:
+            back = decode_row(encode_row(value))
+            assert back == value
+            assert _bits(back) == _bits(value)
+
+    def test_row_covers_every_report_field(self):
+        """A field added to a report must be added to the row (and
+        CACHE_FORMAT bumped), or it would decode as its default."""
+        def names(cls, skip=()):
+            return tuple(field.name for field in dataclasses.fields(cls)
+                         if field.name not in skip)
+
+        assert ("layer_name",) + records._COST_FIELDS == names(
+            LayerCost, ("valid", "reasons", "traffic", "latency", "energy"))
+        assert records._TRAFFIC_FIELDS == names(TrafficReport,
+                                                ("feasible", "reasons"))
+        assert records._LATENCY_FIELDS == names(LatencyReport)
+        assert records._ENERGY_FIELDS == names(EnergyReport)
+        assert names(Mapping) == ("array_order", "pe_order", "tiles")
+
+    def test_encode_raises_on_what_a_row_cannot_hold(self, shape_best):
+        mapping, cost = shape_best(1)
+        unrepresentable = [
+            LayerCost.invalid("test_conv", ("no mapping fits",)),
+            dataclasses.replace(cost, reasons=("a reason",)),
+            dataclasses.replace(cost, traffic=None),
+            dataclasses.replace(cost, cycles=int(cost.cycles)),
+            dataclasses.replace(cost, macs=float(cost.macs)),
+        ]
+        for bad in unrepresentable:
+            with pytest.raises(ValueError):
+                encode_row((mapping, bad))
+
+    @pytest.mark.parametrize("damage", ["order", "tile", "short"])
+    def test_damaged_row_raises_value_error(self, shape_best, damage):
+        with pytest.raises(ValueError):
+            decode_row(_damaged(encode_row(shape_best(1)), damage))
+
+
+class TestStaleRecords:
+    """Records of the pickle formats (``NAC1``/``NAC2``) are framed by
+    their length and crc, so scans walk past them as stale: counted,
+    never indexed or decoded, and dropped by compact."""
+
+    def test_legacy_records_are_stale_not_served(self, open_store, tmp_path,
+                                                 caplog, shape_best):
+        import logging
+
+        old_raw, old_zlib, row = (content_digest(name)
+                                  for name in ("raw", "zlib", "row"))
+        shard = tmp_path / "shard-11111-feed.bin"
+        shard.write_bytes(_legacy_record(old_raw, shape_best(1), b"NAC1")
+                          + _legacy_record(old_zlib, shape_best(2), b"NAC2")
+                          + _framed(row, encode_row(shape_best(3))))
+        records, end, status = _parse_file(shard)
+        assert [(digest, stale) for digest, _, _, stale in records] == [
+            (old_raw, True), (old_zlib, True), (row, False)]
+        assert (end, status) == (shard.stat().st_size, "end")
+        with caplog.at_level(logging.WARNING):
+            store = open_store()
+            assert store.get(old_raw) == (False, None)
+            assert store.get(old_zlib) == (False, None)
+            assert store.get(row) == (True, shape_best(3))
+        assert caplog.records == []
+        assert len(store) == 1 and old_raw not in store
         stats = directory_stats(tmp_path)
-        assert stats.compressed_records == 1
-        assert 0 < stats.compressed_bytes < len(pickle.dumps(value))
+        assert (stats.records, stats.stale_records, stats.corrupt_tails) == \
+            (1, 2, 0)
 
-    def test_incompressible_payload_stays_raw(self, open_store, tmp_path):
-        from repro.search.diskcache import _MAGIC_RAW, directory_stats
-
+    def test_compact_drops_stale_records(self, open_store, tmp_path,
+                                         shape_best):
+        (tmp_path / "shard-11111-feed.bin").write_bytes(
+            _legacy_record(content_digest("old"), shape_best(1), b"NAC2"))
         store = open_store()
-        digest = content_digest("noise")
-        value = os.urandom(4096)  # zlib cannot shrink random bytes
-        store.put(digest, value)
+        store.put(content_digest("new"), shape_best(2))
         store.close()
-        shard = next(tmp_path.glob("shard-*.bin"))
-        assert shard.read_bytes()[:4] == _MAGIC_RAW
-        assert open_store().get(digest) == (True, value)
-        stats = directory_stats(tmp_path)
-        assert stats.compressed_records == 0
-        assert stats.compressed_bytes == 0
-
-    def test_legacy_nac1_records_still_readable(self, open_store, tmp_path):
-        """A shard written by the pre-compression format (raw pickle
-        behind NAC1) must read back byte-for-byte."""
-        import zlib
-
-        from repro.search.diskcache import _HEADER, _MAGIC_RAW
-
-        digest = content_digest("legacy")
-        payload = pickle.dumps({"legacy": True},
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        record = _HEADER.pack(_MAGIC_RAW, digest.encode("ascii"),
-                              len(payload), zlib.crc32(payload)) + payload
-        (tmp_path / "shard-11111-feed.bin").write_bytes(record)
-        store = open_store()
-        assert store.get(digest) == (True, {"legacy": True})
-
-    def test_compact_preserves_per_record_magic(self, open_store, tmp_path):
-        from repro.search.diskcache import directory_stats
-
-        store = open_store()
-        squeezable = content_digest("squeezable")
-        noise = content_digest("noise")
-        store.put(squeezable, ["compress-me"] * 500)
-        store.put(noise, os.urandom(4096))
-        store.close()
-        before = directory_stats(tmp_path)
-        assert before.compressed_records == 1
-        compact_directory(tmp_path)
+        stats = compact_directory(tmp_path)
+        assert (stats.records_kept, stats.stale_dropped,
+                stats.duplicates_dropped) == (1, 1, 0)
         after = directory_stats(tmp_path)
-        assert after.records == 2
-        assert after.compressed_records == 1
-        reopened = open_store()
-        assert reopened.get(squeezable) == (True, ["compress-me"] * 500)
-        assert reopened.get(noise)[0] is True
-
-    def test_corrupt_compressed_payload_degrades_to_miss(self, open_store,
-                                                         tmp_path):
-        """A record whose zlib stream is damaged after the crc was
-        computed reads as a miss, not an exception."""
-        store = open_store()
-        digest = content_digest("damaged")
-        store.put(digest, ["compress-me"] * 500)
-        store.close()
-        shard = next(tmp_path.glob("shard-*.bin"))
-        data = bytearray(shard.read_bytes())
-        data[-1] ^= 0xFF  # damage the zlib tail
-        shard.write_bytes(bytes(data))
-        reader = DiskCacheStore.__new__(DiskCacheStore)
-        reader.directory = tmp_path
-        # Bypass the crc scan (which would already drop the record) to
-        # exercise get()'s decompress guard directly.
-        reader._index = dict(store._index)
-        reader._scanned = {}
-        reader._dead = set()
-        reader._readers = {}
-        reader._write_path = None
-        reader._write_handle = None
-        try:
-            assert reader.get(digest) == (False, None)
-        finally:
-            reader.close()
+        assert (after.shards, after.records, after.stale_records) == (1, 1, 0)
+        assert open_store().get(content_digest("new")) == (True, shape_best(2))
 
 
 class TestTieredEvaluationCache:
@@ -426,59 +513,68 @@ class TestTieredEvaluationCache:
         assert cache.get_or_compute("k", lambda: 1, disk_key="d") == 1
         assert cache.persistent is False
 
-    def test_miss_computes_and_persists(self, tmp_path):
+    def test_miss_computes_and_persists(self, tmp_path, shape_best):
         with build_cache(tmp_path) as cache:
             assert cache.persistent is True
             assert cache.get_or_compute(
-                "k", lambda: 41, disk_key="d" * 32) == 41
+                "k", lambda: shape_best(41), disk_key="d" * 32) == \
+                shape_best(41)
             assert cache.misses == 1
         # a fresh tiered cache over the same directory hits disk
         with build_cache(tmp_path) as fresh:
             assert fresh.get_or_compute(
-                "k", lambda: -1, disk_key="d" * 32) == 41
+                "k", lambda: shape_best(-1), disk_key="d" * 32) == \
+                shape_best(41)
             assert fresh.disk_hits == 1
             assert fresh.hits == 1
 
-    def test_many_reads_disk_hits_and_persists_misses(self, tmp_path):
+    def test_many_reads_disk_hits_and_persists_misses(self, tmp_path,
+                                                      shape_best):
         with build_cache(tmp_path) as cold:
-            cold.get_or_compute("k", lambda: 41, disk_key="d" * 32)
+            cold.get_or_compute("k", lambda: shape_best(41),
+                                disk_key="d" * 32)
         batches = []
 
         def compute(keys):
             batches.append(list(keys))
-            return [0 for _ in keys]
+            return [shape_best(0) for _ in keys]
 
         with build_cache(tmp_path) as cache:
             values = cache.get_or_compute_many(
                 ["k", "j"], compute, disk_keys=["d" * 32, "e" * 32])
             assert (cache.hits, cache.disk_hits, cache.misses) == (1, 1, 1)
-        assert values == [41, 0]
+        assert values == [shape_best(41), shape_best(0)]
         assert batches == [["j"]]
         with build_cache(tmp_path) as warm:
             assert warm.get_or_compute(
-                "j", lambda: -1, disk_key="e" * 32) == 0
+                "j", lambda: shape_best(-1), disk_key="e" * 32) == \
+                shape_best(0)
 
-    def test_l1_hit_does_not_touch_disk(self, tmp_path):
+    def test_l1_hit_does_not_touch_disk(self, tmp_path, shape_best):
         with build_cache(tmp_path) as cache:
-            cache.get_or_compute("k", lambda: 1, disk_key="d" * 32)
-            cache.get_or_compute("k", lambda: -1, disk_key="d" * 32)
+            cache.get_or_compute("k", lambda: shape_best(1),
+                                 disk_key="d" * 32)
+            cache.get_or_compute("k", lambda: shape_best(-1),
+                                 disk_key="d" * 32)
         assert cache.hits == 1
         assert cache.disk_hits == 0
 
-    def test_no_disk_key_stays_in_memory(self, tmp_path):
+    def test_no_disk_key_stays_in_memory(self, tmp_path, shape_best):
         with build_cache(tmp_path) as cache:
-            cache.get_or_compute("k", lambda: 1)
+            cache.get_or_compute("k", lambda: shape_best(1))
             assert len(cache.store) == 0
 
-    def test_disk_hit_is_not_promoted_into_l1(self, tmp_path):
+    def test_disk_hit_is_not_promoted_into_l1(self, tmp_path, shape_best):
         """A warm rerun reads each entry from disk as often as it is
         looked up and never grows the serving process's L1."""
         with build_cache(tmp_path) as cold:
-            cold.get_or_compute("k", lambda: 7, disk_key="d" * 32)
+            cold.get_or_compute("k", lambda: shape_best(7),
+                                disk_key="d" * 32)
         with build_cache(tmp_path) as warm:
             for _ in range(2):
-                assert warm.get_or_compute("k", lambda: -1,
-                                           disk_key="d" * 32) == 7
+                assert warm.get_or_compute("k", lambda: shape_best(-1),
+                                           disk_key="d" * 32) == \
+                    shape_best(7)
         assert len(warm) == 0
         assert (warm.hits, warm.disk_hits, warm.misses) == (2, 2, 0)
 
@@ -625,15 +721,14 @@ class TestSearchAcceleratorDiskTier:
         assert eval(first["hit_rate"]) == 0.0
 
 
-def _write_records(store, count, size):
-    """``count`` records, the ``i``-th holding ``size + 17 * i`` seeded
-    random bytes; returns their digests in write order."""
+def _write_records(store, count, shape_best):
+    """``count`` records, the ``i``-th row ``17 * i`` bytes longer than
+    the first (by its layer name); returns their digests in write
+    order."""
     digests = []
     for i in range(count):
         digest = content_digest("record", i)
-        # Random bytes do not compress, so the record is stored raw
-        # (NAC1) at the size written.
-        store.put(digest, random.Random(i).randbytes(size + 17 * i))
+        store.put(digest, shape_best(i, name="n" * (17 * i + 1)))
         digests.append(digest)
     return digests
 
@@ -643,9 +738,10 @@ class TestBlockParser:
     boundary parse exactly as with one block for the whole shard."""
 
     def test_straddling_records_parse_like_one_block(self, open_store,
-                                                     tmp_path, monkeypatch):
+                                                     tmp_path, monkeypatch,
+                                                     shape_best):
         store = open_store()
-        digests = _write_records(store, 12, 150)
+        digests = _write_records(store, 12, shape_best)
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
         whole = _parse_file(shard)
@@ -661,10 +757,10 @@ class TestBlockParser:
     @pytest.mark.parametrize("damage", ["torn", "corrupt"])
     def test_stats_and_store_agree_on_damaged_shards(self, open_store,
                                                      tmp_path, monkeypatch,
-                                                     damage):
+                                                     damage, shape_best):
         monkeypatch.setattr(diskcache_module, "_BLOCK_BYTES", 97)
         store = open_store()
-        digests = _write_records(store, 8, 120)
+        digests = _write_records(store, 8, shape_best)
         store.close()
         shard = next(tmp_path.glob("shard-*.bin"))
         data = bytearray(shard.read_bytes())
@@ -704,39 +800,41 @@ class TestHeldReaders:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="needs /proc/self/fd")
-    def test_close_releases_shard_descriptors(self, open_store, tmp_path):
+    def test_close_releases_shard_descriptors(self, open_store, tmp_path,
+                                              shape_best):
         store = open_store()
         digest = content_digest("k")
-        store.put(digest, "v")
+        store.put(digest, shape_best(1))
         for _ in range(3):
-            assert store.get(digest) == (True, "v")
+            assert store.get(digest) == (True, shape_best(1))
         # One write handle and one reader on the one shard.
         assert len(self._fds_into(tmp_path)) == 2
         store.close()
         assert self._fds_into(tmp_path) == []
-        assert store.get(digest) == (True, "v")  # reopens on demand
+        assert store.get(digest) == (True, shape_best(1))  # reopens
         store.close()
 
-    def test_two_stores_on_one_directory(self, open_store, tmp_path):
+    def test_two_stores_on_one_directory(self, open_store, tmp_path,
+                                         shape_best):
         first, second = open_store(), open_store()
-        first.put(content_digest("a"), "from-first")
+        first.put(content_digest("a"), shape_best(1))
         _new_shard_process_identity()
-        second.put(content_digest("b"), "from-second")
+        second.put(content_digest("b"), shape_best(2))
         first.refresh()
         second.refresh()
         for store in (first, second):
-            assert store.get(content_digest("a")) == (True, "from-first")
-            assert store.get(content_digest("b")) == (True, "from-second")
+            assert store.get(content_digest("a")) == (True, shape_best(1))
+            assert store.get(content_digest("b")) == (True, shape_best(2))
         first.close()
         # Closing one store leaves the other's descriptors working.
-        assert second.get(content_digest("a")) == (True, "from-first")
+        assert second.get(content_digest("a")) == (True, shape_best(1))
         second.close()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_reads_through_inherited_store(self, open_store,
-                                                        tmp_path):
+                                                        tmp_path, shape_best):
         writer = open_store()
-        values = {content_digest(i): [i] * (i + 1) for i in range(20)}
+        values = {content_digest(i): shape_best(i) for i in range(20)}
         for digest, value in values.items():
             writer.put(digest, value)
         writer.close()
@@ -851,28 +949,41 @@ class TestDiskKey:
             _disk_keys(accel, small_layer, CostModel(), budget)
 
     def test_records_of_the_old_layout_are_never_served(
-            self, open_store, tiny_network, cost_model, tmp_path):
-        """A directory written before the slim records holds whole
-        ``MappingSearchResult`` values under the old key; they miss and
-        are recomputed."""
+            self, tiny_network, cost_model, tmp_path, caplog):
+        """A directory the pickle format wrote (hand-framed ``NAC1``
+        records of each shape's pickled best, under this and the
+        previous format's keys) opens without a warning or a
+        corrupt-tail skip, serves nothing and refills like a cold run."""
+        import logging
+
         accel = baseline_preset("nvdla_256")
         budget = MappingSearchBudget(4, 2)
         entropy = seed_entropy(7)
-        store = open_store()
+        legacy = b""
         for layer, _count in tiny_network.unique_shapes():
             key = (accel, shape_key(layer), EncodingStyle.IMPORTANCE)
             old = search_mapping(layer, accel, cost_model, budget,
                                  seed=derive_seed(entropy, key))
-            store.put(content_digest(entropy, key, budget,
-                                     cost_model.params), old)
-        store.close()
+            for cache_format in ("shape-best/2", CACHE_FORMAT):
+                shared = content_digest(cache_format, budget,
+                                        cost_model.params)
+                legacy += _legacy_record(
+                    content_digest(entropy, key, shared),
+                    (old.best_mapping, old.best_cost), b"NAC1")
+        (tmp_path / "shard-11111-feed.bin").write_bytes(legacy)
+        shapes = len(tiny_network.unique_shapes())
+        stats = directory_stats(tmp_path)
+        assert (stats.records, stats.stale_records, stats.corrupt_tails) == \
+            (0, 2 * shapes, 0)
         cold = evaluate_accelerator(accel, [tiny_network], cost_model,
                                     budget, seed=7)
-        with build_cache(tmp_path) as cache:
-            warm = evaluate_accelerator(accel, [tiny_network], cost_model,
-                                        budget, seed=7, cache=cache)
-            shapes = len(tiny_network.unique_shapes())
-            assert (cache.disk_hits, cache.misses) == (0, shapes)
+        with caplog.at_level(logging.WARNING):
+            with build_cache(tmp_path) as cache:
+                warm = evaluate_accelerator(accel, [tiny_network],
+                                            cost_model, budget, seed=7,
+                                            cache=cache)
+                assert (cache.disk_hits, cache.misses) == (0, shapes)
+        assert caplog.records == []
         assert warm[0] == cold[0]
         assert warm[1][tiny_network.name] == cold[1][tiny_network.name]
         # The recomputed values are stored under the new keys.
