@@ -5,7 +5,8 @@ its native compiler heuristic (:func:`baseline_costs`) and with
 searched mappings (:func:`tuned_baseline_costs`). Tuning runs on the
 same evaluator as the searches, so its networks are dispatched to the
 local worker pool at ``workers > 1``, and with a ``cache_dir`` the
-networks whose every shape is on disk are served in the coordinator.
+networks whose every shape is on disk are served in the coordinator,
+by the tuning group worker run against a probe of its cache.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.presets import baseline_constraint, baseline_preset
 from repro.cost.model import CostModel
 from repro.cost.report import NetworkCost
-from repro.encoding.spaces import EncodingStyle
 from repro.mapping.builders import dataflow_preserving_mapping
-from repro.search.accelerator_search import _evaluate, evaluate_accelerator
+from repro.search.accelerator_search import evaluate_accelerator
 from repro.search.cache import EvaluationCache
 from repro.search.mapping_search import MappingSearchBudget
-from repro.search.objectives import geomean_edp
 from repro.search.parallel import ParallelEvaluator
 from repro.search.transport import Transport, group_worker
 from repro.tensors.network import Network
@@ -61,22 +60,7 @@ class _TuneTask:
     entropy: int
 
 
-def _tune_held_networks(tasks: List[_TuneTask], cache: EvaluationCache,
-                        ) -> Dict[int, Optional[NetworkCost]]:
-    """:func:`_tune_networks`' companion: the costs, by task index, of
-    the networks whose every lookup ``cache`` already holds."""
-    held: Dict[int, Optional[NetworkCost]] = {}
-    for index, task in enumerate(tasks):
-        evaluations = _evaluate(
-            [task.preset], [task.entropy], [task.network], task.cost_model,
-            task.mapping_budget, EncodingStyle.IMPORTANCE, cache,
-            geomean_edp, held_only=True)
-        if evaluations:
-            held[index] = evaluations[0][1].get(task.network.name)
-    return held
-
-
-@group_worker(held=_tune_held_networks)
+@group_worker
 def _tune_networks(tasks: List[_TuneTask],
                    cache: Optional[EvaluationCache],
                    ) -> List[Optional[NetworkCost]]:

@@ -15,14 +15,14 @@ reproduces the serial path bit-identically; see
 of candidates is one :func:`evaluate_accelerators` call, so at
 ``workers=1`` a generation's mapping searches are one lockstep search
 over every candidate's shapes. Before a generation is dispatched, the
-group worker's companion serves the candidates whose every shape the
-coordinator's cache already holds, in the coordinator.
+coordinator runs that group worker against a probe of its cache, which
+serves the candidates whose every shape the cache already holds (see
+:meth:`repro.search.cache.EvaluationCache.probe`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
@@ -161,23 +161,6 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
     entropy and accelerator) is searched once and its later lookups
     hit.
     """
-    return list(_evaluate(accels, entropies, networks, cost_model,
-                          mapping_budget, mapping_style, cache, reward_fn,
-                          held_only=False).values())
-
-
-def _evaluate(accels: Sequence[AcceleratorConfig], entropies: Sequence[int],
-              networks: Sequence[Network], cost_model: CostModel,
-              mapping_budget: MappingSearchBudget,
-              mapping_style: EncodingStyle, cache: Optional[EvaluationCache],
-              reward_fn: RewardFn, held_only: bool) -> Dict[int, Evaluation]:
-    """:func:`evaluate_accelerators`' evaluations by candidate index.
-
-    With ``held_only``, only the candidates whose every lookup ``cache``
-    holds are evaluated (probed with ``_holds``, which counts and reads
-    nothing), through the same lookups; each disk key is digested once
-    either way.
-    """
     if len(entropies) != len(accels):
         raise ValueError(
             f"{len(entropies)} entropies for {len(accels)} accelerators")
@@ -186,22 +169,18 @@ def _evaluate(accels: Sequence[AcceleratorConfig], entropies: Sequence[int],
               for network in networks]
     layers = [layer for group in shapes for layer, _, _ in group]
     skeys = [skey for group in shapes for _, _, skey in group]
-    keys = [[(entropy, (accel, skey, mapping_style)) for skey in skeys]
-            for accel, entropy in zip(accels, entropies)]
+    lookups = [(entropy, (accel, skey, mapping_style))
+               for accel, entropy in zip(accels, entropies)
+               for skey in skeys]
+    lookup_layers = layers * len(accels)
     disk_keys = None
     if cache is not None and cache.persistent:
         shared = content_digest(CACHE_FORMAT, mapping_budget,
                                 cost_model.params)
-        disk_keys = _rendered_disk_keys(accels, entropies, skeys,
-                                        mapping_style, shared)
-    chosen = range(len(accels))
-    if held_only:
-        chosen = [index for index in chosen
-                  if all(map(cache._holds, keys[index],
-                             disk_keys[index] if disk_keys
-                             else itertools.repeat(None)))]
-    lookups = [key for index in chosen for key in keys[index]]
-    lookup_layers = layers * len(chosen)
+        rendered = _rendered_disk_keys(accels, entropies, skeys,
+                                       mapping_style, shared)
+        disk_keys = [digest for candidate in rendered
+                     for digest in candidate]
 
     def run_searches(keys: Sequence[Tuple[int, tuple]],
                      batch: Sequence[ConvLayer]) -> List[ShapeBest]:
@@ -215,9 +194,7 @@ def _evaluate(accels: Sequence[AcceleratorConfig], entropies: Sequence[int],
         return [(result.best_mapping, result.best_cost) if result.found
                 else None for result in results]
 
-    if cache is None:
-        results = run_searches(lookups, lookup_layers)
-    else:
+    def search_misses(keys: Sequence[Tuple[int, tuple]]) -> List[ShapeBest]:
         # Deduplicated by key: a recurring key is searched once, with
         # its first lookup's layer, and its later lookups hit — as
         # one-by-one lookups would. Its cost takes each network's own
@@ -225,18 +202,18 @@ def _evaluate(accels: Sequence[AcceleratorConfig], entropies: Sequence[int],
         first_layer: Dict[Tuple[int, tuple], ConvLayer] = {}
         for key, layer in zip(lookups, lookup_layers):
             first_layer.setdefault(key, layer)
-        results = cache.get_or_compute_many(
-            lookups,
-            lambda keys: run_searches(keys,
-                                      [first_layer[key] for key in keys]),
-            disk_keys=None if disk_keys is None else [
-                digest for index in chosen for digest in disk_keys[index]])
+        return run_searches(keys, [first_layer[key] for key in keys])
+
+    if cache is None:
+        results = run_searches(lookups, lookup_layers)
+    else:
+        results = cache.get_or_compute_many(lookups, search_misses,
+                                            disk_keys=disk_keys)
 
     size = len(layers)
-    return {index: _reduce(accels[index], networks, shapes,
-                           results[slot * size:(slot + 1) * size],
-                           reward_fn)
-            for slot, index in enumerate(chosen)}
+    return [_reduce(accel, networks, shapes,
+                    results[index * size:(index + 1) * size], reward_fn)
+            for index, accel in enumerate(accels)]
 
 
 def _rendered_disk_keys(accels: Sequence[AcceleratorConfig],
@@ -306,19 +283,7 @@ class _CandidateTask:
     reward_fn: RewardFn
 
 
-def _evaluate_held_candidates(tasks: List[_CandidateTask],
-                              cache: EvaluationCache,
-                              ) -> Dict[int, Evaluation]:
-    """:func:`_evaluate_candidates`' companion: the evaluations, by task
-    index, of the tasks whose every lookup ``cache`` already holds."""
-    first = tasks[0]
-    return _evaluate(
-        [task.accel for task in tasks], [task.entropy for task in tasks],
-        first.networks, first.cost_model, first.mapping_budget,
-        first.mapping_style, cache, first.reward_fn, held_only=True)
-
-
-@group_worker(held=_evaluate_held_candidates)
+@group_worker
 def _evaluate_candidates(tasks: List[_CandidateTask],
                          cache: Optional[EvaluationCache],
                          ) -> List[Evaluation]:

@@ -19,21 +19,30 @@ builds a cache closes it (it is a context manager). The coordinator's
 is built and closed by its
 :class:`~repro.search.parallel.ParallelEvaluator`, unless the caller
 hands one in and keeps it. Before a generation is dispatched, the
-coordinator probes its cache with :meth:`EvaluationCache._holds`
-(which counts and reads nothing) and evaluates the candidates it fully
-holds itself, so a warm generation never leaves the coordinator.
-Workers send back only the counts a task group added, which the
-evaluator sums into its ``cache_stats``, with the coordinator's own
-lookups; a cache's own counters count only the lookups made through
-it.
+evaluator runs the group worker against a
+:meth:`~EvaluationCache.probe` of that cache, so a warm generation
+never leaves the coordinator. Workers send back only the counts a task
+group added, which the evaluator sums into its ``cache_stats``, with
+the coordinator's own lookups and those of its successful probes; a
+cache's own counters count only the lookups made through it.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.search.result import CacheStats
+
+
+class NotHeld(Exception):
+    """A probe's lookup would miss (see :meth:`EvaluationCache.probe`);
+    ``partly``: the probe had found some key held before it refused."""
+
+    def __init__(self, partly: bool) -> None:
+        super().__init__("a probed lookup is not held")
+        self.partly = partly
 
 
 class EvaluationCache:
@@ -42,6 +51,8 @@ class EvaluationCache:
     #: Whether this cache has a disk tier worth deriving ``disk_key``
     #: digests for (overridden by TieredEvaluationCache).
     persistent = False
+    #: Whether this is a :meth:`probe`, which refuses to compute.
+    _probing = False
 
     def __init__(self, max_entries: int = 100_000) -> None:
         if max_entries < 1:
@@ -53,6 +64,20 @@ class EvaluationCache:
         #: Hits served by a disk tier (always 0 without one); they are
         #: included in ``hits``.
         self.disk_hits = 0
+
+    def probe(self) -> "EvaluationCache":
+        """A view that serves only what this cache holds.
+
+        It shares this cache's entries and disk tier, starts its
+        counters at 0, and raises :class:`NotHeld` wherever a lookup
+        would miss, before anything is counted or computed. A record
+        that vanishes between that check and its read is still
+        computed. The view owns nothing and is never closed.
+        """
+        view = copy.copy(self)
+        view.hits = view.misses = view.disk_hits = 0
+        view._probing = True
+        return view
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any],
                        disk_key: Optional[str] = None) -> Any:
@@ -67,11 +92,11 @@ class EvaluationCache:
             self.hits += 1
             self._store.move_to_end(key)
             return self._store[key]
+        if self._probing:
+            raise NotHeld(self.hits > 0)
         self.misses += 1
         value = compute()
-        self._store[key] = value
-        if len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
+        self._insert(key, value)
         return value
 
     def get_or_compute_many(self, keys: Sequence[Hashable],
@@ -90,9 +115,15 @@ class EvaluationCache:
                      else list(disk_keys))
         # Insertion-ordered: the distinct misses in first-occurrence order.
         missing: Dict[Hashable, None] = {}
-        for key, disk_key in zip(keys, disk_keys):
-            if key not in missing and not self._holds(key, disk_key):
-                missing[key] = None
+        if self._probing:
+            # A probe goes on only when every key is held.
+            held = list(map(self._holds, keys, disk_keys))
+            if not all(held):
+                raise NotHeld(self.hits > 0 or any(held))
+        else:
+            for key, disk_key in zip(keys, disk_keys):
+                if key not in missing and not self._holds(key, disk_key):
+                    missing[key] = None
         computed = (dict(zip(missing, compute(list(missing))))
                     if missing else {})
 
@@ -109,6 +140,12 @@ class EvaluationCache:
         """Whether a lookup would hit, without counting or reading it."""
         del disk_key
         return key in self._store
+
+    def _insert(self, key: Hashable, value: Any) -> None:
+        """Store a computed value, evicting the least recently used."""
+        self._store[key] = value
+        if len(self._store) > self.max_entries:
+            self._store.popitem(last=False)
 
     def stats(self) -> CacheStats:
         """This cache's lookup counters as a :class:`CacheStats`."""

@@ -88,10 +88,10 @@ import struct
 import time
 import zlib
 from pathlib import Path
-from typing import (Any, BinaryIO, Callable, Dict, Hashable, List, Optional,
-                    Tuple, Union)
+from typing import (Any, BinaryIO, Callable, Dict, Hashable, Iterator, List,
+                    Optional, Tuple, Union)
 
-from repro.search.cache import EvaluationCache
+from repro.search.cache import EvaluationCache, NotHeld
 from repro.search.records import ShapeBest, decode_row, encode_row
 from repro.utils.logging import get_logger
 
@@ -146,16 +146,13 @@ def _read_block(fd: int, offset: int, size: int, need: int = 0) -> memoryview:
 def _parse_shard(fd: int, offset: int = 0) -> Tuple[List[_Record], int, str]:
     """The clean records of a shard from ``offset`` on.
 
-    The one parser the store's scans, :func:`directory_stats`,
-    :func:`compact_directory` and :func:`prune_directory` walk shards
-    with, so what the store indexes and what the stats report can never
-    diverge. It reads the shard in bounded blocks with ``os.pread``
-    (which moves no shared file offset) and checks each record's crc
-    on a ``memoryview`` slice of its block, up to the size the shard
-    had when the walk began. Returns ``(records, end, status)``: each
-    clean record as ``(digest, payload offset, payload length,
-    stale)``, the offset just past the last of them, and why the walk
-    stopped:
+    What :func:`_walk_shards` parses each shard with. It reads the
+    shard in bounded blocks with ``os.pread`` (which moves no shared
+    file offset) and checks each record's crc on a ``memoryview`` slice
+    of its block, up to the size the shard had when the walk began.
+    Returns ``(records, end, status)``: each clean record as
+    ``(digest, payload offset, payload length, stale)``, the offset
+    just past the last of them, and why the walk stopped:
 
     - ``"end"`` — exactly at the end of the shard;
     - ``"torn"`` — a truncated header or payload (a writer may still be
@@ -193,11 +190,43 @@ def _parse_shard(fd: int, offset: int = 0) -> Tuple[List[_Record], int, str]:
     return records, offset, "end"
 
 
-def _parse_file(shard: Path, offset: int = 0,
-                ) -> Tuple[List[_Record], int, str]:
-    """:func:`_parse_shard` over a shard file opened for the walk."""
-    with open(shard, "rb") as handle:
-        return _parse_shard(handle.fileno(), offset)
+#: A shard's :func:`_parse_shard` result, ``None`` or an ``OSError``.
+_Walk = Union[None, OSError, Tuple[List[_Record], int, str]]
+
+
+def _walk_shards(directory: Path,
+                 start: Callable[[str, os.stat_result], Optional[int]]
+                 = lambda path, stat: 0,
+                 ) -> Iterator[Tuple[Path, os.stat_result, int, _Walk]]:
+    """Walk a cache directory's shards in name order, each once.
+
+    The one shard walk of the store's scans, :func:`directory_stats`,
+    :func:`compact_directory` and :func:`prune_directory`, so what the
+    store indexes and what the stats report can never diverge. Yields
+    ``(shard, stat, fd, walk)`` for each shard that can still be
+    stat'ed: ``walk`` is :func:`_parse_shard` from the offset ``start(
+    path, stat)`` returns, through ``fd``, open until the walk moves
+    on; ``None`` (``fd`` -1) when ``start`` returns ``None``; or the
+    ``OSError`` of an unreadable shard, which each caller handles its
+    own way.
+    """
+    for shard in sorted(directory.glob("shard-*.bin")):
+        try:
+            stat = shard.stat()
+        except OSError:
+            continue
+        offset = start(str(shard), stat)
+        if offset is None:
+            yield shard, stat, -1, None
+            continue
+        walk: _Walk = None
+        try:
+            with open(shard, "rb") as handle:
+                walk = _parse_shard(handle.fileno(), offset)
+                yield shard, stat, handle.fileno(), walk
+        except OSError as exc:
+            if walk is None:
+                yield shard, stat, -1, exc
 
 
 #: What :func:`content_digest` joins the ``repr`` of its parts with.
@@ -264,38 +293,39 @@ class DiskCacheStore:
         (and are retried next refresh, in case a concurrent writer
         simply had not finished the record yet).
         """
-        for shard in sorted(self.directory.glob("shard-*.bin")):
-            self._scan_shard(shard)
+        for shard, _stat, _fd, walk in _walk_shards(self.directory,
+                                                    self._scan_from):
+            if walk is None:
+                continue
+            if isinstance(walk, OSError):
+                logger.warning("unreadable cache shard %s (%s); skipped",
+                               shard, walk)
+                continue
+            records, end, status = walk
+            path = str(shard)
+            for digest, payload_offset, length, stale in records:
+                if not stale:
+                    self._index.setdefault(digest,
+                                           (path, payload_offset, length))
+            # A torn tail is retried once its writer finishes.
+            self._scanned[path] = end
+            if status == "corrupt":
+                # Record boundaries cannot be resynchronized; mark the
+                # shard dead so refresh() stops rescanning (and
+                # re-warning about) it.
+                self._dead.add(path)
+                logger.warning("corrupt record in %s at offset %d; "
+                               "entries behind it are unreachable",
+                               shard, end)
 
-    def _scan_shard(self, shard: Path) -> None:
-        path = str(shard)
-        if path in self._dead:
-            return
+    def _scan_from(self, path: str, stat: os.stat_result) -> Optional[int]:
+        """Where :meth:`refresh` walks a shard from: past its records
+        already scanned, or not at all (``None``) when the shard is dead
+        or has grown by nothing."""
         offset = self._scanned.get(path, 0)
-        try:
-            size = shard.stat().st_size
-        except OSError:
-            return
-        if size <= offset:
-            return
-        try:
-            records, end, status = _parse_file(shard, offset)
-        except OSError as exc:
-            logger.warning("unreadable cache shard %s (%s); skipped",
-                           shard, exc)
-            return
-        for digest, payload_offset, length, stale in records:
-            if not stale:
-                self._index.setdefault(digest, (path, payload_offset, length))
-        # A torn tail is retried once its writer finishes.
-        self._scanned[path] = end
-        if status == "corrupt":
-            # Record boundaries cannot be resynchronized; mark the shard
-            # dead so refresh() stops rescanning (and re-warning about)
-            # it.
-            self._dead.add(path)
-            logger.warning("corrupt record in %s at offset %d; entries "
-                           "behind it are unreachable", shard, end)
+        if path in self._dead or stat.st_size <= offset:
+            return None
+        return offset
 
     def get(self, digest: str) -> Tuple[bool, ShapeBest]:
         """``(found, value)`` for a digest; misses are ``(False, None)``.
@@ -417,6 +447,8 @@ class TieredEvaluationCache(EvaluationCache):
                 self.hits += 1
                 self.disk_hits += 1
                 return value
+        if self._probing and not self._holds(key, disk_key):
+            raise NotHeld(self.hits > 0)
         self.misses += 1
         value = compute()
         self._insert(key, value)
@@ -425,13 +457,9 @@ class TieredEvaluationCache(EvaluationCache):
         return value
 
     def _holds(self, key: Hashable, disk_key: Optional[str]) -> bool:
-        return key in self._store or (disk_key is not None
-                                      and disk_key in self.store)
-
-    def _insert(self, key: Hashable, value: Any) -> None:
-        self._store[key] = value
-        if len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
+        # The digest first: it hashes cheaper than the L1 key.
+        return (disk_key is not None and disk_key in self.store
+                or key in self._store)
 
     def close(self) -> None:
         self.store.close()
@@ -467,20 +495,14 @@ def directory_stats(directory: Union[str, Path]) -> DiskCacheDirStats:
     store opened on the directory would index, and the corrupt-tail
     count matches what it would skip.
     """
-    path = Path(directory)
     shards = records = total_bytes = corrupt_tails = stale_records = 0
-    for shard in sorted(path.glob("shard-*.bin")):
-        try:
-            size = shard.stat().st_size
-        except OSError:
-            continue
+    for _shard, stat, _fd, walk in _walk_shards(Path(directory)):
         shards += 1
-        total_bytes += size
-        try:
-            clean, _end, status = _parse_file(shard)
-        except OSError:
+        total_bytes += stat.st_size
+        if isinstance(walk, OSError):
             corrupt_tails += 1
             continue
+        clean, _end, status = walk
         if status != "end":  # torn or corrupt tail
             corrupt_tails += 1
         stale = sum(record[3] for record in clean)
@@ -522,7 +544,7 @@ def compact_directory(directory: Union[str, Path]) -> CompactStats:
     dropped with it.
     """
     path = Path(directory)
-    old_shards = sorted(path.glob("shard-*.bin"))
+    old_shards: List[Path] = []
     bytes_before = 0
     records_kept = duplicates = stale_dropped = 0
     seen: set = set()
@@ -534,26 +556,23 @@ def compact_directory(directory: Union[str, Path]) -> CompactStats:
     temp = path / f".compact-{os.getpid()}.tmp"
     try:
         with open(temp, "wb") as out:
-            for shard in old_shards:
+            for shard, stat, fd, walk in _walk_shards(path):
+                old_shards.append(shard)
+                bytes_before += stat.st_size
                 try:
-                    bytes_before += shard.stat().st_size
-                except OSError:
-                    continue
-                try:
-                    with open(shard, "rb") as handle:
-                        fd = handle.fileno()
-                        records, _end, _status = _parse_shard(fd)
-                        for digest, offset, length, stale in records:
-                            if stale:
-                                stale_dropped += 1
-                                continue
-                            if digest in seen:
-                                duplicates += 1
-                                continue
-                            out.write(os.pread(fd, _HEADER.size + length,
-                                               offset - _HEADER.size))
-                            seen.add(digest)
-                            records_kept += 1
+                    if isinstance(walk, OSError):
+                        raise walk
+                    for digest, offset, length, stale in walk[0]:
+                        if stale:
+                            stale_dropped += 1
+                            continue
+                        if digest in seen:
+                            duplicates += 1
+                            continue
+                        out.write(os.pread(fd, _HEADER.size + length,
+                                           offset - _HEADER.size))
+                        seen.add(digest)
+                        records_kept += 1
                 except OSError as exc:
                     logger.warning("skipping unreadable shard %s (%s)",
                                    shard, exc)
@@ -612,24 +631,17 @@ def prune_directory(directory: Union[str, Path],
     if older_than_days < 0:
         raise ValueError(
             f"older_than_days must be >= 0, got {older_than_days}")
-    path = Path(directory)
     # repro: allow(determinism) -- an age cutoff for cache hygiene;
     # pruning only forgets results, it never changes one.
     cutoff = time.time() - older_than_days * 86400.0
     removed = kept = records_removed = bytes_removed = 0
-    for shard in sorted(path.glob("shard-*.bin")):
-        try:
-            stat = shard.stat()
-        except OSError:
-            continue
-        if stat.st_mtime >= cutoff:
+    for shard, stat, _fd, walk in _walk_shards(
+            Path(directory),
+            lambda _path, stat: None if stat.st_mtime >= cutoff else 0):
+        if walk is None:
             kept += 1
             continue
-        shard_records = 0
-        try:
-            shard_records = len(_parse_file(shard)[0])
-        except OSError:
-            pass
+        shard_records = 0 if isinstance(walk, OSError) else len(walk[0])
         try:
             os.unlink(shard)
         except OSError as exc:

@@ -22,11 +22,12 @@ those searches run on:
   belongs to its evaluator, which builds it on first use and closes
   it, unless the caller hands one in (see :class:`ParallelEvaluator`).
   It serves inline evaluation, salvage, and the payloads of a batch
-  about to be dispatched whose every lookup it already holds (the
-  worker's ``held`` companion, see
-  :func:`~repro.search.transport.group_worker`, evaluates them here),
-  so a fully warm generation never reaches the transport. Each worker
-  process keeps its own cache for the run, built from the small
+  about to be dispatched whose every lookup it already holds: the
+  group worker runs here against a
+  :meth:`~repro.search.cache.EvaluationCache.probe` of it, which
+  refuses before computing anything it does not hold, so a fully warm
+  generation never reaches the transport. Each worker process keeps
+  its own cache for the run, built from the small
   :class:`~repro.search.diskcache.CacheHandle` (run token and disk
   directory) every task group carries. A task group returns its
   results and the cache counts it added, which the evaluator sums into
@@ -95,7 +96,7 @@ from repro.errors import (
     SearchError,
     TransportError,
 )
-from repro.search.cache import EvaluationCache
+from repro.search.cache import EvaluationCache, NotHeld
 from repro.search.diskcache import CacheHandle, build_cache
 from repro.search.result import CacheStats, IterationStats
 from repro.search.transport import (
@@ -171,11 +172,13 @@ class ParallelEvaluator:
     A batch that would be dispatched (``workers > 1``) is first served
     here as far as the coordinator's cache holds it: when the cache can
     hold anything (a ``cache`` passed in, or a ``cache_dir``) and the
-    worker has a ``held`` companion, the companion evaluates the
-    payloads whose every lookup the cache holds, and only the others
-    are dispatched, after ``transport.available()``. Results are
-    stitched back in submission order; content-derived seeds make a
-    held result equal to a dispatched one.
+    worker is a :func:`~repro.search.transport.group_worker`, it runs
+    against a probe of the cache
+    (:meth:`~repro.search.cache.EvaluationCache.probe`), and only the
+    payloads the probe refuses are dispatched, after
+    ``transport.available()``. Results are stitched back in submission
+    order; content-derived seeds make a held result equal to a
+    dispatched one.
 
     The coordinator's cache has one owner, like the transport. A
     ``cache`` passed in belongs to the caller and is never closed here.
@@ -232,7 +235,7 @@ class ParallelEvaluator:
         self._own_cache: Optional[EvaluationCache] = None
         #: Whether the coordinator's cache can hold anything this
         #: evaluator did not put there: the caller's, or one over a
-        #: cache directory. Only then are held payloads worth probing.
+        #: cache directory. Only then is a batch worth probing.
         self._cache_may_hold = cache is not None or cache_dir is not None
         if cache is not None:
             store = getattr(cache, "store", None)
@@ -275,10 +278,7 @@ class ParallelEvaluator:
     def _dispatching(self) -> bool:
         """Would this batch fan out through the transport? Only with
         more than one worker."""
-        transport = self._transport
-        if transport is None or transport.closed:
-            return False
-        return self.workers > 1
+        return self._transport is not None and self.workers > 1
 
     def _transport_available(self) -> bool:
         """Can the transport take the batch now?
@@ -314,16 +314,37 @@ class ParallelEvaluator:
         return self._on_own_cache(
             lambda cache: run_group(self.worker_fn, payloads, cache))
 
+    def _run_probed(self, payloads: List[Any]) -> List[Any]:
+        """One task group's results, served by a probe of the
+        coordinator's cache, which raises :class:`NotHeld` where a
+        lookup would miss; its lookups join :attr:`cache_stats` only
+        if it succeeds."""
+        probe = self._on_own_cache(lambda cache: cache.probe())
+        results = run_group(self.worker_fn, payloads, probe)
+        self.cache_stats += probe.stats()
+        return results
+
     def _serve_held(self, payloads: List[Any]) -> Dict[int, Any]:
         """The results, by index, of the payloads the coordinator's
-        cache fully holds, evaluated here by the worker's companion
-        (see :func:`~repro.search.transport.group_worker`). Nothing is
-        probed when the worker has no companion or the cache can hold
-        nothing yet."""
-        held = getattr(self.worker_fn, "held", None)
-        if held is None or not self._cache_may_hold:
+        cache fully holds: a group worker is probed over the whole
+        batch, then payload by payload if the refusal shows the cache
+        holds part of it. Nothing is probed for other workers or a
+        cache that can hold nothing yet."""
+        if not (self._cache_may_hold
+                and getattr(self.worker_fn, "takes_group", False)):
             return {}
-        return self._on_own_cache(lambda cache: held(payloads, cache))
+        try:
+            return dict(enumerate(self._run_probed(payloads)))
+        except NotHeld as refusal:
+            if not refusal.partly or len(payloads) == 1:
+                return {}
+        served: Dict[int, Any] = {}
+        for index, payload in enumerate(payloads):
+            try:
+                served[index] = self._run_probed([payload])[0]
+            except NotHeld:
+                pass
+        return served
 
     def _group_results(self, future: Future, size: int) -> List[Any]:
         """A landed group's results; its cache counts join the run's.

@@ -26,9 +26,9 @@ serves. A group returns its results and the cache counts it added,
 which the coordinator's evaluator sums into its ``cache_stats``; the
 coordinator's own cache is the evaluator's (see
 :mod:`repro.search.parallel`) and serves inline evaluation, salvage
-and the payloads it already holds, which are never submitted. Every
-evaluation is seeded from content digests, so cache state can change
-only cost, never results.
+and, through a probe of it, the group workers' payloads it already
+holds, which are never submitted. Every evaluation is seeded from
+content digests, so cache state can change only cost, never results.
 
 Failure model
 -------------
@@ -44,16 +44,7 @@ never wrongly) whatever the pool does.
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SearchError, TransportError
 from repro.search.cache import EvaluationCache
@@ -69,9 +60,6 @@ logger = get_logger(__name__)
 WorkerFn = Callable[[Any, Optional[EvaluationCache]], Any]
 #: The group form: ``(payloads, cache-or-None)`` to one result each.
 GroupFn = Callable[[List[Any], Optional[EvaluationCache]], List[Any]]
-#: A group worker's companion: ``(payloads, cache)`` to the results of
-#: the payloads the cache fully holds, keyed by payload index.
-HeldFn = Callable[[List[Any], EvaluationCache], Dict[int, Any]]
 
 
 class TransportUnavailable(TransportError):
@@ -92,10 +80,6 @@ class Transport:
     (``__exit__`` closes it) and pass it to any number of evaluators,
     which never close a transport they were handed.
     """
-
-    @property
-    def closed(self) -> bool:
-        raise NotImplementedError
 
     def available(self) -> bool:
         """Can this transport execute work right now?
@@ -125,9 +109,7 @@ class Transport:
 _pool_worker_cache = RunCache()
 
 
-def group_worker(worker_fn: Optional[GroupFn] = None, *,
-                 held: Optional[HeldFn] = None,
-                 ) -> Union[WorkerFn, Callable[[GroupFn], WorkerFn]]:
+def group_worker(worker_fn: GroupFn) -> WorkerFn:
     """Mark ``worker_fn`` as evaluating a whole task group in one call.
 
     A group worker takes ``(payloads, cache)`` and returns one result
@@ -136,21 +118,15 @@ def group_worker(worker_fn: Optional[GroupFn] = None, *,
     mark is a function attribute, so it travels with the function's
     qualified name to pool workers.
 
-    ``held`` is the worker's optional companion: given a generation's
-    payloads and a cache, it evaluates the payloads whose every lookup
-    the cache already holds and returns their results by payload index,
-    leaving the rest alone. Before dispatching a generation the
-    coordinator's :class:`~repro.search.parallel.ParallelEvaluator`
-    serves those payloads itself, so a warm generation never reaches
-    the transport. Used bare (``@group_worker``) or with the companion
-    (``@group_worker(held=...)``).
+    Before dispatching a generation, the coordinator's
+    :class:`~repro.search.parallel.ParallelEvaluator` runs a group
+    worker against a :meth:`~repro.search.cache.EvaluationCache.probe`
+    of its cache, which serves the payloads the cache fully holds, so
+    a warm generation never reaches the transport. A worker needs
+    nothing more for that than to do its lookups through the cache.
     """
-    def mark(fn: GroupFn) -> WorkerFn:
-        fn.takes_group = True
-        fn.held = held
-        return fn
-
-    return mark if worker_fn is None else mark(worker_fn)
+    worker_fn.takes_group = True
+    return worker_fn
 
 
 def run_group(worker_fn: WorkerFn, payloads: Sequence[Any],
@@ -199,10 +175,6 @@ class LocalTransport(Transport):
         self.workers = workers
         self._executor: Optional[Any] = None
         self._executor_factory = executor_factory
-
-    @property
-    def closed(self) -> bool:
-        return False  # a closed pool is rebuilt on the next available()
 
     def available(self) -> bool:
         return self._ensure_executor() is not None

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.cost.report import LayerCost, NetworkCost
-from repro.search.cache import EvaluationCache
+from repro.search.cache import EvaluationCache, NotHeld
 from repro.search.objectives import geomean_edp, total_energy, total_latency
 from repro.search.result import CacheStats
 
@@ -101,6 +101,69 @@ class TestCache:
         total = cache.stats() + CacheStats(hits=2, misses=3, disk_hits=1)
         assert total == CacheStats(hits=3, misses=4, disk_hits=1)
         assert total - cache.stats() == CacheStats(2, 3, 1)
+
+
+def _filled_cache():
+    """A cache holding ``a`` and ``b``, each looked up once."""
+    cache = EvaluationCache()
+    for key in "ab":
+        cache.get_or_compute(key, lambda key=key: key.upper())
+    return cache
+
+
+def _must_not_compute(*_args):
+    raise AssertionError("a probe computed")
+
+
+def _upper_all(keys):
+    return [key.upper() for key in keys]
+
+
+class TestProbe:
+    """A probe serves only what its cache holds: a refusal leaves no
+    trace, and a success counts exactly like plain lookups."""
+
+    @pytest.mark.parametrize("lookup, partly", [
+        (lambda probe: probe.get_or_compute("c", _must_not_compute),
+         False),
+        (lambda probe: probe.get_or_compute_many(["c", "a"],
+                                                 _must_not_compute),
+         True),
+        (lambda probe: probe.get_or_compute_many(["c", "c"],
+                                                 _must_not_compute),
+         False),
+    ], ids=["one", "many_partly_held", "many_none_held"])
+    def test_refused_probe_leaves_no_trace(self, lookup, partly):
+        cache = _filled_cache()
+        before = (cache.stats(), list(cache._store.items()))
+        probe = cache.probe()
+        with pytest.raises(NotHeld) as refusal:
+            lookup(probe)
+        assert refusal.value.partly is partly
+        assert (cache.stats(), list(cache._store.items())) == before
+        assert probe.stats() == CacheStats(hits=0, misses=0, disk_hits=0)
+
+    def test_refusal_after_a_hit_is_partly_held(self):
+        probe = _filled_cache().probe()
+        assert probe.get_or_compute("a", _must_not_compute) == "A"
+        with pytest.raises(NotHeld) as refusal:
+            probe.get_or_compute("c", _must_not_compute)
+        assert refusal.value.partly
+
+    def test_successful_probe_counts_like_plain_lookups(self):
+        keys = ["b", "a", "b"]
+        plain, probed = _filled_cache(), _filled_cache()
+        before = plain.stats()
+        expected = plain.get_or_compute_many(keys, _upper_all)
+        probe = probed.probe()
+        assert probe.get_or_compute_many(keys, _must_not_compute) == expected
+        assert probe.get_or_compute("a", _must_not_compute) == \
+            plain.get_or_compute("a", _upper_all)
+        assert probe.stats() == plain.stats() - before
+        # The probe shares the entries, LRU order included, not the
+        # counters.
+        assert list(probed._store.items()) == list(plain._store.items())
+        assert probed.stats() == before
 
 
 def _network_cost(name, cycles, energy):

@@ -29,12 +29,12 @@ from repro.search.accelerator_search import (
     evaluate_accelerator,
     search_accelerator,
 )
-from repro.search.cache import EvaluationCache
+from repro.search.cache import EvaluationCache, NotHeld
 import repro.search.diskcache as diskcache_module
 from repro.search.diskcache import (
     _HEADER,
     DiskCacheStore,
-    _parse_file,
+    _parse_shard,
     build_cache,
     compact_directory,
     content_digest,
@@ -48,11 +48,18 @@ from repro.search.mapping_search import (
     search_mappings,
 )
 from repro.search.records import decode_row, encode_row
+from repro.search.result import CacheStats
 from repro.tensors.network import Network, shape_key
 from repro.utils.rng import derive_seed, seed_entropy
 
 TINY = NAASBudget(accel_population=4, accel_iterations=2,
                   mapping=MappingSearchBudget(population=4, iterations=2))
+
+
+def _parse_file(shard):
+    """:func:`_parse_shard` over a whole shard file."""
+    with open(shard, "rb") as handle:
+        return _parse_shard(handle.fileno())
 
 
 def _new_shard_process_identity():
@@ -580,6 +587,77 @@ class TestTieredEvaluationCache:
 
     def test_build_cache_without_dir_is_plain(self):
         assert type(build_cache(None)) is EvaluationCache
+
+
+def _must_not_compute(*_args):
+    raise AssertionError("a probe computed")
+
+
+class TestTieredProbe:
+    """A probe of a tiered cache serves its L1 and disk hits, refuses
+    every other lookup untouched, and counts like plain lookups."""
+
+    DIGESTS = {"k": "d" * 32, "j": "e" * 32}
+
+    def _fill(self, tmp_path, shape_best, keys):
+        with build_cache(tmp_path) as cold:
+            for n, key in enumerate(keys):
+                cold.get_or_compute(key, lambda n=n: shape_best(n),
+                                    disk_key=self.DIGESTS[key])
+
+    def test_refused_probe_reads_computes_and_puts_nothing(
+            self, tmp_path, monkeypatch, shape_best):
+        self._fill(tmp_path, shape_best, ["k"])
+        shards = sorted(tmp_path.glob("shard-*.bin"))
+        puts = []
+        monkeypatch.setattr(DiskCacheStore, "put",
+                            lambda self, *args: puts.append(args))
+        with build_cache(tmp_path) as cache:
+            cache.get_or_compute("memory", lambda: shape_best(9))
+            before = (cache.stats(), list(cache._store.items()),
+                      len(cache.store))
+            probe = cache.probe()
+            with pytest.raises(NotHeld) as refusal:
+                probe.get_or_compute_many(
+                    ["k", "j"], _must_not_compute,
+                    disk_keys=[self.DIGESTS["k"], self.DIGESTS["j"]])
+            assert refusal.value.partly
+            with pytest.raises(NotHeld):
+                probe.get_or_compute("j", _must_not_compute,
+                                     disk_key=self.DIGESTS["j"])
+            assert (cache.stats(), list(cache._store.items()),
+                    len(cache.store)) == before
+            assert probe.stats() == CacheStats(hits=0, misses=0, disk_hits=0)
+        assert puts == []
+        assert sorted(tmp_path.glob("shard-*.bin")) == shards
+
+    def test_successful_probe_counts_like_plain_lookups(self, tmp_path,
+                                                        shape_best):
+        self._fill(tmp_path, shape_best, ["k", "j"])
+        keys = ["k", "j", "k"]
+        digests = [self.DIGESTS[key] for key in keys]
+        with build_cache(tmp_path) as plain, build_cache(tmp_path) as cache:
+            expected = plain.get_or_compute_many(keys, _must_not_compute,
+                                                 disk_keys=digests)
+            probe = cache.probe()
+            assert probe.get_or_compute_many(
+                keys, _must_not_compute, disk_keys=digests) == expected
+            assert probe.stats() == plain.stats()
+            assert (probe.hits, probe.disk_hits, probe.misses) == (3, 3, 0)
+            assert cache.stats() == CacheStats(hits=0, misses=0, disk_hits=0)
+            assert len(cache) == 0  # disk hits stay out of the shared L1
+
+    def test_a_record_that_vanishes_after_the_check_is_computed(
+            self, tmp_path, monkeypatch, shape_best):
+        self._fill(tmp_path, shape_best, ["k"])
+        with build_cache(tmp_path) as cache:
+            monkeypatch.setattr(cache.store, "get",
+                                lambda digest: (False, None))
+            probe = cache.probe()
+            assert probe.get_or_compute("k", lambda: shape_best(5),
+                                        disk_key=self.DIGESTS["k"]) == \
+                shape_best(5)
+            assert (probe.hits, probe.misses) == (0, 1)
 
 
 @pytest.fixture

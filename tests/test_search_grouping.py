@@ -10,12 +10,21 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.accelerator.presets import baseline_constraint, baseline_preset
 from repro.cost.model import CostModel
+from repro.encoding.spaces import EncodingStyle
 from repro.errors import SearchError
 from repro.experiments.common import tuned_baseline_costs
 from repro.models import mobile_benchmark_set
+from repro.search.accelerator_search import (
+    NAASBudget,
+    _CandidateTask,
+    _evaluate_candidates,
+    search_accelerator,
+)
 from repro.search.cache import EvaluationCache
 from repro.search.mapping_search import MappingSearchBudget
+from repro.search.objectives import geomean_edp
 from repro.search.parallel import ParallelEvaluator, split_chunks
 from repro.search.transport import (
     LocalTransport,
@@ -24,6 +33,8 @@ from repro.search.transport import (
     run_chunk,
     run_group,
 )
+from repro.tensors.layer import ConvLayer
+from repro.tensors.network import Network
 
 
 def _square(payload, cache):
@@ -47,16 +58,14 @@ def _short(payloads, cache):
     return payloads[1:]
 
 
-def _held_squares(payloads, cache):
-    """The companion of :func:`_squares_served_here`."""
-    return {index: _square(payload, cache)
-            for index, payload in enumerate(payloads)
-            if cache._holds(payload, None)}
-
-
-@group_worker(held=_held_squares)
+@group_worker
 def _squares_served_here(payloads, cache):
-    return [_square(payload, cache) for payload in payloads]
+    """A group worker that looks its payloads up in one batch, so a
+    probe that refuses it sees which of them the cache holds."""
+    if cache is None:
+        return [payload * payload for payload in payloads]
+    return cache.get_or_compute_many(
+        payloads, lambda keys: [key * key for key in keys])
 
 
 class RecordingTransport(Transport):
@@ -64,11 +73,6 @@ class RecordingTransport(Transport):
 
     def __init__(self):
         self.groups = []
-        self._closed = False
-
-    @property
-    def closed(self):
-        return self._closed
 
     def available(self):
         return True
@@ -83,7 +87,7 @@ class RecordingTransport(Transport):
         return future
 
     def close(self):
-        self._closed = True
+        pass
 
 
 class CountingPool(LocalTransport):
@@ -244,3 +248,64 @@ class TestHeldPayloads:
         assert warm == cold
         assert cold == tuned_baseline_costs(
             "eyeriss", networks, CostModel(), budget, seed=0, workers=1)
+
+
+_TINY_NETWORK = Network(name="tiny", layers=(
+    ConvLayer(name="a", k=16, c=8, y=14, x=14, r=3, s=3),
+    ConvLayer(name="b", k=32, c=16, y=7, x=7, r=1, s=1),
+))
+
+
+def _count_probes(monkeypatch):
+    """The caches probed in this process, one entry per probe."""
+    probed = []
+    probe = EvaluationCache.probe
+
+    def counting_probe(self):
+        probed.append(self)
+        return probe(self)
+
+    monkeypatch.setattr(EvaluationCache, "probe", counting_probe)
+    return probed
+
+
+class TestProbeCost:
+    """What serving held payloads costs the coordinator: one probe per
+    generation the cache holds nothing of, and one more per payload
+    only when it holds part of the generation."""
+
+    def test_cold_search_probes_once_per_generation(self, tmp_path,
+                                                    monkeypatch):
+        probed = _count_probes(monkeypatch)
+        budget = NAASBudget(
+            accel_population=4, accel_iterations=3,
+            mapping=MappingSearchBudget(population=4, iterations=2))
+        with CountingPool(2) as pool:
+            result = search_accelerator(
+                [_TINY_NETWORK], baseline_constraint("nvdla_256"),
+                CostModel(), budget=budget, seed=41, workers=2,
+                cache_dir=str(tmp_path / "cache"), transport=pool)
+            assert pool.submits == 2 * budget.accel_iterations
+        assert len(probed) == len(result.history) == budget.accel_iterations
+
+    def test_partly_held_generation_probes_each_payload_once(
+            self, monkeypatch):
+        tasks = [_CandidateTask(
+            accel=baseline_preset("eyeriss"), networks=(_TINY_NETWORK,),
+            cost_model=CostModel(),
+            mapping_budget=MappingSearchBudget(population=4, iterations=2),
+            entropy=entropy, mapping_style=EncodingStyle.IMPORTANCE,
+            reward_fn=geomean_edp) for entropy in (11, 12, 13, 14, 15)]
+        held = [tasks[1], tasks[3]]
+        cache = EvaluationCache()
+        with ParallelEvaluator(_evaluate_candidates, cache=cache) as fill:
+            fill.evaluate(held)
+        probed = _count_probes(monkeypatch)
+        transport = RecordingTransport()
+        with ParallelEvaluator(_evaluate_candidates, workers=2, cache=cache,
+                               transport=transport) as evaluator:
+            results = evaluator.evaluate(tasks)
+        assert len(probed) == 1 + len(tasks)
+        assert [task for group in transport.groups for task in group] == [
+            task for task in tasks if task not in held]
+        assert results == _evaluate_candidates(tasks, None)

@@ -45,8 +45,6 @@ class AnsweringTransport(Transport):
     """Futures that resolve at once to a scripted answer: ``answer``
     maps a group's squares to what its future carries."""
 
-    closed = False
-
     def __init__(self, answer):
         self.answer = answer
 
@@ -90,8 +88,6 @@ class TestMalformedOutcomes:
 
 class StallTransport(Transport):
     """Futures that never complete — a perfectly hung pool."""
-
-    closed = False
 
     def __init__(self):
         self.submitted = []
