@@ -2,28 +2,30 @@
 
 The baseline columns of the figures and tables: a preset's cost with
 its native compiler heuristic (:func:`baseline_costs`) and with
-searched mappings (:func:`tuned_baseline_costs`). Tuning runs on the
-same evaluator as the searches, so its networks are dispatched to the
-local worker pool at ``workers > 1``, and with a ``cache_dir`` the
-networks whose every shape is on disk are served in the coordinator,
-by the tuning group worker run against a probe of its cache.
+searched mappings (:func:`tuned_baseline_costs`). Tuning scores each
+network as one NAAS candidate of the preset, through the searches'
+evaluator and group worker
+(:func:`~repro.search.accelerator_search.evaluate_candidates`), so its
+networks are dispatched to the local worker pool at ``workers > 1``,
+and with a ``cache_dir`` the networks whose every shape is on disk are
+served in the coordinator by a probe of its cache.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.presets import baseline_constraint, baseline_preset
 from repro.cost.model import CostModel
 from repro.cost.report import NetworkCost
 from repro.mapping.builders import dataflow_preserving_mapping
-from repro.search.accelerator_search import evaluate_accelerator
-from repro.search.cache import EvaluationCache
+from repro.search.accelerator_search import (
+    CandidateTask,
+    evaluate_candidates,
+)
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import ParallelEvaluator
-from repro.search.transport import Transport, group_worker
+from repro.search.transport import Transport
 from repro.tensors.network import Network
 from repro.utils.mathutils import geomean
 from repro.utils.rng import SeedLike, seed_entropy
@@ -49,32 +51,6 @@ def baseline_costs(preset_name: str,
     return costs
 
 
-@dataclasses.dataclass(frozen=True)
-class _TuneTask:
-    """Picklable payload: tune one network's mappings on a preset."""
-
-    preset: AcceleratorConfig
-    network: Network
-    cost_model: CostModel
-    mapping_budget: MappingSearchBudget
-    entropy: int
-
-
-@group_worker
-def _tune_networks(tasks: List[_TuneTask],
-                   cache: Optional[EvaluationCache],
-                   ) -> List[Optional[NetworkCost]]:
-    """ParallelEvaluator group worker: tune a task group's networks
-    with one :func:`evaluate_accelerator` call (the tasks of one
-    tuning share everything but the network). ``None`` marks an
-    unmappable network."""
-    first = tasks[0]
-    _, costs, _ = evaluate_accelerator(
-        first.preset, [task.network for task in tasks], first.cost_model,
-        first.mapping_budget, seed=first.entropy, cache=cache)
-    return [costs.get(task.network.name) for task in tasks]
-
-
 def tuned_baseline_costs(preset_name: str,
                          networks: Sequence[Network],
                          cost_model: CostModel,
@@ -89,28 +65,28 @@ def tuned_baseline_costs(preset_name: str,
 
     A stronger (conservative) baseline than :func:`baseline_costs`: the
     preset gets the same mapping-search budget as NAAS candidates.
-    Each network is one payload, and the evaluator partitions them
-    into task groups (one per worker slot); each group is one
-    :func:`evaluate_accelerator` call: one lockstep mapping search over
-    every shape of the group's networks. Each shape's search depends
-    only on the seed and the shape, so any partition returns the same
-    costs. Unmappable networks are omitted from the result.
+    Each network is one candidate of the preset under one entropy, and
+    the evaluator partitions them into task groups (one per worker
+    slot); each group is one lockstep mapping search over every shape
+    of the group's networks. Each shape's search depends only on the
+    seed and the shape, so any partition returns the same costs.
+    Unmappable networks are omitted from the result.
     ``cache_dir`` persists the tuned mappings across runs via the disk
     tier; a rerun at ``workers > 1`` serves every network whose shapes
     are all on disk in the coordinator and dispatches only the rest.
     """
     preset = baseline_preset(preset_name)
     entropy = seed_entropy(seed)
-    tasks = [_TuneTask(preset=preset, network=network,
-                       cost_model=cost_model,
-                       mapping_budget=mapping_budget, entropy=entropy)
+    tasks = [CandidateTask(accel=preset, networks=(network,),
+                           cost_model=cost_model,
+                           mapping_budget=mapping_budget, entropy=entropy)
              for network in networks]
     with ParallelEvaluator(
-            _tune_networks, workers=workers, cache_dir=cache_dir,
+            evaluate_candidates, workers=workers, cache_dir=cache_dir,
             transport=transport, eval_timeout=eval_timeout) as evaluator:
         outcomes = evaluator.evaluate(tasks)
-    return {network.name: cost for network, cost in zip(networks, outcomes)
-            if cost is not None}
+    return {name: cost for _, costs, _ in outcomes
+            for name, cost in costs.items()}
 
 
 def gain_rows(baseline: Dict[str, NetworkCost],

@@ -13,6 +13,12 @@ machinery:
 - the accuracy predictor is wrapped with a calibrated degradation term
   (4-bit costs a few points, 8-bit is near-lossless, 16-bit is lossless,
   matching the HAQ/PACT literature).
+
+Each pair's quantized subnet is built in ``ask`` and scored like a NAS
+subnet: one NAAS candidate of the accelerator
+(:class:`~repro.search.accelerator_search.CandidateTask`) under one
+run-level entropy, through the searches' shared group worker, so at
+``workers=1`` a generation is one lockstep mapping search.
 """
 
 from __future__ import annotations
@@ -27,8 +33,11 @@ from repro.errors import ReproError
 from repro.nas.accuracy import AccuracyPredictor
 from repro.nas.ofa_space import OFAResNetSpace, ResNetArch
 from repro.nas.subnet import build_subnet
-from repro.search.accelerator_search import evaluate_accelerator
-from repro.search.cache import EvaluationCache
+from repro.search.accelerator_search import (
+    CandidateTask,
+    Evaluation,
+    evaluate_candidates,
+)
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
     GenerationLoop,
@@ -127,35 +136,6 @@ class QuantSearchResult:
     @property
     def found(self) -> bool:
         return self.best_arch is not None and self.best_policy is not None
-
-
-@dataclasses.dataclass(frozen=True)
-class _QuantTask:
-    """Picklable payload: score one (subnet, policy) pair."""
-
-    arch: ResNetArch
-    policy: QuantPolicy
-    accel: AcceleratorConfig
-    cost_model: CostModel
-    mapping_budget: MappingSearchBudget
-    entropy: int
-
-
-def _evaluate_quant_pair(task: _QuantTask,
-                         cache: Optional[EvaluationCache]) -> float:
-    """ParallelEvaluator worker: mapping-searched EDP of one pair.
-
-    ``task.entropy`` is the run-level entropy; inside
-    :func:`evaluate_accelerator` every mapping search derives its seed
-    as ``derive_seed(entropy, key)`` over the cache key, so a pair's
-    reward is a pure function of what is evaluated — never of
-    population order, cache state, or which worker runs it.
-    """
-    network = quantize_subnet(task.arch, task.policy)
-    reward, _, _ = evaluate_accelerator(
-        task.accel, [network], task.cost_model, task.mapping_budget,
-        seed=task.entropy, cache=cache)
-    return reward
 
 
 #: Refill attempts per missing population slot before a generation
@@ -291,17 +271,18 @@ class _QuantLoop(GenerationLoop):
         self.evaluations = 0
         self._current: List[QuantPair] = []
 
-    def ask(self, iteration: int) -> List[Optional[_QuantTask]]:
+    def ask(self, iteration: int) -> List[Optional[CandidateTask]]:
         self._current = self.engine.ask()
-        return [_QuantTask(arch=arch, policy=policy, accel=self.accel,
-                           cost_model=self.cost_model,
-                           mapping_budget=self.mapping_budget,
-                           entropy=self.entropy)
+        return [CandidateTask(accel=self.accel,
+                              networks=(quantize_subnet(arch, policy),),
+                              cost_model=self.cost_model,
+                              mapping_budget=self.mapping_budget,
+                              entropy=self.entropy)
                 for arch, policy in self._current]
 
     def tell(self, iteration: int,
-             outcomes: List[Optional[float]]) -> List[float]:
-        fitnesses = list(outcomes)
+             outcomes: List[Optional[Evaluation]]) -> List[float]:
+        fitnesses = [reward for reward, _, _ in outcomes]
         self.evaluations += len(fitnesses)
         for pair, edp in zip(self._current, fitnesses):
             if edp < self.best_edp:
@@ -344,8 +325,10 @@ def search_quantized(accel: AcceleratorConfig,
     rng = ensure_rng(seed)
     space = OFAResNetSpace()
     predictor = predictor or QuantizedAccuracyPredictor()
-    # One entropy for the whole run, drawn before any evaluation: see
-    # _evaluate_quant_pair for why this keeps rewards order-independent.
+    # One entropy for the whole run, drawn before any evaluation: every
+    # mapping search derives its seed as derive_seed(entropy, key) over
+    # its cache key, so a pair's reward is a pure function of the pair,
+    # never of population order, cache state or which worker runs it.
     eval_entropy = seed_entropy(rng)
 
     engine = QuantPairEngine(space=space, predictor=predictor,
@@ -358,7 +341,7 @@ def search_quantized(accel: AcceleratorConfig,
                       cost_model=cost_model, mapping_budget=mapping_budget,
                       entropy=eval_entropy)
     with ParallelEvaluator(
-            _evaluate_quant_pair, workers=workers, cache_dir=cache_dir,
+            evaluate_candidates, workers=workers, cache_dir=cache_dir,
             transport=transport, eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 

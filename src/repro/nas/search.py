@@ -4,6 +4,13 @@ Mirrors the paper's Fig 1 "Neural Network Population" box: sample
 architectures meeting an accuracy floor, score each by mapping-searched
 EDP on a *fixed* accelerator, evolve by mutation + crossover from the
 fittest parents.
+
+Each subnet is built in ``ask`` and scored as one NAAS candidate of the
+accelerator (a :class:`~repro.search.accelerator_search.CandidateTask`
+of one network) under one run-level entropy, by the searches' shared
+group worker, so at ``workers=1`` a generation's mapping searches are
+one lockstep search, and at ``workers > 1`` with a cache the subnets
+whose every shape it holds are served in the coordinator.
 """
 
 from __future__ import annotations
@@ -18,7 +25,11 @@ from repro.cost.report import NetworkCost
 from repro.nas.accuracy import AccuracyPredictor
 from repro.nas.ofa_space import OFAResNetSpace, ResNetArch
 from repro.nas.subnet import build_subnet
-from repro.search.accelerator_search import evaluate_accelerator
+from repro.search.accelerator_search import (
+    CandidateTask,
+    Evaluation,
+    evaluate_candidates,
+)
 from repro.search.cache import EvaluationCache
 from repro.search.mapping_search import MappingSearchBudget
 from repro.search.parallel import (
@@ -63,32 +74,11 @@ class NASResult:
         return self.best_arch is not None
 
 
-@dataclasses.dataclass(frozen=True)
-class _ArchTask:
-    """Picklable payload for one subnet evaluation."""
-
-    arch: ResNetArch
-    accel: AcceleratorConfig
-    cost_model: CostModel
-    mapping_budget: MappingSearchBudget
-    entropy: int
-
-
-def _evaluate_arch(task: _ArchTask, cache: Optional[EvaluationCache],
-                   ) -> Tuple[float, Optional[NetworkCost]]:
-    """ParallelEvaluator worker: mapping-searched EDP of one subnet."""
-    network = build_subnet(task.arch)
-    reward, costs, _ = evaluate_accelerator(
-        task.accel, [network], task.cost_model, task.mapping_budget,
-        seed=task.entropy, cache=cache)
-    return reward, costs.get(network.name)
-
-
 class _ArchLoop(GenerationLoop):
     """Subnet-GA generation loop for ``run_search_loop``.
 
     The genome is the architecture itself, so the "engine" is the
-    population held here: ``ask`` emits one :class:`_ArchTask` per
+    population held here: ``ask`` emits one subnet candidate per
     member, ``tell`` folds EDPs back in submission order and (except
     after the final generation, which keeps the parent stream's draw
     count identical to the pre-refactor loop) breeds the next population
@@ -131,24 +121,25 @@ class _ArchLoop(GenerationLoop):
         return self.space.crossover(parents[int(a)], parents[int(b)],
                                     seed=rng)
 
-    def ask(self, iteration: int) -> List[Optional[_ArchTask]]:
+    def ask(self, iteration: int) -> List[Optional[CandidateTask]]:
         self._current = list(self.population)
-        return [_ArchTask(arch=arch, accel=self.accel,
-                          cost_model=self.cost_model,
-                          mapping_budget=self.mapping_budget,
-                          entropy=self.entropy)
+        return [CandidateTask(accel=self.accel,
+                              networks=(build_subnet(arch),),
+                              cost_model=self.cost_model,
+                              mapping_budget=self.mapping_budget,
+                              entropy=self.entropy)
                 for arch in self._current]
 
-    def tell(self, iteration: int, outcomes: List[Optional[Tuple]],
+    def tell(self, iteration: int, outcomes: List[Optional[Evaluation]],
              ) -> List[float]:
         fitnesses: List[float] = []
-        for arch, (edp, cost) in zip(self._current, outcomes):
+        for arch, (edp, costs, _) in zip(self._current, outcomes):
             self.evaluations += 1
             fitnesses.append(edp)
             if edp < self.best_edp:
                 self.best_edp = edp
                 self.best_arch = arch
-                self.best_cost = cost
+                [self.best_cost] = costs.values()
         if iteration < self.iterations - 1:
             self._breed(fitnesses)
         return fitnesses
@@ -199,9 +190,9 @@ def search_architecture(accel: AcceleratorConfig,
     rng = ensure_rng(seed)
     space = OFAResNetSpace()
     predictor = predictor or AccuracyPredictor()
-    # One entropy for the whole NAS run: every evaluate_accelerator call
-    # sharing this cache derives mapping seeds the same way, so cache
-    # hits across architectures cannot change results.
+    # One entropy for the whole NAS run: every subnet's lookups in this
+    # cache derive mapping seeds the same way, so cache hits across
+    # architectures cannot change results.
     eval_entropy = seed_entropy(rng)
 
     def sample_admissible(max_attempts: int = 64) -> Optional[ResNetArch]:
@@ -235,7 +226,7 @@ def search_architecture(accel: AcceleratorConfig,
                      accuracy_floor=accuracy_floor, population=population,
                      sample_admissible=sample_admissible)
     with ParallelEvaluator(
-            _evaluate_arch, workers=workers, cache=cache,
+            evaluate_candidates, workers=workers, cache=cache,
             cache_dir=cache_dir, transport=transport,
             eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)

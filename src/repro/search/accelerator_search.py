@@ -18,13 +18,17 @@ over every candidate's shapes. Before a generation is dispatched, the
 coordinator runs that group worker against a probe of its cache, which
 serves the candidates whose every shape the cache already holds (see
 :meth:`repro.search.cache.EvaluationCache.probe`).
+
+:class:`CandidateTask` and :func:`evaluate_candidates` are also the
+payload and group worker of tuning, NAS and quantization, whose
+candidates carry one network each.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.constraints import ResourceConstraint
@@ -81,6 +85,10 @@ class NAASBudget:
 #: What scoring one accelerator returns: ``(reward, {network ->
 #: NetworkCost}, {layer -> Mapping})``.
 Evaluation = Tuple[float, Dict[str, NetworkCost], Dict[str, Mapping]]
+#: One network set's unique shapes: ``(layer, count, shape key)`` per
+#: shape, one list per network.
+Shapes = List[List[Tuple[ConvLayer, int, tuple]]]
+
 
 def evaluate_accelerator(accel: AcceleratorConfig,
                          networks: Sequence[Network],
@@ -134,14 +142,15 @@ def evaluate_accelerator(accel: AcceleratorConfig,
     The one-candidate call of :func:`evaluate_accelerators`.
     """
     [evaluation] = evaluate_accelerators(
-        [accel], [seed_entropy(seed)], networks, cost_model, mapping_budget,
+        [accel], [seed_entropy(seed)], [networks], cost_model,
+        mapping_budget,
         mapping_style=mapping_style, cache=cache, reward_fn=reward_fn)
     return evaluation
 
 
 def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
                           entropies: Sequence[int],
-                          networks: Sequence[Network],
+                          network_sets: Sequence[Sequence[Network]],
                           cost_model: CostModel,
                           mapping_budget: MappingSearchBudget,
                           mapping_style: EncodingStyle = (
@@ -149,36 +158,49 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
                           cache: Optional[EvaluationCache] = None,
                           reward_fn: RewardFn = geomean_edp,
                           ) -> List[Evaluation]:
-    """Score many accelerators at once; result ``i`` equals
-    ``evaluate_accelerator(accels[i], networks, ..., seed=entropies[i])``.
+    """Score many accelerators at once, each on its own network set;
+    result ``i`` equals ``evaluate_accelerator(accels[i],
+    network_sets[i], ..., seed=entropies[i])``.
 
     Every candidate's lookups go to the cache in candidate order, keyed
     on ``(entropies[i], (accels[i], shape, style))`` as one call would
     key them, and all the misses of all candidates run as one lockstep
     :func:`~repro.search.mapping_search.search_mappings` call, each
     shape on its candidate's accelerator. With a cache, a key that
-    recurs (a shape shared across networks, or two candidates with one
-    entropy and accelerator) is searched once and its later lookups
-    hit.
+    recurs (a shape shared across networks or subnets, or two
+    candidates with one entropy and accelerator) is searched once and
+    its later lookups hit.
+
+    A network set's shapes and rendered shape keys are built once per
+    call however many candidates share it (the same object, as NAAS
+    candidates do).
     """
-    if len(entropies) != len(accels):
+    if not len(entropies) == len(network_sets) == len(accels):
         raise ValueError(
-            f"{len(entropies)} entropies for {len(accels)} accelerators")
-    shapes = [[(layer, count, shape_key(layer))
-               for layer, count in network.unique_shapes()]
-              for network in networks]
-    layers = [layer for group in shapes for layer, _, _ in group]
-    skeys = [skey for group in shapes for _, _, skey in group]
+            f"{len(entropies)} entropies and {len(network_sets)} network "
+            f"sets for {len(accels)} accelerators")
+    built: Dict[int, Tuple[Shapes, List[tuple]]] = {}
+    for networks in network_sets:
+        if id(networks) not in built:
+            shapes = [[(layer, count, shape_key(layer))
+                       for layer, count in network.unique_shapes()]
+                      for network in networks]
+            built[id(networks)] = shapes, [
+                skey for group in shapes for _, _, skey in group]
+    tables = [built[id(networks)] for networks in network_sets]
     lookups = [(entropy, (accel, skey, mapping_style))
-               for accel, entropy in zip(accels, entropies)
+               for accel, entropy, (_, skeys) in zip(accels, entropies,
+                                                     tables)
                for skey in skeys]
-    lookup_layers = layers * len(accels)
+    lookup_layers = [layer for shapes, _ in tables
+                     for group in shapes for layer, _, _ in group]
     disk_keys = None
     if cache is not None and cache.persistent:
         shared = content_digest(CACHE_FORMAT, mapping_budget,
                                 cost_model.params)
-        rendered = _rendered_disk_keys(accels, entropies, skeys,
-                                       mapping_style, shared)
+        rendered = _rendered_disk_keys(
+            accels, entropies, [skeys for _, skeys in tables],
+            mapping_style, shared)
         disk_keys = [digest for candidate in rendered
                      for digest in candidate]
 
@@ -210,38 +232,41 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
         results = cache.get_or_compute_many(lookups, search_misses,
                                             disk_keys=disk_keys)
 
-    size = len(layers)
-    return [_reduce(accel, networks, shapes,
-                    results[index * size:(index + 1) * size], reward_fn)
-            for index, accel in enumerate(accels)]
+    outcomes = iter(results)
+    return [_reduce(accel, networks, shapes, outcomes, reward_fn)
+            for accel, networks, (shapes, _) in zip(accels, network_sets,
+                                                    tables)]
 
 
 def _rendered_disk_keys(accels: Sequence[AcceleratorConfig],
-                        entropies: Sequence[int], skeys: Sequence[tuple],
+                        entropies: Sequence[int],
+                        skey_sets: Sequence[Sequence[tuple]],
                         mapping_style: EncodingStyle,
                         shared: str) -> List[List[str]]:
     """``content_digest(entropy, (accel, skey, mapping_style), shared)``
-    per candidate and shape key, rendering each accelerator and shape
-    key once per call rather than once per lookup."""
-    rendered = [repr(skey) for skey in skeys]
+    per candidate and shape key of its set, rendering each accelerator
+    and each set's shape keys (by identity) once per call rather than
+    once per lookup."""
+    rendered: Dict[int, List[str]] = {}
     tail = f", {mapping_style!r}){DIGEST_SEPARATOR}{shared!r}"
     digests = []
-    for accel, entropy in zip(accels, entropies):
+    for accel, entropy, skeys in zip(accels, entropies, skey_sets):
+        if id(skeys) not in rendered:
+            rendered[id(skeys)] = [repr(skey) for skey in skeys]
         head = f"{entropy!r}{DIGEST_SEPARATOR}({accel!r}, "
         digests.append([text_digest(head + skey + tail)
-                        for skey in rendered])
+                        for skey in rendered[id(skeys)]])
     return digests
 
 
 def _reduce(accel: AcceleratorConfig, networks: Sequence[Network],
-            shapes: List[List[Tuple[ConvLayer, int, tuple]]],
-            results: Sequence[ShapeBest],
+            shapes: Shapes, outcomes: Iterator[ShapeBest],
             reward_fn: RewardFn) -> Evaluation:
-    """One candidate's evaluation from its shapes' best mappings."""
+    """One candidate's evaluation from its shapes' best mappings, read
+    off ``outcomes`` one per shape."""
     network_costs: Dict[str, NetworkCost] = {}
     best_mappings: Dict[str, Mapping] = {}
     feasible = True
-    outcomes = iter(results)
     for network, group in zip(networks, shapes):
         group_results = [next(outcomes) for _ in group]
         layer_costs = []
@@ -271,38 +296,44 @@ def _reduce(accel: AcceleratorConfig, networks: Sequence[Network],
 
 
 @dataclasses.dataclass(frozen=True)
-class _CandidateTask:
-    """Picklable payload for one accelerator evaluation."""
+class CandidateTask:
+    """Picklable payload: one accelerator scored on its networks.
+
+    NAAS candidates share the search's ``networks`` tuple; a tuned,
+    NAS or quantized network is a candidate of its own, as subnet
+    names (``ResNetArch.describe`` rounds) can repeat in a generation.
+    """
 
     accel: AcceleratorConfig
     networks: Tuple[Network, ...]
     cost_model: CostModel
     mapping_budget: MappingSearchBudget
     entropy: int
-    mapping_style: EncodingStyle
-    reward_fn: RewardFn
+    mapping_style: EncodingStyle = EncodingStyle.IMPORTANCE
+    reward_fn: RewardFn = geomean_edp
 
 
 @group_worker
-def _evaluate_candidates(tasks: List[_CandidateTask],
-                         cache: Optional[EvaluationCache],
-                         ) -> List[Evaluation]:
-    """ParallelEvaluator group worker: score a task group's decoded
-    candidates with one :func:`evaluate_accelerators` call. The tasks
-    of one search share everything but the accelerator and entropy."""
+def evaluate_candidates(tasks: List[CandidateTask],
+                        cache: Optional[EvaluationCache],
+                        ) -> List[Evaluation]:
+    """ParallelEvaluator group worker: score a task group's candidates
+    with one :func:`evaluate_accelerators` call, one lockstep mapping
+    search over the misses of all of them. The tasks of one search
+    share the cost model, budgets, style and reward."""
     first = tasks[0]
     return evaluate_accelerators(
         [task.accel for task in tasks], [task.entropy for task in tasks],
-        first.networks, first.cost_model, first.mapping_budget,
-        mapping_style=first.mapping_style, cache=cache,
-        reward_fn=first.reward_fn)
+        [task.networks for task in tasks], first.cost_model,
+        first.mapping_budget, mapping_style=first.mapping_style,
+        cache=cache, reward_fn=first.reward_fn)
 
 
 class _AcceleratorLoop(GenerationLoop):
     """Hardware-search loop for :func:`run_search_loop`.
 
     ``ask`` samples/decodes one generation (warm-start vectors override
-    the head of generation 0) and returns one :class:`_CandidateTask`
+    the head of generation 0) and returns one :class:`CandidateTask`
     per decodable member; ``tell`` folds rewards back in submission
     order — ties keep the earliest candidate, matching the serial loop
     — and tells the generation to the engine at the commit boundary.
@@ -311,8 +342,8 @@ class _AcceleratorLoop(GenerationLoop):
     def __init__(self, engine: Any, encoder: HardwareEncoder,
                  rng, injected: List, budget: NAASBudget,
                  networks: Tuple[Network, ...], cost_model: CostModel,
-                 mapping_style: EncodingStyle, reward_fn: RewardFn,
-                 max_decode_attempts: int) -> None:
+                 mapping_style: EncodingStyle,
+                 reward_fn: RewardFn) -> None:
         self.engine = engine
         self.encoder = encoder
         self.rng = rng
@@ -322,7 +353,6 @@ class _AcceleratorLoop(GenerationLoop):
         self.cost_model = cost_model
         self.mapping_style = mapping_style
         self.reward_fn = reward_fn
-        self.max_decode_attempts = max_decode_attempts
         self.iterations = budget.accel_iterations
         self.population = budget.accel_population
 
@@ -334,18 +364,16 @@ class _AcceleratorLoop(GenerationLoop):
         self._vectors: List = []
         self._configs: List[Optional[AcceleratorConfig]] = []
 
-    def ask(self, iteration: int) -> List[Optional[_CandidateTask]]:
+    def ask(self, iteration: int) -> List[Optional[CandidateTask]]:
         self._vectors, self._configs, entropies = ask_generation(
             self.engine, self.encoder, self.population, iteration,
-            self.injected, self.rng,
-            max_decode_attempts=self.max_decode_attempts,
-            name_prefix="naas")
-        members: List[Optional[_CandidateTask]] = []
+            self.injected, self.rng, name_prefix="naas")
+        members: List[Optional[CandidateTask]] = []
         for member, config in enumerate(self._configs):
             if config is None:
                 members.append(None)
                 continue
-            members.append(_CandidateTask(
+            members.append(CandidateTask(
                 accel=config, networks=self.networks,
                 cost_model=self.cost_model,
                 mapping_budget=self.budget.mapping,
@@ -382,7 +410,6 @@ def search_accelerator(networks: Sequence[Network],
                        mapping_style: EncodingStyle = EncodingStyle.IMPORTANCE,
                        seed_configs: Sequence[AcceleratorConfig] = (),
                        engine_cls: Type = EvolutionEngine,
-                       max_decode_attempts: int = 32,
                        reward_fn: RewardFn = geomean_edp,
                        workers: int = 1,
                        cache_dir: Optional[str] = None,
@@ -418,11 +445,10 @@ def search_accelerator(networks: Sequence[Network],
         engine=engine, encoder=encoder, rng=rng,
         injected=[encoder.encode(config) for config in seed_configs],
         budget=budget, networks=tuple(networks), cost_model=cost_model,
-        mapping_style=mapping_style, reward_fn=reward_fn,
-        max_decode_attempts=max_decode_attempts)
+        mapping_style=mapping_style, reward_fn=reward_fn)
 
     with ParallelEvaluator(
-            _evaluate_candidates, workers=workers, cache_dir=cache_dir,
+            evaluate_candidates, workers=workers, cache_dir=cache_dir,
             transport=transport, eval_timeout=eval_timeout) as evaluator:
         history = run_search_loop(loop, evaluator)
 

@@ -141,6 +141,10 @@ class EvaluationCache:
         del disk_key
         return key in self._store
 
+    def holds_any(self) -> bool:
+        """Whether any lookup could hit: this cache has an entry."""
+        return bool(self._store)
+
     def _insert(self, key: Hashable, value: Any) -> None:
         """Store a computed value, evicting the least recently used."""
         self._store[key] = value

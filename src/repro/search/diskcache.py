@@ -2,7 +2,7 @@
 
 The inner mapping search dominates NAAS wall-clock, and its results are
 pure functions of their inputs: every per-shape mapping search inside
-:func:`repro.search.accelerator_search.evaluate_accelerator` is seeded
+:func:`repro.search.accelerator_search.evaluate_accelerators` is seeded
 with ``derive_seed(entropy, key)``, so what a (run-entropy, accelerator,
 layer-shape, encoding-style, budget, cost-params) tuple evaluates to
 never depends on cache state, evaluation order, or worker scheduling.
@@ -430,9 +430,8 @@ class TieredEvaluationCache(EvaluationCache):
 
     persistent = True
 
-    def __init__(self, store: DiskCacheStore,
-                 max_entries: int = 100_000) -> None:
-        super().__init__(max_entries=max_entries)
+    def __init__(self, store: DiskCacheStore) -> None:
+        super().__init__()
         self.store = store
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any],
@@ -460,6 +459,9 @@ class TieredEvaluationCache(EvaluationCache):
         # The digest first: it hashes cheaper than the L1 key.
         return (disk_key is not None and disk_key in self.store
                 or key in self._store)
+
+    def holds_any(self) -> bool:
+        return bool(self._store) or len(self.store) > 0
 
     def close(self) -> None:
         self.store.close()
@@ -657,13 +659,12 @@ def prune_directory(directory: Union[str, Path],
 
 
 def build_cache(cache_dir: Union[str, Path, None] = None,
-                max_entries: int = 100_000) -> EvaluationCache:
+                ) -> EvaluationCache:
     """The cache a search run should use: tiered when ``cache_dir`` is
     set, the plain in-memory LRU otherwise."""
     if cache_dir is None:
-        return EvaluationCache(max_entries=max_entries)
-    return TieredEvaluationCache(DiskCacheStore(cache_dir),
-                                 max_entries=max_entries)
+        return EvaluationCache()
+    return TieredEvaluationCache(DiskCacheStore(cache_dir))
 
 
 @dataclasses.dataclass(frozen=True)

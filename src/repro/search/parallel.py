@@ -171,9 +171,10 @@ class ParallelEvaluator:
 
     A batch that would be dispatched (``workers > 1``) is first served
     here as far as the coordinator's cache holds it: when the cache can
-    hold anything (a ``cache`` passed in, or a ``cache_dir``) and the
-    worker is a :func:`~repro.search.transport.group_worker`, it runs
-    against a probe of the cache
+    hold anything (a ``cache`` passed in, or a ``cache_dir``), holds
+    something, and the worker is a
+    :func:`~repro.search.transport.group_worker`, it runs against a
+    probe of the cache
     (:meth:`~repro.search.cache.EvaluationCache.probe`), and only the
     payloads the probe refuses are dispatched, after
     ``transport.available()``. Results are stitched back in submission
@@ -296,30 +297,28 @@ class ParallelEvaluator:
             transport.close()
         return False
 
-    def _on_own_cache(self, evaluate: Callable[[EvaluationCache], Any],
-                      ) -> Any:
-        """``evaluate(cache)`` against the coordinator's cache, which is
-        built on the first call; its lookups join :attr:`cache_stats`."""
+    def _coordinator_cache(self) -> EvaluationCache:
+        """The coordinator's cache, built on the first call."""
         if self.cache is None:
             # repro: owner(ParallelEvaluator.close)
             self.cache = self._own_cache = build_cache(self._cache_dir)
-        before = self.cache.stats()
-        outcome = evaluate(self.cache)
-        self.cache_stats += self.cache.stats() - before
-        return outcome
+        return self.cache
 
     def _run_inline(self, payloads: List[Any]) -> List[Any]:
         """One task group's results, evaluated here against the
-        coordinator's cache."""
-        return self._on_own_cache(
-            lambda cache: run_group(self.worker_fn, payloads, cache))
+        coordinator's cache; its lookups join :attr:`cache_stats`."""
+        cache = self._coordinator_cache()
+        before = cache.stats()
+        results = run_group(self.worker_fn, payloads, cache)
+        self.cache_stats += cache.stats() - before
+        return results
 
     def _run_probed(self, payloads: List[Any]) -> List[Any]:
         """One task group's results, served by a probe of the
         coordinator's cache, which raises :class:`NotHeld` where a
         lookup would miss; its lookups join :attr:`cache_stats` only
         if it succeeds."""
-        probe = self._on_own_cache(lambda cache: cache.probe())
+        probe = self._coordinator_cache().probe()
         results = run_group(self.worker_fn, payloads, probe)
         self.cache_stats += probe.stats()
         return results
@@ -328,10 +327,13 @@ class ParallelEvaluator:
         """The results, by index, of the payloads the coordinator's
         cache fully holds: a group worker is probed over the whole
         batch, then payload by payload if the refusal shows the cache
-        holds part of it. Nothing is probed for other workers or a
-        cache that can hold nothing yet."""
+        holds part of it. Nothing is probed for other workers, for a
+        cache that can hold nothing, or for one that holds nothing yet:
+        the coordinator's store is read once per run, so on a cold
+        cache directory every probe would be refused."""
         if not (self._cache_may_hold
-                and getattr(self.worker_fn, "takes_group", False)):
+                and getattr(self.worker_fn, "takes_group", False)
+                and self._coordinator_cache().holds_any()):
             return {}
         try:
             return dict(enumerate(self._run_probed(payloads)))
@@ -578,14 +580,13 @@ def run_search_loop(loop: GenerationLoop,
     return history
 
 
-#: Default re-sampling budget when a sampled vector fails to decode.
+#: Re-sampling budget when a sampled vector fails to decode.
 DEFAULT_DECODE_ATTEMPTS = 32
 
 
 def ask_generation(engine: Any, encoder: Any, population: int,
                    iteration: int, injected: Sequence[np.ndarray],
                    rng: np.random.Generator,
-                   max_decode_attempts: int = DEFAULT_DECODE_ATTEMPTS,
                    name_prefix: str = "naas",
                    ) -> Tuple[List[np.ndarray], List[Optional[Any]],
                               List[int]]:
@@ -599,7 +600,7 @@ def ask_generation(engine: Any, encoder: Any, population: int,
 
     Returns ``(vectors, configs, entropies)`` — ``configs[i]`` is
     ``None`` when no valid decode was found within
-    ``max_decode_attempts``; ``entropies[i]`` seeds member ``i``'s
+    :data:`DEFAULT_DECODE_ATTEMPTS`; ``entropies[i]`` seeds member ``i``'s
     evaluation.
     """
     if iteration == 0 and injected:
@@ -610,7 +611,7 @@ def ask_generation(engine: Any, encoder: Any, population: int,
     configs: List[Optional[Any]] = []
     for member in range(population):
         config = None
-        for _ in range(max_decode_attempts):
+        for _ in range(DEFAULT_DECODE_ATTEMPTS):
             try:
                 config = encoder.decode(
                     vectors[member],

@@ -6,10 +6,12 @@ import dataclasses
 
 import pytest
 
+import repro.search.accelerator_search as accelerator_search
 from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.constraints import ResourceConstraint
 from repro.cost.model import CostModel
 from repro.mapping.builders import dataflow_preserving_mapping
+from repro.search.parallel import ParallelEvaluator
 from repro.tensors.dims import Dim
 from repro.tensors.layer import ConvLayer
 
@@ -72,3 +74,27 @@ def shape_best(small_layer, small_accel, heuristic_mapping, cost_model):
             cost, layer_name=name, cycles=cost.cycles + n)
 
     return make
+
+
+@pytest.fixture
+def searches_per_generation(monkeypatch):
+    """The ``search_mappings`` calls of each ``ParallelEvaluator.evaluate``
+    call (one per generation of a search), in order."""
+    calls, per_generation = [], []
+    search = accelerator_search.search_mappings
+    evaluate = ParallelEvaluator.evaluate
+
+    def counting_search(*args, **kwargs):
+        calls.append(None)
+        return search(*args, **kwargs)
+
+    def counting_evaluate(self, payloads):
+        before = len(calls)
+        results = evaluate(self, payloads)
+        per_generation.append(len(calls) - before)
+        return results
+
+    monkeypatch.setattr(accelerator_search, "search_mappings",
+                        counting_search)
+    monkeypatch.setattr(ParallelEvaluator, "evaluate", counting_evaluate)
+    return per_generation

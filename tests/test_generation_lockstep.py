@@ -76,7 +76,7 @@ def _chunked(size, cache=None):
         chunk = pairs[start:start + size]
         results += evaluate_accelerators(
             [accel for accel, _ in chunk], [entropy for _, entropy in chunk],
-            NETWORKS, CostModel(), BUDGET, cache=cache)
+            [NETWORKS] * len(chunk), CostModel(), BUDGET, cache=cache)
     return results
 
 
@@ -101,15 +101,15 @@ class TestEvaluateAccelerators:
 
     def test_costs_keep_each_networks_layer_names(self):
         [(_, costs, _)] = evaluate_accelerators(
-            [CANDIDATES[0]], [ENTROPIES[0]], NETWORKS, CostModel(), BUDGET,
+            [CANDIDATES[0]], [ENTROPIES[0]], [NETWORKS], CostModel(), BUDGET,
             cache=EvaluationCache())
         assert [cost.layer_name for cost in costs["second"].layer_costs] \
             == ["again", "dw"]
 
     def test_entropies_must_match_accelerators(self):
         with pytest.raises(ValueError, match="entropies"):
-            evaluate_accelerators(CANDIDATES[:2], ENTROPIES[:1], NETWORKS,
-                                  CostModel(), BUDGET)
+            evaluate_accelerators(CANDIDATES[:2], ENTROPIES[:1],
+                                  [NETWORKS] * 2, CostModel(), BUDGET)
 
 
 class TestSearchAccelerator:
@@ -145,6 +145,6 @@ def test_reward_ignores_other_candidates_in_the_group():
     alone = evaluate_accelerator(accel, NETWORKS, CostModel(), BUDGET,
                                  seed=7)
     grouped = evaluate_accelerators(
-        [CANDIDATES[2], accel, CANDIDATES[0]], [1, 7, 2], NETWORKS,
+        [CANDIDATES[2], accel, CANDIDATES[0]], [1, 7, 2], [NETWORKS] * 3,
         CostModel(), BUDGET)
     assert grouped[1] == alone

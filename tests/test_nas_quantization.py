@@ -12,11 +12,10 @@ from repro.nas.ofa_space import OFAResNetSpace
 from repro.nas.quantization import (
     QuantPolicy,
     QuantizedAccuracyPredictor,
-    _QuantTask,
-    _evaluate_quant_pair,
     quantize_subnet,
     search_quantized,
 )
+from repro.search.accelerator_search import CandidateTask, evaluate_candidates
 from repro.search.cache import EvaluationCache
 from repro.search.mapping_search import MappingSearchBudget
 from repro.utils.rng import ensure_rng
@@ -178,33 +177,45 @@ class _VanishingFloorPredictor(QuantizedAccuracyPredictor):
         return 100.0 if self.calls <= self.admit_calls else -100.0
 
 
+def test_serial_generation_is_one_mapping_search(searches_per_generation):
+    """A generation's pairs are one task group of the searches' group
+    worker: all their misses run as one lockstep search."""
+    result = search_quantized(
+        baseline_preset("nvdla_256"), CostModel(), accuracy_floor=70.0,
+        population=4, iterations=3,
+        mapping_budget=MappingSearchBudget(population=4, iterations=2),
+        seed=0)
+    assert result.evaluations == 4 * 3
+    assert searches_per_generation == [1] * 3
+
+
 class TestQuantSearchRegressions:
-    def _task(self, pair, entropy):
-        return _QuantTask(arch=pair[0], policy=pair[1],
-                          accel=baseline_preset("nvdla_256"),
-                          cost_model=CostModel(),
-                          mapping_budget=MappingSearchBudget(4, 2),
-                          entropy=entropy)
+    @staticmethod
+    def _rewards(pairs, entropy, cache=None):
+        """The pairs' rewards from one call of the searches' group
+        worker, as a quantization generation scores them."""
+        tasks = [CandidateTask(accel=baseline_preset("nvdla_256"),
+                               networks=(quantize_subnet(*pair),),
+                               cost_model=CostModel(),
+                               mapping_budget=MappingSearchBudget(4, 2),
+                               entropy=entropy)
+                 for pair in pairs]
+        return [reward for reward, _, _ in evaluate_candidates(tasks, cache)]
 
     def test_reward_independent_of_evaluation_order(self, space):
         """Regression: evaluation seeds used to be drawn from the parent
         stream inside the loop, so a pair's reward depended on where in
         the population it sat. Seeds now derive from the run entropy and
-        the cache key, making the reward a pure function of the pair."""
+        the cache key, making the reward a pure function of the pair,
+        whatever the order of the group it is scored in."""
         rng = ensure_rng(0)
         pair_a = (space.sample(seed=rng), QuantPolicy.uniform(8))
         pair_b = (space.sample(seed=rng), QuantPolicy.uniform(4))
         entropy = 1234
-
-        def rewards(pairs):
-            return {id(pair): _evaluate_quant_pair(self._task(pair, entropy),
-                                                   None)
-                    for pair in pairs}
-
-        forward = rewards([pair_a, pair_b])
-        backward = rewards([pair_b, pair_a])
-        assert forward[id(pair_a)] == backward[id(pair_a)]
-        assert forward[id(pair_b)] == backward[id(pair_b)]
+        forward = self._rewards([pair_a, pair_b], entropy)
+        backward = self._rewards([pair_b, pair_a], entropy)
+        assert forward[0] == backward[1]
+        assert forward[1] == backward[0]
 
     def test_cache_hit_matches_fresh_computation(self, space):
         """Regression: a cache hit used to return a value computed under
@@ -213,12 +224,13 @@ class TestQuantSearchRegressions:
         pair = (space.sample(seed=rng), QuantPolicy.uniform(8))
         other = (space.sample(seed=rng), QuantPolicy.uniform(16))
         entropy = 99
-        fresh = _evaluate_quant_pair(self._task(pair, entropy), None)
+        [fresh] = self._rewards([pair], entropy)
         cache = EvaluationCache()
-        _evaluate_quant_pair(self._task(other, entropy), cache)
-        _evaluate_quant_pair(self._task(pair, entropy), cache)  # populate
-        warm = _evaluate_quant_pair(self._task(pair, entropy), cache)
+        self._rewards([other], entropy, cache)
+        self._rewards([pair], entropy, cache)  # populate
+        [warm] = self._rewards([pair], entropy, cache)
         assert warm == fresh
+        assert self._rewards([other, pair], entropy, cache)[1] == fresh
 
     def test_refill_starvation_terminates(self):
         """Regression: the refill loop used to spin forever when every

@@ -59,6 +59,16 @@ class TestNASSearch:
         assert serial.best_arch == parallel.best_arch
         assert serial.history == parallel.history
 
+    def test_serial_generation_is_one_mapping_search(
+            self, cost_model, searches_per_generation):
+        """A generation's subnets are one task group of the searches'
+        group worker: all their misses run as one lockstep search."""
+        result = search_architecture(
+            baseline_preset("nvdla_256"), cost_model, accuracy_floor=73.0,
+            budget=TINY_NAS, mapping_budget=TINY_MAPPING, seed=0)
+        assert result.evaluations == TINY_NAS.population * TINY_NAS.iterations
+        assert searches_per_generation == [1] * TINY_NAS.iterations
+
     def test_lower_floor_never_hurts(self, cost_model):
         accel = baseline_preset("nvdla_256")
         low = search_architecture(accel, cost_model, accuracy_floor=70.0,

@@ -208,7 +208,8 @@ class TestContentDigest:
                                 CostParams())
         rendered = _rendered_disk_keys(
             [accel for accel, _ in lookups],
-            [entropy for _, entropy in lookups], shapes, style, shared)
+            [entropy for _, entropy in lookups], [shapes] * len(lookups),
+            style, shared)
         assert rendered == [
             [content_digest(entropy, (accel, skey, style), shared)
              for skey in shapes]

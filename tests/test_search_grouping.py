@@ -16,10 +16,11 @@ from repro.encoding.spaces import EncodingStyle
 from repro.errors import SearchError
 from repro.experiments.common import tuned_baseline_costs
 from repro.models import mobile_benchmark_set
+from repro.nas.search import NASBudget, search_architecture
 from repro.search.accelerator_search import (
     NAASBudget,
-    _CandidateTask,
-    _evaluate_candidates,
+    CandidateTask,
+    evaluate_candidates,
     search_accelerator,
 )
 from repro.search.cache import EvaluationCache
@@ -182,7 +183,7 @@ class TestGroupWorkers:
                                       budget, seed=0, workers=3,
                                       transport=transport)
         assert len(transport.groups) == 3
-        assert [[task.network.name for task in group]
+        assert [[task.networks[0].name for task in group]
                 for group in transport.groups] == [
                     [network.name] for network in networks]
         assert fanned == tuned_baseline_costs(
@@ -249,6 +250,23 @@ class TestHeldPayloads:
         assert cold == tuned_baseline_costs(
             "eyeriss", networks, CostModel(), budget, seed=0, workers=1)
 
+    def test_warm_nas_generation_submits_nothing(self, tmp_path):
+        """NAS subnets are candidates of the searches' group worker, so
+        a warm rerun over a cache directory is served here as well."""
+        kwargs = dict(accuracy_floor=73.0,
+                      budget=NASBudget(population=4, iterations=2),
+                      mapping_budget=MappingSearchBudget(4, 2), seed=3,
+                      workers=2, cache_dir=str(tmp_path / "cache"))
+        accel = baseline_preset("nvdla_256")
+        with CountingPool(2) as pool:
+            cold = search_architecture(accel, CostModel(), transport=pool,
+                                       **kwargs)
+            assert pool.submits == 2 * 2
+            warm = search_architecture(accel, CostModel(), transport=pool,
+                                       **kwargs)
+            assert pool.submits == 2 * 2  # the rerun submitted nothing
+        assert warm == cold
+
 
 _TINY_NETWORK = Network(name="tiny", layers=(
     ConvLayer(name="a", k=16, c=8, y=14, x=14, r=3, s=3),
@@ -270,12 +288,15 @@ def _count_probes(monkeypatch):
 
 
 class TestProbeCost:
-    """What serving held payloads costs the coordinator: one probe per
-    generation the cache holds nothing of, and one more per payload
-    only when it holds part of the generation."""
+    """What serving held payloads costs the coordinator: no probe while
+    its cache holds nothing, one per generation once it holds
+    something, and one more per payload only when it holds part of
+    the generation."""
 
-    def test_cold_search_probes_once_per_generation(self, tmp_path,
-                                                    monkeypatch):
+    def test_cold_search_probes_nothing(self, tmp_path, monkeypatch):
+        """Regression: the coordinator's store is read once per run, so
+        on a cold cache directory every generation's probe was refused
+        after rendering and checking every digest."""
         probed = _count_probes(monkeypatch)
         budget = NAASBudget(
             accel_population=4, accel_iterations=3,
@@ -286,11 +307,12 @@ class TestProbeCost:
                 CostModel(), budget=budget, seed=41, workers=2,
                 cache_dir=str(tmp_path / "cache"), transport=pool)
             assert pool.submits == 2 * budget.accel_iterations
-        assert len(probed) == len(result.history) == budget.accel_iterations
+        assert len(result.history) == budget.accel_iterations
+        assert probed == []
 
     def test_partly_held_generation_probes_each_payload_once(
             self, monkeypatch):
-        tasks = [_CandidateTask(
+        tasks = [CandidateTask(
             accel=baseline_preset("eyeriss"), networks=(_TINY_NETWORK,),
             cost_model=CostModel(),
             mapping_budget=MappingSearchBudget(population=4, iterations=2),
@@ -298,14 +320,14 @@ class TestProbeCost:
             reward_fn=geomean_edp) for entropy in (11, 12, 13, 14, 15)]
         held = [tasks[1], tasks[3]]
         cache = EvaluationCache()
-        with ParallelEvaluator(_evaluate_candidates, cache=cache) as fill:
+        with ParallelEvaluator(evaluate_candidates, cache=cache) as fill:
             fill.evaluate(held)
         probed = _count_probes(monkeypatch)
         transport = RecordingTransport()
-        with ParallelEvaluator(_evaluate_candidates, workers=2, cache=cache,
+        with ParallelEvaluator(evaluate_candidates, workers=2, cache=cache,
                                transport=transport) as evaluator:
             results = evaluator.evaluate(tasks)
         assert len(probed) == 1 + len(tasks)
         assert [task for group in transport.groups for task in group] == [
             task for task in tasks if task not in held]
-        assert results == _evaluate_candidates(tasks, None)
+        assert results == evaluate_candidates(tasks, None)
