@@ -8,6 +8,7 @@ out without special-casing.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Dict, Optional, Tuple
 
@@ -50,23 +51,25 @@ class NetworkCost:
 
     Layers run sequentially on a single accelerator, so cycles and energy
     add; EDP is computed on the totals (matching how the paper reports a
-    single EDP per network).
+    single EDP per network). Validity and the two totals are folded on
+    first read and kept, so an objective that reads them once per
+    network walks the layers once, not once per read.
     """
 
     network_name: str
     layer_costs: Tuple[LayerCost, ...]
 
-    @property
+    @functools.cached_property
     def valid(self) -> bool:
         return all(cost.valid for cost in self.layer_costs)
 
-    @property
+    @functools.cached_property
     def total_cycles(self) -> float:
         if not self.valid:
             return math.inf
         return fold_sum(cost.cycles for cost in self.layer_costs)
 
-    @property
+    @functools.cached_property
     def total_energy_nj(self) -> float:
         if not self.valid:
             return math.inf

@@ -85,8 +85,8 @@ def tuned_baseline_costs(preset_name: str,
             evaluate_candidates, workers=workers, cache_dir=cache_dir,
             transport=transport, eval_timeout=eval_timeout) as evaluator:
         outcomes = evaluator.evaluate(tasks)
-    return {name: cost for _, costs, _ in outcomes
-            for name, cost in costs.items()}
+    return {name: cost for task, outcome in zip(tasks, outcomes)
+            for name, cost in outcome.network_costs(task.networks).items()}
 
 
 def gain_rows(baseline: Dict[str, NetworkCost],

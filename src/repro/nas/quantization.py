@@ -282,7 +282,7 @@ class _QuantLoop(GenerationLoop):
 
     def tell(self, iteration: int,
              outcomes: List[Optional[Evaluation]]) -> List[float]:
-        fitnesses = [reward for reward, _, _ in outcomes]
+        fitnesses = [outcome.reward for outcome in outcomes]
         self.evaluations += len(fitnesses)
         for pair, edp in zip(self._current, fitnesses):
             if edp < self.best_edp:

@@ -109,6 +109,7 @@ class _ArchLoop(GenerationLoop):
         self.best_edp = math.inf
         self.evaluations = 0
         self._current: List[ResNetArch] = []
+        self._tasks: List[CandidateTask] = []
 
     def _spawn_child(self, parents: List[ResNetArch]) -> ResNetArch:
         """One mutation-or-crossover child of ``parents``."""
@@ -123,23 +124,27 @@ class _ArchLoop(GenerationLoop):
 
     def ask(self, iteration: int) -> List[Optional[CandidateTask]]:
         self._current = list(self.population)
-        return [CandidateTask(accel=self.accel,
-                              networks=(build_subnet(arch),),
-                              cost_model=self.cost_model,
-                              mapping_budget=self.mapping_budget,
-                              entropy=self.entropy)
-                for arch in self._current]
+        self._tasks = [CandidateTask(accel=self.accel,
+                                     networks=(build_subnet(arch),),
+                                     cost_model=self.cost_model,
+                                     mapping_budget=self.mapping_budget,
+                                     entropy=self.entropy)
+                       for arch in self._current]
+        return self._tasks
 
     def tell(self, iteration: int, outcomes: List[Optional[Evaluation]],
              ) -> List[float]:
         fitnesses: List[float] = []
-        for arch, (edp, costs, _) in zip(self._current, outcomes):
+        for arch, task, outcome in zip(self._current, self._tasks,
+                                       outcomes):
+            edp = outcome.reward
             self.evaluations += 1
             fitnesses.append(edp)
             if edp < self.best_edp:
                 self.best_edp = edp
                 self.best_arch = arch
-                [self.best_cost] = costs.values()
+                [self.best_cost] = outcome.network_costs(
+                    task.networks).values()
         if iteration < self.iterations - 1:
             self._breed(fitnesses)
         return fitnesses

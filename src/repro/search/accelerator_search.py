@@ -22,13 +22,23 @@ serves the candidates whose every shape the cache already holds (see
 :class:`CandidateTask` and :func:`evaluate_candidates` are also the
 payload and group worker of tuning, NAS and quantization, whose
 candidates carry one network each.
+
+A shape's best mapping and cost stay one row of numbers (a
+:class:`~repro.search.records.ShapeRow`) from the mapping search
+through both cache tiers to the reward, which is folded from the
+rows. A candidate's :class:`Evaluation` is its reward and its rows;
+``Mapping``, ``LayerCost`` and ``NetworkCost`` objects are built from
+them only where a caller reads them: the hardware and NAS searches on
+an improving candidate, tuned baselines for every network.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import (Any, Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Type)
 
 from repro.accelerator.arch import AcceleratorConfig
 from repro.accelerator.constraints import ResourceConstraint
@@ -56,7 +66,7 @@ from repro.search.parallel import (
     ask_generation,
     run_search_loop,
 )
-from repro.search.records import CACHE_FORMAT, ShapeBest
+from repro.search.records import CACHE_FORMAT, ShapeBest, ShapeRow
 from repro.search.result import AcceleratorSearchResult
 from repro.search.transport import Transport, group_worker
 from repro.tensors.layer import ConvLayer
@@ -82,12 +92,80 @@ class NAASBudget:
                 f"{self.accel_population}x{self.accel_iterations}")
 
 
-#: What scoring one accelerator returns: ``(reward, {network ->
-#: NetworkCost}, {layer -> Mapping})``.
-Evaluation = Tuple[float, Dict[str, NetworkCost], Dict[str, Mapping]]
 #: One network set's unique shapes: ``(layer, count, shape key)`` per
 #: shape, one list per network.
 Shapes = List[List[Tuple[ConvLayer, int, tuple]]]
+
+
+@dataclasses.dataclass(frozen=True)
+class Evaluation:
+    """What scoring one accelerator on its networks returns.
+
+    The reward, and the cached best of each of the candidate's shapes
+    (each network's ``unique_shapes()`` in order, network after
+    network) as rows, with no objects built: a search reads the reward
+    of every candidate but the costs and mappings of few.
+    :meth:`network_costs` and :meth:`best_mappings` build those from
+    the rows, given the networks the candidate was scored on.
+    """
+
+    reward: float
+    rows: Tuple[ShapeBest, ...]
+
+    def _mapped(self, networks: Sequence[Network],
+                ) -> Iterator[Tuple[Network, list, bool]]:
+        """Each network, its shapes' ``(layer, count, row)`` up to its
+        first unmappable shape, and whether it has none."""
+        rows = iter(self.rows)
+        for network in networks:
+            shapes = network.unique_shapes()
+            mapped = []
+            for (layer, count), row in zip(
+                    shapes, list(itertools.islice(rows, len(shapes)))):
+                if row is None:
+                    break
+                mapped.append((layer, count, row))
+            yield network, mapped, len(mapped) == len(shapes)
+
+    def network_costs(self, networks: Sequence[Network],
+                      ) -> Dict[str, NetworkCost]:
+        """``{network name -> NetworkCost}``; each network's layer costs
+        carry its own layer names, and a network with an unmappable
+        shape is omitted."""
+        costs: Dict[str, NetworkCost] = {}
+        for network, mapped, mappable in self._mapped(networks):
+            if mappable:
+                costs[network.name] = NetworkCost(
+                    network_name=network.name, layer_costs=tuple(
+                        cost for layer, count, row in mapped
+                        for cost in [row.layer_cost(layer.name)] * count))
+        return costs
+
+    def best_mappings(self, networks: Sequence[Network],
+                      ) -> Dict[str, Mapping]:
+        """``{layer name -> Mapping}`` for every layer of a mapped shape:
+        each layer of a shape group (not just its representative), and
+        in a network with an unmappable shape, the layers of the shapes
+        before it."""
+        best: Dict[str, Mapping] = {}
+        for network, mapped, _ in self._mapped(networks):
+            shape_mappings = {shape_key(layer): row.mapping()
+                              for layer, _, row in mapped}
+            for layer in network:
+                mapping = shape_mappings.get(shape_key(layer))
+                if mapping is not None:
+                    best[layer.name] = mapping
+        return best
+
+
+class _NetworkTotals(NamedTuple):
+    """One network's :class:`~repro.search.objectives.NetworkTotals`,
+    folded from its shapes' rows."""
+
+    valid: bool
+    total_cycles: float
+    total_energy_nj: float
+    edp: float
 
 
 def evaluate_accelerator(accel: AcceleratorConfig,
@@ -99,10 +177,12 @@ def evaluate_accelerator(accel: AcceleratorConfig,
                              EncodingStyle.IMPORTANCE),
                          cache: Optional[EvaluationCache] = None,
                          reward_fn: RewardFn = geomean_edp,
-                         ) -> Evaluation:
+                         ) -> Tuple[float, Dict[str, NetworkCost],
+                                    Dict[str, Mapping]]:
     """Score one accelerator: best-mapping EDP per network, geomean reward.
 
-    Returns ``(reward, {network -> NetworkCost}, {layer -> Mapping})``.
+    Returns ``(reward, {network -> NetworkCost}, {layer -> Mapping})``,
+    the :class:`Evaluation` with all its objects built.
     The mapping search runs once per unique layer shape, every shape of
     every network that misses the cache in one lockstep
     :func:`~repro.search.mapping_search.search_mappings` call; results
@@ -145,7 +225,8 @@ def evaluate_accelerator(accel: AcceleratorConfig,
         [accel], [seed_entropy(seed)], [networks], cost_model,
         mapping_budget,
         mapping_style=mapping_style, cache=cache, reward_fn=reward_fn)
-    return evaluation
+    return (evaluation.reward, evaluation.network_costs(networks),
+            evaluation.best_mappings(networks))
 
 
 def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
@@ -159,8 +240,9 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
                           reward_fn: RewardFn = geomean_edp,
                           ) -> List[Evaluation]:
     """Score many accelerators at once, each on its own network set;
-    result ``i`` equals ``evaluate_accelerator(accels[i],
-    network_sets[i], ..., seed=entropies[i])``.
+    result ``i`` is the :class:`Evaluation` that
+    ``evaluate_accelerator(accels[i], network_sets[i], ...,
+    seed=entropies[i])`` builds its objects from.
 
     Every candidate's lookups go to the cache in candidate order, keyed
     on ``(entropies[i], (accels[i], shape, style))`` as one call would
@@ -174,6 +256,14 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
     A network set's shapes and rendered shape keys are built once per
     call however many candidates share it (the same object, as NAAS
     candidates do).
+
+    Both cache tiers hold each shape's best as a
+    :class:`~repro.search.records.ShapeRow`, and the reward is folded
+    from the rows: ``reward_fn`` gets one
+    :class:`~repro.search.objectives.NetworkTotals` per network, whose
+    cycles and energy add each shape's row ``count`` times in shape
+    order, the left fold of ``NetworkCost.total_cycles``. A disk hit
+    builds no ``Mapping`` or ``LayerCost``.
     """
     if not len(entropies) == len(network_sets) == len(accels):
         raise ValueError(
@@ -213,8 +303,8 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
             budget=mapping_budget,
             seeds=[derive_seed(entropy, key) for entropy, key in keys],
             style=mapping_style)
-        return [(result.best_mapping, result.best_cost) if result.found
-                else None for result in results]
+        return [ShapeRow.of(result.best_mapping, result.best_cost)
+                if result.found else None for result in results]
 
     def search_misses(keys: Sequence[Tuple[int, tuple]]) -> List[ShapeBest]:
         # Deduplicated by key: a recurring key is searched once, with
@@ -233,9 +323,10 @@ def evaluate_accelerators(accels: Sequence[AcceleratorConfig],
                                             disk_keys=disk_keys)
 
     outcomes = iter(results)
-    return [_reduce(accel, networks, shapes, outcomes, reward_fn)
-            for accel, networks, (shapes, _) in zip(accels, network_sets,
-                                                    tables)]
+    return [_reduce(accel, networks, shapes,
+                    tuple(itertools.islice(outcomes, len(skeys))), reward_fn)
+            for accel, networks, (shapes, skeys) in zip(accels, network_sets,
+                                                        tables)]
 
 
 def _rendered_disk_keys(accels: Sequence[AcceleratorConfig],
@@ -260,39 +351,25 @@ def _rendered_disk_keys(accels: Sequence[AcceleratorConfig],
 
 
 def _reduce(accel: AcceleratorConfig, networks: Sequence[Network],
-            shapes: Shapes, outcomes: Iterator[ShapeBest],
+            shapes: Shapes, rows: Tuple[ShapeBest, ...],
             reward_fn: RewardFn) -> Evaluation:
-    """One candidate's evaluation from its shapes' best mappings, read
-    off ``outcomes`` one per shape."""
-    network_costs: Dict[str, NetworkCost] = {}
-    best_mappings: Dict[str, Mapping] = {}
-    feasible = True
+    """One candidate's evaluation from its shapes' rows, in ``shapes``
+    order."""
+    totals: Dict[str, _NetworkTotals] = {}
+    outcomes = iter(rows)
     for network, group in zip(networks, shapes):
-        group_results = [next(outcomes) for _ in group]
-        layer_costs = []
-        shape_mappings: Dict[tuple, Mapping] = {}
-        mappable = True
-        for (layer, count, skey), best in zip(group, group_results):
-            if best is None:
+        cycles = energy = 0
+        for (layer, count, _), row in zip(group, outcomes):
+            if row is None:
                 logger.debug("no mapping for %s on %s", layer.name, accel.name)
-                mappable = False
-                feasible = False
-                break
-            shape_mappings[skey], cost = best
-            if cost.layer_name != layer.name:
-                cost = dataclasses.replace(cost, layer_name=layer.name)
-            layer_costs.extend([cost] * count)
-        for layer in network:
-            mapping = shape_mappings.get(shape_key(layer))
-            if mapping is not None:
-                best_mappings[layer.name] = mapping
-        if mappable:
-            network_costs[network.name] = NetworkCost(
-                network_name=network.name, layer_costs=tuple(layer_costs))
-    if not feasible:
-        return math.inf, network_costs, best_mappings
-    reward = reward_fn([network_costs[n.name] for n in networks])
-    return reward, network_costs, best_mappings
+                return Evaluation(math.inf, rows)
+            for _ in range(count):
+                cycles = cycles + row.cycles
+                energy = energy + row.energy_nj
+        totals[network.name] = _NetworkTotals(True, cycles, energy,
+                                              cycles * energy)
+    # By name, as network_costs() keys them.
+    return Evaluation(reward_fn([totals[n.name] for n in networks]), rows)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,7 +397,8 @@ def evaluate_candidates(tasks: List[CandidateTask],
     """ParallelEvaluator group worker: score a task group's candidates
     with one :func:`evaluate_accelerators` call, one lockstep mapping
     search over the misses of all of them. The tasks of one search
-    share the cost model, budgets, style and reward."""
+    share the cost model, budgets, style and reward. What goes back to
+    the coordinator is each candidate's reward and rows."""
     first = tasks[0]
     return evaluate_accelerators(
         [task.accel for task in tasks], [task.entropy for task in tasks],
@@ -383,19 +461,19 @@ class _AcceleratorLoop(GenerationLoop):
             self.evaluations += 1
         return members
 
-    def tell(self, iteration: int, outcomes: List[Optional[Any]],
+    def tell(self, iteration: int, outcomes: List[Optional[Evaluation]],
              ) -> List[float]:
         fitnesses = [math.inf] * self.population
         for member, outcome in enumerate(outcomes):
             if outcome is None:
                 continue
-            reward, costs, maps = outcome
+            reward = outcome.reward
             fitnesses[member] = reward
             if math.isfinite(reward) and reward < self.best_reward:
                 self.best_reward = reward
                 self.best_config = self._configs[member]
-                self.best_costs = costs
-                self.best_maps = maps
+                self.best_costs = outcome.network_costs(self.networks)
+                self.best_maps = outcome.best_mappings(self.networks)
         self.engine.tell(self._vectors, fitnesses)
         return fitnesses
 

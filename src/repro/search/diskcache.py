@@ -42,21 +42,25 @@ resumed / re-parameterized runs the tier exists for.
 layout, so records of another layout are unreachable rather than
 misread: a directory written before a format change misses once, and
 ``repro cache prune`` clears its old shards once nothing appends to
-them. A record holds what the accelerator reward reads of one shape's
-mapping search, a :data:`~repro.search.records.ShapeBest` (the best
-``Mapping`` and its ``LayerCost``, or ``None`` when no mapping fits) as
-one fixed-width row; the search's per-iteration history is not stored.
+them. A record holds one shape's mapping-search result as one
+fixed-width row, a :data:`~repro.search.records.ShapeBest` (the numbers
+of the best ``Mapping`` and its ``LayerCost``, or ``None`` when no
+mapping fits); the search's per-iteration history is not stored. A hit
+is one ``struct`` unpack into a :class:`~repro.search.records.ShapeRow`,
+which the reward is folded from; ``Mapping`` and ``LayerCost`` objects
+are built from it only where a caller reads them.
 
 Storage layout
 --------------
 A cache directory holds append-only shard files, one per writing
 process (``shard-<pid>-<token>.bin``), so concurrent runs never contend
 on a file. Each record is ``magic | digest | length | crc32 | payload``
-where the magic ``NAC3`` marks a payload that is one row of
+where the magic ``NAC4`` marks a payload that is one row of
 :mod:`repro.search.records`. Records of the previous formats (``NAC1``
-raw and ``NAC2`` zlib-compressed pickles) are still framed by their
-length and crc, so a scan walks past them as *stale*: they are counted,
-never indexed or decoded, and ``repro cache compact`` drops them.
+raw and ``NAC2`` zlib-compressed pickles, ``NAC3`` rows that ended in
+the layer name) are still framed by their length and crc, so a scan
+walks past them as *stale*: they are counted, never indexed or decoded,
+and ``repro cache compact`` drops them.
 Readers scan every shard at open (and on
 :meth:`DiskCacheStore.refresh`), a bounded block at a time, and stop a
 shard at the first incomplete or corrupt record — a torn tail from a
@@ -102,10 +106,11 @@ try:  # POSIX only; shards are per-process so the lock is belt-and-braces
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-_MAGIC = b"NAC3"  # payload is one records.py row
+_MAGIC = b"NAC4"  # payload is one records.py row
 #: Magics of earlier payload encodings (raw and zlib-compressed
-#: pickles): framed like a row record, never decoded.
-_STALE_MAGICS = (b"NAC1", b"NAC2")
+#: pickles, then rows that ended in the layer name): framed like a row
+#: record, never decoded.
+_STALE_MAGICS = (b"NAC1", b"NAC2", b"NAC3")
 _DIGEST_BYTES = 32  # blake2b(digest_size=16) hex-encoded
 #: magic | digest (hex ascii) | payload length | payload crc32
 _HEADER = struct.Struct(f"<4s{_DIGEST_BYTES}sQI")
@@ -358,11 +363,8 @@ class DiskCacheStore:
     # ----- writing -----------------------------------------------------
 
     def put(self, digest: str, value: ShapeBest) -> None:
-        """Append one record to this process's shard (first write wins).
-
-        Raises ``ValueError`` (from
-        :func:`~repro.search.records.encode_row`) on a value that a row
-        cannot hold exactly.
+        """Append one record to this process's shard (first write wins);
+        ``value`` is packed by :func:`~repro.search.records.encode_row`.
         """
         if digest in self._index:
             return
@@ -478,8 +480,8 @@ class DiskCacheDirStats:
 
     ``records`` counts the row records a store indexes;
     ``stale_records`` the records of earlier formats (pickles behind
-    ``NAC1``/``NAC2``), which no store reads and ``repro cache
-    compact`` drops.
+    ``NAC1``/``NAC2``, named rows behind ``NAC3``), which no store
+    reads and ``repro cache compact`` drops.
     """
 
     shards: int

@@ -12,6 +12,7 @@ from repro.accelerator.constraints import ResourceConstraint
 from repro.cost.model import CostModel
 from repro.mapping.builders import dataflow_preserving_mapping
 from repro.search.parallel import ParallelEvaluator
+from repro.search.records import ShapeRow
 from repro.tensors.dims import Dim
 from repro.tensors.layer import ConvLayer
 
@@ -65,13 +66,13 @@ def heuristic_mapping(small_layer, small_accel):
 
 @pytest.fixture
 def shape_best(small_layer, small_accel, heuristic_mapping, cost_model):
-    """``shape_best(n, name=...)``: a disk-cache value (a best mapping and
+    """``shape_best(n)``: a cache value (the row of a best mapping and
     its cost), distinct for each ``n``."""
     cost = cost_model.evaluate(small_layer, small_accel, heuristic_mapping)
 
-    def make(n: int, name: str = "test_conv"):
-        return heuristic_mapping, dataclasses.replace(
-            cost, layer_name=name, cycles=cost.cycles + n)
+    def make(n: int):
+        return ShapeRow.of(heuristic_mapping, dataclasses.replace(
+            cost, cycles=cost.cycles + n))
 
     return make
 

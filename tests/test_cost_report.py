@@ -1,6 +1,7 @@
 """Tests for the cost report records."""
 
 import math
+import pickle
 
 import pytest
 
@@ -54,3 +55,46 @@ class TestNetworkCost:
         net = NetworkCost(network_name="n", layer_costs=(_layer(),))
         assert set(net.summary()) == {"cycles", "energy_nj", "edp",
                                       "utilization"}
+
+
+class _CountedCost:
+    """A layer cost that counts the reads of its numbers."""
+
+    valid = True
+
+    def __init__(self, cycles, energy_nj, reads):
+        self._cycles, self._energy_nj, self._reads = cycles, energy_nj, reads
+
+    @property
+    def cycles(self):
+        self._reads["cycles"] += 1
+        return self._cycles
+
+    @property
+    def energy_nj(self):
+        self._reads["energy_nj"] += 1
+        return self._energy_nj
+
+
+class TestNetworkCostFoldsOnce:
+    def test_each_total_walks_the_layers_once(self):
+        reads = {"cycles": 0, "energy_nj": 0}
+        layers = (_CountedCost(0.1, 0.7, reads),
+                  _CountedCost(0.2, 0.8, reads),
+                  _CountedCost(0.3, 0.9, reads))
+        net = NetworkCost(network_name="n", layer_costs=layers)
+        for _ in range(3):
+            assert net.valid
+            assert net.total_cycles == (0 + 0.1) + 0.2 + 0.3
+            assert net.total_energy_nj == (0 + 0.7) + 0.8 + 0.9
+            assert net.edp == net.total_cycles * net.total_energy_nj
+        assert reads == {"cycles": 3, "energy_nj": 3}
+
+    def test_kept_totals_change_no_comparison(self):
+        layer_costs = (_layer(cycles=100, energy=10), _layer(cycles=5))
+        read = NetworkCost(network_name="n", layer_costs=layer_costs)
+        assert read.edp == 105 * 20
+        fresh = NetworkCost(network_name="n", layer_costs=layer_costs)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert pickle.loads(pickle.dumps(read)) == fresh

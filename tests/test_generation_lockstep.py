@@ -7,7 +7,8 @@ a NAAS generation is one ``search_mappings`` call (the group-worker
 contract itself is tested in ``test_search_grouping.py``). None of it
 may change a result: every candidate's evaluation equals the
 one-candidate ``evaluate_accelerator`` call, with the same cache
-counts, however the candidates are chunked.
+counts, however the candidates are chunked: the reward, and the costs
+and mappings its rows build.
 """
 
 import dataclasses
@@ -69,6 +70,12 @@ def _one_by_one(cache=None):
             for accel, entropy in zip(CANDIDATES, ENTROPIES)]
 
 
+def _built(evaluation, networks=NETWORKS):
+    """An ``Evaluation`` as ``evaluate_accelerator`` returns it."""
+    return (evaluation.reward, evaluation.network_costs(networks),
+            evaluation.best_mappings(networks))
+
+
 def _chunked(size, cache=None):
     results = []
     pairs = list(zip(CANDIDATES, ENTROPIES))
@@ -77,7 +84,7 @@ def _chunked(size, cache=None):
         results += evaluate_accelerators(
             [accel for accel, _ in chunk], [entropy for _, entropy in chunk],
             [NETWORKS] * len(chunk), CostModel(), BUDGET, cache=cache)
-    return results
+    return [_built(evaluation) for evaluation in results]
 
 
 class TestEvaluateAccelerators:
@@ -100,9 +107,10 @@ class TestEvaluateAccelerators:
         assert chunked_cache.hits == len(CANDIDATES) + 3
 
     def test_costs_keep_each_networks_layer_names(self):
-        [(_, costs, _)] = evaluate_accelerators(
+        [evaluation] = evaluate_accelerators(
             [CANDIDATES[0]], [ENTROPIES[0]], [NETWORKS], CostModel(), BUDGET,
             cache=EvaluationCache())
+        costs = evaluation.network_costs(NETWORKS)
         assert [cost.layer_name for cost in costs["second"].layer_costs] \
             == ["again", "dw"]
 
@@ -147,4 +155,4 @@ def test_reward_ignores_other_candidates_in_the_group():
     grouped = evaluate_accelerators(
         [CANDIDATES[2], accel, CANDIDATES[0]], [1, 7, 2], [NETWORKS] * 3,
         CostModel(), BUDGET)
-    assert grouped[1] == alone
+    assert _built(grouped[1]) == alone

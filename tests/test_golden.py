@@ -8,6 +8,10 @@ left out at any depth, so the digest pins exactly what ``==`` compares.
 digests mean equal results to the last bit: best mappings, costs,
 rewards and whole histories.
 
+The digests hold for any worker count and cache temperature: the
+cases of :data:`EXECUTION_CASES` also run on a two-worker pool and on
+a cache directory, cold and then warm, against the same digests.
+
 Regenerate deliberately (only when a change is *meant* to move search
 results) with::
 
@@ -23,7 +27,9 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict
 
+import pytest
 
+import repro.search.accelerator_search as accelerator_search
 from repro.accelerator.presets import baseline_constraint, baseline_preset
 from repro.cost.model import CostModel
 from repro.encoding.spaces import EncodingStyle
@@ -101,18 +107,27 @@ def _mapping_search(layer, preset, style,
     return run
 
 
-def _tuned_baselines():
+def _tuned_baselines(**execution):
     return tuned_baseline_costs("eyeriss", mobile_benchmark_set(),
-                                CostModel(), MAPPING_BUDGET, seed=0)
+                                CostModel(), MAPPING_BUDGET, seed=0,
+                                **execution)
 
 
-def _accelerator_search():
+def _accelerator_search(**execution):
     return search_accelerator(
         [build_model("squeezenet")], baseline_constraint("shidiannao"),
         CostModel(),
         budget=NAASBudget(accel_population=4, accel_iterations=2,
                           mapping=MappingSearchBudget(4, 3)),
-        seed=3, seed_configs=[baseline_preset("shidiannao")])
+        seed=3, seed_configs=[baseline_preset("shidiannao")], **execution)
+
+
+#: Cases that take ``workers=`` and ``cache_dir=``, and so also run
+#: pooled and on a cache directory against their digests.
+EXECUTION_CASES: Dict[str, Callable[..., object]] = {
+    "tuned_baseline_costs/eyeriss/mobile": _tuned_baselines,
+    "search_accelerator/squeezenet/shidiannao": _accelerator_search,
+}
 
 
 def _architecture_search():
@@ -145,8 +160,7 @@ def cases() -> Dict[str, Callable[[], object]]:
             for layer in LAYERS:
                 table[f"mapping/{variant}/{preset}/{layer.name}"] = (
                     _mapping_search(layer, preset, style, seeded))
-    table["tuned_baseline_costs/eyeriss/mobile"] = _tuned_baselines
-    table["search_accelerator/squeezenet/shidiannao"] = _accelerator_search
+    table.update(EXECUTION_CASES)
     table["search_architecture/nvdla_256"] = _architecture_search
     table["search_quantized/nvdla_256"] = _quantized_search
     table["search_joint/nvdla_256"] = _joint_search
@@ -164,6 +178,29 @@ def test_golden_digests_unchanged():
     changed = sorted(name for name in expected
                      if expected[name] != actual[name])
     assert not changed, f"search results moved: {changed}"
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("name", sorted(EXECUTION_CASES))
+def test_golden_digests_hold_pooled_and_warm(name, workers, tmp_path,
+                                             monkeypatch):
+    """At ``workers`` (and with no cache directory at workers 2), a
+    cold run that fills a cache directory and the warm rerun served
+    from it, which searches nothing, digest as the golden does."""
+    expected = json.loads(GOLDEN.read_text())["digests"][name]
+    run = EXECUTION_CASES[name]
+    digests = {}
+    if workers > 1:
+        digests["in memory"] = _digest(run(workers=workers))
+    cache_dir = str(tmp_path / "cache")
+    digests["cold"] = _digest(run(workers=workers, cache_dir=cache_dir))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the warm run searched a mapping")
+
+    monkeypatch.setattr(accelerator_search, "search_mappings", no_search)
+    digests["warm"] = _digest(run(workers=workers, cache_dir=cache_dir))
+    assert digests == dict.fromkeys(digests, expected)
 
 
 if __name__ == "__main__":

@@ -200,7 +200,8 @@ class TestQuantSearchRegressions:
                                mapping_budget=MappingSearchBudget(4, 2),
                                entropy=entropy)
                  for pair in pairs]
-        return [reward for reward, _, _ in evaluate_candidates(tasks, cache)]
+        return [evaluation.reward
+                for evaluation in evaluate_candidates(tasks, cache)]
 
     def test_reward_independent_of_evaluation_order(self, space):
         """Regression: evaluation seeds used to be drawn from the parent

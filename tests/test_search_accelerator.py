@@ -1,5 +1,6 @@
 """Tests for the outer (NAAS accelerator) search loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,18 +8,23 @@ import pytest
 
 from repro.accelerator.presets import baseline_constraint, baseline_preset
 from repro.cost.model import CostModel
+from repro.cost.report import NetworkCost
+from repro.encoding.spaces import EncodingStyle
 from repro.experiments.common import tuned_baseline_costs
 from repro.models import mobile_benchmark_set
 from repro.search.accelerator_search import (
     NAASBudget,
     evaluate_accelerator,
+    evaluate_accelerators,
     search_accelerator,
 )
 from repro.search.cache import EvaluationCache
-from repro.search.mapping_search import MappingSearchBudget
+from repro.search.mapping_search import MappingSearchBudget, search_mapping
+from repro.search.objectives import geomean_edp
 from repro.search.random_search import RandomEngine
 from repro.tensors.layer import ConvLayer
-from repro.tensors.network import Network
+from repro.tensors.network import Network, shape_key
+from repro.utils.rng import derive_seed
 
 TINY = NAASBudget(accel_population=4, accel_iterations=3,
                   mapping=MappingSearchBudget(population=4, iterations=2))
@@ -45,6 +51,69 @@ class _VetoCostModel(CostModel):
 @pytest.fixture
 def tiny_network(small_layer, pointwise_layer):
     return Network(name="tiny", layers=(small_layer, pointwise_layer))
+
+
+def _tables_from_search_objects(accel, networks, cost_model, budget,
+                                entropy):
+    """A candidate's ``({network -> NetworkCost}, {layer -> Mapping})``
+    built straight from each shape's mapping-search objects: layer
+    costs renamed to each network's layers, a network with an
+    unmappable shape omitted, and its mappings kept up to that shape."""
+    costs, mappings = {}, {}
+    for network in networks:
+        layer_costs, shape_mappings, mappable = [], {}, True
+        for layer, count in network.unique_shapes():
+            key = (accel, shape_key(layer), EncodingStyle.IMPORTANCE)
+            result = search_mapping(layer, accel, cost_model, budget,
+                                    seed=derive_seed(entropy, key))
+            if not result.found:
+                mappable = False
+                break
+            shape_mappings[key[1]] = result.best_mapping
+            layer_costs += [dataclasses.replace(
+                result.best_cost, layer_name=layer.name)] * count
+        for layer in network:
+            if shape_key(layer) in shape_mappings:
+                mappings[layer.name] = shape_mappings[shape_key(layer)]
+        if mappable:
+            costs[network.name] = NetworkCost(network.name,
+                                              tuple(layer_costs))
+    return costs, mappings
+
+
+class TestEvaluationTables:
+    """An ``Evaluation`` keeps rows; the tables it builds from them are
+    the ones the search's own objects give."""
+
+    @pytest.mark.parametrize("with_bad", (False, True))
+    def test_tables_equal_the_search_objects(self, small_layer,
+                                             pointwise_layer,
+                                             depthwise_layer, with_bad):
+        preset = baseline_preset("nvdla_256")
+        cost_model = _VetoCostModel(depthwise_layer.name)
+        budget = MappingSearchBudget(4, 2)
+        twin = dataclasses.replace(small_layer, name="twin")
+        good = Network(name="good",
+                       layers=(pointwise_layer, twin, small_layer))
+        after = dataclasses.replace(pointwise_layer, name="after_veto")
+        bad = Network(name="bad",
+                      layers=(small_layer, depthwise_layer, after))
+        networks = [good, bad] if with_bad else [good]
+        [evaluation] = evaluate_accelerators(
+            [preset], [3], [networks], cost_model, budget,
+            cache=EvaluationCache())
+        costs, mappings = _tables_from_search_objects(
+            preset, networks, cost_model, budget, 3)
+        assert evaluation.network_costs(networks) == costs
+        assert evaluation.best_mappings(networks) == mappings
+        assert list(costs) == ["good"]
+        if with_bad:
+            assert evaluation.reward == math.inf
+            # The shapes before bad's unmappable one, not the one after.
+            assert set(mappings) == {pointwise_layer.name, twin.name,
+                                     small_layer.name}
+        else:
+            assert evaluation.reward == geomean_edp(list(costs.values()))
 
 
 class TestEvaluateAccelerator:

@@ -1,6 +1,8 @@
 """Tests for the persistent cross-run evaluation cache tier."""
 
 import dataclasses
+import io
+import math
 import os
 import pickle
 import select
@@ -22,11 +24,14 @@ from repro.cost.traffic import TrafficReport
 from repro.encoding.spaces import EncodingStyle
 from repro.mapping.mapping import Mapping
 from repro.models import build_model
+import repro.search.accelerator_search as accelerator_search
 from repro.search.accelerator_search import (
     CACHE_FORMAT,
+    CandidateTask,
     NAASBudget,
     _rendered_disk_keys,
     evaluate_accelerator,
+    evaluate_candidates,
     search_accelerator,
 )
 from repro.search.cache import EvaluationCache, NotHeld
@@ -47,7 +52,7 @@ from repro.search.mapping_search import (
     search_mapping,
     search_mappings,
 )
-from repro.search.records import decode_row, encode_row
+from repro.search.records import ShapeRow, decode_row, encode_row
 from repro.search.result import CacheStats
 from repro.tensors.network import Network, shape_key
 from repro.utils.rng import derive_seed, seed_entropy
@@ -373,10 +378,18 @@ def _legacy_record(digest, value, magic):
                         zlib.crc32(payload)) + payload
 
 
-def _framed(digest, row):
+def _framed(digest, row, magic=diskcache_module._MAGIC):
     """A row record around ``row`` with a matching length and crc."""
-    return _HEADER.pack(b"NAC3", digest.encode("ascii"), len(row),
+    return _HEADER.pack(magic, digest.encode("ascii"), len(row),
                         zlib.crc32(row)) + row
+
+
+def _named_row_record(digest, value, name="test_conv"):
+    """A record as ``shape-best/3`` framed it: the row, then the layer
+    name's length and the name, behind ``NAC3``."""
+    name = name.encode()
+    return _framed(digest, encode_row(value) + struct.pack("<H", len(name))
+                   + name, magic=b"NAC3")
 
 
 def _leaves(value):
@@ -390,10 +403,7 @@ def _leaves(value):
             yield type(item), item
 
 
-def _bits(value):
-    if value is None:
-        return None
-    mapping, cost = value
+def _bits(mapping, cost):
     return list(_leaves(dataclasses.astuple(mapping)
                         + dataclasses.astuple(cost)))
 
@@ -415,7 +425,8 @@ def _damaged(row, damage):
 
 
 class TestShapeBestRows:
-    """A record's row gives back exactly the value written."""
+    """A row gives back exactly the objects it was made of, and a
+    record's row exactly the row written."""
 
     @pytest.mark.parametrize("style", list(EncodingStyle))
     @pytest.mark.parametrize("preset", sorted(BASELINE_PRESETS))
@@ -428,13 +439,18 @@ class TestShapeBestRows:
             layers, baseline_preset(preset), cost_model,
             budget=MappingSearchBudget(4, 2), seeds=range(len(layers)),
             style=style)
-        values = [(result.best_mapping, result.best_cost) if result.found
-                  else None for result in results] + [None]
-        assert any(value is not None for value in values)
-        for value in values:
-            back = decode_row(encode_row(value))
-            assert back == value
-            assert _bits(back) == _bits(value)
+        found = [result for result in results if result.found]
+        assert found
+        for result in found:
+            mapping, cost = result.best_mapping, result.best_cost
+            row = ShapeRow.of(mapping, cost)
+            back = decode_row(encode_row(row))
+            assert type(back) is ShapeRow and back == row
+            assert len(encode_row(row)) == records._ROW_BYTES
+            rebuilt = back.mapping(), back.layer_cost(cost.layer_name)
+            assert rebuilt == (mapping, cost)
+            assert _bits(*rebuilt) == _bits(mapping, cost)
+        assert decode_row(encode_row(None)) is None
 
     def test_row_covers_every_report_field(self):
         """A field added to a report must be added to the row (and
@@ -443,8 +459,9 @@ class TestShapeBestRows:
             return tuple(field.name for field in dataclasses.fields(cls)
                          if field.name not in skip)
 
-        assert ("layer_name",) + records._COST_FIELDS == names(
-            LayerCost, ("valid", "reasons", "traffic", "latency", "energy"))
+        assert records._COST_FIELDS == names(
+            LayerCost, ("layer_name", "valid", "reasons", "traffic",
+                        "latency", "energy"))
         assert records._TRAFFIC_FIELDS == names(TrafficReport,
                                                 ("feasible", "reasons"))
         assert records._LATENCY_FIELDS == names(LatencyReport)
@@ -452,17 +469,20 @@ class TestShapeBestRows:
         assert names(Mapping) == ("array_order", "pe_order", "tiles")
 
     def test_encode_raises_on_what_a_row_cannot_hold(self, shape_best):
-        mapping, cost = shape_best(1)
+        row = shape_best(1)
+        mapping, cost = row.mapping(), row.layer_cost("test_conv")
+        assert ShapeRow.of(mapping, cost) == row
         unrepresentable = [
             LayerCost.invalid("test_conv", ("no mapping fits",)),
             dataclasses.replace(cost, reasons=("a reason",)),
             dataclasses.replace(cost, traffic=None),
             dataclasses.replace(cost, cycles=int(cost.cycles)),
             dataclasses.replace(cost, macs=float(cost.macs)),
+            dataclasses.replace(cost, macs=2 ** 64),
         ]
         for bad in unrepresentable:
             with pytest.raises(ValueError):
-                encode_row((mapping, bad))
+                ShapeRow.of(mapping, bad)
 
     @pytest.mark.parametrize("damage", ["order", "tile", "short"])
     def test_damaged_row_raises_value_error(self, shape_best, damage):
@@ -471,45 +491,55 @@ class TestShapeBestRows:
 
 
 class TestStaleRecords:
-    """Records of the pickle formats (``NAC1``/``NAC2``) are framed by
-    their length and crc, so scans walk past them as stale: counted,
-    never indexed or decoded, and dropped by compact."""
+    """Records of earlier formats (the pickles behind ``NAC1``/``NAC2``
+    and the named rows behind ``NAC3``) are framed by their length and
+    crc, so scans walk past them as stale: counted, never indexed or
+    decoded, and dropped by compact."""
 
     def test_legacy_records_are_stale_not_served(self, open_store, tmp_path,
                                                  caplog, shape_best):
         import logging
 
-        old_raw, old_zlib, row = (content_digest(name)
-                                  for name in ("raw", "zlib", "row"))
+        old_raw, old_zlib, old_named, row = (
+            content_digest(name) for name in ("raw", "zlib", "named", "row"))
+        value = shape_best(1)
+        legacy = value.mapping(), value.layer_cost("test_conv")
         shard = tmp_path / "shard-11111-feed.bin"
-        shard.write_bytes(_legacy_record(old_raw, shape_best(1), b"NAC1")
-                          + _legacy_record(old_zlib, shape_best(2), b"NAC2")
+        shard.write_bytes(_legacy_record(old_raw, legacy, b"NAC1")
+                          + _legacy_record(old_zlib, legacy, b"NAC2")
+                          + _named_row_record(old_named, shape_best(2))
                           + _framed(row, encode_row(shape_best(3))))
         records, end, status = _parse_file(shard)
         assert [(digest, stale) for digest, _, _, stale in records] == [
-            (old_raw, True), (old_zlib, True), (row, False)]
+            (old_raw, True), (old_zlib, True), (old_named, True),
+            (row, False)]
         assert (end, status) == (shard.stat().st_size, "end")
         with caplog.at_level(logging.WARNING):
             store = open_store()
             assert store.get(old_raw) == (False, None)
             assert store.get(old_zlib) == (False, None)
+            assert store.get(old_named) == (False, None)
             assert store.get(row) == (True, shape_best(3))
         assert caplog.records == []
         assert len(store) == 1 and old_raw not in store
         stats = directory_stats(tmp_path)
         assert (stats.records, stats.stale_records, stats.corrupt_tails) == \
-            (1, 2, 0)
+            (1, 3, 0)
 
     def test_compact_drops_stale_records(self, open_store, tmp_path,
                                          shape_best):
+        row = shape_best(1)
         (tmp_path / "shard-11111-feed.bin").write_bytes(
-            _legacy_record(content_digest("old"), shape_best(1), b"NAC2"))
+            _legacy_record(content_digest("old"),
+                           (row.mapping(), row.layer_cost("test_conv")),
+                           b"NAC2")
+            + _named_row_record(content_digest("named"), row))
         store = open_store()
         store.put(content_digest("new"), shape_best(2))
         store.close()
         stats = compact_directory(tmp_path)
         assert (stats.records_kept, stats.stale_dropped,
-                stats.duplicates_dropped) == (1, 1, 0)
+                stats.duplicates_dropped) == (1, 2, 0)
         after = directory_stats(tmp_path)
         assert (after.shards, after.records, after.stale_records) == (1, 1, 0)
         assert open_store().get(content_digest("new")) == (True, shape_best(2))
@@ -800,14 +830,72 @@ class TestSearchAcceleratorDiskTier:
         assert eval(first["hit_rate"]) == 0.0
 
 
+class TestWarmHitsStayRows:
+    """A cache hit is a row: objects are built only where read."""
+
+    def test_warm_rerun_builds_costs_only_for_improvements(
+            self, tiny_network, cost_model, small_constraint, tmp_path,
+            monkeypatch):
+        kwargs = dict(budget=TINY, seed=11, cache_dir=tmp_path)
+        cold = search_accelerator([tiny_network], small_constraint,
+                                  cost_model, **kwargs)
+        counts = {"costs": 0, "improvements": 0}
+        build_cost = LayerCost.__init__
+        tell = accelerator_search._AcceleratorLoop.tell
+
+        def counting_build(self, *args, **kw):
+            counts["costs"] += 1
+            build_cost(self, *args, **kw)
+
+        def counting_tell(self, iteration, outcomes):
+            best = self.best_reward
+            for outcome in outcomes:
+                if outcome is not None and outcome.reward < best:
+                    counts["improvements"] += 1
+                    best = outcome.reward
+            return tell(self, iteration, outcomes)
+
+        monkeypatch.setattr(LayerCost, "__init__", counting_build)
+        monkeypatch.setattr(accelerator_search._AcceleratorLoop, "tell",
+                            counting_tell)
+        warm = search_accelerator([tiny_network], small_constraint,
+                                  cost_model, **kwargs)
+        assert warm == cold
+        stats = warm.cache_stats
+        assert (stats.misses, stats.disk_hits) == (0, stats.hits)
+        shapes = len(tiny_network.unique_shapes())
+        assert stats.hits > counts["improvements"] * shapes
+        assert 0 < counts["costs"] <= counts["improvements"] * shapes
+
+    def test_a_cold_groups_evaluations_pickle_as_rows(self, tiny_network,
+                                                      cost_model):
+        tasks = [CandidateTask(accel=baseline_preset(preset),
+                               networks=(tiny_network,),
+                               cost_model=cost_model,
+                               mapping_budget=MappingSearchBudget(4, 2),
+                               entropy=5)
+                 for preset in ("eyeriss", "nvdla_256")]
+        evaluations = evaluate_candidates(tasks, EvaluationCache())
+        assert all(math.isfinite(e.reward) for e in evaluations)
+        loaded = []
+
+        class Recorder(pickle.Unpickler):
+            def find_class(self, module, name):
+                loaded.append(name)
+                return super().find_class(module, name)
+
+        data = pickle.dumps(evaluations, protocol=pickle.HIGHEST_PROTOCOL)
+        assert Recorder(io.BytesIO(data)).load() == evaluations
+        assert set(loaded) == {"Evaluation", "ShapeRow"}
+
+
 def _write_records(store, count, shape_best):
-    """``count`` records, the ``i``-th row ``17 * i`` bytes longer than
-    the first (by its layer name); returns their digests in write
-    order."""
+    """``count`` records of distinct rows; returns their digests in
+    write order."""
     digests = []
     for i in range(count):
         digest = content_digest("record", i)
-        store.put(digest, shape_best(i, name="n" * (17 * i + 1)))
+        store.put(digest, shape_best(i))
         digests.append(digest)
     return digests
 
@@ -1080,9 +1168,11 @@ class TestDiskKey:
                 accel, [tiny_network], cost_model, budget, seed=7,
                 cache=cache)
         store = open_store()
-        values = [store.get(digest)[1] for digest in store._index]
+        rows = [store.get(digest)[1] for digest in store._index]
         store.close()
-        assert len(values) == len(tiny_network.unique_shapes())
+        assert len(rows) == len(tiny_network.unique_shapes())
+        assert {type(row) for row in rows} == {ShapeRow}
+        values = [(row.mapping(), row.layer_cost("any")) for row in rows]
         assert {(type(m), type(c)) for m, c in values} == \
             {(Mapping, LayerCost)}
         assert sorted(c.edp for _, c in values) == sorted(
